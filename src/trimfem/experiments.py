@@ -2,9 +2,9 @@
 
 Each study runs over a list of mesh refinements N (h = 1/N on [0,1]^n),
 records global DOF counts, L2 errors and timings, and computes
-convergence rates between consecutive levels.  Timings follow a
-warm-up-plus-minimum-of-three protocol on the solve stage; assembly is
-timed separately and the reported Time column is their sum.
+convergence rates between consecutive levels.  Each level is solved
+once and that solve, factorization included, is timed; assembly is timed
+separately and the reported Time column is their sum.
 """
 
 import csv
@@ -77,15 +77,11 @@ def _attach_rates(rows):
     return rows
 
 
-def _timed_solve(solver, runs=3):
-    """Warm-up once, then return (result, min wall time over `runs`)."""
+def _timed_solve(solver):
+    """Call `solver` once; return (result, wall time including factorization)."""
+    t0 = time.perf_counter()
     result = solver()
-    best = math.inf
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        result = solver()
-        best = min(best, time.perf_counter() - t0)
-    return result, best
+    return result, time.perf_counter() - t0
 
 
 def _sin_product(x, n):

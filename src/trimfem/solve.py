@@ -6,6 +6,20 @@ cavity eigenproblem uses a dense generalized solve on small reduced
 systems and a shift-invert Krylov iteration (Cayley spectral transform,
 so the curl-curl gradient kernel at zero cannot crowd out eigenvalues on
 the far side of the target) on large ones.
+
+The SuperLU ordering follows the matrix class, as measured on the study
+systems:
+
+- SPD systems use symmetric mode: minimum degree on A^T + A and diagonal
+  pivots (threshold 0), as LU without pivoting is stable on SPD
+  matrices.  On the 3D r=3 and 2D r=1 Poisson systems it factors 1.8-4x
+  faster with 1.3-2.5x less fill than the default column ordering.
+- The indefinite shifted operator A - sigma M uses the same ordering but
+  keeps the default threshold pivoting, so its stability does not rest
+  on definiteness (Q-_2 at N=8: 3x faster, half the fill).
+- Saddle-point systems keep the default (COLAMD) ordering.  On 3D mixed
+  Poisson at r=2, N=8, minimum degree on A^T + A factored 2-4x slower,
+  with or without symmetric mode.
 """
 
 import numpy as np
@@ -63,17 +77,15 @@ def solve_spd(system: SparseSystem, tol=1e-12, method="direct") -> np.ndarray:
             raise RuntimeError(f"conjugate gradient stalled (info={info})")
     elif method == "direct":
         try:
-            lu = spla.splu(A.tocsc())
-            x = lu.solve(b)
-            x += lu.solve(b - A @ x)  # one step of iterative refinement
+            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         except RuntimeError as err:
-            # factorization breakdown: fall back to CG for SPD systems
-            x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=20 * A.shape[0])
-            if info != 0:
-                raise RuntimeError(
-                    f"sparse factorization failed ({err}) and the conjugate "
-                    f"gradient fallback stalled (info={info})"
-                ) from err
+            raise RuntimeError(
+                f"sparse factorization failed (matrix size {A.shape[0]}, "
+                f"nnz {A.nnz}): {err}"
+            ) from err
+        x = lu.solve(b)
+        x += lu.solve(b - A @ x)  # one step of iterative refinement
     else:
         raise ValueError(f"unknown method {method!r}")
     res = np.linalg.norm(b - A @ x) / bnorm
@@ -86,10 +98,10 @@ def solve_spd(system: SparseSystem, tol=1e-12, method="direct") -> np.ndarray:
 
 
 def solve_saddle(system: SparseSystem, tol=1e-12):
-    """Solve an assembled mixed system; returns (flux, potential) blocks.
+    """Solve an assembled mixed system to a relative residual.
 
-    The split point is recovered from the zero (2,2) block structure, so
-    callers pass the system exactly as assembled.
+    Returns one stacked vector, flux coefficients first; callers split it
+    at the flux space dimension they assembled with.
     """
     A = system.matrix.tocsr()
     b = system.rhs
@@ -97,13 +109,19 @@ def solve_saddle(system: SparseSystem, tol=1e-12):
     try:
         lu = spla.splu(A.tocsc())
     except RuntimeError as err:
-        raise RuntimeError(f"saddle factorization failed: {err}") from err
+        raise RuntimeError(
+            f"saddle factorization failed (matrix size {A.shape[0]}, "
+            f"nnz {A.nnz}): {err}"
+        ) from err
     x = lu.solve(b)
     x += lu.solve(b - A @ x)
     bnorm = np.linalg.norm(b)
     res = np.linalg.norm(b - A @ x) / (bnorm if bnorm else 1.0)
     if not np.isfinite(res) or res > tol:
-        raise RuntimeError(f"saddle residual {res:.3e} exceeds tolerance {tol:.1e}")
+        raise RuntimeError(
+            f"saddle residual {res:.3e} exceeds tolerance {tol:.1e} "
+            f"(matrix size {A.shape[0]}, nnz {A.nnz})"
+        )
     return x
 
 
@@ -141,7 +159,7 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
     counter = {"n": 0}
     shifted = (A - target * M).tocsc()
     try:
-        lu = spla.splu(shifted)
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:
         raise RuntimeError(
             f"factorization of (A - {target} M) failed; perturb the shift: {err}"
@@ -152,11 +170,13 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
         return lu.solve(x)
 
     opinv = spla.LinearOperator(A.shape, matvec=op)
+    # a fixed start vector makes the returned cluster a function of the inputs
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         vals, vecs = spla.eigsh(
             A, k=nev, M=M, sigma=target, mode="cayley", which="LM",
             tol=tol * 1e-2, OPinv=opinv, ncv=min(n - 1, max(4 * nev, 60)),
-            maxiter=5000,
+            maxiter=5000, v0=v0,
         )
     except spla.ArpackNoConvergence:
         # one retry with a larger subspace before giving up
@@ -164,7 +184,7 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
             vals, vecs = spla.eigsh(
                 A, k=nev, M=M, sigma=target, mode="cayley", which="LM",
                 tol=tol * 1e-2, OPinv=opinv, ncv=min(n - 1, 8 * nev),
-                maxiter=20000,
+                maxiter=20000, v0=v0,
             )
         except spla.ArpackNoConvergence as err:
             raise RuntimeError(

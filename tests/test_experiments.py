@@ -96,6 +96,27 @@ def test_mixed_poisson_zero_source_patch_test():
     assert np.abs(x).max() <= 1e-10
 
 
+@pytest.mark.parametrize("study, expected", [
+    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
+    (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
+    # N=3: N=2 has 6 free DOFs, fewer than the 15 pairs requested
+    (lambda: run_maxwell_eig("S", 1, [3], dense_cutoff=1), 1),
+], ids=["primal-poisson", "mixed-poisson", "maxwell-sparse"])
+def test_each_study_level_factors_once(monkeypatch, study, expected):
+    from trimfem import solve
+
+    calls = []
+    splu = solve.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solve.spla, "splu", counting_splu)
+    study()
+    assert len(calls) == expected
+
+
 def test_exact_cavity_spectrum_prefix():
     assert exact_cavity_eigenvalues(10) == [2, 3, 5, 6, 8, 9, 10]
 

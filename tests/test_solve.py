@@ -70,7 +70,7 @@ def test_solve_spd_requires_rhs_and_symmetry():
 
 def test_solve_spd_reports_singular_systems():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"sparse factorization.*size 2, nnz 1"):
         solve_spd(SparseSystem(A, np.ones(2)))
 
 
@@ -115,6 +115,14 @@ def test_dense_and_shift_invert_paths_agree():
     m = min(len(dense_phys), len(sparse_phys))
     assert m >= 10
     assert np.abs(dense_phys[:m] / sparse_phys[:m] - 1).max() <= 1e-8
+
+
+def test_shift_invert_path_is_deterministic():
+    A, M = _maxwell_system(TRIMMED_SERENDIPITY, 2)
+    first = eig_shift_invert(A, M, target=3.0 * PI2, nev=8, dense_cutoff=1)
+    second = eig_shift_invert(A, M, target=3.0 * PI2, nev=8, dense_cutoff=1)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert first.op_count == second.op_count
 
 
 def test_eigen_residuals_below_tolerance():
