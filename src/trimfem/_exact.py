@@ -95,22 +95,21 @@ class SpanBasis:
         return [self.rows[p] for p in sorted(self.rows, key=self.key_order)]
 
 
-def rational_kernel(rows, ncols):
-    """Kernel basis of a dense rational matrix given as lists of length ncols.
+def _rref(rows, ncols):
+    """Reduced row echelon form over the first `ncols` columns of `rows`.
 
-    Returns kernel vectors as lists of rationals (free variables set to 1
-    in ascending column order), computed by fraction-free-ish Gaussian
-    elimination with exact arithmetic.
+    Plain Gauss-Jordan elimination with exact rational division; the pivot
+    of each column is its first nonzero entry at or below the current row.
+    Returns the reduced matrix and its pivot columns, ascending; row i has
+    its leading 1 in column pivots[i].
     """
     mat = [list(map(Q, r)) for r in rows]
     pivots = []
-    row_i = 0
     for col in range(ncols):
-        sel = None
-        for i in range(row_i, len(mat)):
-            if mat[i][col] != 0:
-                sel = i
-                break
+        row_i = len(pivots)
+        if row_i == len(mat):
+            break
+        sel = next((i for i in range(row_i, len(mat)) if mat[i][col] != 0), None)
         if sel is None:
             continue
         mat[row_i], mat[sel] = mat[sel], mat[row_i]
@@ -121,12 +120,18 @@ def rational_kernel(rows, ncols):
                 c = mat[i][col]
                 mat[i] = [a - c * b for a, b in zip(mat[i], mat[row_i])]
         pivots.append(col)
-        row_i += 1
-        if row_i == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return mat, pivots
+
+
+def rational_kernel(rows, ncols):
+    """Kernel basis of a dense rational matrix given as lists of length ncols.
+
+    Returns one kernel vector per free column, in ascending column order,
+    with that free variable set to 1 and the other free variables to 0.
+    """
+    mat, pivots = _rref(rows, ncols)
     kernel = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [QZERO] * ncols
         v[f] = Q(1)
         for r, pc in enumerate(pivots):
@@ -142,31 +147,9 @@ def rational_solve(rows, rhs):
     Free variables are set to zero; deterministic pivoting by column order.
     """
     ncols = len(rows[0]) if rows else 0
-    mat = [list(map(Q, r)) + [Q(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    row_i = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row_i, len(mat)):
-            if mat[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[row_i], mat[sel] = mat[sel], mat[row_i]
-        piv = mat[row_i][col]
-        mat[row_i] = [v / piv for v in mat[row_i]]
-        for i in range(len(mat)):
-            if i != row_i and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[row_i])]
-        pivots.append(col)
-        row_i += 1
-        if row_i == len(mat):
-            break
-    for i in range(row_i, len(mat)):
-        if mat[i][ncols] != 0:
-            return None  # inconsistent
+    mat, pivots = _rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] != 0 for row in mat[len(pivots):]):
+        return None  # inconsistent
     x = [QZERO] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = mat[r][ncols]

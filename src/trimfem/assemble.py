@@ -100,14 +100,11 @@ class SparseSystem:
     back to the full DOF vector.
     """
 
-    def __init__(self, matrix, rhs=None, full_size=None, free=None,
-                 bc_mode=None, constrained=None):
+    def __init__(self, matrix, rhs=None, full_size=None, free=None):
         self.matrix = matrix
         self.rhs = rhs
         self.full_size = matrix.shape[0] if full_size is None else full_size
         self.free = free
-        self.bc_mode = bc_mode
-        self.constrained = np.empty(0, dtype=np.int64) if constrained is None else constrained
 
     def expand(self, x):
         if self.free is None:
@@ -166,8 +163,7 @@ def _scatter(map_test: GlobalDofMap, map_trial: GlobalDofMap, local):
     a, b = local.shape
     rows = np.broadcast_to(map_test.cell_dofs[:, :, None], (nc, a, b))
     cols = np.broadcast_to(map_trial.cell_dofs[:, None, :], (nc, a, b))
-    signs = (map_test.signs[:, :, None] * map_trial.signs[:, None, :]).astype(float)
-    vals = local[None, :, :] * signs
+    vals = np.broadcast_to(local, (nc, a, b))
     mat = sp.coo_matrix(
         (vals.ravel(), (rows.ravel(), cols.ravel())),
         shape=(map_test.total, map_trial.total),
@@ -212,7 +208,6 @@ def assemble_load(mesh: BoxMesh, dofmap: GlobalDofMap, f) -> np.ndarray:
         contrib = np.einsum("q,cq,qi->ci", scale, fvals, vals)
     else:
         contrib = np.einsum("q,cqd,qid->ci", scale, fvals, vals)
-    contrib = contrib * dofmap.signs
     b = np.zeros(dofmap.total)
     np.add.at(b, dofmap.cell_dofs.ravel(), contrib.ravel())
     return b
@@ -252,15 +247,14 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     which reproduces the spurious unit eigenvalues reported by solvers
     that use that convention.
     """
-    dofs = np.asarray(sorted(set(np.asarray(dofs).tolist())), dtype=np.int64)
+    dofs = np.unique(np.asarray(dofs, dtype=np.int64))
     A = system.matrix.tocsr()
     nfull = A.shape[0]
     if mode == "eliminate":
         free = np.setdiff1d(np.arange(nfull), dofs)
         red = A[free][:, free].tocsr()
         rhs = None if system.rhs is None else system.rhs[free]
-        return SparseSystem(red, rhs, full_size=nfull, free=free,
-                            bc_mode="eliminate", constrained=dofs)
+        return SparseSystem(red, rhs, full_size=nfull, free=free)
     if mode == "diag1":
         mask = np.ones(nfull)
         mask[dofs] = 0.0
@@ -274,8 +268,7 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
         if system.rhs is not None:
             rhs = system.rhs.copy()
             rhs[dofs] = 0.0
-        return SparseSystem(out, rhs, full_size=nfull, bc_mode="diag1",
-                            constrained=dofs)
+        return SparseSystem(out, rhs, full_size=nfull)
     raise ValueError(f"unknown boundary mode {mode!r}; use 'eliminate' or 'diag1'")
 
 
@@ -293,7 +286,7 @@ def l2_error(mesh: BoxMesh, dofmap: GlobalDofMap, coefficients, exact) -> float:
     pf = PushForward(element, mesh.h)
     vals = pf.values(tabulate(element, rule.points)[(0,) * n])
     pts = physical_points(mesh, rule)
-    coefmat = np.asarray(coefficients)[dofmap.cell_dofs] * dofmap.signs
+    coefmat = np.asarray(coefficients)[dofmap.cell_dofs]
     target = np.asarray(exact(pts))
     scale = rule.weights * pf.det
     if vals.ndim == 2:

@@ -18,6 +18,8 @@ import argparse
 import sys
 
 from .experiments import (
+    ExperimentRow,
+    _dominant,
     format_maxwell,
     format_rows,
     report_dofs,
@@ -26,6 +28,7 @@ from .experiments import (
     run_primal_poisson,
     run_projection,
     write_csv,
+    write_table,
 )
 from .refelem import (
     _NAME_TABLE,
@@ -34,16 +37,18 @@ from .refelem import (
     element_names,
 )
 
-_H1 = ("S", "Lagrange")
-_HCURL = ("SminusCurl", "RTCE", "NCE")
-_HDIV = ("SminusDiv", "RTCF", "NCF")
+# convergence subcommand -> (help, study, usable element names)
+_STUDIES = {
+    "project": ("L2 projection onto an H(curl) space", run_projection,
+                ("SminusCurl", "RTCE", "NCE")),
+    "poisson": ("primal Poisson with Dirichlet BCs", run_primal_poisson,
+                ("S", "Lagrange")),
+    "mixed-poisson": ("mixed Poisson saddle-point solve", run_mixed_poisson,
+                      ("SminusDiv", "RTCF", "NCF")),
+}
 
 
-def _levels(text):
-    return [int(tok) for tok in text.split(",") if tok]
-
-
-def _orders(text):
+def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok]
 
 
@@ -75,22 +80,16 @@ def make_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("project", help="L2 projection onto an H(curl) space")
-    _add_common(p)
-    p.add_argument("--levels", type=_levels, default=[4, 8, 16, 32])
-
-    p = sub.add_parser("poisson", help="primal Poisson with Dirichlet BCs")
-    _add_common(p)
-    p.add_argument("--levels", type=_levels, default=[4, 8, 16, 32])
-    p.add_argument("--bc-mode", choices=("eliminate", "diag1"), default="diag1")
-
-    p = sub.add_parser("mixed-poisson", help="mixed Poisson saddle-point solve")
-    _add_common(p)
-    p.add_argument("--levels", type=_levels, default=[4, 8, 16, 32])
+    for command, (help_text, _, _) in _STUDIES.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_common(p)
+        p.add_argument("--levels", type=_int_list, default=[4, 8, 16, 32])
+        if command == "poisson":
+            p.add_argument("--bc-mode", choices=("eliminate", "diag1"), default="diag1")
 
     p = sub.add_parser("maxwell-eig", help="cavity resonator eigenvalues (3D)")
     _add_common(p, with_dim=False, tol_default=1e-7)
-    p.add_argument("--levels", type=_levels, default=[4, 8])
+    p.add_argument("--levels", type=_int_list, default=[4, 8])
     p.add_argument("--bc-mode", choices=("eliminate", "diag1"), default="eliminate")
     p.add_argument("--target", type=float, default=3.0)
     p.add_argument("--nev", type=int, default=15)
@@ -98,7 +97,7 @@ def make_parser():
     p = sub.add_parser("dofs", help="global DOF comparison of both families")
     p.add_argument("--dim", type=int, default=3, choices=(2, 3))
     p.add_argument("--form-degree", type=int, default=1)
-    p.add_argument("--orders", type=_orders, default=[1, 2, 3, 4, 5, 6])
+    p.add_argument("--orders", type=_int_list, default=[1, 2, 3, 4, 5, 6])
     p.add_argument("--divisions", type=int, default=16)
     p.add_argument("--out", help="CSV output path")
 
@@ -111,24 +110,11 @@ def make_parser():
 
 
 def _run(args):
-    if args.command == "project":
-        family = _family_of(args.element, _HCURL)
-        rows = run_projection(args.dim, family, args.order, args.levels, tol=args.tol)
-        print(format_rows(rows))
-        if args.out:
-            write_csv(rows, args.out)
-        return
-    if args.command == "poisson":
-        family = _family_of(args.element, _H1)
-        rows = run_primal_poisson(args.dim, family, args.order, args.levels,
-                                  bc_mode=args.bc_mode, tol=args.tol)
-        print(format_rows(rows))
-        if args.out:
-            write_csv(rows, args.out)
-        return
-    if args.command == "mixed-poisson":
-        family = _family_of(args.element, _HDIV)
-        rows = run_mixed_poisson(args.dim, family, args.order, args.levels, tol=args.tol)
+    if args.command in _STUDIES:
+        _, study, allowed = _STUDIES[args.command]
+        family = _family_of(args.element, allowed)
+        options = {"bc_mode": args.bc_mode} if "bc_mode" in args else {}
+        rows = study(args.dim, family, args.order, args.levels, tol=args.tol, **options)
         print(format_rows(rows))
         if args.out:
             write_csv(rows, args.out)
@@ -148,13 +134,8 @@ def _run(args):
         for row in rows:
             print(f"{row['r']:>4} {row['trimmed']:>12} {row['tensor']:>12}")
         if args.out:
-            import csv as _csv
-
-            with open(args.out, "w", newline="") as fh:
-                w = _csv.writer(fh)
-                w.writerow(["r", "trimmed", "tensor"])
-                for row in rows:
-                    w.writerow([row["r"], row["trimmed"], row["tensor"]])
+            header = ["r", "trimmed", "tensor"]
+            write_table(args.out, header, ([row[h] for h in header] for row in rows))
         return
     if args.command == "element-dump":
         element = element_by_name(args.element, args.dim, args.order)
@@ -170,8 +151,6 @@ def _run(args):
 
 def _write_maxwell_csvs(report, prefix):
     """One CSV per tracked eigenvalue: h, Dofs, Error=|lambda_h - lambda|."""
-    from .experiments import ExperimentRow, _dominant, write_csv as _write
-
     for e in report.tracked():
         rows = []
         for i, lv in enumerate(report.levels):
@@ -184,7 +163,7 @@ def _write_maxwell_csvs(report, prefix):
                 rate=report.rates[e][i],
                 assembly_time=lv.assembly_time, solve_time=lv.solve_time,
             ))
-        _write(rows, f"{prefix}_eigenvalue{e}.csv")
+        write_csv(rows, f"{prefix}_eigenvalue{e}.csv")
 
 
 def main(argv=None):

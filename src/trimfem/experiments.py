@@ -2,9 +2,10 @@
 
 Each study runs over a list of mesh refinements N (h = 1/N on [0,1]^n),
 records global DOF counts, L2 errors and timings, and computes
-convergence rates between consecutive levels.  Each level is solved
-once and that solve, factorization included, is timed; assembly is timed
-separately and the reported Time column is their sum.
+convergence rates between consecutive levels.  One level loop serves
+every study: it numbers the spaces, then times assembly and the single
+solve (factorization included) separately; the reported Time column is
+their sum.
 """
 
 import csv
@@ -71,17 +72,39 @@ def convergence_rate(err_coarse, err_fine, h_coarse, h_fine):
     return math.log(err_coarse / err_fine) / math.log(h_coarse / h_fine)
 
 
-def _attach_rates(rows):
+def _run_levels(n, N_list, elements, assemble, solve):
+    """Run a study on the N^n box mesh for every N in `N_list`.
+
+    Per level, numbers each element on the mesh, then times
+    `assemble(mesh, *maps)` and `solve(system)` separately.  Yields
+    (N, mesh, maps, solution, assembly time, solve time).
+    """
+    for N in N_list:
+        mesh = build_box_mesh(n, N)
+        maps = [global_numbering(mesh, e) for e in elements]
+        t0 = time.perf_counter()
+        system = assemble(mesh, *maps)
+        t1 = time.perf_counter()
+        solution = solve(system)
+        yield N, mesh, maps, solution, t1 - t0, time.perf_counter() - t1
+
+
+def _convergence_study(n, N_list, elements, assemble, solve, exact):
+    """Rate table of the L2 error of the last space's block against `exact`.
+
+    Solutions stack the coefficients of all spaces; Dofs counts them all.
+    """
+    rows = []
+    for N, mesh, maps, x, t_asm, t_solve in _run_levels(n, N_list, elements,
+                                                         assemble, solve):
+        offset = sum(m.total for m in maps[:-1])
+        err = l2_error(mesh, maps[-1], x[offset:], exact)
+        rows.append(ExperimentRow(1.0 / N, offset + maps[-1].total, err,
+                                  t_asm + t_solve, assembly_time=t_asm,
+                                  solve_time=t_solve))
     for prev, cur in zip(rows, rows[1:]):
         cur.rate = convergence_rate(prev.error, cur.error, prev.h, cur.h)
     return rows
-
-
-def _timed_solve(solver):
-    """Call `solver` once; return (result, wall time including factorization)."""
-    t0 = time.perf_counter()
-    result = solver()
-    return result, time.perf_counter() - t0
 
 
 def _sin_product(x, n):
@@ -106,20 +129,17 @@ def run_projection(n, family, r, N_list, tol=1e-12):
     """L2-project g = grad(sin...sin) onto the H(curl) space of order r."""
     family = _family(family)
     name = "SminusCurl" if family == TRIMMED_SERENDIPITY else ("RTCE" if n == 2 else "NCE")
-    element = element_by_name(name, n, r)
-    rows = []
-    for N in N_list:
-        mesh = build_box_mesh(n, N)
-        dofmap = global_numbering(mesh, element)
-        t0 = time.perf_counter()
+
+    def g(x):
+        return _grad_sin_product(x, n)
+
+    def assemble(mesh, dofmap):
         system = assemble_bilinear(mesh, dofmap, dofmap, "Mass")
-        system.rhs = assemble_load(mesh, dofmap, lambda x: _grad_sin_product(x, n))
-        t_asm = time.perf_counter() - t0
-        coeff, t_solve = _timed_solve(lambda: solve_spd(system, tol=tol))
-        err = l2_error(mesh, dofmap, coeff, lambda x: _grad_sin_product(x, n))
-        rows.append(ExperimentRow(1.0 / N, dofmap.total, err, t_asm + t_solve,
-                                  assembly_time=t_asm, solve_time=t_solve))
-    return _attach_rates(rows)
+        system.rhs = assemble_load(mesh, dofmap, g)
+        return system
+
+    return _convergence_study(n, N_list, [element_by_name(name, n, r)], assemble,
+                              lambda system: solve_spd(system, tol=tol), g)
 
 
 def run_primal_poisson(n, family, r, N_list, bc_mode="diag1", tol=1e-12):
@@ -127,24 +147,18 @@ def run_primal_poisson(n, family, r, N_list, bc_mode="diag1", tol=1e-12):
     u = sin(pi x) sin(pi y) [sin(pi z)]."""
     family = _family(family)
     name = "S" if family == TRIMMED_SERENDIPITY else "Lagrange"
-    element = element_by_name(name, n, r)
-    rows = []
-    for N in N_list:
-        mesh = build_box_mesh(n, N)
-        dofmap = global_numbering(mesh, element)
-        t0 = time.perf_counter()
+
+    def assemble(mesh, dofmap):
         system = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
         system.rhs = assemble_load(
             mesh, dofmap, lambda x: n * np.pi**2 * _sin_product(x, n)
         )
         bdofs = boundary_dofs(dofmap, "full-trace")
-        system = apply_dirichlet(system, bdofs, bc_mode)
-        t_asm = time.perf_counter() - t0
-        coeff, t_solve = _timed_solve(lambda: solve_spd(system, tol=tol))
-        err = l2_error(mesh, dofmap, coeff, lambda x: _sin_product(x, n))
-        rows.append(ExperimentRow(1.0 / N, dofmap.total, err, t_asm + t_solve,
-                                  assembly_time=t_asm, solve_time=t_solve))
-    return _attach_rates(rows)
+        return apply_dirichlet(system, bdofs, bc_mode)
+
+    return _convergence_study(n, N_list, [element_by_name(name, n, r)], assemble,
+                              lambda system: solve_spd(system, tol=tol),
+                              lambda x: _sin_product(x, n))
 
 
 def run_mixed_poisson(n, family, r, N_list, tol=1e-12):
@@ -155,25 +169,16 @@ def run_mixed_poisson(n, family, r, N_list, tol=1e-12):
     family = _family(family)
     hname = "SminusDiv" if family == TRIMMED_SERENDIPITY else ("RTCF" if n == 2 else "NCF")
     lname = "DPC" if family == TRIMMED_SERENDIPITY else "DQ"
-    hdiv_elem = element_by_name(hname, n, r)
-    l2_elem = element_by_name(lname, n, r - 1)
-    rows = []
-    for N in N_list:
-        mesh = build_box_mesh(n, N)
-        hdiv_map = global_numbering(mesh, hdiv_elem)
-        l2_map = global_numbering(mesh, l2_elem)
-        t0 = time.perf_counter()
-        system = assemble_mixed_poisson(
+
+    def assemble(mesh, hdiv_map, l2_map):
+        return assemble_mixed_poisson(
             mesh, hdiv_map, l2_map, lambda x: n * np.pi**2 * _sin_product(x, n)
         )
-        t_asm = time.perf_counter() - t0
-        x, t_solve = _timed_solve(lambda: solve_saddle(system, tol=tol))
-        u = x[hdiv_map.total:]
-        err = l2_error(mesh, l2_map, u, lambda x: _sin_product(x, n))
-        total = hdiv_map.total + l2_map.total
-        rows.append(ExperimentRow(1.0 / N, total, err, t_asm + t_solve,
-                                  assembly_time=t_asm, solve_time=t_solve))
-    return _attach_rates(rows)
+
+    elements = [element_by_name(hname, n, r), element_by_name(lname, n, r - 1)]
+    return _convergence_study(n, N_list, elements, assemble,
+                              lambda system: solve_saddle(system, tol=tol),
+                              lambda x: _sin_product(x, n))
 
 
 # ---------------------------------------------------------------------------
@@ -249,35 +254,32 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
     family = _family(family)
     pi2 = np.pi**2
     element = build_element(family, 3, 1, r, mapping="covariant")
-    levels = []
-    for N in N_list:
-        mesh = build_box_mesh(3, N)
-        dofmap = global_numbering(mesh, element)
-        t0 = time.perf_counter()
+
+    def assemble(mesh, dofmap):
         A = assemble_bilinear(mesh, dofmap, dofmap, "CurlCurl")
         M = assemble_bilinear(mesh, dofmap, dofmap, "Mass")
         bdofs = boundary_dofs(dofmap, "tangential-trace")
         A = apply_dirichlet(A, bdofs, bc_mode)
         M = apply_dirichlet(M, bdofs, bc_mode)
-        t_asm = time.perf_counter() - t0
-
         # the curl-curl kernel is the gradient image of the interior scalar
         # space; over-request by its dimension on the dense path so the
         # zeros cannot crowd out physical pairs (the Cayley transform of
         # the sparse path already ranks them last)
+        margin = nev
         if A.matrix.shape[0] <= dense_cutoff:
-            scalar = build_element(family, 3, 0, r)
-            smap = global_numbering(mesh, scalar)
+            smap = global_numbering(mesh, build_element(family, 3, 0, r))
             kernel_dim = smap.total - len(boundary_dofs(smap, "full-trace"))
             margin = min(nev + kernel_dim, A.matrix.shape[0])
-        else:
-            margin = nev
+        return A, M, margin
 
-        def solve_once():
-            return eig_shift_invert(A.matrix, M.matrix, target=target * pi2,
-                                    nev=margin, tol=tol, dense_cutoff=dense_cutoff)
+    def solve(system):
+        A, M, margin = system
+        return eig_shift_invert(A.matrix, M.matrix, target=target * pi2,
+                                nev=margin, tol=tol, dense_cutoff=dense_cutoff)
 
-        result, t_solve = _timed_solve(solve_once)
+    levels = []
+    for N, _, (dofmap,), result, t_asm, t_solve in _run_levels(3, N_list, [element],
+                                                               assemble, solve):
         lam = result.eigenvalues / pi2
         keep = lam > 0.5
         if bc_mode == "diag1":
@@ -331,16 +333,21 @@ def report_dofs(n, k, r_list, N):
 CSV_HEADER = ["h", "Dofs", "Error", "Time", "rate"]
 
 
-def write_csv(rows, path):
-    """Emit rows as h,Dofs,Error,Time,rate (rate empty on the first row)."""
+def write_table(path, header, records):
+    """Write a header line and one CSV line per record."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([
-                repr(row.h), row.dofs, repr(row.error), repr(row.time),
-                "" if row.rate is None else repr(row.rate),
-            ])
+        writer.writerow(header)
+        writer.writerows(records)
+
+
+def write_csv(rows, path):
+    """Emit rows as h,Dofs,Error,Time,rate (rate empty on the first row)."""
+    write_table(path, CSV_HEADER, (
+        [repr(row.h), row.dofs, repr(row.error), repr(row.time),
+         "" if row.rate is None else repr(row.rate)]
+        for row in rows
+    ))
 
 
 def read_csv(path):

@@ -4,9 +4,10 @@ Every mesh entity (vertex, edge, face, cell) gets a global index; DOFs are
 allocated contiguously per entity, so DOFs on a shared entity receive the
 same global numbers from every adjacent cell.  Edges are globally oriented
 by increasing coordinate along their axis and faces by the right-handed
-frame of their in-plane axes in ascending order; since cells map to the
-reference cube by translation and positive scaling only, every local frame
-agrees with the global one and all local-to-global signs are +1.
+frame of their in-plane axes in ascending order.  Cells map to the
+reference cube by translation and positive scaling only, so every local
+frame agrees with the global one: local basis functions enter the global
+space unchanged, with no orientation factor.
 """
 
 import numpy as np
@@ -58,11 +59,6 @@ class BoxMesh:
         if self.n == 3:
             counts[2] = self.num_faces
         return counts
-
-    def cell_origin(self, cell):
-        """Lower corner of a cell in physical coordinates."""
-        lattice = self.cell_lattice[cell]
-        return np.asarray(lattice, dtype=float) * np.asarray(self.h)
 
     # -- global entity indices, vectorized over all cells ------------------
 
@@ -152,8 +148,8 @@ class GlobalDofMap:
     """Entity-based global DOF numbering for one element on one mesh.
 
     `cell_dofs[c, i]` is the global index of local basis function i on
-    cell c; `signs` carries the local-to-global orientation factors
-    (identically +1 on axis-aligned meshes with the canonical frames).
+    cell c.  Local and global entity frames agree on axis-aligned meshes
+    (see the module docstring), so no orientation factors are stored.
     """
 
     def __init__(self, mesh: BoxMesh, element: Element):
@@ -183,7 +179,6 @@ class GlobalDofMap:
             for j in range(stop - start):
                 cell_dofs[:, start + j] = base + j
         self.cell_dofs = cell_dofs
-        self.signs = np.ones((ncells, nloc), dtype=np.int8)
 
     def entity_dofs(self, dim, mask):
         """Global DOFs of all dimension-`dim` entities selected by a mask."""

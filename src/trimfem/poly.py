@@ -5,8 +5,6 @@ floating point enters only when a polynomial is tabulated at quadrature
 or sample points.  The reference cell is [-1, 1]^n throughout.
 """
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -14,14 +12,9 @@ import numpy as np
 try:  # gmpy2 rationals are drop-in and much faster for large eliminations
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover
-    Q = Fraction
+    from fractions import Fraction as Q
 
 QZERO = Q(0)
-QONE = Q(1)
-
-
-def _is_rational(x):
-    return isinstance(x, (int, Fraction)) or type(x) is type(QONE)
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +43,6 @@ def form_components(n, k):
         return FORM_COMPONENTS[(n, k)]
     except KeyError:
         raise ValueError(f"no k-form components for n={n}, k={k}")
-
-
-def n_components(n, k):
-    return len(form_components(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -159,44 +148,6 @@ class PolyN:
             new[axis] = p - 1
             out[tuple(new)] = c * p
         return PolyN(self.n, out)
-
-    def substitute(self, axis, value):
-        """Substitute an exact rational value for one variable.
-
-        The result keeps the same number of variables (the substituted
-        axis simply no longer appears).
-        """
-        value = Q(value)
-        acc = {}
-        for exp, c in self.coeffs.items():
-            new = list(exp)
-            p = new[axis]
-            new[axis] = 0
-            key = tuple(new)
-            acc[key] = acc.get(key, QZERO) + c * value**p
-        return PolyN(self.n, acc)
-
-    def restrict(self, axes):
-        """Drop to the variables in `axes` (all others must not appear)."""
-        for exp in self.coeffs:
-            for i, p in enumerate(exp):
-                if p and i not in axes:
-                    raise ValueError("polynomial depends on a dropped axis")
-        out = {}
-        for exp, c in self.coeffs.items():
-            out[tuple(exp[i] for i in axes)] = c
-        return PolyN(len(axes), out)
-
-    def eval_exact(self, point):
-        """Evaluate at a point with rational coordinates."""
-        total = QZERO
-        for exp, c in self.coeffs.items():
-            term = c
-            for x, p in zip(point, exp):
-                if p:
-                    term = term * Q(x) ** p
-            total += term
-        return total
 
     def integral_cube(self):
         """Exact integral over [-1, 1]^n."""
@@ -414,10 +365,6 @@ class PolyForm:
     def __neg__(self):
         return self * -1
 
-    def scale_by(self, poly):
-        """Multiply every component by a scalar polynomial."""
-        return PolyForm(self.n, self.k, [c * poly for c in self.components])
-
     def __eq__(self, other):
         return (isinstance(other, PolyForm) and self.n == other.n
                 and self.k == other.k and self.components == other.components)
@@ -508,10 +455,6 @@ def gauss_rule(n: int, m: int) -> QuadratureRule:
         wg = np.meshgrid(*([w] * n), indexing="ij")[axis].ravel()
         weights *= wg
     return QuadratureRule(n, points, weights)
-
-
-def binomial(n, k):
-    return math.comb(n, k)
 
 
 def monomial_exponents(n, degree):

@@ -67,19 +67,6 @@ class Entity:
     def dim(self):
         return len(self.axes)
 
-    def vertices(self):
-        """Vertex coordinate tuples of this entity."""
-        n = len(self.axes) + len(self.fixed)
-        out = []
-        for corner in product((-1, 1), repeat=len(self.axes)):
-            v = [0] * n
-            for a, val in self.fixed:
-                v[a] = val
-            for a, val in zip(self.axes, corner):
-                v[a] = val
-            out.append(tuple(v))
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, Entity) and self.axes == other.axes
                 and self.fixed == other.fixed)
@@ -742,7 +729,7 @@ class Element:
     reference basis itself.
     """
 
-    def __init__(self, family, n, k, r, basis, layout, mapping, name=None):
+    def __init__(self, family, n, k, r, basis, layout, mapping):
         self.family = family
         self.n = n
         self.k = k
@@ -750,7 +737,6 @@ class Element:
         self.basis = tuple(basis)
         self.layout = tuple(layout)  # (Entity, start, stop) triples
         self.mapping = mapping
-        self.name = name
         self._tables = {}
 
     @property
@@ -791,22 +777,13 @@ class Element:
         return self._tables[key]
 
 
-class Tabulation:
-    """Basis values (and first derivatives) at a set of reference points.
+def tabulate(element: Element, points, deriv_order=0) -> dict:
+    """Evaluate all basis functions (+derivatives) at reference points.
 
-    `values[mi][p, b, c]` is the c-th component of basis function b at
-    point p, differentiated per the multi-index mi.
+    Returns a dict keyed by derivative multi-index tuple: `table[mi][p, b, c]`
+    is the c-th component of basis function b at point p, differentiated
+    per mi.
     """
-
-    def __init__(self, values):
-        self.values = values
-
-    def __getitem__(self, mi):
-        return self.values[tuple(mi)]
-
-
-def tabulate(element: Element, points, deriv_order=0) -> Tabulation:
-    """Evaluate all basis functions (+derivatives) at reference points."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[None, :]
@@ -826,7 +803,7 @@ def tabulate(element: Element, points, deriv_order=0) -> Tabulation:
             for c, arr in enumerate(comps):
                 table[:, b, c] = eval_dense(arr, points)
         values[mi] = table
-    return Tabulation(values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +967,7 @@ def element_by_name(name, n, order) -> Element:
 
     For the L2 elements DQ and DPC the usage order counts polynomial
     degree, one below the order of the family member they belong to.
+    Returns the element `build_element` caches for those parameters.
     """
     if name not in _NAME_TABLE:
         raise ValueError(
@@ -1002,10 +980,7 @@ def element_by_name(name, n, order) -> Element:
     r = order + shift
     if r < 1:
         raise ValueError(f"order {order} too low for element {name!r}")
-    e = build_element(family, n, k, r, mapping=mapping)
-    e2 = Element(e.family, e.n, e.k, e.r, e.basis, e.layout, mapping, name=name)
-    e2._tables = e._tables
-    return e2
+    return build_element(family, n, k, r, mapping=mapping)
 
 
 def element_dump(element: Element) -> str:

