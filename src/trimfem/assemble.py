@@ -11,7 +11,7 @@ covariantly and (n-1)-forms by the contravariant (Piola) map.
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoxMesh, GlobalDofMap
+from .mesh import BoxMesh, GlobalDofMap, nested_dissection
 from .poly import gauss_rule
 from .refelem import Element, tabulate
 
@@ -98,13 +98,26 @@ class SparseSystem:
     After `eliminate`-mode boundary conditions the stored matrix is the
     reduced operator on free DOFs; `expand` scatters a reduced solution
     back to the full DOF vector.
+
+    `ordering` is the elimination order the solvers factor the matrix in
+    (`ordering[k]` is the k-th row and column eliminated), or None to let
+    SuperLU choose one.  It may be given as a function of no arguments,
+    called on first use, so a system that is never factored never
+    computes it.
     """
 
-    def __init__(self, matrix, rhs=None, full_size=None, free=None):
+    def __init__(self, matrix, rhs=None, full_size=None, free=None, ordering=None):
         self.matrix = matrix
         self.rhs = rhs
         self.full_size = matrix.shape[0] if full_size is None else full_size
         self.free = free
+        self._ordering = ordering
+
+    @property
+    def ordering(self):
+        if callable(self._ordering):
+            self._ordering = self._ordering()
+        return self._ordering
 
     def expand(self, x):
         if self.free is None:
@@ -175,11 +188,16 @@ def _scatter(map_test: GlobalDofMap, map_trial: GlobalDofMap, local):
 
 def assemble_bilinear(mesh: BoxMesh, map_test: GlobalDofMap,
                       map_trial: GlobalDofMap, form: str) -> SparseSystem:
-    """Assemble a global sparse operator from identical per-cell blocks."""
+    """Assemble a global sparse operator from identical per-cell blocks.
+
+    A square operator (one map for test and trial) is ordered by the map's
+    nested-dissection ordering.
+    """
     if map_test.mesh is not mesh or map_trial.mesh is not mesh:
         raise ValueError("DOF maps must belong to the given mesh")
     local = _local_matrix(form, map_test.element, map_trial.element, mesh.h)
-    return SparseSystem(_scatter(map_test, map_trial, local))
+    ordering = (lambda: map_test.ordering) if map_test is map_trial else None
+    return SparseSystem(_scatter(map_test, map_trial, local), ordering=ordering)
 
 
 def physical_points(mesh: BoxMesh, rule):
@@ -236,7 +254,8 @@ def assemble_mixed_poisson(mesh: BoxMesh, hdiv_map: GlobalDofMap,
     B = assemble_bilinear(mesh, l2_map, hdiv_map, "DivCoupling").matrix
     mat = sp.bmat([[M, B.T], [B, None]], format="csr")
     rhs = np.concatenate([np.zeros(hdiv_map.total), -assemble_load(mesh, l2_map, f)])
-    return SparseSystem(mat, rhs)
+    return SparseSystem(mat, rhs, ordering=lambda: nested_dissection(
+        np.concatenate([hdiv_map.lattice, l2_map.lattice])))
 
 
 def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSystem:
@@ -245,16 +264,24 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     `eliminate` removes constrained rows/columns and solves the reduced
     system; `diag1` zeroes them and puts a unit value on the diagonal,
     which reproduces the spurious unit eigenvalues reported by solvers
-    that use that convention.
+    that use that convention.  The system's ordering carries over,
+    restricted to the free DOFs under `eliminate`.
     """
     dofs = np.unique(np.asarray(dofs, dtype=np.int64))
     A = system.matrix.tocsr()
     nfull = A.shape[0]
+    order = system._ordering  # unresolved: the reduced system may never be factored
     if mode == "eliminate":
         free = np.setdiff1d(np.arange(nfull), dofs)
         red = A[free][:, free].tocsr()
         rhs = None if system.rhs is None else system.rhs[free]
-        return SparseSystem(red, rhs, full_size=nfull, free=free)
+
+        def free_order():
+            full = order() if callable(order) else order
+            return np.searchsorted(free, full[np.isin(full, free)])
+
+        return SparseSystem(red, rhs, full_size=nfull, free=free,
+                            ordering=None if order is None else free_order)
     if mode == "diag1":
         mask = np.ones(nfull)
         mask[dofs] = 0.0
@@ -268,7 +295,7 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
         if system.rhs is not None:
             rhs = system.rhs.copy()
             rhs[dofs] = 0.0
-        return SparseSystem(out, rhs, full_size=nfull)
+        return SparseSystem(out, rhs, full_size=nfull, ordering=order)
     raise ValueError(f"unknown boundary mode {mode!r}; use 'eliminate' or 'diag1'")
 
 

@@ -274,8 +274,12 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
 
     def solve(system):
         A, M, margin = system
+        n = A.matrix.shape[0]
+        # only the sparse path factors, so only it needs the ordering
+        ordering = A.ordering if n > dense_cutoff and margin < n else None
         return eig_shift_invert(A.matrix, M.matrix, target=target * pi2,
-                                nev=margin, tol=tol, dense_cutoff=dense_cutoff)
+                                nev=margin, tol=tol, dense_cutoff=dense_cutoff,
+                                ordering=ordering)
 
     levels = []
     for N, _, (dofmap,), result, t_asm, t_solve in _run_levels(3, N_list, [element],

@@ -8,7 +8,13 @@ frame of their in-plane axes in ascending order.  Cells map to the
 reference cube by translation and positive scaling only, so every local
 frame agrees with the global one: local basis functions enter the global
 space unchanged, with no orientation factor.
+
+The same lattice also orders the sparse factorizations: every DOF sits on
+an entity of the box lattice, and `nested_dissection` turns those
+positions into a geometric fill-reducing elimination order.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -150,6 +156,9 @@ class GlobalDofMap:
     `cell_dofs[c, i]` is the global index of local basis function i on
     cell c.  Local and global entity frames agree on axis-aligned meshes
     (see the module docstring), so no orientation factors are stored.
+
+    `lattice` and `ordering` are computed on first use and cached, so a
+    map whose systems are never factored never pays for them.
     """
 
     def __init__(self, mesh: BoxMesh, element: Element):
@@ -187,6 +196,100 @@ class GlobalDofMap:
             return np.empty(0, dtype=np.int64)
         ids = np.nonzero(mask)[0]
         return (self.dim_base[dim] + (ids[:, None] * c + np.arange(c))).ravel()
+
+    @cached_property
+    def lattice(self):
+        """Doubled integer coordinates of each DOF's entity, shape (total, n).
+
+        Cell c spans [2 c_a, 2 c_a + 2] on axis a, so vertex planes are
+        even: an entity sits at 2 c_a + 1 on its tangential axes and at
+        2 c_a + 1 + side (side = -1 or +1) on its fixed ones.
+        """
+        n = self.mesh.n
+        lattice = np.empty((self.total, n), dtype=np.int64)
+        corner = 2 * self.mesh.cell_lattice
+        for entity, start, stop in self.element.layout:
+            offset = np.ones(n, dtype=np.int64)
+            for a, side in entity.fixed:
+                offset[a] += side
+            lattice[self.cell_dofs[:, start:stop]] = (corner + offset)[:, None, :]
+        return lattice
+
+    @cached_property
+    def ordering(self):
+        """Nested-dissection elimination order of the DOFs (a permutation)."""
+        return nested_dissection(self.lattice)
+
+
+def _split(lo, hi):
+    """How nested dissection splits the lattice box [lo, hi].
+
+    Returns the split axis and the (low half, high half, plane) child
+    boxes, or (None, ()) for a leaf.  Boxes are keyed by their bounds
+    shifted by an even amount so that every lower bound is 0 or 1: an even
+    shift moves the splitting planes along with the box, so boxes of one
+    key are ordered alike.
+    """
+    lo, hi = np.array(lo), np.array(hi)
+    plane = 2 * ((lo + hi + 2) // 4)  # the even value nearest the middle
+    inside = (lo < plane) & (plane < hi)
+    if not inside.any():
+        return None, ()
+    a = int(np.where(inside, hi - lo, -1).argmax())
+    p = int(plane[a])
+    children = []
+    for start, stop in ((lo[a], p - 1), (p + 1, hi[a]), (p, p)):
+        clo, chi = lo.copy(), hi.copy()
+        shift = start - start % 2
+        clo[a], chi[a] = start - shift, stop - shift
+        children.append((tuple(clo.tolist()), tuple(chi.tolist())))
+    return a, tuple(children)
+
+
+def nested_dissection(lattice):
+    """Geometric nested-dissection order of points on a doubled box lattice.
+
+    `lattice` is an (m, n) integer array with vertex planes at even
+    values, as in `GlobalDofMap.lattice`.  DOFs couple only within the
+    closure of a cell, so the points on an even plane separate those on
+    either side of it; an odd plane separates nothing.  The bounding box of
+    the points is split at the even plane nearest its middle, along its
+    longest axis with such a plane strictly inside; both halves come
+    first, each split the same way, and the plane last.  Boxes without an
+    interior even plane (at most one cell wide) are leaves, ordered
+    lexicographically by position.
+
+    The splits depend only on box bounds, so the order is computed once
+    per distinct box shape on the grid of all lattice positions, smallest
+    shapes first, and the points are then sorted by the rank of their
+    position (points at one position keep their input order), so time and
+    memory follow the volume of the bounding box: about 2^n per mesh cell
+    for a DOF lattice.  Returns `perm` with `perm[k]` the index of the
+    k-th point eliminated.
+    """
+    lattice = np.asarray(lattice, dtype=np.int64)
+    if not len(lattice):
+        return np.arange(0)
+    parity = lattice.min(axis=0) % 2
+    rel = lattice - (lattice.min(axis=0) - parity)  # an even shift
+    top = (tuple(parity.tolist()), tuple(rel.max(axis=0).tolist()))
+    splits, todo = {}, [top]
+    while todo:
+        box = todo.pop()
+        if box not in splits:
+            splits[box] = _split(*box)
+            todo.extend(splits[box][1])
+    rank = {}
+    for box in sorted(splits, key=lambda b: np.prod(np.subtract(b[1], b[0]) + 1)):
+        a, children = splits[box]
+        if a is None:
+            shape = np.subtract(box[1], box[0]) + 1
+            rank[box] = np.arange(np.prod(shape)).reshape(shape)
+            continue
+        low, high, plane = (rank[c] for c in children)
+        rank[box] = np.concatenate(
+            [low, plane + (low.size + high.size), high + low.size], axis=a)
+    return np.argsort(rank[top][tuple((rel - parity).T)], kind="stable")
 
 
 def global_numbering(mesh: BoxMesh, element: Element) -> GlobalDofMap:

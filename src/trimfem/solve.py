@@ -7,19 +7,25 @@ systems and a shift-invert Krylov iteration (Cayley spectral transform,
 so the curl-curl gradient kernel at zero cannot crowd out eigenvalues on
 the far side of the target) on large ones.
 
-The SuperLU ordering follows the matrix class, as measured on the study
-systems:
+Every factorization goes through `_factor`, in one fill-reducing order:
+the geometric nested dissection of the box-mesh lattice that an assembled
+system carries (`SparseSystem.ordering`, see `mesh.nested_dissection`).
+`_factor` permutes the matrix symmetrically into it once and SuperLU
+keeps it (`permc_spec="NATURAL"`).  Against SuperLU's own orderings this
+factored the study systems 1.4-11x faster with 1.1-4.6x less fill (3D
+Poisson r=3 N=16: 70 M -> 24 M; 3D mixed Poisson r=2 N=8: 3.6 M ->
+0.9 M).  The pivoting follows the matrix class:
 
-- SPD systems use symmetric mode: minimum degree on A^T + A and diagonal
-  pivots (threshold 0), as LU without pivoting is stable on SPD
-  matrices.  On the 3D r=3 and 2D r=1 Poisson systems it factors 1.8-4x
-  faster with 1.3-2.5x less fill than the default column ordering.
-- The indefinite shifted operator A - sigma M uses the same ordering but
-  keeps the default threshold pivoting, so its stability does not rest
-  on definiteness (Q-_2 at N=8: 3x faster, half the fill).
-- Saddle-point systems keep the default (COLAMD) ordering.  On 3D mixed
-  Poisson at r=2, N=8, minimum degree on A^T + A factored 2-4x slower,
-  with or without symmetric mode.
+- SPD systems use symmetric mode with diagonal pivots (threshold 0), as
+  LU without pivoting is stable on SPD matrices.
+- The indefinite shifted operator A - sigma M and saddle-point systems
+  keep threshold pivoting, so their stability does not rest on
+  definiteness (symmetric mode on A - sigma M was no faster and left
+  25-40x larger residuals).
+
+A matrix without an ordering, such as one built by hand, is factored as
+before the ordering existed: minimum degree on A^T + A for SPD and
+shifted systems, SuperLU's default COLAMD for saddle-point systems.
 """
 
 import numpy as np
@@ -58,6 +64,39 @@ def _check_symmetric(A, tol=1e-12):
             raise ValueError("matrix is not symmetric")
 
 
+def _factor(A, ordering, stage, **options):
+    """Solve function of one SuperLU factorization of the square matrix A.
+
+    With an `ordering`, A is permuted symmetrically into it once and
+    SuperLU keeps the natural order; the returned function permutes
+    right-hand sides and solutions, so callers work in the original
+    numbering.  Without one, `options` (passed to `splu`) choose the
+    order.  A failed factorization raises an error naming the `stage`
+    and the matrix size and nnz.
+    """
+    n, nnz = A.shape[0], A.nnz
+    if ordering is not None:
+        A = A[ordering][:, ordering]
+        options["permc_spec"] = "NATURAL"
+    A = A.tocsc()  # rebound so that no permuted CSR copy lives through splu
+    try:
+        lu = spla.splu(A, **options)
+    except RuntimeError as err:
+        raise RuntimeError(
+            f"{stage} failed (matrix size {n}, nnz {nnz}): {err}"
+        ) from err
+    if ordering is None:
+        return lu.solve
+
+    def solve(b):
+        y = lu.solve(b[ordering])
+        x = np.empty_like(y)
+        x[ordering] = y
+        return x
+
+    return solve
+
+
 def solve_spd(system: SparseSystem, tol=1e-12, method="direct") -> np.ndarray:
     """Solve a symmetric (positive definite) system to a relative residual.
 
@@ -76,16 +115,11 @@ def solve_spd(system: SparseSystem, tol=1e-12, method="direct") -> np.ndarray:
         if info != 0:
             raise RuntimeError(f"conjugate gradient stalled (info={info})")
     elif method == "direct":
-        try:
-            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-        except RuntimeError as err:
-            raise RuntimeError(
-                f"sparse factorization failed (matrix size {A.shape[0]}, "
-                f"nnz {A.nnz}): {err}"
-            ) from err
-        x = lu.solve(b)
-        x += lu.solve(b - A @ x)  # one step of iterative refinement
+        solve = _factor(A, system.ordering, "sparse factorization",
+                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
+        x = solve(b)
+        x += solve(b - A @ x)  # one step of iterative refinement
     else:
         raise ValueError(f"unknown method {method!r}")
     res = np.linalg.norm(b - A @ x) / bnorm
@@ -106,15 +140,9 @@ def solve_saddle(system: SparseSystem, tol=1e-12):
     A = system.matrix.tocsr()
     b = system.rhs
     _check_symmetric(A)
-    try:
-        lu = spla.splu(A.tocsc())
-    except RuntimeError as err:
-        raise RuntimeError(
-            f"saddle factorization failed (matrix size {A.shape[0]}, "
-            f"nnz {A.nnz}): {err}"
-        ) from err
-    x = lu.solve(b)
-    x += lu.solve(b - A @ x)
+    solve = _factor(A, system.ordering, "saddle factorization")
+    x = solve(b)
+    x += solve(b - A @ x)
     bnorm = np.linalg.norm(b)
     res = np.linalg.norm(b - A @ x) / (bnorm if bnorm else 1.0)
     if not np.isfinite(res) or res > tol:
@@ -125,9 +153,8 @@ def solve_saddle(system: SparseSystem, tol=1e-12):
     return x
 
 
-def _residual_norms(A, M, vals, vecs):
-    anorm = spla.norm(A, np.inf) if sp.issparse(A) else np.linalg.norm(A, np.inf)
-    mnorm = spla.norm(M, np.inf) if sp.issparse(M) else np.linalg.norm(M, np.inf)
+def _residual_norms(A, M, norms, vals, vecs):
+    anorm, mnorm = norms  # the infinity norms of A and M
     out = []
     for lam, x in zip(vals, vecs.T):
         r = A @ x - lam * (M @ x)
@@ -136,7 +163,7 @@ def _residual_norms(A, M, vals, vecs):
 
 
 def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
-                     dense_cutoff=4000) -> EigenResult:
+                     dense_cutoff=4000, ordering=None) -> EigenResult:
     """Generalized eigenpairs of A x = lambda M x nearest a target.
 
     A must be symmetric positive semidefinite and M symmetric positive
@@ -144,31 +171,29 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
     unknowns than the `nev` pairs requested, use a dense generalized
     solve; larger ones use ARPACK on the Cayley transform of
     the shifted problem, followed by an inverse-iteration polish with the
-    factored shifted operator.
+    factored shifted operator, factored in `ordering` when one is given
+    (the DOF order of A and M, e.g. `SparseSystem.ordering`).
     """
     A = sp.csr_matrix(A)
     M = sp.csr_matrix(M)
     _check_symmetric(A)
     _check_symmetric(M)
     n = A.shape[0]
+    norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
     if n <= dense_cutoff or nev >= n:
         vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
         order = np.argsort(np.abs(vals - target), kind="stable")[:nev]
         vals, vecs = vals[order], vecs[:, order]
-        return EigenResult(vals, vecs, _residual_norms(A, M, vals, vecs))
+        return EigenResult(vals, vecs, _residual_norms(A, M, norms, vals, vecs))
 
     counter = {"n": 0}
-    shifted = (A - target * M).tocsc()
-    try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as err:
-        raise RuntimeError(
-            f"factorization of (A - {target} M) failed; perturb the shift: {err}"
-        ) from err
+    solve = _factor(A - target * M, ordering,
+                    f"shift-invert factorization of (A - {target} M)",
+                    permc_spec="MMD_AT_PLUS_A")
 
     def op(x):
         counter["n"] += 1
-        return lu.solve(x)
+        return solve(x)
 
     opinv = spla.LinearOperator(A.shape, matvec=op)
     # a fixed start vector makes the returned cluster a function of the inputs
@@ -194,18 +219,18 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
             ) from err
     # inverse-iteration polish: one factored solve per vector tightens the
     # back-transformed residuals to the factorization level
-    res = _residual_norms(A, M, vals, vecs)
+    res = _residual_norms(A, M, norms, vals, vecs)
     for i in range(len(vals)):
         x = vecs[:, i]
         for _ in range(3):
             if res[i] <= tol * 0.1:
                 break
-            y = lu.solve(M @ x)
+            y = solve(M @ x)
             y /= np.sqrt(abs(y @ (M @ y)))
             lam = (y @ (A @ y)) / (y @ (M @ y))
             x = y
             vecs[:, i] = y
             vals[i] = lam
-            res[i : i + 1] = _residual_norms(A, M, vals[i : i + 1], y[:, None])
-    return EigenResult(vals, vecs, _residual_norms(A, M, vals, vecs),
+            res[i : i + 1] = _residual_norms(A, M, norms, vals[i : i + 1], y[:, None])
+    return EigenResult(vals, vecs, _residual_norms(A, M, norms, vals, vecs),
                        op_count=counter["n"])

@@ -118,6 +118,33 @@ def test_each_study_level_factors_once(monkeypatch, study, expected):
     assert len(calls) == expected
 
 
+@pytest.mark.parametrize("study, expected", [
+    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
+    (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), 1),
+    # the stacked flux/potential lattice, never the flux map's own order
+    (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
+    # A and M share one map; M is never factored
+    (lambda: run_maxwell_eig("S", 1, [3], dense_cutoff=1), 1),
+    # the dense path factors nothing
+    (lambda: run_maxwell_eig("S", 1, [3]), 0),
+], ids=["primal-poisson", "primal-eliminate", "mixed-poisson", "maxwell-sparse",
+        "maxwell-dense"])
+def test_orderings_are_computed_only_for_factored_maps(monkeypatch, study, expected):
+    from trimfem import assemble, mesh
+
+    calls = []
+    nested_dissection = mesh.nested_dissection
+
+    def counting(lattice):
+        calls.append(len(lattice))
+        return nested_dissection(lattice)
+
+    monkeypatch.setattr(mesh, "nested_dissection", counting)
+    monkeypatch.setattr(assemble, "nested_dissection", counting)
+    study()
+    assert len(calls) == expected
+
+
 def test_exact_cavity_spectrum_prefix():
     assert exact_cavity_eigenvalues(10) == [2, 3, 5, 6, 8, 9, 10]
 

@@ -90,6 +90,16 @@ def test_diagonal_eigenproblem():
     assert np.allclose(sorted(res.eigenvalues), [2.0, 3.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("ordering", [None, np.arange(20)[::-1]])
+def test_shift_invert_reports_a_singular_shift(ordering):
+    # the shift hits the eigenvalue 3 exactly, so A - 3 M is singular
+    A = sp.diags(np.arange(1.0, 21.0)).tocsr()
+    M = sp.identity(20, format="csr")
+    with pytest.raises(RuntimeError,
+                       match=r"shift-invert factorization.*size 20, nnz \d+"):
+        eig_shift_invert(A, M, target=3.0, nev=2, dense_cutoff=1, ordering=ordering)
+
+
 def _maxwell_system(family, N, r=2, mode="eliminate"):
     mesh = build_box_mesh(3, N)
     elem = build_element(family, 3, 1, r)
