@@ -283,14 +283,15 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
         return SparseSystem(red, rhs, full_size=nfull, free=free,
                             ordering=None if order is None else free_order)
     if mode == "diag1":
-        mask = np.ones(nfull)
-        mask[dofs] = 0.0
-        D = sp.diags(mask)
-        ones = np.zeros(nfull)
-        ones[dofs] = 1.0
-        out = (D @ A @ D + sp.diags(ones)).tocsr()
+        fixed = np.zeros(nfull, dtype=bool)
+        fixed[dofs] = True
+        out = A.copy()
         out.sum_duplicates()
-        out.sort_indices()
+        # zero every entry in a constrained row or column, then drop all
+        # zeros (as a sparse product would) after setting the unit diagonal
+        out.data[np.repeat(fixed, np.diff(out.indptr)) | fixed[out.indices]] = 0.0
+        out[dofs, dofs] = 1.0
+        out.eliminate_zeros()
         rhs = None
         if system.rhs is not None:
             rhs = system.rhs.copy()

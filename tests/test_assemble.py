@@ -172,6 +172,26 @@ def test_boundary_modes():
         apply_dirichlet(K, bdofs, "penalty")
 
 
+@pytest.mark.parametrize("n, r, N", [(2, 1, 16), (3, 3, 4)])
+def test_diag1_matches_the_sparse_product_construction(n, r, N):
+    import scipy.sparse as sp
+
+    mesh = build_box_mesh(n, N)
+    dofmap = global_numbering(mesh, element_by_name("S", n, r))
+    K = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
+    bdofs = boundary_dofs(dofmap, "full-trace")
+    free = np.ones(dofmap.total)
+    free[bdofs] = 0.0
+    D = sp.diags(free)
+    want = (D @ K.matrix @ D + sp.diags(1.0 - free)).tocsr()
+    want.sum_duplicates()
+    want.sort_indices()
+    got = apply_dirichlet(K, bdofs, "diag1").matrix
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
 def test_nonzero_count_single_cell():
     mesh = build_box_mesh(3, 1)
     elem = build_element(TRIMMED_SERENDIPITY, 3, 0, 1)

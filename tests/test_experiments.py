@@ -96,6 +96,13 @@ def test_mixed_poisson_zero_source_patch_test():
     assert np.abs(x).max() <= 1e-10
 
 
+def test_thinnest_residual_margin_still_solves():
+    # the refined residual of this level sits at 9.1e-13, under the 1e-12 gate,
+    # after four float32 refinement steps (1.1e-12 after three)
+    rows = run_primal_poisson(2, "S", 1, [256])
+    assert len(rows) == 1
+
+
 @pytest.mark.parametrize("study, expected", [
     (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from trimfem.assemble import (
     SparseSystem,
@@ -13,6 +14,7 @@ from trimfem.assemble import (
 )
 from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering
 from trimfem.refelem import TRIMMED_SERENDIPITY, build_element, element_by_name
+from trimfem import solve
 from trimfem.solve import eig_shift_invert, solve_saddle, solve_spd
 
 PI2 = np.pi**2
@@ -66,6 +68,69 @@ def test_solve_spd_requires_rhs_and_symmetry():
         solve_spd(SparseSystem(A))
     with pytest.raises(ValueError, match="symmetric"):
         solve_spd(SparseSystem(A, np.ones(2)))
+
+
+def test_symmetry_check_is_relative_to_the_matrix_scale():
+    # 1e-6 relative asymmetry far below unit scale
+    A = sp.csr_matrix(1e-8 * np.array([[2.0, 1.0], [1.0 + 1e-6, 2.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_spd(SparseSystem(A, np.ones(2)))
+
+
+def test_residual_failure_reports_refinement_and_rounding_floor():
+    h = 1 / 5
+    A = sp.diags([-np.ones(3) / h, 2 * np.ones(4) / h, -np.ones(3) / h], [-1, 0, 1],
+                 format="csr")
+    with pytest.raises(RuntimeError, match=r"exceeds tolerance 1\.0e-18 after \d+ "
+                       r"refinement steps on a float32 factor; rounding floor "
+                       r"eps\*\|\|A\|\|x\|\|/\|\|b\|\| = \d\.\de-1\d "
+                       r"\(matrix size 4, nnz 10\)"):
+        solve_spd(SparseSystem(A, h * np.ones(4)), tol=1e-18)
+
+
+@pytest.fixture
+def splu_dtypes(monkeypatch):
+    """The dtype of every matrix passed to SuperLU, in call order."""
+    dtypes = []
+    splu = solve.spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        dtypes.append(A.dtype)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(solve.spla, "splu", recording_splu)
+    return dtypes
+
+
+@pytest.mark.parametrize("n, r, N", [(2, 2, 16), (3, 2, 4)])
+def test_float32_factor_refines_to_the_gate(splu_dtypes, n, r, N):
+    # a random right-hand side: the manufactured load is close to an
+    # eigenvector of these operators and would converge unusually fast
+    mesh = build_box_mesh(n, N)
+    dofmap = global_numbering(mesh, element_by_name("S", n, r))
+    K = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
+    K.rhs = np.random.default_rng(0).standard_normal(dofmap.total)
+    red = apply_dirichlet(K, boundary_dofs(dofmap, "full-trace"), "eliminate")
+    x = solve_spd(red)[red.free]
+    assert splu_dtypes == [np.float32]
+    A, b = red.matrix, red.rhs
+    assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
+    x64 = spla.spsolve(A.tocsc(), b)
+    assert np.linalg.norm(x - x64) / np.linalg.norm(x64) <= 1e-10
+
+
+@pytest.mark.parametrize("offdiag, tilt", [
+    (1 - 1e-9, 0.0),  # rounds to 1 in float32: the factor is exactly singular
+    (1 - 1e-7, 1e-5),  # rounds to 1 - 1.19e-7: factors, but too inaccurate to refine
+], ids=["singular-in-float32", "unrefinable-in-float32"])
+def test_spd_solve_refactors_in_float64(splu_dtypes, offdiag, tilt):
+    A = sp.block_diag([np.array([[1.0, offdiag], [offdiag, 1.0]])] * 3, format="csr")
+    # mostly along the well-conditioned eigenvector (1, 1), so float64
+    # meets the gate; the tilt puts error in the ill-conditioned one
+    b = np.tile([1.0 + tilt, 1.0 - tilt], 3)
+    x = solve_spd(SparseSystem(A, b))
+    assert splu_dtypes == [np.float32, np.float64]
+    assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
 
 
 def test_solve_spd_reports_singular_systems():
