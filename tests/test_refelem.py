@@ -391,6 +391,21 @@ def test_exact_bases_match_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DUMP_SHA256
 
 
+# SHA-256 of the concatenated element_dump text of the 3D elements whose
+# exact eliminations are the largest that build in seconds: S^- for
+# k in {1, 2} and r in {5, 6} (k, then r), then Q^- for k in {1, 2} at r = 5
+GOLDEN_HIGH_ORDER_DUMP_SHA256 = (
+    "121cfdd26edc88f59e93276c1eb570fd7a395724ba11f3c2b7d8d7bda8fa2cb0")
+
+
+def test_high_order_exact_bases_match_golden_digest():
+    """The r = 5, 6 bases are byte-identical to the recorded dumps."""
+    cases = [(TRIMMED_SERENDIPITY, k, r) for k in (1, 2) for r in (5, 6)]
+    cases += [(TENSOR_PRODUCT, k, 5) for k in (1, 2)]
+    text = "".join(element_dump(build_element(f, 3, k, r)) for f, k, r in cases)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_HIGH_ORDER_DUMP_SHA256
+
+
 def test_element_name_orientations():
     assert element_by_name("RTCE", 2, 2).mapping == "covariant"
     assert element_by_name("RTCF", 2, 2).mapping == "contravariant"
