@@ -1,9 +1,12 @@
 """Exact rational linear algebra over sparse coefficient vectors.
 
-Vectors are dicts mapping hashable keys (here: (component, exponent-tuple)
-pairs of monomial forms) to nonzero rationals.  Used by the reference
-element construction, where unisolvence and trace tests must hold at
-machine precision and so the basis is assembled without floating point.
+Vectors are dicts mapping hashable keys to nonzero rationals: (component,
+exponent-tuple) pairs of monomial forms in the reference element
+construction, column indices in the matrix routines below.  One
+eliminator, `SpanBasis`, keeps the reduced row echelon basis of a span;
+kernels, particular solutions and Gram solves all read theirs from it.
+No floating point enters, so unisolvence and trace tests hold at machine
+precision.
 """
 
 from .poly import Q, QZERO
@@ -12,8 +15,9 @@ from .poly import Q, QZERO
 def vec_add(a, b, scale=1):
     """a + scale * b for sparse dict vectors."""
     out = dict(a)
+    scale = Q(scale)
     for k, v in b.items():
-        s = out.get(k, QZERO) + Q(scale) * v
+        s = out.get(k, QZERO) + scale * v
         if s == 0:
             out.pop(k, None)
         else:
@@ -51,28 +55,31 @@ def vec_content_normalize(a):
 
 
 class SpanBasis:
-    """Row-echelon span of sparse vectors with deterministic pivoting."""
+    """Reduced row echelon basis of the span of sparse vectors.
+
+    Each row has coefficient 1 at its pivot, its least key under
+    `key_order`, and no entry at any other row's pivot.  This basis is
+    unique, so it depends on the span and the key order only, not on the
+    order in which vectors were added.
+    """
 
     def __init__(self, key_order=None):
         self.rows = {}  # pivot key -> reduced row (pivot coefficient 1)
         self.key_order = key_order or (lambda k: k)
 
     def reduce(self, vec):
-        """Residual of vec after elimination against the current span."""
-        vec = dict(vec)
-        while vec:
-            pivot = min(vec, key=self.key_order)
-            row = self.rows.get(pivot)
-            if row is None:
-                return vec, pivot
-            vec = vec_add(vec, row, -vec[pivot])
-        return vec, None
+        """Residual of vec after elimination against every row of the span."""
+        # rows hold no other row's pivot, so one pass clears every pivot
+        for p in [p for p in vec if p in self.rows]:
+            vec = vec_add(vec, self.rows[p], -vec[p])
+        return vec
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        residual, pivot = self.reduce(vec)
-        if pivot is None:
+        residual = self.reduce(vec)
+        if not residual:
             return False
+        pivot = min(residual, key=self.key_order)
         residual = vec_scale(residual, 1 / residual[pivot])
         # back-substitute into existing rows to keep reduced form
         for p, row in list(self.rows.items()):
@@ -83,8 +90,7 @@ class SpanBasis:
         return True
 
     def contains(self, vec):
-        residual, _ = self.reduce(vec)
-        return not residual
+        return not self.reduce(vec)
 
     @property
     def dim(self):
@@ -95,32 +101,12 @@ class SpanBasis:
         return [self.rows[p] for p in sorted(self.rows, key=self.key_order)]
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form over the first `ncols` columns of `rows`.
-
-    Plain Gauss-Jordan elimination with exact rational division; the pivot
-    of each column is its first nonzero entry at or below the current row.
-    Returns the reduced matrix and its pivot columns, ascending; row i has
-    its leading 1 in column pivots[i].
-    """
-    mat = [list(map(Q, r)) for r in rows]
-    pivots = []
-    for col in range(ncols):
-        row_i = len(pivots)
-        if row_i == len(mat):
-            break
-        sel = next((i for i in range(row_i, len(mat)) if mat[i][col] != 0), None)
-        if sel is None:
-            continue
-        mat[row_i], mat[sel] = mat[sel], mat[row_i]
-        piv = mat[row_i][col]
-        mat[row_i] = [v / piv for v in mat[row_i]]
-        for i in range(len(mat)):
-            if i != row_i and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[row_i])]
-        pivots.append(col)
-    return mat, pivots
+def _row_span(rows):
+    """SpanBasis of dense rational rows, keyed by column index."""
+    span = SpanBasis()
+    for row in rows:
+        span.add({j: Q(v) for j, v in enumerate(row) if v})
+    return span
 
 
 def rational_kernel(rows, ncols):
@@ -129,13 +115,13 @@ def rational_kernel(rows, ncols):
     Returns one kernel vector per free column, in ascending column order,
     with that free variable set to 1 and the other free variables to 0.
     """
-    mat, pivots = _rref(rows, ncols)
+    pivots = _row_span(rows).rows
     kernel = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [QZERO] * ncols
         v[f] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][f]
+        for pc, row in pivots.items():
+            v[pc] = -row.get(f, QZERO)
         kernel.append(v)
     return kernel
 
@@ -144,21 +130,26 @@ def rational_solve(rows, rhs):
     """One particular solution of a consistent rational system, or None.
 
     `rows` is a list of dense rational rows, `rhs` the right-hand sides.
-    Free variables are set to zero; deterministic pivoting by column order.
+    Free variables are set to zero.
     """
     ncols = len(rows[0]) if rows else 0
-    mat, pivots = _rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
-    if any(row[ncols] != 0 for row in mat[len(pivots):]):
-        return None  # inconsistent
+    pivots = _row_span([*r, b] for r, b in zip(rows, rhs)).rows
+    if ncols in pivots:
+        return None  # a row reduces to 0 = 1
     x = [QZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = mat[r][ncols]
+    for pc, row in pivots.items():
+        x[pc] = row.get(ncols, QZERO)
     return x
 
 
 def gram_solve(gram, rhs):
-    """Solve a symmetric positive-definite rational system exactly."""
-    x = rational_solve(gram, rhs)
-    if x is None:
+    """Solve a symmetric positive-definite rational system exactly.
+
+    Raises ValueError unless the Gram matrix has full rank, also when the
+    right-hand side happens to lie in its range.
+    """
+    n = len(gram)
+    pivots = _row_span([*r, b] for r, b in zip(gram, rhs)).rows
+    if sorted(pivots) != list(range(n)):
         raise ValueError("singular Gram matrix")
-    return x
+    return [pivots[i].get(n, QZERO) for i in range(n)]

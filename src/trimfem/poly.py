@@ -5,14 +5,10 @@ floating point enters only when a polynomial is tabulated at quadrature
 or sample points.  The reference cell is [-1, 1]^n throughout.
 """
 
+from fractions import Fraction as Q
 from functools import lru_cache
 
 import numpy as np
-
-try:  # gmpy2 rationals are drop-in and much faster for large eliminations
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
 
 QZERO = Q(0)
 

@@ -573,14 +573,11 @@ def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
                 if gk not in key_index:
                     key_index[gk] = len(key_index)
                 cols[i][key_index[gk]] = c
-    nrows = len(key_index)
-    rows = [[QZERO] * m for _ in range(nrows)]
+    rows = [[QZERO] * m for _ in range(len(key_index))]
     for i, coldict in enumerate(cols):
         for rix, c in coldict.items():
             rows[rix][i] = c
-    coeff_kernel = rational_kernel(rows, m) if nrows else [
-        [Q(1) if j == i else QZERO for j in range(m)] for i in range(m)
-    ]
+    coeff_kernel = rational_kernel(rows, m)
 
     s_vecs = []
     for coeffs in coeff_kernel:

@@ -375,12 +375,7 @@ GOLDEN_DUMP_SHA256 = "a5ed77274cf8ee70b10d16137d5818b9bb3aea06ea8ff9dfe494609e43
 
 
 def test_exact_bases_match_golden_digest():
-    """Every exact basis coefficient is byte-identical to the recorded dumps.
-
-    The digest was recorded with the `fractions.Fraction` backend; the
-    gmpy2 rational backend prints the same values but is not exercised
-    where gmpy2 is not installed.
-    """
+    """Every exact basis coefficient is byte-identical to the recorded dumps."""
     text = "".join(
         element_dump(build_element(family, n, k, r))
         for family in (TRIMMED_SERENDIPITY, TENSOR_PRODUCT)
