@@ -1,8 +1,7 @@
-"""Direct and iterative solvers for the assembled systems.
+"""Direct solvers and eigensolvers for the assembled systems.
 
-Source problems use a sparse LU factorization with iterative refinement
-(a conjugate-gradient path is available for SPD systems); the cavity
-eigenproblem uses a dense generalized solve on small reduced
+Source problems use a sparse LU factorization with iterative refinement;
+the cavity eigenproblem uses a dense generalized solve on small reduced
 systems and a shift-invert Krylov iteration (Cayley spectral transform,
 so the curl-curl gradient kernel at zero cannot crowd out eigenvalues on
 the far side of the target) on large ones.
@@ -151,13 +150,13 @@ def _refine(A, b, solve, tol, min_first_cut=None):
     return x, res, steps
 
 
-def solve_spd(system: SparseSystem, tol=1e-12, method="direct") -> np.ndarray:
+def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
     """Solve a symmetric (positive definite) system to a relative residual.
 
-    The direct path factors A in single precision and refines in double
-    (`_refine`).  If the float32 factorization fails, or its first
-    correction cuts the residual by less than `_MIN_FIRST_CUT`, A is
-    refactored in float64 and refined the same way.  A residual above
+    Factors A in single precision and refines in double (`_refine`).  If
+    the float32 factorization fails, or its first correction cuts the
+    residual by less than `_MIN_FIRST_CUT`, A is refactored in float64 and
+    refined the same way.  A residual above
     `tol` raises a RuntimeError that gives the refinement steps taken,
     the factor precision and the rounding floor eps ||A| |x|| / ||b||.
 
@@ -171,37 +170,28 @@ def solve_spd(system: SparseSystem, tol=1e-12, method="direct") -> np.ndarray:
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return system.expand(np.zeros(A.shape[0]))
-    if method == "cg":
-        x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=20 * A.shape[0])
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient stalled (info={info})")
-        res = np.linalg.norm(b - A @ x) / bnorm
-        how = "conjugate gradient"
-    elif method == "direct":
-        refined = None
-        try:  # cast before _factor permutes, so no float64 copy is permuted
-            solve = _factor(A.astype(np.float32), system.ordering,
-                            "sparse factorization", **_SPD_OPTIONS)
-        except RuntimeError:
-            pass
-        else:
-            refined = _refine(A, b, solve, tol, _MIN_FIRST_CUT)
-        precision = "float32"
-        if refined is None:
-            solve = None  # release the float32 factor first
-            solve = _factor(A, system.ordering, "sparse factorization",
-                            **_SPD_OPTIONS)
-            refined = _refine(A, b, solve, tol)
-            precision = "float64 (refactored)"
-        x, res, steps = refined
-        how = f"{steps} refinement steps on a {precision} factor"
+    refined = None
+    try:  # cast before _factor permutes, so no float64 copy is permuted
+        solve = _factor(A.astype(np.float32), system.ordering,
+                        "sparse factorization", **_SPD_OPTIONS)
+    except RuntimeError:
+        pass
     else:
-        raise ValueError(f"unknown method {method!r}")
+        refined = _refine(A, b, solve, tol, _MIN_FIRST_CUT)
+    precision = "float32"
+    if refined is None:
+        solve = None  # release the float32 factor first
+        solve = _factor(A, system.ordering, "sparse factorization",
+                        **_SPD_OPTIONS)
+        refined = _refine(A, b, solve, tol)
+        precision = "float64 (refactored)"
+    x, res, steps = refined
     if not np.isfinite(res) or res > tol:
         floor = np.finfo(float).eps * np.linalg.norm(abs(A) @ abs(x)) / bnorm
         raise RuntimeError(
             f"solver residual {res:.3e} exceeds tolerance {tol:.1e} after "
-            f"{how}; rounding floor eps*||A||x||/||b|| = {floor:.1e} "
+            f"{steps} refinement steps on a {precision} factor; rounding "
+            f"floor eps*||A||x||/||b|| = {floor:.1e} "
             f"(matrix size {A.shape[0]}, nnz {A.nnz})"
         )
     return system.expand(x)

@@ -41,7 +41,7 @@ def test_poisson_three_point_stencil_vs_hand_elimination():
     assert np.abs(x - exact).max() <= 1e-14
 
 
-def test_solve_spd_cg_path_and_energy_identity():
+def test_solve_spd_energy_identity():
     mesh = build_box_mesh(2, 4)
     elem = element_by_name("S", 2, 2)
     dofmap = global_numbering(mesh, elem)
@@ -52,11 +52,9 @@ def test_solve_spd_cg_path_and_energy_identity():
 
     K.rhs = assemble_load(mesh, dofmap, f)
     red = apply_dirichlet(K, boundary_dofs(dofmap, "full-trace"), "eliminate")
-    x_direct = solve_spd(red)
-    x_cg = solve_spd(red, tol=1e-12, method="cg")
-    assert np.linalg.norm(x_direct - x_cg) / np.linalg.norm(x_direct) <= 1e-9
+    x = solve_spd(red)
     # energy identity |x^T A x - x^T b| / |x^T b|
-    xr = x_direct[red.free]
+    xr = x[red.free]
     quad = float(xr @ (red.matrix @ xr))
     lin = float(xr @ red.rhs)
     assert abs(quad - lin) / abs(lin) <= 1e-10
