@@ -80,7 +80,7 @@ class SpanBasis:
         if not residual:
             return False
         pivot = min(residual, key=self.key_order)
-        residual = vec_scale(residual, 1 / residual[pivot])
+        residual = vec_scale(residual, Q(1) / residual[pivot])
         # back-substitute into existing rows to keep reduced form
         for p, row in list(self.rows.items()):
             c = row.get(pivot)

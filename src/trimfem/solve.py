@@ -156,9 +156,9 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
     Factors A in single precision and refines in double (`_refine`).  If
     the float32 factorization fails, or its first correction cuts the
     residual by less than `_MIN_FIRST_CUT`, A is refactored in float64 and
-    refined the same way.  A residual above
-    `tol` raises a RuntimeError that gives the refinement steps taken,
-    the factor precision and the rounding floor eps ||A| |x|| / ||b||.
+    refined the same way.  A residual above `tol` raises a RuntimeError
+    that gives the refinement steps taken, the factor precision and the
+    rounding floor eps ||A| |x|| / ||b||.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """

@@ -67,7 +67,8 @@ def test_gram_solve_rejects_a_singular_consistent_system():
 
 
 def test_span_basis_is_fully_reduced_whatever_the_insertion_order():
-    for vecs in ([{3: 1}, {1: 1, 3: 1}], [{1: 1, 3: 1}, {3: 1}]):
+    # integer input with non-unit pivots must still reduce exactly
+    for vecs in ([{3: 2}, {1: 3, 3: 1}], [{1: 3, 3: 1}, {3: 2}]):
         span = SpanBasis()
         for v in vecs:
             span.add(v)
