@@ -1,5 +1,7 @@
 """Box meshes, global numbering, boundary DOFs and conformity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from trimfem.refelem import (
     TENSOR_PRODUCT,
     TRIMMED_SERENDIPITY,
     build_element,
+    cell_topology,
     element_by_name,
     entity_dof_counts,
     tabulate,
@@ -211,3 +214,51 @@ def test_conformity_of_traces(family, r):
         assert np.max(np.abs(jump)) <= 1e-11, (
             f"{family} n={n} k={k} r={r} axis={axis}: jump {np.max(np.abs(jump)):.2e}"
         )
+
+
+# ---------------------------------------------------------------------------
+# numbering golden digest
+# ---------------------------------------------------------------------------
+
+# SHA-256 of `_numbering_digest_bytes()`: every box mesh with n in {2, 3} and
+# divisions 1..4 or anisotropic (2..n+1) and its reverse, every element of
+# both families with k in 0..n (covariant for k = 1) and r in 1..3
+GOLDEN_NUMBERING_SHA256 = (
+    "3b301ac1ec197972e1d69f185819bb41446c25d2fa2ff085c2c1012faec2832a")
+
+
+def _numbering_digest_bytes():
+    def ints(x):
+        x = np.asarray(x, dtype="<i8")
+        return repr(x.shape).encode() + x.tobytes()
+
+    out = []
+    for n in (2, 3):
+        aniso = tuple(range(2, n + 2))
+        for divisions in (1, 2, 3, 4, aniso, aniso[::-1]):
+            mesh = build_box_mesh(n, divisions)
+            out.append(repr((mesh.num_cells, mesh.num_vertices, mesh.num_edges,
+                             mesh.num_faces, sorted(mesh.entity_counts().items())))
+                       .encode())
+            out += [ints(mesh.entity_indices(e))
+                    for e in cell_topology(n).all_entities()]
+            for family in (TRIMMED_SERENDIPITY, TENSOR_PRODUCT):
+                for k in range(n + 1):
+                    for r in (1, 2, 3):
+                        mapping = "covariant" if k == 1 else None
+                        elem = build_element(family, n, k, r, mapping=mapping)
+                        dofmap = global_numbering(mesh, elem)
+                        out += [repr(dofmap.total).encode(), ints(dofmap.cell_dofs),
+                                ints(dofmap.lattice), ints(dofmap.ordering)]
+                        if k == 0:
+                            out.append(ints(boundary_dofs(dofmap, "full-trace")))
+                        elif k == 1:
+                            out.append(ints(boundary_dofs(dofmap, "tangential-trace")))
+    return b"".join(out)
+
+
+def test_numbering_matches_golden_digest():
+    """Entity indices, DOF numbering, lattice, ordering and boundary DOFs
+    are identical to the recorded ones."""
+    digest = hashlib.sha256(_numbering_digest_bytes()).hexdigest()
+    assert digest == GOLDEN_NUMBERING_SHA256
