@@ -913,15 +913,20 @@ def coboundary_fit(e_k: Element, e_k1: Element):
         raise ValueError("elements must share family, dimension and order")
     n = e_k.n
     rule = gauss_rule(n, e_k.r + 2)
+    # values as (points * components, basis) matrices, so that every
+    # quadrature sum is one matrix product with the weights repeated per
+    # component
+    w = np.repeat(rule.weights, e_k1.ncomp)
     tab1 = tabulate(e_k1, rule.points)[(0,) * n]
-    w = rule.weights
-    gram = np.einsum("q,qic,qjc->ij", w, tab1, tab1)
+    phi = tab1.transpose(0, 2, 1).reshape(len(w), e_k1.dim)
+    gram = phi.T @ (w[:, None] * phi)
     dforms = [exterior_derivative(f) for f in e_k.basis]
-    dvals = np.zeros((len(rule.points), len(dforms), e_k1.ncomp))
+    dvals = np.zeros((len(rule.points), e_k1.ncomp, len(dforms)))
     for b, f in enumerate(dforms):
         for c, comp in enumerate(f.components):
-            dvals[:, b, c] = eval_dense(comp.to_dense(), rule.points)
-    rhs = np.einsum("q,qic,qjc->ij", w, dvals, tab1)
+            dvals[:, c, b] = eval_dense(comp.to_dense(), rule.points)
+    dphi = dvals.reshape(len(w), len(dforms))
+    rhs = dphi.T @ (w[:, None] * phi)
     try:
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > 1e15:
@@ -930,8 +935,8 @@ def coboundary_fit(e_k: Element, e_k1: Element):
     except np.linalg.LinAlgError:
         raise ValueError("basis not linearly independent")
     # pointwise residual d(phi_i) - sum_j D_ij phi_j (forward stable)
-    resid = dvals - np.einsum("ij,qjc->qic", D, tab1)
-    res_sq = np.einsum("q,qic,qic->i", w, resid, resid)
+    resid = dphi - phi @ D.T
+    res_sq = w @ resid**2
     residual = float(np.sqrt(np.clip(res_sq, 0.0, None).max()))
     return D, residual
 
