@@ -16,7 +16,6 @@ from .poly import gauss_rule
 from .refelem import Element, tabulate
 
 _FORMS = ("Mass", "GradGrad", "CurlCurl", "DivCoupling")
-_FORM_ALIASES = {"DivDiv-coupling": "DivCoupling"}
 
 
 class PushForward:
@@ -132,7 +131,6 @@ def _quad_degree(*elements):
 
 
 def _local_matrix(form, elem_test, elem_trial, h):
-    form = _FORM_ALIASES.get(form, form)
     n = elem_test.n
     rule = gauss_rule(n, _quad_degree(elem_test, elem_trial))
     w = rule.weights

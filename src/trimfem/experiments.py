@@ -35,9 +35,7 @@ _FAMILY_ALIASES = {
     TRIMMED_SERENDIPITY: TRIMMED_SERENDIPITY,
     TENSOR_PRODUCT: TENSOR_PRODUCT,
     "S": TRIMMED_SERENDIPITY,
-    "S-": TRIMMED_SERENDIPITY,
     "Q": TENSOR_PRODUCT,
-    "Q-": TENSOR_PRODUCT,
 }
 
 
@@ -46,7 +44,7 @@ def _family(family):
         return _FAMILY_ALIASES[family]
     except KeyError:
         raise ValueError(
-            f"unknown family {family!r}; use TrimmedSerendipity/TensorProduct (S/Q)"
+            f"unknown family {family!r}; use one of {', '.join(_FAMILY_ALIASES)}"
         )
 
 

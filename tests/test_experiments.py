@@ -78,6 +78,9 @@ def test_asymptotic_regime_sanity():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="unknown family"):
         run_projection(2, "P", 1, [2])
+    valid = "use one of TrimmedSerendipity, TensorProduct, S, Q$"
+    with pytest.raises(ValueError, match=valid):
+        run_projection(2, "S-", 1, [2])
 
 
 def test_mixed_poisson_zero_source_patch_test():
