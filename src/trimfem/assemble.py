@@ -21,8 +21,9 @@ _FORMS = ("Mass", "GradGrad", "CurlCurl", "DivCoupling")
 class PushForward:
     """Reference-to-physical scalings for one element on cells of size h.
 
-    The Jacobian is diag(h_a / 2).  Values are returned in vector-proxy
-    components: identity for 0-forms, J^{-1} for 1-forms (covariant),
+    The Jacobian is diag(h_a / 2).  Values are returned as (points, basis,
+    components) arrays of vector-proxy components, one component for
+    scalars: identity for 0-forms, J^{-1} for 1-forms (covariant),
     J/det(J) with the (dy^dz, dz^dx, dx^dy) orientation for (n-1)-forms
     (contravariant), and 1/det(J) for n-forms.
     """
@@ -35,14 +36,24 @@ class PushForward:
         self.jac = self.h / 2.0
         self.det = float(np.prod(self.jac))
 
-    def values(self, vals):
-        """Physical proxy components from reference values (..., ncomp)."""
+    def values(self, vals, derivative=False):
+        """Physical proxy components (P, nb, ncomp) from a `tabulate` table.
+
+        With `derivative` the table holds the exterior derivatives d of the
+        element's k-forms, mapped as the (k+1)-forms they are: covariantly
+        (the gradient) for k = 0, by 1/det(J) for k + 1 = n, and
+        contravariantly (the 3D curl) otherwise.
+        """
         e = self.element
-        if e.mapping == "h1":
-            return vals[..., 0]
-        if e.mapping == "l2":
-            return vals[..., 0] / self.det
-        if e.mapping == "covariant":
+        mapping = e.mapping
+        if derivative:
+            mapping = ("covariant" if e.k == 0 else
+                       "l2" if e.k + 1 == e.n else "contravariant")
+        if mapping == "h1":
+            return vals
+        if mapping == "l2":
+            return vals / self.det
+        if mapping == "covariant":
             return vals / self.jac
         # contravariant
         if e.n == 2:
@@ -52,43 +63,6 @@ class PushForward:
             # (dy^dz, dx^dz, dx^dy) -> (dy^dz, dz^dx, dx^dy)
             proxy = np.stack([vals[..., 0], -vals[..., 1], vals[..., 2]], axis=-1)
         return proxy * self.jac / self.det
-
-    def gradient(self, tab):
-        """Physical gradient of a 0-form element, shape (P, nb, n)."""
-        e = self.element
-        if e.mapping != "h1":
-            raise ValueError("gradients apply to 0-form elements")
-        n = e.n
-        parts = [
-            tab[tuple(1 if a == ax else 0 for a in range(n))][..., 0] / self.jac[ax]
-            for ax in range(n)
-        ]
-        return np.stack(parts, axis=-1)
-
-    def curl(self, tab):
-        """Physical curl of a covariant 1-form element in 3D, (P, nb, 3)."""
-        e = self.element
-        if e.mapping != "covariant" or e.n != 3:
-            raise ValueError("curl applies to H(curl) elements in 3D")
-        d = {ax: tab[tuple(1 if a == ax else 0 for a in range(3))] for ax in range(3)}
-        cx = d[1][..., 2] - d[2][..., 1]
-        cy = d[2][..., 0] - d[0][..., 2]
-        cz = d[0][..., 1] - d[1][..., 0]
-        ref = np.stack([cx, cy, cz], axis=-1)
-        return ref * self.jac / self.det
-
-    def divergence(self, tab):
-        """Physical divergence of a contravariant element, shape (P, nb)."""
-        e = self.element
-        if e.mapping != "contravariant":
-            raise ValueError("divergence applies to H(div) elements")
-        n = e.n
-        d = {ax: tab[tuple(1 if a == ax else 0 for a in range(n))] for ax in range(n)}
-        if n == 2:
-            ref = d[0][..., 1] - d[1][..., 0]
-        else:
-            ref = d[0][..., 0] - d[1][..., 1] + d[2][..., 2]
-        return ref / self.det
 
 
 class SparseSystem:
@@ -130,43 +104,44 @@ def _quad_degree(*elements):
     return max(e.r for e in elements) + 2
 
 
-def _local_matrix(form, elem_test, elem_trial, h):
-    n = elem_test.n
-    rule = gauss_rule(n, _quad_degree(elem_test, elem_trial))
-    w = rule.weights
-    pf_t = PushForward(elem_test, h)
-    pf_u = PushForward(elem_trial, h)
-    scale = w * pf_t.det
+def _proxy_table(element, h, rule, derivative=False):
+    """Physical proxy values as a (points * components, basis) matrix,
+    with the quadrature weights times det(J) repeated per component, so
+    that every integral over a cell is one matrix product."""
+    pf = PushForward(element, h)
+    vals = pf.values(tabulate(element, rule.points, derivative), derivative)
+    npts, nb, ncomp = vals.shape
+    weights = np.repeat(rule.weights * pf.det, ncomp)
+    return vals.transpose(0, 2, 1).reshape(npts * ncomp, nb), weights
 
+
+def _local_matrix(form, elem_test, elem_trial, h):
     if form == "Mass":
         if elem_test.k != elem_trial.k or elem_test.mapping != elem_trial.mapping:
             raise ValueError("mass form needs matching form degrees")
-        vt = pf_t.values(tabulate(elem_test, rule.points)[(0,) * n])
-        vu = pf_u.values(tabulate(elem_trial, rule.points)[(0,) * n])
-        if vt.ndim == 2:  # scalar-valued
-            return np.einsum("q,qi,qj->ij", scale, vt, vu)
-        return np.einsum("q,qic,qjc->ij", scale, vt, vu)
-    if form == "GradGrad":
+        d_test, d_trial = False, False
+    elif form == "GradGrad":
         if elem_test.k != 0 or elem_trial.k != 0:
             raise ValueError("GradGrad applies to 0-form elements")
-        gt = pf_t.gradient(tabulate(elem_test, rule.points, 1))
-        gu = pf_u.gradient(tabulate(elem_trial, rule.points, 1))
-        return np.einsum("q,qic,qjc->ij", scale, gt, gu)
-    if form == "CurlCurl":
+        d_test, d_trial = True, True
+    elif form == "CurlCurl":
         if elem_test.n != 3 or elem_test.k != 1 or elem_trial.k != 1:
             raise ValueError("CurlCurl applies to 1-form elements in 3D")
-        ct = pf_t.curl(tabulate(elem_test, rule.points, 1))
-        cu = pf_u.curl(tabulate(elem_trial, rule.points, 1))
-        return np.einsum("q,qic,qjc->ij", scale, ct, cu)
-    if form == "DivCoupling":
-        if elem_test.k != elem_test.n or elem_trial.k != elem_test.n - 1:
+        d_test, d_trial = True, True
+    elif form == "DivCoupling":
+        if (elem_test.k != elem_test.n or elem_trial.k != elem_test.n - 1
+                or elem_trial.mapping != "contravariant"):
             raise ValueError(
-                "DivCoupling pairs an n-form test space with an (n-1)-form trial space"
+                "DivCoupling pairs an n-form test space with an (n-1)-form "
+                "H(div) trial space"
             )
-        vt = pf_t.values(tabulate(elem_test, rule.points)[(0,) * n])
-        du = pf_u.divergence(tabulate(elem_trial, rule.points, 1))
-        return np.einsum("q,qi,qj->ij", scale, vt, du)
-    raise ValueError(f"unknown form {form!r}; use one of {_FORMS}")
+        d_test, d_trial = False, True
+    else:
+        raise ValueError(f"unknown form {form!r}; use one of {_FORMS}")
+    rule = gauss_rule(elem_test.n, _quad_degree(elem_test, elem_trial))
+    test, weights = _proxy_table(elem_test, h, rule, d_test)
+    trial, _ = _proxy_table(elem_trial, h, rule, d_trial)
+    return test.T @ (weights[:, None] * trial)
 
 
 def _scatter(map_test: GlobalDofMap, map_trial: GlobalDofMap, local):
@@ -213,17 +188,10 @@ def assemble_load(mesh: BoxMesh, dofmap: GlobalDofMap, f) -> np.ndarray:
     or proxy-vector components (..., n).
     """
     element = dofmap.element
-    n = element.n
-    rule = gauss_rule(n, element.r + 2)
-    pf = PushForward(element, mesh.h)
-    vals = pf.values(tabulate(element, rule.points)[(0,) * n])
-    pts = physical_points(mesh, rule)
-    fvals = np.asarray(f(pts))
-    scale = rule.weights * pf.det
-    if vals.ndim == 2:
-        contrib = np.einsum("q,cq,qi->ci", scale, fvals, vals)
-    else:
-        contrib = np.einsum("q,cqd,qid->ci", scale, fvals, vals)
+    rule = gauss_rule(element.n, element.r + 2)
+    phi, weights = _proxy_table(element, mesh.h, rule)
+    fvals = np.asarray(f(physical_points(mesh, rule))).reshape(mesh.num_cells, -1)
+    contrib = (fvals * weights) @ phi
     b = np.zeros(dofmap.total)
     np.add.at(b, dofmap.cell_dofs.ravel(), contrib.ravel())
     return b
@@ -307,22 +275,12 @@ def l2_error(mesh: BoxMesh, dofmap: GlobalDofMap, coefficients, exact) -> float:
     element = dofmap.element
     if len(coefficients) != dofmap.total:
         raise ValueError("coefficient vector length does not match the DOF map")
-    n = element.n
-    rule = gauss_rule(n, element.r + 3)
-    pf = PushForward(element, mesh.h)
-    vals = pf.values(tabulate(element, rule.points)[(0,) * n])
-    pts = physical_points(mesh, rule)
+    rule = gauss_rule(element.n, element.r + 3)
+    phi, weights = _proxy_table(element, mesh.h, rule)
     coefmat = np.asarray(coefficients)[dofmap.cell_dofs]
-    target = np.asarray(exact(pts))
-    scale = rule.weights * pf.det
-    if vals.ndim == 2:
-        uh = np.einsum("ci,qi->cq", coefmat, vals)
-        diff = uh - target
-        err2 = float(np.einsum("q,cq,cq->", scale, diff, diff))
-    else:
-        uh = np.einsum("ci,qid->cqd", coefmat, vals)
-        diff = uh - target
-        err2 = float(np.einsum("q,cqd,cqd->", scale, diff, diff))
+    target = np.asarray(exact(physical_points(mesh, rule))).reshape(len(coefmat), -1)
+    diff = coefmat @ phi.T - target
+    err2 = float(np.sum(diff**2 @ weights))
     return float(np.sqrt(max(err2, 0.0)))
 
 

@@ -34,7 +34,6 @@ from .refelem import (
     _NAME_TABLE,
     element_by_name,
     element_dump,
-    element_names,
 )
 
 # convergence subcommand -> (help, study, usable element names)
@@ -52,16 +51,13 @@ def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _family_of(name, allowed):
-    if name not in _NAME_TABLE:
-        raise ValueError(
-            f"unknown element {name!r}; valid names: {', '.join(element_names())}"
-        )
-    if name not in allowed:
+def _family_of(name, allowed, n, order):
+    """Family of the named element, which must be usable here and exist in nD."""
+    if name in _NAME_TABLE and name not in allowed:
         raise ValueError(
             f"element {name!r} not usable here; choose one of {', '.join(allowed)}"
         )
-    return _NAME_TABLE[name][0]
+    return element_by_name(name, n, order).family
 
 
 def _add_common(p, with_dim=True, tol_default=1e-12):
@@ -112,7 +108,7 @@ def make_parser():
 def _run(args):
     if args.command in _STUDIES:
         _, study, allowed = _STUDIES[args.command]
-        family = _family_of(args.element, allowed)
+        family = _family_of(args.element, allowed, args.dim, args.order)
         options = {"bc_mode": args.bc_mode} if "bc_mode" in args else {}
         rows = study(args.dim, family, args.order, args.levels, tol=args.tol, **options)
         print(format_rows(rows))
@@ -120,7 +116,7 @@ def _run(args):
             write_csv(rows, args.out)
         return
     if args.command == "maxwell-eig":
-        family = _family_of(args.element, ("SminusCurl", "NCE"))
+        family = _family_of(args.element, ("SminusCurl", "NCE"), 3, args.order)
         report = run_maxwell_eig(family, args.order, args.levels,
                                  target=args.target, nev=args.nev, tol=args.tol,
                                  bc_mode=args.bc_mode)

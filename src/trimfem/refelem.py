@@ -714,9 +714,6 @@ def _trimmed_entity_sets(n, k, r):
 # element container
 # ---------------------------------------------------------------------------
 
-_MAPPINGS = ("h1", "covariant", "contravariant", "l2")
-
-
 class Element:
     """A reference finite element with an entity-associated basis.
 
@@ -756,30 +753,22 @@ class Element:
 
     # -- tabulation -------------------------------------------------------
 
-    def _dense(self, multi_index):
-        """Dense float coefficient arrays for a derivative multi-index."""
-        key = tuple(multi_index)
-        if key not in self._tables:
-            arrays = []
-            for f in self.basis:
-                comps = []
-                for comp in f.components:
-                    g = comp
-                    for axis, count in enumerate(key):
-                        for _ in range(count):
-                            g = g.diff(axis)
-                    comps.append(g.to_dense())
-                arrays.append(comps)
-            self._tables[key] = arrays
-        return self._tables[key]
+    def _dense(self, derivative):
+        """Dense float coefficient arrays of each basis form, or of its d."""
+        if derivative not in self._tables:
+            forms = self.basis
+            if derivative:
+                forms = [exterior_derivative(f) for f in forms]
+            self._tables[derivative] = [[c.to_dense() for c in f.components] for f in forms]
+        return self._tables[derivative]
 
 
-def tabulate(element: Element, points, deriv_order=0) -> dict:
-    """Evaluate all basis functions (+derivatives) at reference points.
+def tabulate(element: Element, points, derivative=False) -> np.ndarray:
+    """Evaluate all basis forms, or their exterior derivatives, at points.
 
-    Returns a dict keyed by derivative multi-index tuple: `table[mi][p, b, c]`
-    is the c-th component of basis function b at point p, differentiated
-    per mi.
+    Returns `table[p, b, c]`: the c-th component (in `form_components`
+    order) of basis form b at reference point p, or of d(basis form b) when
+    `derivative` is set.  Scalar-valued forms have one component.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -788,33 +777,25 @@ def tabulate(element: Element, points, deriv_order=0) -> dict:
         raise ValueError("points have the wrong spatial dimension")
     if np.any(np.abs(points) > 1 + 1e-12):
         raise ValueError("points must lie in the reference cube [-1, 1]^n")
-    n = element.n
-    mis = [(0,) * n]
-    if deriv_order >= 1:
-        mis += [tuple(1 if a == ax else 0 for a in range(n)) for ax in range(n)]
-    values = {}
-    for mi in mis:
-        dense = element._dense(mi)
-        table = np.zeros((len(points), element.dim, element.ncomp))
-        for b, comps in enumerate(dense):
-            for c, arr in enumerate(comps):
-                table[:, b, c] = eval_dense(arr, points)
-        values[mi] = table
-    return values
+    dense = element._dense(derivative)
+    table = np.zeros((len(points), element.dim, len(dense[0])))
+    for b, comps in enumerate(dense):
+        for c, arr in enumerate(comps):
+            table[:, b, c] = eval_dense(arr, points)
+    return table
 
 
 # ---------------------------------------------------------------------------
 # element construction
 # ---------------------------------------------------------------------------
 
-def _default_mapping(n, k):
-    if k == 0:
-        return "h1"
-    if k == n:
-        return "l2"
-    if k == n - 1:
-        return "contravariant"
-    return "covariant"
+def _fitting_mappings(n, k):
+    """The push-forwards that fit k-forms in n dimensions, the default first.
+
+    Only the 1-forms in 2D have a choice: they are (n-1)-forms too.
+    """
+    fits = {"h1": k == 0, "l2": k == n, "contravariant": k == n - 1, "covariant": k == 1}
+    return [m for m, fit in fits.items() if fit]
 
 
 @lru_cache(maxsize=None)
@@ -867,7 +848,9 @@ def build_element(family, n, k, r, mapping=None) -> Element:
 
     Parameters mirror the family notation: `family` is one of
     TrimmedSerendipity / TensorProduct, `n` the spatial dimension (2 or 3),
-    `k` the form degree (0..n) and `r >= 1` the order.
+    `k` the form degree (0..n) and `r >= 1` the order.  `mapping` must
+    fit the form degree: `h1` for k = 0, `covariant` for k = 1,
+    `contravariant` for k = n - 1 and `l2` for k = n.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; use one of {_FAMILIES}")
@@ -877,10 +860,13 @@ def build_element(family, n, k, r, mapping=None) -> Element:
         raise ValueError(f"form degree k={k} out of range for n={n}")
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"order r={r} must be an integer >= 1")
+    fitting = _fitting_mappings(n, k)
     if mapping is None:
-        mapping = _default_mapping(n, k)
-    if mapping not in _MAPPINGS:
-        raise ValueError(f"unknown mapping {mapping!r}")
+        mapping = fitting[0]
+    if mapping not in fitting:
+        raise ValueError(
+            f"mapping {mapping!r} does not fit {k}-forms in {n}D; use {' or '.join(fitting)}"
+        )
     return _build_element_cached(family, n, k, r, mapping)
 
 
@@ -911,21 +897,15 @@ def coboundary_fit(e_k: Element, e_k1: Element):
         raise ValueError("form degrees are not consecutive")
     if (e_k.family, e_k.n, e_k.r) != (e_k1.family, e_k1.n, e_k1.r):
         raise ValueError("elements must share family, dimension and order")
-    n = e_k.n
-    rule = gauss_rule(n, e_k.r + 2)
+    rule = gauss_rule(e_k.n, e_k.r + 2)
     # values as (points * components, basis) matrices, so that every
     # quadrature sum is one matrix product with the weights repeated per
     # component
     w = np.repeat(rule.weights, e_k1.ncomp)
-    tab1 = tabulate(e_k1, rule.points)[(0,) * n]
-    phi = tab1.transpose(0, 2, 1).reshape(len(w), e_k1.dim)
+    phi = tabulate(e_k1, rule.points).transpose(0, 2, 1).reshape(len(w), e_k1.dim)
+    dphi = tabulate(e_k, rule.points, derivative=True).transpose(0, 2, 1)
+    dphi = dphi.reshape(len(w), e_k.dim)
     gram = phi.T @ (w[:, None] * phi)
-    dforms = [exterior_derivative(f) for f in e_k.basis]
-    dvals = np.zeros((len(rule.points), e_k1.ncomp, len(dforms)))
-    for b, f in enumerate(dforms):
-        for c, comp in enumerate(f.components):
-            dvals[:, c, b] = eval_dense(comp.to_dense(), rule.points)
-    dphi = dvals.reshape(len(w), len(dforms))
     rhs = dphi.T @ (w[:, None] * phi)
     try:
         cond = np.linalg.cond(gram)

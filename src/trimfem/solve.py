@@ -205,6 +205,8 @@ def solve_saddle(system: SparseSystem, tol=1e-12):
     """
     A = system.matrix.tocsr()
     b = system.rhs
+    if b is None:
+        raise ValueError("system has no right-hand side")
     _check_symmetric(A)
     solve = _factor(A, system.ordering, "saddle factorization")
     x = solve(b)

@@ -96,7 +96,7 @@ def test_scale_invariance_against_physical_quadrature():
 
     rule = gauss_rule(2, elem.r + 2)
     pf = PushForward(elem, mesh.h)
-    vals = pf.values(tabulate(elem, rule.points)[(0, 0)])
+    vals = pf.values(tabulate(elem, rule.points))
     wdet = rule.weights * pf.det
     local = np.einsum("q,qic,qjc->ij", wdet, vals, vals)
     M2 = np.zeros_like(M)
@@ -106,26 +106,46 @@ def test_scale_invariance_against_physical_quadrature():
     assert np.abs(M - M2).max() <= 1e-12 * np.abs(M).max()
 
 
+def _assert_commuting_diagram(form, n, family, r):
+    """The assembled `form` equals its discrete counterpart built from the
+    coboundary matrix D of coboundary_fit scattered on `cell_dofs`:
+    D^T M_{k+1} D for GradGrad and CurlCurl, M_n D for DivCoupling.
+
+    The meshes are anisotropic, so a Jacobian entry applied on the wrong
+    axis shows."""
+    k = {"GradGrad": 0, "CurlCurl": 1, "DivCoupling": n - 1}[form]
+    mesh = build_box_mesh(n, (2, 3) if n == 2 else (2, 1, 3))
+    mk = global_numbering(mesh, build_element(family, n, k, r))
+    # the gradient lands in H(curl) also in 2D
+    mapping = "covariant" if k == 0 else None
+    mk1 = global_numbering(mesh, build_element(family, n, k + 1, r, mapping=mapping))
+    D, res = coboundary_fit(mk.element, mk1.element)
+    assert res <= 1e-10
+    G = np.zeros((mk1.total, mk.total))
+    for c in range(mesh.num_cells):
+        G[np.ix_(mk1.cell_dofs[c], mk.cell_dofs[c])] = D.T
+    M = assemble_bilinear(mesh, mk1, mk1, "Mass").matrix.toarray()
+    if form == "DivCoupling":
+        got = assemble_bilinear(mesh, mk1, mk, form).matrix.toarray()
+        want = M @ G
+    else:
+        got = assemble_bilinear(mesh, mk, mk, form).matrix.toarray()
+        want = G.T @ M @ G
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(got).max()
+
+
 @pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_commuting_gradient_identity(family, r):
-    # global GradGrad equals G^T M_1 G with G the discrete gradient
-    mesh = build_box_mesh(2, 2)
-    e0 = build_element(family, 2, 0, r)
-    e1 = build_element(family, 2, 1, r)
-    m0 = global_numbering(mesh, e0)
-    m1 = global_numbering(mesh, e1)
-    D, res = coboundary_fit(e0, e1)
-    assert res <= 1e-10
-    # scatter D into a global gradient operator
-    G = np.zeros((m1.total, m0.total))
-    for c in range(mesh.num_cells):
-        i0, i1 = m0.cell_dofs[c], m1.cell_dofs[c]
-        G[np.ix_(i1, i0)] = D.T
-    K = assemble_bilinear(mesh, m0, m0, "GradGrad").matrix.toarray()
-    M1 = assemble_bilinear(mesh, m1, m1, "Mass").matrix.toarray()
-    K2 = G.T @ M1 @ G
-    assert np.abs(K - K2).max() <= 1e-9 * max(np.abs(K).max(), 1.0)
+    for n in (2, 3):
+        _assert_commuting_diagram("GradGrad", n, family, r)
+
+
+@pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("form, n", [("CurlCurl", 3), ("DivCoupling", 2), ("DivCoupling", 3)])
+def test_commuting_curl_and_divergence_identities(form, n, family, r):
+    _assert_commuting_diagram(form, n, family, r)
 
 
 def test_load_vector_matches_quadrature_of_f():
@@ -139,12 +159,12 @@ def test_load_vector_matches_quadrature_of_f():
     b = assemble_load(mesh, dofmap, f)
     rule = gauss_rule(2, elem.r + 2)
     pf = PushForward(elem, mesh.h)
-    vals = pf.values(tabulate(elem, rule.points)[(0, 0)])
+    vals = pf.values(tabulate(elem, rule.points))
     pts = physical_points(mesh, rule)
     expected = np.zeros(dofmap.total)
     for c in range(mesh.num_cells):
         for i in range(elem.dim):
-            contrib = np.sum(rule.weights * pf.det * f(pts[c]) * vals[:, i])
+            contrib = np.sum(rule.weights * pf.det * f(pts[c]) * vals[:, i, 0])
             expected[dofmap.cell_dofs[c, i]] += contrib
     assert np.allclose(b, expected, atol=1e-14)
 

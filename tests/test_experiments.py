@@ -221,13 +221,18 @@ def test_cli_rejects_unknown_element(capsys):
     assert "SminusCurl" in err  # lists valid names
 
 
-def test_cli_rejects_wrong_conformity(capsys):
+@pytest.mark.parametrize("command, dim, element, message", [
+    ("poisson", "2", "RTCE", "poisson"),
+    ("project", "3", "RTCE", "does not exist in 3D"),
+    ("mixed-poisson", "2", "NCF", "does not exist in 2D"),
+], ids=["poisson-RTCE", "project-3D-RTCE", "mixed-poisson-2D-NCF"])
+def test_cli_rejects_wrong_conformity(capsys, command, dim, element, message):
     code = cli_main([
-        "poisson", "--dim", "2", "--element", "RTCE", "--order", "1",
+        command, "--dim", dim, "--element", element, "--order", "1",
         "--levels", "2",
     ])
     assert code == 1
-    assert "poisson" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_element_dump(tmp_path):

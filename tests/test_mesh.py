@@ -188,10 +188,7 @@ def _interface_traces(family, n, k, r, axis, mapping=None):
     jump = None
     sides = []
     for side, cell in enumerate((0, 1)):
-        tab = tabulate(elem, ref[side])[(0,) * n]
-        vals = pf.values(tab)
-        if vals.ndim == 2:
-            vals = vals[:, :, None]
+        vals = pf.values(tabulate(elem, ref[side]))
         glob = np.zeros((npts, dofmap.total, len(comp)))
         for i in range(elem.dim):
             g = dofmap.cell_dofs[cell, i]

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from trimfem.poly import PolyForm, PolyN, eval_dense, gauss_rule, monomials_up_to
+from trimfem.poly import (
+    PolyForm,
+    PolyN,
+    eval_dense,
+    form_components,
+    gauss_rule,
+    monomials_up_to,
+)
 from trimfem.refelem import (
     TENSOR_PRODUCT,
     TRIMMED_SERENDIPITY,
@@ -116,6 +123,12 @@ def test_build_element_rejects_bad_input():
         build_element(TRIMMED_SERENDIPITY, 2, 3, 1)
     with pytest.raises(ValueError, match="order"):
         build_element(TRIMMED_SERENDIPITY, 3, 1, 0)
+    # a mapping must fit the form degree; only 2D 1-forms have a choice
+    for n, k, mapping in [(3, 0, "l2"), (3, 1, "contravariant"), (2, 0, "covariant"),
+                          (3, 2, "covariant"), (2, 2, "contravariant"), (3, 3, "h1"),
+                          (3, 1, "piola")]:
+        with pytest.raises(ValueError, match="does not fit"):
+            build_element(TRIMMED_SERENDIPITY, n, k, 1, mapping=mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +149,7 @@ def _entity_points(entity, n, count=20, seed=11):
 def _trace_values(element, entity, pts):
     """k-form trace components at points of an entity, per basis function."""
     n, k = element.n, element.k
-    tab = tabulate(element, pts)[(0,) * n].copy()
-    from trimfem.poly import form_components
+    tab = tabulate(element, pts)
 
     sigmas = form_components(n, k)
     keep = [i for i, s in enumerate(sigmas) if set(s) <= set(entity.axes)]
@@ -187,7 +199,7 @@ def test_trace_association_exact_for_trimmed():
 def _weighted_values(element, rule):
     """Basis values as a (points * components, basis) matrix, with the
     quadrature weights repeated per component."""
-    tab = tabulate(element, rule.points)[(0,) * element.n]
+    tab = tabulate(element, rule.points)
     phi = tab.transpose(0, 2, 1).reshape(-1, element.dim)
     return phi, np.repeat(rule.weights, element.ncomp)
 
@@ -264,12 +276,12 @@ def test_tabulate_edge_function_values():
     e = build_element(TRIMMED_SERENDIPITY, 3, 1, 2)
     start, stop = e.entity_range(Entity((0,), ((1, 1), (2, 1))))
     assert stop - start == 2
-    tab = tabulate(e, [[0.0, 0.0, 0.0]])[(0, 0, 0)]
+    tab = tabulate(e, [[0.0, 0.0, 0.0]])
     assert tab[0, start] == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
     # vanishing on the plane y = -1
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.uniform(-1, 1, 10), np.full(10, -1.0), rng.uniform(-1, 1, 10)])
-    tab = tabulate(e, pts)[(0, 0, 0)]
+    tab = tabulate(e, pts)
     assert np.max(np.abs(tab[:, start:stop, :])) <= 1e-14
 
 
@@ -277,25 +289,34 @@ def test_lowest_order_vertex_functions_sum_to_one():
     e = build_element(TRIMMED_SERENDIPITY, 3, 0, 1)
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1, 1, size=(15, 3))
-    tab = tabulate(e, pts)[(0, 0, 0)]
+    tab = tabulate(e, pts)
     assert np.sum(tab[:, :, 0], axis=1) == pytest.approx(np.ones(15), abs=1e-13)
 
 
 @pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
 def test_derivative_tables_match_finite_differences(family):
-    e = build_element(family, 3, 1, 2)
+    # d(basis) from central differences of the value table, each partial
+    # derivative moved into its (k+1)-form component with the sign of
+    # dx_axis ^ dx_sigma
     rng = np.random.default_rng(4)
-    pts = rng.uniform(-0.9, 0.9, size=(5, 3))
-    tab = tabulate(e, pts, deriv_order=1)
     h = 1e-6
-    for axis in range(3):
-        mi = tuple(1 if a == axis else 0 for a in range(3))
-        fwd = pts.copy()
-        fwd[:, axis] += h
-        bwd = pts.copy()
-        bwd[:, axis] -= h
-        fd = (tabulate(e, fwd)[(0, 0, 0)] - tabulate(e, bwd)[(0, 0, 0)]) / (2 * h)
-        assert np.max(np.abs(fd - tab[mi])) <= 1e-5
+    for n in (2, 3):
+        pts = rng.uniform(-0.9, 0.9, size=(5, n))
+        for k in range(n):
+            e = build_element(family, n, k, 2)
+            sigmas, out_sigmas = form_components(n, k), form_components(n, k + 1)
+            fd = np.zeros((len(pts), e.dim, len(out_sigmas)))
+            for axis in range(n):
+                step = h * np.eye(n)[axis]
+                partial = (tabulate(e, pts + step) - tabulate(e, pts - step)) / (2 * h)
+                for c, sigma in enumerate(sigmas):
+                    if axis in sigma:
+                        continue
+                    merged = tuple(sorted(sigma + (axis,)))
+                    sign = (-1) ** merged.index(axis)
+                    fd[:, :, out_sigmas.index(merged)] += sign * partial[:, :, c]
+            tab = tabulate(e, pts, derivative=True)
+            assert np.max(np.abs(fd - tab)) <= 1e-5, (n, k)
 
 
 def test_tabulate_rejects_outside_points():

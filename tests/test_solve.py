@@ -146,6 +146,13 @@ def test_saddle_zero_source_gives_zero_solution():
     assert np.abs(x).max() <= 1e-12
 
 
+def test_solve_saddle_requires_rhs_before_factoring():
+    # a singular matrix: factoring it first would raise a RuntimeError
+    A = sp.csr_matrix(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_saddle(SparseSystem(A))
+
+
 def test_diagonal_eigenproblem():
     A = sp.diags([1.0, 2.0, 3.0]).tocsr()
     M = sp.identity(3, format="csr")
