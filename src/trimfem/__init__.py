@@ -8,13 +8,11 @@ and an experiment harness with a command-line interface.
 """
 
 from .poly import (
-    Polynomial1D,
     PolyForm,
     PolyN,
     QuadratureRule,
     exterior_derivative,
     gauss_rule,
-    legendre,
     legendre_poly,
 )
 from .refelem import (

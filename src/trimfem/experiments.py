@@ -77,6 +77,8 @@ def _run_levels(n, N_list, elements, assemble, solve):
     `assemble(mesh, *maps)` and `solve(system)` separately.  Yields
     (N, mesh, maps, solution, assembly time, solve time).
     """
+    if not N_list or any(a >= b for a, b in zip(N_list, N_list[1:])):
+        raise ValueError(f"levels {N_list} must be a non-empty, strictly increasing list")
     for N in N_list:
         mesh = build_box_mesh(n, N)
         maps = [global_numbering(mesh, e) for e in elements]
@@ -250,6 +252,8 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
     from the report.
     """
     family = _family(family)
+    if nev < 1:
+        raise ValueError(f"nev={nev}: request at least one eigenpair")
     pi2 = np.pi**2
     element = build_element(family, 3, 1, r, mapping="covariant")
 

@@ -1,8 +1,11 @@
 """Exact polynomial algebra and Gauss-Legendre quadrature on [-1, 1]^n.
 
-Polynomials and differential forms carry exact rational coefficients;
-floating point enters only when a polynomial is tabulated at quadrature
-or sample points.  The reference cell is [-1, 1]^n throughout.
+Polynomials (:class:`PolyN`) and differential forms carry exact rational
+coefficients.  Floating point enters only at tabulation and quadrature:
+:func:`monomial_table` rounds the coefficients of a list of forms once,
+and :func:`evaluate` tabulates them at points as one product of a
+monomial power table with that coefficient table.  The reference cell is
+[-1, 1]^n throughout.
 """
 
 from fractions import Fraction as Q
@@ -90,11 +93,6 @@ class PolyN:
             return -1
         return max(sum(e) for e in self.coeffs)
 
-    def degree_in(self, axis):
-        if not self.coeffs:
-            return -1
-        return max(e[axis] for e in self.coeffs)
-
     def __add__(self, other):
         if isinstance(other, PolyN):
             out = dict(self.coeffs)
@@ -145,36 +143,6 @@ class PolyN:
             out[tuple(new)] = c * p
         return PolyN(self.n, out)
 
-    def integral_cube(self):
-        """Exact integral over [-1, 1]^n."""
-        total = QZERO
-        for exp, c in self.coeffs.items():
-            term = c
-            for p in exp:
-                if p % 2 == 1:
-                    term = QZERO
-                    break
-                term = term * Q(2, p + 1)
-            total += term
-        return total
-
-    def to_dense(self):
-        """Dense float coefficient array, shape (d0+1, ..., dn-1+1)."""
-        if not self.coeffs:
-            return np.zeros((1,) * self.n)
-        shape = tuple(self.degree_in(a) + 1 for a in range(self.n))
-        dense = np.zeros(shape)
-        for exp, c in self.coeffs.items():
-            dense[exp] = float(c)
-        return dense
-
-    def __call__(self, points):
-        """Evaluate at float points, shape (npts, n) -> (npts,)."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
-        return eval_dense(self.to_dense(), points)
-
     def __eq__(self, other):
         return isinstance(other, PolyN) and self.n == other.n and self.coeffs == other.coeffs
 
@@ -196,116 +164,22 @@ class PolyN:
         return " + ".join(terms)
 
 
-def eval_dense(dense, points):
-    """Evaluate a dense coefficient array at points of shape (npts, n)."""
-    polyval = np.polynomial.polynomial.polyval
-    vals = polyval(points[:, 0], dense, tensor=True)
-    for axis in range(1, dense.ndim):
-        vals = polyval(points[:, axis], vals, tensor=False)
-    return np.asarray(vals)
-
-
-# ---------------------------------------------------------------------------
-# 1D polynomials and Legendre
-# ---------------------------------------------------------------------------
-
-class Polynomial1D:
-    """Univariate polynomial on [-1, 1] with exact rational coefficients."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        coeffs = [Q(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients = tuple(coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __add__(self, other):
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial1D(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial1D):
-            out = [QZERO] * (len(self.coefficients) + len(other.coefficients) - 1 or 1)
-            for i, a in enumerate(self.coefficients):
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-            return Polynomial1D(out)
-        return Polynomial1D([Q(other) * c for c in self.coefficients])
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def derivative(self):
-        return Polynomial1D([i * c for i, c in enumerate(self.coefficients)][1:] or [0])
-
-    def __call__(self, x):
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + float(c)
-        return acc
-
-    def eval_exact(self, x):
-        acc = QZERO
-        for c in reversed(self.coefficients):
-            acc = acc * Q(x) + c
-        return acc
-
-    def as_polyn(self, n, axis):
-        """Embed as an n-variate polynomial in the given variable."""
-        out = {}
-        for p, c in enumerate(self.coefficients):
-            if c != 0:
-                exp = [0] * n
-                exp[axis] = p
-                out[tuple(exp)] = c
-        return PolyN(n, out)
-
-    def __repr__(self):
-        return f"Polynomial1D({list(self.coefficients)})"
-
-
 @lru_cache(maxsize=None)
-def legendre_poly(j):
-    """Degree-j Legendre polynomial as an exact :class:`Polynomial1D`.
+def legendre_poly(n, axis, j):
+    """Degree-j Legendre polynomial in variable `axis`, as an exact PolyN.
 
     Built from the three-term recurrence
-    (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}.
+    j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}.
     """
     if j < 0:
         raise ValueError("Legendre degree must be nonnegative")
     if j == 0:
-        return Polynomial1D([1])
+        return PolyN.constant(n, 1)
+    x = PolyN.variable(n, axis)
     if j == 1:
-        return Polynomial1D([0, 1])
-    pm1, p = legendre_poly(j - 2), legendre_poly(j - 1)
-    x = Polynomial1D([0, 1])
-    return (x * p * Q(2 * j - 1, j)) - (pm1 * Q(j - 1, j))
-
-
-def legendre(j, x):
-    """Value of the degree-j Legendre polynomial at x via the recurrence."""
-    if j < 0:
-        raise ValueError("Legendre degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    pm1 = np.ones_like(x)
-    if j == 0:
-        return pm1 if pm1.ndim else float(pm1)
-    p = x.copy()
-    for i in range(1, j):
-        pm1, p = p, ((2 * i + 1) * x * p - i * pm1) / (i + 1)
-    return p if p.ndim else float(p)
+        return x
+    return (x * legendre_poly(n, axis, j - 1) * Q(2 * j - 1, j)
+            - legendre_poly(n, axis, j - 2) * Q(j - 1, j))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +288,45 @@ def koszul(f: PolyForm) -> PolyForm:
             term = comp * PolyN.variable(f.n, axis)
             out[idx] = out[idx] + term * ((-1) ** pos)
     return PolyForm(f.n, f.k - 1, out)
+
+
+# ---------------------------------------------------------------------------
+# float tabulation
+# ---------------------------------------------------------------------------
+
+def monomial_table(forms):
+    """Float coefficients of k-forms over the monomials they use.
+
+    Returns `(exponents, coeffs)`: `exponents[i]` is the exponent tuple of
+    the i-th monomial, shape (m, n), and `coeffs[i, f, c]` its coefficient
+    in component c of form f, shape (m, forms, components).
+    """
+    n, ncomp = forms[0].n, len(forms[0].components)
+    index, entries = {}, []
+    for f, form in enumerate(forms):
+        for c, comp in enumerate(form.components):
+            for exp, coeff in comp.coeffs.items():
+                entries.append((index.setdefault(exp, len(index)), f, c, float(coeff)))
+    exponents = np.array(list(index), dtype=int).reshape(len(index), n)
+    coeffs = np.zeros((len(index), len(forms), ncomp))
+    for i, f, c, value in entries:
+        coeffs[i, f, c] = value
+    return exponents, coeffs
+
+
+def evaluate(table, points):
+    """Values of the forms of a :func:`monomial_table` at float points.
+
+    `points` has shape (npts, n); returns shape (npts, forms, components),
+    one product of the points' monomial powers with the coefficient table.
+    """
+    exponents, coeffs = table
+    points = np.asarray(points, dtype=float)
+    powers = np.ones((len(points), len(exponents)))
+    for axis, exps in enumerate(exponents.T):
+        powers *= (points[:, axis, None] ** np.arange(exps.max(initial=0) + 1))[:, exps]
+    m, nforms, ncomp = coeffs.shape
+    return (powers @ coeffs.reshape(m, nforms * ncomp)).reshape(len(points), nforms, ncomp)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,13 @@ from .poly import (
     QZERO,
     PolyForm,
     PolyN,
-    eval_dense,
+    evaluate,
     exterior_derivative,
     form_components,
     gauss_rule,
     koszul,
     legendre_poly,
+    monomial_table,
     monomials_up_to,
 )
 
@@ -373,11 +374,6 @@ def superlinear_monomials(n, r):
 # explicit 1D building blocks
 # ---------------------------------------------------------------------------
 
-def _leg(n, axis, j):
-    """Legendre P_j in variable `axis`, as an exact n-variate polynomial."""
-    return legendre_poly(j).as_polyn(n, axis)
-
-
 def _lam(n, axis, sign):
     """Linear hat (1 + sign*x_axis) / 2."""
     return PolyN(n, {(0,) * n: Q(1, 2)}) + PolyN.variable(n, axis) * Q(sign, 2)
@@ -387,7 +383,7 @@ def _bubble(n, axis, j):
     """(1 - x_axis^2) P_j(x_axis)."""
     one = PolyN.constant(n, 1)
     x = PolyN.variable(n, axis)
-    return (one - x * x) * _leg(n, axis, j)
+    return (one - x * x) * legendre_poly(n, axis, j)
 
 
 def _graded_pairs(total):
@@ -442,10 +438,10 @@ def _top_form_entity(n, r):
     out = []
     if n == 2:
         for i, j in _graded_pairs(r - 1):
-            out.append(_leg(n, 0, i) * _leg(n, 1, j))
+            out.append(legendre_poly(n, 0, i) * legendre_poly(n, 1, j))
     else:
         for i, j, m in _graded_triples(r - 1):
-            out.append(_leg(n, 0, i) * _leg(n, 1, j) * _leg(n, 2, m))
+            out.append(legendre_poly(n, 0, i) * legendre_poly(n, 1, j) * legendre_poly(n, 2, m))
     return [PolyForm(n, n, [f]) for f in out]
 
 
@@ -454,7 +450,7 @@ def _edge_one_form_recipe(n, r, entity: Entity):
     (t,) = entity.axes
     out = []
     for i in range(r):
-        f = _leg(n, t, i)
+        f = legendre_poly(n, t, i)
         for a, v in entity.fixed:
             one = PolyN.constant(n, 1)
             f = f * (one + PolyN.variable(n, a) * v)
@@ -469,7 +465,7 @@ def _face_two_form_recipe(n, r, entity: Entity):
     one = PolyN.constant(n, 1)
     out = []
     for j, m in _graded_pairs(r - 1):
-        f = _leg(n, u, j) * _leg(n, v, m) * (one + PolyN.variable(n, w) * s)
+        f = legendre_poly(n, u, j) * legendre_poly(n, v, m) * (one + PolyN.variable(n, w) * s)
         out.append(PolyForm.from_monomial(n, 2, (u, v), f))
     return out
 
@@ -501,29 +497,29 @@ def _tensor_entity(n, k, r, entity: Entity):
         for idx in product(*([range(r)] * n)):
             f = PolyN.constant(n, 1)
             for a, i in enumerate(idx):
-                f = f * _leg(n, a, i)
+                f = f * legendre_poly(n, a, i)
             out.append(PolyForm(n, n, [f]))
     elif k == 1:
         if d == 1:
             (t,) = entity.axes
             for i in range(r):
-                out.append(PolyForm.from_monomial(n, 1, (t,), hats(_leg(n, t, i))))
+                out.append(PolyForm.from_monomial(n, 1, (t,), hats(legendre_poly(n, t, i))))
         elif d == 2:
             u, v = entity.axes
             for i in range(r):
                 for j in range(r - 1):
                     out.append(PolyForm.from_monomial(
-                        n, 1, (u,), hats(_leg(n, u, i) * _bubble(n, v, j))))
+                        n, 1, (u,), hats(legendre_poly(n, u, i) * _bubble(n, v, j))))
             for i in range(r - 1):
                 for j in range(r):
                     out.append(PolyForm.from_monomial(
-                        n, 1, (v,), hats(_bubble(n, u, i) * _leg(n, v, j))))
+                        n, 1, (v,), hats(_bubble(n, u, i) * legendre_poly(n, v, j))))
         else:
             for t in range(n):
                 rest = [a for a in range(n) if a != t]
                 for i in range(r):
                     for jm in product(*([range(r - 1)] * len(rest))):
-                        f = _leg(n, t, i)
+                        f = legendre_poly(n, t, i)
                         for a, j in zip(rest, jm):
                             f = f * _bubble(n, a, j)
                         out.append(PolyForm.from_monomial(n, 1, (t,), f))
@@ -533,14 +529,14 @@ def _tensor_entity(n, k, r, entity: Entity):
             for i in range(r):
                 for j in range(r):
                     out.append(PolyForm.from_monomial(
-                        n, 2, (u, v), hats(_leg(n, u, i) * _leg(n, v, j))))
+                        n, 2, (u, v), hats(legendre_poly(n, u, i) * legendre_poly(n, v, j))))
         else:
             for w in range(3):
                 u, v = (a for a in range(3) if a != w)
                 for i in range(r):
                     for j in range(r):
                         for m in range(r - 1):
-                            f = _leg(n, u, i) * _leg(n, v, j) * _bubble(n, w, m)
+                            f = legendre_poly(n, u, i) * legendre_poly(n, v, j) * _bubble(n, w, m)
                             out.append(PolyForm.from_monomial(n, 2, (u, v), f))
     return out
 
@@ -753,13 +749,13 @@ class Element:
 
     # -- tabulation -------------------------------------------------------
 
-    def _dense(self, derivative):
-        """Dense float coefficient arrays of each basis form, or of its d."""
+    def _table(self, derivative):
+        """The :func:`monomial_table` of the basis forms, or of their d."""
         if derivative not in self._tables:
             forms = self.basis
             if derivative:
                 forms = [exterior_derivative(f) for f in forms]
-            self._tables[derivative] = [[c.to_dense() for c in f.components] for f in forms]
+            self._tables[derivative] = monomial_table(forms)
         return self._tables[derivative]
 
 
@@ -777,12 +773,7 @@ def tabulate(element: Element, points, derivative=False) -> np.ndarray:
         raise ValueError("points have the wrong spatial dimension")
     if np.any(np.abs(points) > 1 + 1e-12):
         raise ValueError("points must lie in the reference cube [-1, 1]^n")
-    dense = element._dense(derivative)
-    table = np.zeros((len(points), element.dim, len(dense[0])))
-    for b, comps in enumerate(dense):
-        for c, arr in enumerate(comps):
-            table[:, b, c] = eval_dense(arr, points)
-    return table
+    return evaluate(element._table(derivative), points)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,8 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
     factored shifted operator, factored in `ordering` when one is given
     (the DOF order of A and M, e.g. `SparseSystem.ordering`).
     """
+    if nev < 1:
+        raise ValueError(f"nev={nev}: request at least one eigenpair")
     A = sp.csr_matrix(A)
     M = sp.csr_matrix(M)
     _check_symmetric(A)
@@ -300,5 +302,4 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
             vecs[:, i] = y
             vals[i] = lam
             res[i : i + 1] = _residual_norms(A, M, norms, vals[i : i + 1], y[:, None])
-    return EigenResult(vals, vecs, _residual_norms(A, M, norms, vals, vecs),
-                       op_count=counter["n"])
+    return EigenResult(vals, vecs, res, op_count=counter["n"])

@@ -1,6 +1,7 @@
 """Experiment harness: rates, CSV round trips, reports, CLI."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -153,6 +154,40 @@ def test_orderings_are_computed_only_for_factored_maps(monkeypatch, study, expec
     monkeypatch.setattr(assemble, "nested_dissection", counting)
     study()
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("levels", [[16, 8], [8, 8], []], ids=["decreasing", "repeated",
+                                                               "empty"])
+@pytest.mark.parametrize("study", [
+    lambda levels: run_projection(2, "S", 1, levels),
+    lambda levels: run_primal_poisson(2, "S", 1, levels),
+    lambda levels: run_mixed_poisson(2, "S", 1, levels),
+    lambda levels: run_maxwell_eig("S", 1, levels),
+], ids=["project", "poisson", "mixed-poisson", "maxwell"])
+def test_studies_reject_bad_levels_before_meshing(monkeypatch, study, levels):
+    from trimfem import experiments
+
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(experiments, "build_box_mesh", no_mesh)
+    with pytest.raises(ValueError, match=re.escape(f"levels {levels}")):
+        study(levels)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poisson", "--dim", "2", "--element", "S", "--order", "1", "--levels", "16,8"],
+     "levels [16, 8]"),
+    (["poisson", "--dim", "2", "--element", "S", "--order", "1", "--levels", ","],
+     "levels []"),
+    (["maxwell-eig", "--element", "SminusCurl", "--order", "1", "--levels", "3",
+      "--nev", "0"], "nev=0"),
+], ids=["decreasing-levels", "empty-levels", "nev-0"])
+def test_cli_rejects_bad_study_input(capsys, argv, message):
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_exact_cavity_spectrum_prefix():

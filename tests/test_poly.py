@@ -9,56 +9,46 @@ import pytest
 from trimfem.poly import (
     PolyForm,
     PolyN,
-    Polynomial1D,
+    evaluate,
     exterior_derivative,
     gauss_rule,
     koszul,
-    legendre,
     legendre_poly,
+    monomial_table,
     monomials_up_to,
 )
 
 
+def _legendre(j, xs):
+    """Float values of P_j at the points xs, through the tabulation path."""
+    table = monomial_table([PolyForm(1, 0, [legendre_poly(1, 0, j)])])
+    return evaluate(table, np.asarray(xs, dtype=float)[:, None])[:, 0, 0]
+
+
 def test_legendre_values():
-    assert legendre(0, 0.7) == 1.0
-    assert legendre(2, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert legendre(3, 0.5) == pytest.approx(-0.4375, abs=1e-15)
+    assert _legendre(0, [0.7])[0] == 1.0
+    assert _legendre(2, [1.0])[0] == pytest.approx(1.0, abs=1e-15)
+    assert _legendre(3, [0.5])[0] == pytest.approx(-0.4375, abs=1e-15)
 
 
 def test_legendre_exact_polynomials():
-    p3 = legendre_poly(3)  # (5x^3 - 3x)/2
-    assert p3.coefficients == (Fraction(0), Fraction(-3, 2), Fraction(0), Fraction(5, 2))
+    p3 = legendre_poly(1, 0, 3)  # (5x^3 - 3x)/2
+    assert p3 == PolyN(1, {(1,): Fraction(-3, 2), (3,): Fraction(5, 2)})
     for j in range(8):
-        assert legendre_poly(j).eval_exact(1) == 1
+        # the value at x = 1 is the coefficient sum
+        assert sum(legendre_poly(1, 0, j).coeffs.values()) == 1
 
 
 def test_legendre_rejects_negative_degree():
     with pytest.raises(ValueError):
-        legendre(-1, 0.0)
+        legendre_poly(1, 0, -1)
 
 
 def test_legendre_bounded_on_interval():
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, size=100)
     for j in range(11):
-        assert np.all(np.abs(legendre(j, xs)) <= 1 + 1e-12)
-
-
-def test_polynomial1d_arithmetic_is_exact():
-    p = Polynomial1D([Fraction(1, 3), 0, 1])  # x^2 + 1/3
-    q = Polynomial1D([0, 1])
-    prod = p * q
-    assert prod.coefficients == (Fraction(0), Fraction(1, 3), Fraction(0), Fraction(1))
-    assert prod.derivative().coefficients == (Fraction(1, 3), Fraction(0), Fraction(3))
-    assert p.degree == 2
-
-
-def test_polyn_integral_cube():
-    # f = x^2 y + y
-    f = PolyN(2, {(2, 1): 1, (0, 1): 1})
-    # int over [-1,1]^2 of x^2 y + y = 0; of x^2 = 4/3 * ... per axis
-    assert f.integral_cube() == 0
-    assert PolyN(2, {(2, 0): 1}).integral_cube() == Fraction(4, 3)
+        assert np.all(np.abs(_legendre(j, xs)) <= 1 + 1e-12)
 
 
 def test_exterior_derivative_of_0form_product_rule():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ import pytest
 from trimfem.poly import (
     PolyForm,
     PolyN,
-    eval_dense,
+    evaluate,
     form_components,
     gauss_rule,
+    monomial_table,
     monomials_up_to,
 )
 from trimfem.refelem import (
@@ -229,10 +231,7 @@ def _projection_residual(element, form):
     m = max(element.r + 2, (deg + element.r + 3) // 2 + 1)
     rule = gauss_rule(n, m)
     phi, w = _weighted_values(element, rule)
-    gvals = np.zeros((len(rule.points), element.ncomp))
-    for c, comp in enumerate(form.components):
-        gvals[:, c] = eval_dense(comp.to_dense(), rule.points)
-    gvals = gvals.ravel()
+    gvals = evaluate(monomial_table([form]), rule.points).ravel()
     coeff = np.linalg.solve(phi.T @ (w[:, None] * phi), phi.T @ (w * gvals))
     resid = gvals - phi @ coeff
     res_sq = float(w @ resid**2)
@@ -291,6 +290,31 @@ def test_lowest_order_vertex_functions_sum_to_one():
     pts = rng.uniform(-1, 1, size=(15, 3))
     tab = tabulate(e, pts)
     assert np.sum(tab[:, :, 0], axis=1) == pytest.approx(np.ones(15), abs=1e-13)
+
+
+def _exact_values(element, point):
+    """Basis values at a float point, summed exactly in rationals."""
+    xs = [Fraction(float(x)) for x in point]
+    monomials = {}
+
+    def value(comp):
+        total = Fraction(0)
+        for exp, c in comp.coeffs.items():
+            if exp not in monomials:
+                monomials[exp] = math.prod(x**p for x, p in zip(xs, exp))
+            total += c * monomials[exp]
+        return float(total)
+
+    return np.array([[value(c) for c in f.components] for f in element.basis])
+
+
+@pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_high_order_tabulation_matches_exact_evaluation(family, k):
+    e = build_element(family, 3, k, 6)
+    pts = np.random.default_rng(k).uniform(-1, 1, size=(3, 3))
+    exact = np.stack([_exact_values(e, p) for p in pts])
+    assert np.max(np.abs(tabulate(e, pts) - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])

@@ -170,6 +170,15 @@ def test_shift_invert_reports_a_singular_shift(ordering):
         eig_shift_invert(A, M, target=3.0, nev=2, dense_cutoff=1, ordering=ordering)
 
 
+@pytest.mark.parametrize("dense_cutoff", [4000, 1], ids=["dense", "shift-invert"])
+def test_eig_shift_invert_rejects_nev_below_one(dense_cutoff):
+    # the shift is singular, so factoring before the check would raise RuntimeError
+    A = sp.diags(np.arange(1.0, 21.0)).tocsr()
+    M = sp.identity(20, format="csr")
+    with pytest.raises(ValueError, match="nev=0"):
+        eig_shift_invert(A, M, target=3.0, nev=0, dense_cutoff=dense_cutoff)
+
+
 def _maxwell_system(family, N, r=2, mode="eliminate"):
     mesh = build_box_mesh(3, N)
     elem = build_element(family, 3, 1, r)
@@ -210,6 +219,10 @@ def test_eigen_residuals_below_tolerance():
     tol = 1e-7
     res = eig_shift_invert(A, M, target=3.0 * PI2, nev=10, tol=tol, dense_cutoff=1)
     assert res.residuals.max() <= 10 * tol
+    # the residuals kept through the polish are those of the returned pairs
+    norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
+    assert np.array_equal(res.residuals, solve._residual_norms(
+        A, M, norms, res.eigenvalues, res.eigenvectors))
     assert res.op_count is not None and res.op_count > 0
 
 
