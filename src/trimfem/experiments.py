@@ -75,7 +75,8 @@ def _run_levels(n, N_list, elements, assemble, solve):
 
     Per level, numbers each element on the mesh, then times
     `assemble(mesh, *maps)` and `solve(system)` separately.  Yields
-    (N, mesh, maps, solution, assembly time, solve time).
+    (N, mesh, maps, solution, assembly time, solve time), with N the
+    Python int the mesh stores.
     """
     if not N_list or any(a >= b for a, b in zip(N_list, N_list[1:])):
         raise ValueError(f"levels {N_list} must be a non-empty, strictly increasing list")
@@ -86,7 +87,7 @@ def _run_levels(n, N_list, elements, assemble, solve):
         system = assemble(mesh, *maps)
         t1 = time.perf_counter()
         solution = solve(system)
-        yield N, mesh, maps, solution, t1 - t0, time.perf_counter() - t1
+        yield mesh.divisions[0], mesh, maps, solution, t1 - t0, time.perf_counter() - t1
 
 
 def _convergence_study(n, N_list, elements, assemble, solve, exact):

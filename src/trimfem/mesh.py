@@ -20,6 +20,7 @@ enter the global space unchanged, with no orientation factor.
 """
 
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -37,11 +38,13 @@ class BoxMesh:
     def __init__(self, n, divisions):
         if n not in (2, 3):
             raise ValueError("only 2D and 3D box meshes are supported")
-        if isinstance(divisions, int):
+        if isinstance(divisions, Integral):
             divisions = (divisions,) * n
+        divisions = tuple(divisions)
+        if (len(divisions) != n or not all(isinstance(N, Integral) for N in divisions)
+                or any(N < 1 for N in divisions)):
+            raise ValueError(f"divisions {divisions} must be {n} integers >= 1")
         divisions = tuple(int(N) for N in divisions)
-        if len(divisions) != n or any(N < 1 for N in divisions):
-            raise ValueError("divisions must be >= 1 along every axis")
         self.n = n
         self.divisions = divisions
         self.h = tuple(1.0 / N for N in divisions)

@@ -368,8 +368,8 @@ def gauss_rule(n: int, m: int) -> QuadratureRule:
 
 def monomial_exponents(n, degree):
     """All exponent tuples in n variables with total degree exactly `degree`."""
-    if n == 1:
-        return [(degree,)]
+    if n == 0:
+        return [()] if degree == 0 else []
     out = []
     for first in range(degree + 1):
         for rest in monomial_exponents(n - 1, degree - first):

@@ -1,19 +1,25 @@
 """Reference elements on [-1, 1]^n for two cubical element families.
 
-The tensor-product family (Lagrange, RTCE/RTCF, NCE/NCF, DQ) is built from
-explicit 1D tensor constructions.  The trimmed serendipity family is built
-by spanning the space with exact generators (polynomial forms, Koszul
-images of linear-degree monomial form spaces, and exterior derivatives
-thereof) and splitting it into entity-associated basis functions: a basis
-function belongs to the unique lowest-dimensional sub-entity on which its
-trace does not vanish.  Edge functions of 1-forms and face functions of
-2-forms use the explicit Legendre-coefficient formulas; the remaining sets
-are extracted from the span with exact rational arithmetic, so unisolvence
-and trace association hold to machine precision by construction.
+Both families have explicit entity bases built by one product rule
+(:func:`_entity_forms`): a form f dx_sigma whose coefficient f is a
+product of 1D factors, the Legendre polynomial P_i(x_a) on the axes of
+sigma, the bubble (1 - x_a^2) P_i(x_a) on the other tangential axes of
+the entity, and a hat (1 + s x_a) for each axis fixed at side s.  The
+tensor-product family (Lagrange, RTCE/RTCF, NCE/NCF, DQ) takes every
+entity basis from that rule with box index sets.  The trimmed serendipity
+family takes its 0-forms, top forms and the k-forms on k-dimensional
+entities from it with graded index sets; its remaining sets are split
+from the span of exact generators (polynomial forms, Koszul images of
+linear-degree monomial form spaces, and exterior derivatives thereof): a
+basis function belongs to the unique lowest-dimensional sub-entity on
+which its trace does not vanish, and the split runs in exact rational
+arithmetic, so unisolvence and trace association hold to machine
+precision by construction.
 """
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from .poly import (
     gauss_rule,
     koszul,
     legendre_poly,
+    monomial_exponents,
     monomial_table,
     monomials_up_to,
 )
@@ -84,8 +91,11 @@ class Entity:
 class CellTopology:
     """Entity enumeration of the n-cube, ordered dimension-major.
 
-    Edges are grouped by tangent axis, faces by normal axis, with the
-    fixed coordinates enumerated -1 before +1 (first fixed axis slowest).
+    The entities of dimension d come in the order of their tangential axes
+    in `form_components(n, d)`, so edges are grouped by tangent axis and
+    3D faces by normal axis (the 2-form order dy^dz, dx^dz, dx^dy); the
+    fixed coordinates are enumerated -1 before +1 (first fixed axis
+    slowest).
     """
 
     def __init__(self, n):
@@ -94,17 +104,10 @@ class CellTopology:
         self.n = n
         ents = {d: [] for d in range(n + 1)}
         for d in range(n + 1):
-            for axes in combinations(range(n), d):
+            for axes in form_components(n, d):
                 rest = [a for a in range(n) if a not in axes]
-                if d == n - 1 and n == 3:
-                    continue  # faces are ordered by normal axis below
                 for vals in product((-1, 1), repeat=len(rest)):
                     ents[d].append(Entity(axes, tuple(zip(rest, vals))))
-        if n == 3:
-            for normal in range(3):
-                axes = tuple(a for a in range(3) if a != normal)
-                for side in (-1, 1):
-                    ents[2].append(Entity(axes, ((normal, side),)))
         self.entities = ents
 
     def all_entities(self):
@@ -289,10 +292,6 @@ def _h_space(n, k, degree, min_ldeg):
     """Monomial k-forms of exact polynomial degree with linear degree >= l."""
     sigmas = form_components(n, k)
     out = []
-    if degree < 0:
-        return out
-    from .poly import monomial_exponents
-
     for exp in monomial_exponents(n, degree):
         for ci, sigma in enumerate(sigmas):
             if _linear_degree(exp, sigma) >= min_ldeg:
@@ -371,14 +370,10 @@ def superlinear_monomials(n, r):
 
 
 # ---------------------------------------------------------------------------
-# explicit 1D building blocks
+# explicit entity bases: one product rule for both families
 # ---------------------------------------------------------------------------
 
-def _lam(n, axis, sign):
-    """Linear hat (1 + sign*x_axis) / 2."""
-    return PolyN(n, {(0,) * n: Q(1, 2)}) + PolyN.variable(n, axis) * Q(sign, 2)
-
-
+@lru_cache(maxsize=None)
 def _bubble(n, axis, j):
     """(1 - x_axis^2) P_j(x_axis)."""
     one = PolyN.constant(n, 1)
@@ -386,158 +381,43 @@ def _bubble(n, axis, j):
     return (one - x * x) * legendre_poly(n, axis, j)
 
 
-def _graded_pairs(total):
-    """(i, j) with i + j <= total, graded lexicographic."""
-    return [(i, d - i) for d in range(total + 1) for i in range(d + 1)]
+def _entity_forms(n, k, entity: Entity, sigma, axes, indices, hat):
+    """Explicit k-forms f dx_sigma on one entity, one per index tuple.
 
-
-def _graded_triples(total):
-    return [
-        (i, j, d - i - j)
-        for d in range(total + 1)
-        for i in range(d + 1)
-        for j in range(d - i + 1)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# explicit entity recipes
-# ---------------------------------------------------------------------------
-
-def _scalar_serendipity_entity(n, r, entity: Entity):
-    """Entity basis of the scalar serendipity element (superlinear space)."""
-    d = entity.dim
+    For an index tuple i (one index per axis in `axes`, in that order), f
+    is the product of P_i(x_a) over the axes a in sigma and of the bubble
+    (1 - x_a^2) P_i(x_a) over the other axes, times hat * (1 + s x_a) for
+    each axis a that the entity fixes at side s.
+    """
+    hats = [(PolyN.constant(n, 1) + PolyN.variable(n, a) * s) * hat
+            for a, s in entity.fixed]
     out = []
-    if d == 0:
+    for idx in indices:
         f = PolyN.constant(n, 1)
-        for a, v in entity.fixed:
-            f = f * _lam(n, a, v)
-        out.append(f)
-    elif d == 1:
-        (t,) = entity.axes
-        for i in range(r - 1):
-            f = _bubble(n, t, i)
-            for a, v in entity.fixed:
-                f = f * _lam(n, a, v)
-            out.append(f)
-    elif d == 2:
-        u, v = entity.axes
-        for i, j in _graded_pairs(r - 4):
-            f = _bubble(n, u, i) * _bubble(n, v, j)
-            for a, val in entity.fixed:
-                f = f * _lam(n, a, val)
-            out.append(f)
-    else:
-        for i, j, m in _graded_triples(r - 6):
-            out.append(_bubble(n, 0, i) * _bubble(n, 1, j) * _bubble(n, 2, m))
-    return [PolyForm(n, 0, [f]) for f in out]
-
-
-def _top_form_entity(n, r):
-    """Interior basis of the L2 element: total-degree Legendre products."""
-    out = []
-    if n == 2:
-        for i, j in _graded_pairs(r - 1):
-            out.append(legendre_poly(n, 0, i) * legendre_poly(n, 1, j))
-    else:
-        for i, j, m in _graded_triples(r - 1):
-            out.append(legendre_poly(n, 0, i) * legendre_poly(n, 1, j) * legendre_poly(n, 2, m))
-    return [PolyForm(n, n, [f]) for f in out]
-
-
-def _edge_one_form_recipe(n, r, entity: Entity):
-    """Edge functions of 1-form elements: P_i(t) * prod(1 + s_u x_u) dt."""
-    (t,) = entity.axes
-    out = []
-    for i in range(r):
-        f = legendre_poly(n, t, i)
-        for a, v in entity.fixed:
-            one = PolyN.constant(n, 1)
-            f = f * (one + PolyN.variable(n, a) * v)
-        out.append(PolyForm.from_monomial(n, 1, (t,), f))
+        for a, i in zip(axes, idx):
+            f = f * (legendre_poly(n, a, i) if a in sigma else _bubble(n, a, i))
+        for h in hats:
+            f = f * h
+        out.append(PolyForm.from_monomial(n, k, sigma, f))
     return out
 
-
-def _face_two_form_recipe(n, r, entity: Entity):
-    """Face functions of 2-form elements: P_j(u) P_m(v) (1 + s w) du^dv."""
-    u, v = entity.axes
-    ((w, s),) = entity.fixed
-    one = PolyN.constant(n, 1)
-    out = []
-    for j, m in _graded_pairs(r - 1):
-        f = legendre_poly(n, u, j) * legendre_poly(n, v, m) * (one + PolyN.variable(n, w) * s)
-        out.append(PolyForm.from_monomial(n, 2, (u, v), f))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# tensor-product family recipes
-# ---------------------------------------------------------------------------
 
 def _tensor_entity(n, k, r, entity: Entity):
-    d = entity.dim
+    """Entity basis of Q^-_r Lambda^k: box products for each tangent dx_sigma.
+
+    Indices run below r on the axes of sigma and below r - 1 on the other
+    tangential axes, in axis order, except that a 3D cell lists the axes
+    of sigma first.
+    """
     out = []
-
-    def hats(f):
-        for a, v in entity.fixed:
-            f = f * _lam(n, a, v)
-        return f
-
-    if k == 0:
-        if d == 0:
-            out.append(PolyForm(n, 0, [hats(PolyN.constant(n, 1))]))
-        else:
-            ranges = [range(r - 1)] * d
-            for idx in product(*ranges):
-                f = PolyN.constant(n, 1)
-                for a, i in zip(entity.axes, idx):
-                    f = f * _bubble(n, a, i)
-                out.append(PolyForm(n, 0, [hats(f)]))
-    elif k == n:
-        for idx in product(*([range(r)] * n)):
-            f = PolyN.constant(n, 1)
-            for a, i in enumerate(idx):
-                f = f * legendre_poly(n, a, i)
-            out.append(PolyForm(n, n, [f]))
-    elif k == 1:
-        if d == 1:
-            (t,) = entity.axes
-            for i in range(r):
-                out.append(PolyForm.from_monomial(n, 1, (t,), hats(legendre_poly(n, t, i))))
-        elif d == 2:
-            u, v = entity.axes
-            for i in range(r):
-                for j in range(r - 1):
-                    out.append(PolyForm.from_monomial(
-                        n, 1, (u,), hats(legendre_poly(n, u, i) * _bubble(n, v, j))))
-            for i in range(r - 1):
-                for j in range(r):
-                    out.append(PolyForm.from_monomial(
-                        n, 1, (v,), hats(_bubble(n, u, i) * legendre_poly(n, v, j))))
-        else:
-            for t in range(n):
-                rest = [a for a in range(n) if a != t]
-                for i in range(r):
-                    for jm in product(*([range(r - 1)] * len(rest))):
-                        f = legendre_poly(n, t, i)
-                        for a, j in zip(rest, jm):
-                            f = f * _bubble(n, a, j)
-                        out.append(PolyForm.from_monomial(n, 1, (t,), f))
-    elif k == 2 and n == 3:
-        if d == 2:
-            u, v = entity.axes
-            for i in range(r):
-                for j in range(r):
-                    out.append(PolyForm.from_monomial(
-                        n, 2, (u, v), hats(legendre_poly(n, u, i) * legendre_poly(n, v, j))))
-        else:
-            for w in range(3):
-                u, v = (a for a in range(3) if a != w)
-                for i in range(r):
-                    for j in range(r):
-                        for m in range(r - 1):
-                            f = legendre_poly(n, u, i) * legendre_poly(n, v, j) * _bubble(n, w, m)
-                            out.append(PolyForm.from_monomial(n, 2, (u, v), f))
+    for sigma in form_components(n, k):
+        if not set(sigma) <= set(entity.axes):
+            continue
+        axes = entity.axes
+        if entity.dim == 3:
+            axes = sigma + tuple(a for a in axes if a not in sigma)
+        ranges = [range(r if a in sigma else r - 1) for a in axes]
+        out += _entity_forms(n, k, entity, sigma, axes, product(*ranges), Q(1, 2))
     return out
 
 
@@ -558,7 +438,6 @@ def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
     m = len(basis_vecs)
 
     others = [e for dd in range(k, d + 1) for e in topo.entities[dd] if e != entity]
-    constraint_rows = []
     key_index = {}
     cols = [dict() for _ in range(m)]
     for e in others:
@@ -660,37 +539,33 @@ def _check_entity_traces(forms, n, k, entity, topo):
 
 
 def _trimmed_entity_sets(n, k, r):
-    """Entity -> basis functions for the trimmed serendipity element."""
+    """Entity -> basis functions for the trimmed serendipity element.
+
+    0-forms, top forms and the k-forms on k-dimensional entities are
+    explicit products with graded index sets; the other sets are split
+    from the exact span.
+    """
     topo = cell_topology(n)
-    sets = {}
-    if k == 0:
-        for e in topo.all_entities():
-            sets[e] = _scalar_serendipity_entity(n, r, e)
-        return sets
+    if k == 0:  # each bubble factor spends degree 2 of the superlinear r
+        return {e: _entity_forms(n, 0, e, (), e.axes,
+                                 monomials_up_to(e.dim, r - 2 * e.dim), Q(1, 2))
+                for e in topo.all_entities()}
     if k == n:
         cell = topo.entities[n][0]
-        sets[cell] = _top_form_entity(n, r)
-        return sets
+        return {cell: _entity_forms(n, n, cell, cell.axes, cell.axes,
+                                    monomials_up_to(n, r - 1), 1)}
 
     space = trimmed_space(n, k, r)
+    sets = {}
     for d in range(k, n + 1):
         ents = topo.entities[d]
-        if not ents:
-            continue
-        if k == 1 and d == 1:
+        if d == k:
             for e in ents:
-                forms = _edge_one_form_recipe(n, r, e)
+                forms = _entity_forms(n, k, e, e.axes, e.axes,
+                                      monomials_up_to(d, r - 1), 1)
                 for f in forms:
                     if not space.contains(form_to_vec(f)):
-                        raise RuntimeError(f"edge recipe not in span for {e}")
-                _check_entity_traces(forms, n, k, e, topo)
-                sets[e] = forms
-        elif k == 2 and d == 2 and n == 3:
-            for e in ents:
-                forms = _face_two_form_recipe(n, r, e)
-                for f in forms:
-                    if not space.contains(form_to_vec(f)):
-                        raise RuntimeError(f"face recipe not in span for {e}")
+                        raise RuntimeError(f"explicit basis for {e} not in the span")
                 _check_entity_traces(forms, n, k, e, topo)
                 sets[e] = forms
         else:
@@ -793,15 +668,7 @@ def _fitting_mappings(n, k):
 def _build_entity_sets(family, n, k, r):
     if family == TRIMMED_SERENDIPITY:
         return _trimmed_entity_sets(n, k, r)
-    topo = cell_topology(n)
-    sets = {}
-    for e in topo.all_entities():
-        if e.dim < k:
-            continue
-        forms = _tensor_entity(n, k, r, e)
-        if forms:
-            sets[e] = forms
-    return sets
+    return {e: _tensor_entity(n, k, r, e) for e in cell_topology(n).all_entities()}
 
 
 @lru_cache(maxsize=None)
@@ -849,8 +716,9 @@ def build_element(family, n, k, r, mapping=None) -> Element:
         raise ValueError(f"unsupported dimension n={n}; only 2 and 3")
     if not (0 <= k <= n):
         raise ValueError(f"form degree k={k} out of range for n={n}")
-    if not isinstance(r, int) or r < 1:
+    if not isinstance(r, Integral) or r < 1:
         raise ValueError(f"order r={r} must be an integer >= 1")
+    r = int(r)
     fitting = _fitting_mappings(n, k)
     if mapping is None:
         mapping = fitting[0]

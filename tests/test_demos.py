@@ -1,0 +1,24 @@
+"""Smoke test: every demo script runs to completion and prints something."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

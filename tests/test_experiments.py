@@ -107,6 +107,19 @@ def test_thinnest_residual_margin_still_solves():
     assert len(rows) == 1
 
 
+def _without_times(rows):
+    return [(row.h, row.dofs, row.error, row.rate) for row in rows]
+
+
+def test_studies_accept_numpy_integers():
+    plain = run_primal_poisson(2, "S", 2, [4, 8])
+    numpy_ints = run_primal_poisson(2, "S", np.int64(2), list(np.array([4, 8])))
+    assert _without_times(numpy_ints) == _without_times(plain)
+    assert all(type(row.h) is float and type(row.dofs) is int for row in numpy_ints)
+    levels = run_maxwell_eig("S", np.int64(1), list(np.array([2])), nev=4).levels
+    assert type(levels[0].N) is int
+
+
 @pytest.mark.parametrize("study, expected", [
     (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),

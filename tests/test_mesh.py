@@ -46,6 +46,15 @@ def test_mesh_rejects_bad_divisions():
         build_box_mesh(4, 2)
 
 
+def test_mesh_accepts_numpy_integer_divisions():
+    for divisions in (np.int64(4), np.array([4, 4])):
+        mesh = build_box_mesh(2, divisions)
+        assert mesh.divisions == (4, 4)
+        assert all(type(N) is int for N in mesh.divisions)
+    with pytest.raises(ValueError, match="integers >= 1"):
+        build_box_mesh(2, (4.5, 4))
+
+
 @pytest.mark.parametrize("N,total", [(4, 1080), (8, 7344), (16, 53856), (32, 411840)])
 def test_global_counts_trimmed_curl(N, total):
     mesh = build_box_mesh(3, N)

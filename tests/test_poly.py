@@ -102,6 +102,15 @@ def test_d_of_d_is_zero_exactly():
             cases += 1
 
 
+def test_monomials_in_zero_variables():
+    for t in range(4):
+        assert monomials_up_to(0, t) == [()]
+    for t in (-1, -3):
+        assert monomials_up_to(0, t) == []
+    assert monomials_up_to(1, 3) == [(0,), (1,), (2,), (3,)]
+    assert monomials_up_to(1, -1) == []
+
+
 def test_koszul_d_euler_identity():
     # (d kappa + kappa d) w = (deg + k) w for homogeneous monomial forms
     rng = np.random.default_rng(3)

@@ -51,6 +51,25 @@ def test_cell_topology_counts():
     assert cell_topology(2).counts() == {0: 4, 1: 4, 2: 1}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_topology_follows_form_components(n):
+    # the dimension-d entities list their tangential axes in the order of
+    # the d-form components; 3D faces are therefore grouped by normal axis
+    topo = cell_topology(n)
+    for d in range(n + 1):
+        axes = [e.axes for e in topo.entities[d]]
+        per_type = 2 ** (n - d)
+        assert axes[::per_type] == list(form_components(n, d))
+    assert [e.fixed for e in cell_topology(3).entities[2]] == [
+        ((a, s),) for a in range(3) for s in (-1, 1)]
+
+
+def test_build_element_accepts_numpy_integer_order():
+    e = build_element(TRIMMED_SERENDIPITY, 2, 1, np.int64(2))
+    assert e is build_element(TRIMMED_SERENDIPITY, 2, 1, 2)
+    assert type(e.r) is int
+
+
 def test_build_element_examples():
     e = build_element(TRIMMED_SERENDIPITY, 3, 1, 2)
     assert e.dim == 36

@@ -153,6 +153,25 @@ def test_solve_saddle_requires_rhs_before_factoring():
         solve_saddle(SparseSystem(A))
 
 
+def test_solve_saddle_returns_zeros_for_a_zero_rhs_without_factoring():
+    # a singular matrix: factoring it would raise a RuntimeError
+    A = sp.csr_matrix(np.ones((2, 2)))
+    x = solve_saddle(SparseSystem(A, np.zeros(2)))
+    assert np.array_equal(x, np.zeros(2))
+
+
+def test_solve_saddle_gate_reports_refinement_steps():
+    mesh = build_box_mesh(2, 2)
+    hdiv = global_numbering(mesh, element_by_name("SminusDiv", 2, 2))
+    l2 = global_numbering(mesh, element_by_name("DPC", 2, 1))
+    system = assemble_mixed_poisson(mesh, hdiv, l2, lambda x: np.sin(np.pi * x[..., 0]))
+    x = solve_saddle(system)
+    A, b = system.matrix, system.rhs
+    assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
+    with pytest.raises(RuntimeError, match=r"after \d+ refinement steps \(matrix size"):
+        solve_saddle(system, tol=0.0)
+
+
 def test_diagonal_eigenproblem():
     A = sp.diags([1.0, 2.0, 3.0]).tocsr()
     M = sp.identity(3, format="csr")
