@@ -7,14 +7,7 @@ assembly of mass/stiffness/mixed operators, direct and eigenvalue solvers,
 and an experiment harness with a command-line interface.
 """
 
-from .poly import (
-    PolyForm,
-    PolyN,
-    QuadratureRule,
-    exterior_derivative,
-    gauss_rule,
-    legendre_poly,
-)
+from .poly import PolyForm, QuadratureRule, exterior_derivative, gauss_rule
 from .refelem import (
     CellTopology,
     Element,

@@ -220,14 +220,19 @@ def exact_cavity_eigenvalues(limit=20):
 
 @dataclass
 class MaxwellLevel:
-    """Eigenvalue groups found on one mesh level."""
+    """Eigenvalue groups found on one mesh level.
+
+    `time_per_iteration` is the solve time per Krylov operator application
+    on the shift-invert path, the factorization included, and None on the
+    dense path, which has no iterations.
+    """
 
     N: int
     dofs: int
     groups: dict          # exact eigenvalue -> [(value, count), ...] clusters
     assembly_time: float
     solve_time: float
-    time_per_iteration: float
+    time_per_iteration: float | None
     residual: float
 
 
@@ -300,11 +305,11 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
             members = np.sort(lam[np.abs(lam - e) < 0.5])
             if len(members):
                 groups[e] = _subclusters(members)
-        iters = result.op_count if result.op_count else 1
+        per_iteration = None if result.op_count is None else t_solve / result.op_count
         levels.append(MaxwellLevel(
             N=N, dofs=dofmap.total, groups=groups,
             assembly_time=t_asm, solve_time=t_solve,
-            time_per_iteration=t_solve / iters,
+            time_per_iteration=per_iteration,
             residual=float(result.residuals.max()),
         ))
 
@@ -410,7 +415,8 @@ def format_maxwell(report: MaxwellReport):
             lines.append(f"{label:>16}" + "".join(cells))
     lines.append(f"{'DOF':>16}" + "".join(f"{lv.dofs:>22d}" for lv in report.levels))
     lines.append(f"{'time/iter':>16}" + "".join(
-        f"{lv.time_per_iteration:>22.6f}" for lv in report.levels
+        f"{'dense' if lv.time_per_iteration is None else f'{lv.time_per_iteration:.6f}':>22}"
+        for lv in report.levels
     ))
     lines.append(f"{'solve time':>16}" + "".join(
         f"{lv.solve_time:>22.4f}" for lv in report.levels

@@ -1,7 +1,8 @@
 """Exact polynomial algebra and Gauss-Legendre quadrature on [-1, 1]^n.
 
-Polynomials (:class:`PolyN`) and differential forms carry exact rational
-coefficients.  Floating point enters only at tabulation and quadrature:
+Differential forms (:class:`PolyForm`, one sparse dict of exact rational
+coefficients per form; a scalar polynomial is a 0-form) are the one exact
+polynomial type.  Floating point enters only at tabulation and quadrature:
 :func:`monomial_table` rounds the coefficients of a list of forms once,
 and :func:`evaluate` tabulates them at points as one product of a
 monomial power table with that coefficient table.  The reference cell is
@@ -33,6 +34,7 @@ FORM_COMPONENTS = {
     (3, 3): ((0, 1, 2),),
     (1, 0): ((),),
     (1, 1): ((0,),),
+    (0, 0): ((),),
 }
 
 
@@ -45,208 +47,85 @@ def form_components(n, k):
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials with exact coefficients
+# differential forms with exact coefficients
 # ---------------------------------------------------------------------------
 
-class PolyN:
-    """Polynomial in n variables, monomial basis, exact rational coefficients.
-
-    Stored as a mapping from exponent tuples to nonzero rationals.
-    Immutable; all arithmetic returns new instances.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        clean = {}
-        for exp, c in (coeffs or {}).items():
-            c = Q(c)
-            if c != 0:
-                clean[tuple(exp)] = c
-        self.coeffs = clean
-
-    @staticmethod
-    def zero(n):
-        return PolyN(n)
-
-    @staticmethod
-    def constant(n, c):
-        return PolyN(n, {(0,) * n: c})
-
-    @staticmethod
-    def monomial(n, exponents, c=1):
-        return PolyN(n, {tuple(exponents): c})
-
-    @staticmethod
-    def variable(n, axis):
-        exp = [0] * n
-        exp[axis] = 1
-        return PolyN(n, {tuple(exp): 1})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, PolyN):
-            out = dict(self.coeffs)
-            for exp, c in other.coeffs.items():
-                s = out.get(exp, QZERO) + c
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-            return PolyN(self.n, out)
-        return self + PolyN.constant(self.n, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyN(self.n, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, PolyN):
-            return self + (-other)
-        return self + PolyN.constant(self.n, -Q(other))
-
-    def __mul__(self, other):
-        if isinstance(other, PolyN):
-            out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    exp = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(exp, QZERO) + c1 * c2
-                    if s == 0:
-                        out.pop(exp, None)
-                    else:
-                        out[exp] = s
-            return PolyN(self.n, out)
-        c = Q(other)
-        return PolyN(self.n, {e: v * c for e, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def diff(self, axis):
-        out = {}
-        for exp, c in self.coeffs.items():
-            p = exp[axis]
-            if p == 0:
-                continue
-            new = list(exp)
-            new[axis] = p - 1
-            out[tuple(new)] = c * p
-        return PolyN(self.n, out)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyN) and self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        names = "xyzw"
-        terms = []
-        for exp in sorted(self.coeffs, key=lambda e: (sum(e), e)):
-            c = self.coeffs[exp]
-            mono = "".join(
-                f"{names[i]}" + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(exp) if p
-            )
-            terms.append(f"{c}{'*' if mono else ''}{mono}")
-        return " + ".join(terms)
-
-
 @lru_cache(maxsize=None)
-def legendre_poly(n, axis, j):
-    """Degree-j Legendre polynomial in variable `axis`, as an exact PolyN.
+def legendre(j):
+    """Legendre polynomial P_j as exact (power, coefficient) pairs.
 
     Built from the three-term recurrence
-    j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}.
+    j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}; the powers run down from j
+    in steps of two, since every other coefficient is zero.
     """
     if j < 0:
         raise ValueError("Legendre degree must be nonnegative")
-    if j == 0:
-        return PolyN.constant(n, 1)
-    x = PolyN.variable(n, axis)
-    if j == 1:
-        return x
-    return (x * legendre_poly(n, axis, j - 1) * Q(2 * j - 1, j)
-            - legendre_poly(n, axis, j - 2) * Q(j - 1, j))
+    if j < 2:
+        return ((j, Q(1)),)
+    out = {p + 1: c * Q(2 * j - 1, j) for p, c in legendre(j - 1)}
+    for p, c in legendre(j - 2):
+        out[p] = out.get(p, QZERO) - c * Q(j - 1, j)
+    return tuple(out.items())
 
 
-# ---------------------------------------------------------------------------
-# differential forms
-# ---------------------------------------------------------------------------
+def _accumulate(out, key, c):
+    s = out.get(key, QZERO) + c
+    if s == 0:
+        out.pop(key, None)
+    else:
+        out[key] = s
+
 
 class PolyForm:
     """Differential k-form with polynomial coefficients on [-1, 1]^n.
 
-    `components[i]` is the coefficient of dx_sigma for the i-th index
-    tuple in the fixed component ordering (:data:`FORM_COMPONENTS`).
+    `coeffs` maps `(component, exponent)` to a nonzero rational: the
+    coefficient of the monomial x^exponent in dx_sigma, sigma the
+    component-th index tuple of :data:`FORM_COMPONENTS`.  The entries are
+    kept grouped by component, in component order, so that tables number
+    the monomials of a form component by component.  A scalar polynomial
+    is a 0-form.  The same dict is the sparse vector that the exact
+    eliminator, the traces and the exact L2 product work on.
     """
 
-    __slots__ = ("n", "k", "components")
+    __slots__ = ("n", "k", "coeffs")
 
-    def __init__(self, n, k, components=None):
+    def __init__(self, n, k, coeffs=None):
+        form_components(n, k)  # rejects an unknown (n, k)
         self.n = n
         self.k = k
-        sigmas = form_components(n, k)
-        if components is None:
-            components = [PolyN.zero(n) for _ in sigmas]
-        components = list(components)
-        if len(components) != len(sigmas):
-            raise ValueError(
-                f"{k}-form in {n}D needs {len(sigmas)} components, got {len(components)}"
-            )
-        self.components = tuple(components)
-
-    @staticmethod
-    def from_monomial(n, k, sigma, poly):
-        """Form poly * dx_sigma with sigma an increasing index tuple."""
-        sigmas = form_components(n, k)
-        comps = [PolyN.zero(n) for _ in sigmas]
-        comps[sigmas.index(tuple(sigma))] = poly
-        return PolyForm(n, k, comps)
+        items = sorted((coeffs or {}).items(), key=lambda item: item[0][0])
+        self.coeffs = {key: Q(c) for key, c in items if c}
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.components)
+        return not self.coeffs
 
     def __add__(self, other):
-        return PolyForm(self.n, self.k,
-                        [a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        return PolyForm(self.n, self.k,
-                        [a - b for a, b in zip(self.components, other.components)])
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            _accumulate(out, key, c)
+        return PolyForm(self.n, self.k, out)
 
     def __mul__(self, scalar):
-        return PolyForm(self.n, self.k, [c * scalar for c in self.components])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
+        return PolyForm(self.n, self.k, {key: c * scalar for key, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return (isinstance(other, PolyForm) and self.n == other.n
-                and self.k == other.k and self.components == other.components)
+                and self.k == other.k and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        names = "xyz"[: self.n]
+        names = "xyz"
+        terms = [[] for _ in form_components(self.n, self.k)]
+        for (ci, exp), c in sorted(self.coeffs.items(),
+                                   key=lambda item: (sum(item[0][1]), item[0][1])):
+            mono = "".join(names[i] + (f"^{p}" if p > 1 else "")
+                           for i, p in enumerate(exp) if p)
+            terms[ci].append(f"{c}{'*' if mono else ''}{mono}")
         parts = []
-        for comp, sigma in zip(self.components, form_components(self.n, self.k)):
-            if comp.is_zero():
-                continue
-            d = "^".join(f"d{names[i]}" for i in sigma) or ""
-            parts.append(f"({comp}){d}" if d else f"({comp})")
+        for comp, sigma in zip(terms, form_components(self.n, self.k)):
+            if comp:
+                d = "^".join(f"d{names[i]}" for i in sigma)
+                parts.append(f"({' + '.join(comp)}){d}")
         return " + ".join(parts) or "0"
 
 
@@ -254,22 +133,19 @@ def exterior_derivative(f: PolyForm) -> PolyForm:
     """Exterior derivative df of a polynomial k-form, computed exactly."""
     if f.k >= f.n:
         raise ValueError("top-degree form has no exterior derivative")
+    sigmas = form_components(f.n, f.k)
     out_sigmas = form_components(f.n, f.k + 1)
-    out = [PolyN.zero(f.n) for _ in out_sigmas]
-    for comp, sigma in zip(f.components, form_components(f.n, f.k)):
-        if comp.is_zero():
-            continue
-        for axis in range(f.n):
-            if axis in sigma:
-                continue
-            dcomp = comp.diff(axis)
-            if dcomp.is_zero():
+    out = {}
+    for (ci, exp), c in f.coeffs.items():
+        sigma = sigmas[ci]
+        for axis, p in enumerate(exp):
+            if not p or axis in sigma:
                 continue
             merged = tuple(sorted(sigma + (axis,)))
             # sign of dx_axis ^ dx_sigma -> dx_merged
             sign = (-1) ** merged.index(axis)
-            idx = out_sigmas.index(merged)
-            out[idx] = out[idx] + dcomp * sign
+            key = (out_sigmas.index(merged), exp[:axis] + (p - 1,) + exp[axis + 1:])
+            _accumulate(out, key, c * p * sign)
     return PolyForm(f.n, f.k + 1, out)
 
 
@@ -277,16 +153,15 @@ def koszul(f: PolyForm) -> PolyForm:
     """Koszul operator: contraction of a k-form with the position field."""
     if f.k == 0:
         raise ValueError("0-forms have no Koszul contraction")
+    sigmas = form_components(f.n, f.k)
     out_sigmas = form_components(f.n, f.k - 1)
-    out = [PolyN.zero(f.n) for _ in out_sigmas]
-    for comp, sigma in zip(f.components, form_components(f.n, f.k)):
-        if comp.is_zero():
-            continue
+    out = {}
+    for (ci, exp), c in f.coeffs.items():
+        sigma = sigmas[ci]
         for pos, axis in enumerate(sigma):
-            rest = tuple(a for a in sigma if a != axis)
-            idx = out_sigmas.index(rest)
-            term = comp * PolyN.variable(f.n, axis)
-            out[idx] = out[idx] + term * ((-1) ** pos)
+            key = (out_sigmas.index(sigma[:pos] + sigma[pos + 1:]),
+                   exp[:axis] + (exp[axis] + 1,) + exp[axis + 1:])
+            _accumulate(out, key, -c if pos % 2 else c)
     return PolyForm(f.n, f.k - 1, out)
 
 
@@ -301,12 +176,11 @@ def monomial_table(forms):
     the i-th monomial, shape (m, n), and `coeffs[i, f, c]` its coefficient
     in component c of form f, shape (m, forms, components).
     """
-    n, ncomp = forms[0].n, len(forms[0].components)
+    n, ncomp = forms[0].n, len(form_components(forms[0].n, forms[0].k))
     index, entries = {}, []
     for f, form in enumerate(forms):
-        for c, comp in enumerate(form.components):
-            for exp, coeff in comp.coeffs.items():
-                entries.append((index.setdefault(exp, len(index)), f, c, float(coeff)))
+        for (c, exp), coeff in form.coeffs.items():
+            entries.append((index.setdefault(exp, len(index)), f, c, float(coeff)))
     exponents = np.array(list(index), dtype=int).reshape(len(index), n)
     coeffs = np.zeros((len(index), len(forms), ncomp))
     for i, f, c, value in entries:

@@ -35,13 +35,12 @@ from .poly import (
     Q,
     QZERO,
     PolyForm,
-    PolyN,
     evaluate,
     exterior_derivative,
     form_components,
     gauss_rule,
     koszul,
-    legendre_poly,
+    legendre,
     monomial_exponents,
     monomial_table,
     monomials_up_to,
@@ -124,28 +123,14 @@ def cell_topology(n):
 
 
 # ---------------------------------------------------------------------------
-# monomial-form vectors and traces
+# form vectors and traces
 # ---------------------------------------------------------------------------
-# A k-form is stored sparsely as {(component_index, exponent_tuple): rational}.
+# A k-form vector is the sparse dict `PolyForm.coeffs`,
+# {(component_index, exponent_tuple): rational}.
 
 def _key_order(key):
     ci, exp = key
     return (sum(exp), ci, exp)
-
-
-def form_to_vec(f: PolyForm):
-    vec = {}
-    for ci, comp in enumerate(f.components):
-        for exp, c in comp.coeffs.items():
-            vec[(ci, exp)] = c
-    return vec
-
-
-def vec_to_form(vec, n, k):
-    comps = [dict() for _ in form_components(n, k)]
-    for (ci, exp), c in vec.items():
-        comps[ci][exp] = c
-    return PolyForm(n, k, [PolyN(n, c) for c in comps])
 
 
 def vec_l2(a, b):
@@ -182,11 +167,7 @@ def trace_vec(vec, n, k, entity: Entity):
     axes = entity.axes
     pos = {a: i for i, a in enumerate(axes)}
     sigmas = form_components(n, k)
-    if d == 0:
-        # 0-form on a vertex: a single value
-        out_sigmas = None
-    else:
-        out_sigmas = form_components(d, k)
+    out_sigmas = form_components(d, k)
     out = {}
     for (ci, exp), c in vec.items():
         sigma = sigmas[ci]
@@ -203,10 +184,7 @@ def trace_vec(vec, n, k, entity: Entity):
                 fixed_val = dict(entity.fixed)[a]
                 if fixed_val == -1 and p % 2:
                     val = -val
-        if d == 0:
-            key = (0, ())
-        else:
-            key = (out_sigmas.index(tuple(pos[a] for a in sigma)), tuple(new_exp))
+        key = (out_sigmas.index(tuple(pos[a] for a in sigma)), tuple(new_exp))
         s = out.get(key, QZERO) + val
         if s == 0:
             out.pop(key, None)
@@ -274,15 +252,6 @@ def entity_transform(src: Entity, dst: Entity):
 # generator spaces: P_r, H_{d,l}, J_r and the serendipity sums
 # ---------------------------------------------------------------------------
 
-def _monomial_form_vecs(n, k, max_degree):
-    out = []
-    ncomp = len(form_components(n, k))
-    for exp in monomials_up_to(n, max_degree):
-        for ci in range(ncomp):
-            out.append({(ci, exp): Q(1)})
-    return out
-
-
 def _linear_degree(exp, sigma):
     """Number of variables appearing linearly and not among the form axes."""
     return sum(1 for a, p in enumerate(exp) if p == 1 and a not in sigma)
@@ -295,16 +264,8 @@ def _h_space(n, k, degree, min_ldeg):
     for exp in monomial_exponents(n, degree):
         for ci, sigma in enumerate(sigmas):
             if _linear_degree(exp, sigma) >= min_ldeg:
-                out.append({(ci, exp): Q(1)})
+                out.append(PolyForm(n, k, {(ci, exp): 1}))
     return out
-
-
-def _kappa_vec(vec, n, k):
-    return form_to_vec(koszul(vec_to_form(vec, n, k)))
-
-
-def _d_vec(vec, n, k):
-    return form_to_vec(exterior_derivative(vec_to_form(vec, n, k)))
 
 
 def _j_space(n, k, r):
@@ -314,8 +275,7 @@ def _j_space(n, k, r):
     out = []
     max_l = n - (k + 1)
     for l in range(1, max_l + 1):
-        for vec in _h_space(n, k + 1, r + l - 1, l):
-            out.append(_kappa_vec(vec, n, k + 1))
+        out += [koszul(f) for f in _h_space(n, k + 1, r + l - 1, l)]
     return out
 
 
@@ -323,10 +283,10 @@ def serendipity_gens(n, k, r):
     """Generators of the (non-trimmed) cubical serendipity k-form space."""
     if r < 0:
         return []
-    gens = list(_monomial_form_vecs(n, k, r))
+    gens = [f for d in range(r + 1) for f in _h_space(n, k, d, 0)]
     gens += _j_space(n, k, r)
     if k >= 1:
-        gens += [_d_vec(v, n, k - 1) for v in _j_space(n, k - 1, r + 1)]
+        gens += [exterior_derivative(f) for f in _j_space(n, k - 1, r + 1)]
     return gens
 
 
@@ -336,10 +296,10 @@ def trimmed_serendipity_gens(n, k, r):
         raise ValueError("order must be >= 1")
     gens = serendipity_gens(n, k, r - 1)
     if k + 1 <= n:
-        gens += [_kappa_vec(v, n, k + 1) for v in _h_space(n, k + 1, r - 1, 0)]
+        gens += [koszul(f) for f in _h_space(n, k + 1, r - 1, 0)]
     gens += _j_space(n, k, r)
     if k >= 1:
-        gens += [_d_vec(v, n, k - 1) for v in _j_space(n, k - 1, r)]
+        gens += [exterior_derivative(f) for f in _j_space(n, k - 1, r)]
     return gens
 
 
@@ -348,7 +308,7 @@ def trimmed_space(n, k, r):
     """Reduced echelon basis of the trimmed serendipity space."""
     span = SpanBasis(key_order=_key_order)
     for g in trimmed_serendipity_gens(n, k, r):
-        span.add(g)
+        span.add(g.coeffs)
     return span
 
 
@@ -374,11 +334,12 @@ def superlinear_monomials(n, r):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bubble(n, axis, j):
-    """(1 - x_axis^2) P_j(x_axis)."""
-    one = PolyN.constant(n, 1)
-    x = PolyN.variable(n, axis)
-    return (one - x * x) * legendre_poly(n, axis, j)
+def _bubble(j):
+    """(1 - x^2) P_j(x) as exact (power, coefficient) pairs."""
+    out = dict(legendre(j))
+    for p, c in legendre(j):
+        out[p + 2] = out.get(p + 2, QZERO) - c
+    return tuple(out.items())
 
 
 def _entity_forms(n, k, entity: Entity, sigma, axes, indices, hat):
@@ -387,18 +348,19 @@ def _entity_forms(n, k, entity: Entity, sigma, axes, indices, hat):
     For an index tuple i (one index per axis in `axes`, in that order), f
     is the product of P_i(x_a) over the axes a in sigma and of the bubble
     (1 - x_a^2) P_i(x_a) over the other axes, times hat * (1 + s x_a) for
-    each axis a that the entity fixes at side s.
+    each axis a that the entity fixes at side s.  Every axis carries one
+    1D factor, so f is built axis by axis from their nonzero coefficients.
     """
-    hats = [(PolyN.constant(n, 1) + PolyN.variable(n, a) * s) * hat
-            for a, s in entity.fixed]
+    ci = form_components(n, k).index(sigma)
+    hats = [(a, ((0, hat), (1, s * hat))) for a, s in entity.fixed]
     out = []
     for idx in indices:
-        f = PolyN.constant(n, 1)
-        for a, i in zip(axes, idx):
-            f = f * (legendre_poly(n, a, i) if a in sigma else _bubble(n, a, i))
-        for h in hats:
-            f = f * h
-        out.append(PolyForm.from_monomial(n, k, sigma, f))
+        factors = [(a, legendre(i) if a in sigma else _bubble(i)) for a, i in zip(axes, idx)]
+        f = {(0,) * n: Q(1)}
+        for a, factor in factors + hats:
+            f = {exp[:a] + (p,) + exp[a + 1:]: c * c1
+                 for exp, c in f.items() for p, c1 in factor}
+        out.append(PolyForm(n, k, {(ci, exp): c for exp, c in f.items()}))
     return out
 
 
@@ -519,20 +481,19 @@ def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
             for b, z in zip(beta, z_vecs):
                 if b != 0:
                     v0 = vec_add(v0, z, -b)
-        out.append(vec_content_normalize(v0))
-    return [vec_to_form(v, n, k) for v in out]
+        out.append(PolyForm(n, k, vec_content_normalize(v0)))
+    return out
 
 
 def _check_entity_traces(forms, n, k, entity, topo):
     """Assert the defining trace property of entity-associated functions."""
     d = entity.dim
     for f in forms:
-        vec = form_to_vec(f)
         for dd in range(k, d + 1):
             for e in topo.entities[dd]:
                 if e == entity:
                     continue
-                if trace_vec(vec, n, k, e):
+                if trace_vec(f.coeffs, n, k, e):
                     raise RuntimeError(
                         f"basis function for {entity} has a nonzero trace on {e}"
                     )
@@ -564,7 +525,7 @@ def _trimmed_entity_sets(n, k, r):
                 forms = _entity_forms(n, k, e, e.axes, e.axes,
                                       monomials_up_to(d, r - 1), 1)
                 for f in forms:
-                    if not space.contains(form_to_vec(f)):
+                    if not space.contains(f.coeffs):
                         raise RuntimeError(f"explicit basis for {e} not in the span")
                 _check_entity_traces(forms, n, k, e, topo)
                 sets[e] = forms
@@ -573,11 +534,10 @@ def _trimmed_entity_sets(n, k, r):
             rep = ents[0]
             rep_forms = _entity_split_generic(n, k, r, rep, space, topo)
             sets[rep] = rep_forms
-            rep_vecs = [form_to_vec(f) for f in rep_forms]
             for e in ents[1:]:
                 axis_map, signs = entity_transform(rep, e)
-                moved = [transform_vec(v, n, k, axis_map, signs) for v in rep_vecs]
-                sets[e] = [vec_to_form(v, n, k) for v in moved]
+                sets[e] = [PolyForm(n, k, transform_vec(f.coeffs, n, k, axis_map, signs))
+                           for f in rep_forms]
     return sets
 
 
@@ -689,7 +649,7 @@ def _build_element_cached(family, n, k, r, mapping):
     # global independence of the assembled basis
     span = SpanBasis(key_order=_key_order)
     for f in basis:
-        if not span.add(form_to_vec(f)):
+        if not span.add(f.coeffs):
             raise RuntimeError("assembled basis is linearly dependent")
     if family == TRIMMED_SERENDIPITY and 0 < k < n:
         expected = trimmed_space(n, k, r).dim

@@ -18,7 +18,7 @@ from trimfem.assemble import (
     nonzero_count,
 )
 from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering
-from trimfem.poly import PolyForm, PolyN, exterior_derivative, monomials_up_to
+from trimfem.poly import PolyForm, exterior_derivative, monomials_up_to
 from trimfem.refelem import (
     TENSOR_PRODUCT,
     TRIMMED_SERENDIPITY,
@@ -166,11 +166,9 @@ def test_criterion_8_dof_dominance():
 
 
 def _random_form(rng, n, k, degree=3):
-    comps = []
-    for _ in range(math.comb(n, k)):
-        coeffs = {e: int(rng.integers(-4, 5)) for e in monomials_up_to(n, degree)}
-        comps.append(PolyN(n, coeffs))
-    return PolyForm(n, k, comps)
+    exps = monomials_up_to(n, degree)
+    return PolyForm(n, k, {(ci, e): int(rng.integers(-4, 5))
+                           for ci in range(math.comb(n, k)) for e in exps})
 
 
 def test_criterion_9_property_suites():
@@ -213,11 +211,9 @@ def test_criterion_9_property_suites():
             for n, k, r in ((2, 1, 2), (3, 1, 2), (3, 2, 2), (2, 0, 3), (3, 3, 2)):
                 element = build_element(family, n, k, r)
                 exps = monomials_up_to(n, r - 1)
-                comps = [
-                    PolyN(n, {e: int(rng.integers(-3, 4)) for e in exps})
-                    for _ in range(element.ncomp)
-                ]
-                assert _projection_residual(element, PolyForm(n, k, comps)) <= 1e-10
+                form = PolyForm(n, k, {(ci, e): int(rng.integers(-3, 4))
+                                       for ci in range(element.ncomp) for e in exps})
+                assert _projection_residual(element, form) <= 1e-10
 
 
 def test_criterion_10_nonzero_counts():

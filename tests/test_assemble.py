@@ -106,6 +106,22 @@ def test_scale_invariance_against_physical_quadrature():
     assert np.abs(M - M2).max() <= 1e-12 * np.abs(M).max()
 
 
+def _coboundary_matrix(mk, mk1):
+    """The global d from the DOFs of `mk` to those of `mk1`: the coboundary
+    matrix D of coboundary_fit placed on `cell_dofs`.  Asserts that the fit
+    is exact and that every cell writes the same value into a shared
+    global entry."""
+    D, res = coboundary_fit(mk.element, mk1.element)
+    assert res <= 1e-10
+    G = np.full((mk1.total, mk.total), np.nan)
+    for c in range(mk.mesh.num_cells):
+        block = np.ix_(mk1.cell_dofs[c], mk.cell_dofs[c])
+        written = ~np.isnan(G[block])
+        assert np.abs(G[block][written] - D.T[written]).max(initial=0.0) <= 1e-12
+        G[block] = D.T
+    return np.nan_to_num(G)
+
+
 def _assert_commuting_diagram(form, n, family, r):
     """The assembled `form` equals its discrete counterpart built from the
     coboundary matrix D of coboundary_fit scattered on `cell_dofs`:
@@ -119,11 +135,7 @@ def _assert_commuting_diagram(form, n, family, r):
     # the gradient lands in H(curl) also in 2D
     mapping = "covariant" if k == 0 else None
     mk1 = global_numbering(mesh, build_element(family, n, k + 1, r, mapping=mapping))
-    D, res = coboundary_fit(mk.element, mk1.element)
-    assert res <= 1e-10
-    G = np.zeros((mk1.total, mk.total))
-    for c in range(mesh.num_cells):
-        G[np.ix_(mk1.cell_dofs[c], mk.cell_dofs[c])] = D.T
+    G = _coboundary_matrix(mk, mk1)
     M = assemble_bilinear(mesh, mk1, mk1, "Mass").matrix.toarray()
     if form == "DivCoupling":
         got = assemble_bilinear(mesh, mk1, mk, form).matrix.toarray()
@@ -146,6 +158,27 @@ def test_commuting_gradient_identity(family, r):
 @pytest.mark.parametrize("form, n", [("CurlCurl", 3), ("DivCoupling", 2), ("DivCoupling", 3)])
 def test_commuting_curl_and_divergence_identities(form, n, family, r):
     _assert_commuting_diagram(form, n, family, r)
+
+
+@pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("n, N", [(2, 2), (2, 3), (3, 2)])
+def test_global_complex_has_the_cohomology_of_the_cube(n, N, family, r):
+    """The global maps G_k compose to zero, and their Betti numbers
+    dim - rank G_k - rank G_{k-1} are (1, 0, ..., 0), and (0, ..., 0, 1)
+    once the DOFs on an outer vertex plane are removed."""
+    mesh = build_box_mesh(n, N)
+    maps = [global_numbering(mesh, build_element(family, n, k, r)) for k in range(n + 1)]
+    G = [_coboundary_matrix(mk, mk1) for mk, mk1 in zip(maps, maps[1:])]
+    for g, g1 in zip(G, G[1:]):
+        assert np.abs(g1 @ g).max() <= 1e-12
+    outer = 2 * np.array(mesh.divisions)
+    inner = [~((m.lattice == 0) | (m.lattice == outer)).any(axis=1) for m in maps]
+    relative = [g[np.ix_(inner[k + 1], inner[k])] for k, g in enumerate(G)]
+    for mats, dims, want in ((G, [m.total for m in maps], [1] + [0] * n),
+                             (relative, [i.sum() for i in inner], [0] * n + [1])):
+        ranks = [0] + [np.linalg.matrix_rank(g) for g in mats] + [0]
+        assert [dims[k] - ranks[k + 1] - ranks[k] for k in range(n + 1)] == want
 
 
 def test_load_vector_matches_quadrature_of_f():

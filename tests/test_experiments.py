@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +231,19 @@ def test_maxwell_takes_the_dense_path_when_nev_covers_the_system():
     assert count == 3 and value == pytest.approx(2.4317, abs=1e-4)
 
 
+def test_maxwell_reports_no_iteration_time_on_the_dense_path():
+    # N=2 leaves 6 free DOFs and takes the dense path; N=4 leaves more
+    # than dense_cutoff and iterates
+    rep = run_maxwell_eig("S", 1, [2, 4], nev=6, dense_cutoff=100)
+    dense, sparse = rep.levels
+    assert dense.time_per_iteration is None
+    assert 0 < sparse.time_per_iteration < sparse.solve_time
+    (row,) = [line.split() for line in format_maxwell(rep).splitlines()
+              if line.split()[0] == "time/iter"]
+    assert row[1] == "dense"
+    assert float(row[2]) == pytest.approx(sparse.time_per_iteration, abs=1e-6)
+
+
 def test_report_dofs_equality_and_dominance():
     rows = report_dofs(3, 1, [1, 2], 4)
     assert rows[0]["trimmed"] == rows[0]["tensor"] == 300
@@ -347,14 +361,10 @@ def test_matched_cost_mixed_comparison():
 
 
 def test_readme_quickstart_names_are_importable():
-    from trimfem import (  # noqa: F401
-        apply_dirichlet,
-        assemble_bilinear,
-        assemble_load,
-        boundary_dofs,
-        build_box_mesh,
-        build_element,
-        global_numbering,
-        l2_error,
-        solve_spd,
-    )
+    # runs the python block under "Library quick start" as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["err"] < 1e-4

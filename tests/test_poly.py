@@ -8,12 +8,12 @@ import pytest
 
 from trimfem.poly import (
     PolyForm,
-    PolyN,
     evaluate,
     exterior_derivative,
+    form_components,
     gauss_rule,
     koszul,
-    legendre_poly,
+    legendre,
     monomial_table,
     monomials_up_to,
 )
@@ -21,7 +21,7 @@ from trimfem.poly import (
 
 def _legendre(j, xs):
     """Float values of P_j at the points xs, through the tabulation path."""
-    table = monomial_table([PolyForm(1, 0, [legendre_poly(1, 0, j)])])
+    table = monomial_table([PolyForm(1, 0, {(0, (p,)): c for p, c in legendre(j)})])
     return evaluate(table, np.asarray(xs, dtype=float)[:, None])[:, 0, 0]
 
 
@@ -32,16 +32,16 @@ def test_legendre_values():
 
 
 def test_legendre_exact_polynomials():
-    p3 = legendre_poly(1, 0, 3)  # (5x^3 - 3x)/2
-    assert p3 == PolyN(1, {(1,): Fraction(-3, 2), (3,): Fraction(5, 2)})
+    p3 = legendre(3)  # (5x^3 - 3x)/2
+    assert dict(p3) == {1: Fraction(-3, 2), 3: Fraction(5, 2)}
     for j in range(8):
         # the value at x = 1 is the coefficient sum
-        assert sum(legendre_poly(1, 0, j).coeffs.values()) == 1
+        assert sum(c for _, c in legendre(j)) == 1
 
 
 def test_legendre_rejects_negative_degree():
     with pytest.raises(ValueError):
-        legendre_poly(1, 0, -1)
+        legendre(-1)
 
 
 def test_legendre_bounded_on_interval():
@@ -52,42 +52,45 @@ def test_legendre_bounded_on_interval():
 
 
 def test_exterior_derivative_of_0form_product_rule():
-    xy = PolyN(2, {(1, 1): 1})
-    d = exterior_derivative(PolyForm(2, 0, [xy]))
-    assert d.components[0] == PolyN(2, {(0, 1): 1})  # y dx
-    assert d.components[1] == PolyN(2, {(1, 0): 1})  # x dy
+    xy = PolyForm(2, 0, {(0, (1, 1)): 1})
+    d = exterior_derivative(xy)
+    assert d.coeffs == {(0, (0, 1)): 1, (1, (1, 0)): 1}  # y dx + x dy
 
 
 def test_exterior_derivative_matches_hand_computation_in_3d():
     # d[(y+1)(z+1) dx] = -(z+1) dx^dy - (y+1) dx^dz
-    coeff = PolyN(3, {(0, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 1, 1): 1})
-    f = PolyForm.from_monomial(3, 1, (0,), coeff)
+    f = PolyForm(3, 1, {(0, e): 1 for e in [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)]})
     df = exterior_derivative(f)
-    dydz, dxdz, dxdy = df.components
-    assert dydz.is_zero()
-    # dx^dz coefficient is -(1 + y), dx^dy coefficient -(1 + z)
-    assert dxdz == PolyN(3, {(0, 0, 0): -1, (0, 1, 0): -1})
-    assert dxdy == PolyN(3, {(0, 0, 0): -1, (0, 0, 1): -1})
+    # no dy^dz (component 0) term; the dx^dz coefficient (component 1) is
+    # -(1 + y), the dx^dy coefficient (component 2) -(1 + z)
+    assert df.coeffs == {(1, (0, 0, 0)): -1, (1, (0, 1, 0)): -1,
+                         (2, (0, 0, 0)): -1, (2, (0, 0, 1)): -1}
+
+
+def test_form_repr_lists_components_in_order_and_terms_by_degree():
+    f = PolyForm(3, 2, {(2, (2, 0, 1)): Fraction(-1, 2), (0, (0, 1, 0)): 1,
+                        (2, (0, 0, 0)): 3, (2, (1, 0, 0)): 2})
+    assert list(f.coeffs) == [(0, (0, 1, 0)), (2, (2, 0, 1)), (2, (0, 0, 0)), (2, (1, 0, 0))]
+    assert repr(f) == "(1*y)dy^dz + (3 + 2*x + -1/2*x^2z)dx^dy"
+    assert repr(PolyForm(2, 0, {(0, (0, 0)): Fraction(1, 4)})) == "(1/4)"
+    assert repr(PolyForm(2, 1)) == "0"
 
 
 def test_exterior_derivative_of_constant_is_zero():
-    f = PolyForm(3, 0, [PolyN.constant(3, 7)])
+    f = PolyForm(3, 0, {(0, (0, 0, 0)): 7})
     assert exterior_derivative(f).is_zero()
 
 
 def test_exterior_derivative_rejects_top_forms():
-    f = PolyForm(2, 2, [PolyN.constant(2, 1)])
+    f = PolyForm(2, 2, {(0, (0, 0)): 1})
     with pytest.raises(ValueError, match="top-degree"):
         exterior_derivative(f)
 
 
 def _random_form(rng, n, k, degree=3):
-    comps = []
     exps = monomials_up_to(n, degree)
-    for _ in range(math.comb(n, k)):
-        coeffs = {e: int(rng.integers(-4, 5)) for e in exps}
-        comps.append(PolyN(n, coeffs))
-    return PolyForm(n, k, comps)
+    return PolyForm(n, k, {(ci, e): int(rng.integers(-4, 5))
+                           for ci in range(math.comb(n, k)) for e in exps})
 
 
 def test_d_of_d_is_zero_exactly():
@@ -120,11 +123,8 @@ def test_koszul_d_euler_identity():
         deg = int(rng.integers(0, 4))
         exps = [e for e in monomials_up_to(n, deg) if sum(e) == deg]
         exp = exps[int(rng.integers(0, len(exps)))]
-        sigma = None
-        from trimfem.poly import form_components
-        sigmas = form_components(n, k)
-        sigma = sigmas[int(rng.integers(0, len(sigmas)))]
-        w = PolyForm.from_monomial(n, k, sigma, PolyN.monomial(n, exp))
+        ci = int(rng.integers(0, len(form_components(n, k))))
+        w = PolyForm(n, k, {(ci, exp): 1})
         lhs = exterior_derivative(koszul(w)) + koszul(exterior_derivative(w)) if k < n \
             else exterior_derivative(koszul(w))
         scaled = w * (deg + k)
@@ -170,5 +170,5 @@ def test_gauss_rule_weight_sum_and_monomial_exactness(n, m):
 def test_form_component_count_is_binomial():
     for n in (2, 3):
         for k in range(n + 1):
-            f = PolyForm(n, k)
-            assert len(f.components) == math.comb(n, k)
+            assert PolyForm(n, k).is_zero()
+            assert len(form_components(n, k)) == math.comb(n, k)

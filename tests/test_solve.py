@@ -198,6 +198,48 @@ def test_eig_shift_invert_rejects_nev_below_one(dense_cutoff):
         eig_shift_invert(A, M, target=3.0, nev=0, dense_cutoff=dense_cutoff)
 
 
+def _failing_eigsh(monkeypatch, failures):
+    """Patch eigsh so its first `failures` calls raise ArpackNoConvergence
+    with two partial pairs; returns the keyword arguments of every call
+    and copies of the eigenvalues the real calls returned."""
+    real = spla.eigsh
+    calls, returned = [], []
+
+    def eigsh(A, **kwargs):
+        calls.append(kwargs)
+        if len(calls) <= failures:
+            raise spla.ArpackNoConvergence("no convergence", np.ones(2),
+                                           np.ones((A.shape[0], 2)))
+        vals, vecs = real(A, **kwargs)
+        returned.append(vals.copy())
+        return vals, vecs
+
+    monkeypatch.setattr(solve.spla, "eigsh", eigsh)
+    return calls, returned
+
+
+def test_eig_shift_invert_retries_once_with_a_larger_subspace(monkeypatch):
+    A = sp.diags(np.arange(1.0, 41.0)).tocsr()
+    M = sp.identity(40, format="csr")
+    calls, returned = _failing_eigsh(monkeypatch, failures=1)
+    res = eig_shift_invert(A, M, target=10.4, nev=3, dense_cutoff=1)
+    assert len(calls) == 2
+    assert (calls[0]["ncv"], calls[0]["maxiter"]) == (39, 5000)
+    assert (calls[1]["ncv"], calls[1]["maxiter"]) == (min(40 - 1, 8 * 3), 20000)
+    assert np.array_equal(res.eigenvalues, returned[0])
+    assert np.abs(res.eigenvalues - np.round(res.eigenvalues)).max() <= 1e-10
+
+
+def test_eig_shift_invert_reports_a_failed_retry(monkeypatch):
+    A = sp.diags(np.arange(1.0, 41.0)).tocsr()
+    M = sp.identity(40, format="csr")
+    calls, _ = _failing_eigsh(monkeypatch, failures=2)
+    with pytest.raises(RuntimeError, match=r"did not converge for 3 pairs near 10\.4 "
+                                           r"\(size 40\); partial results: 2 pairs"):
+        eig_shift_invert(A, M, target=10.4, nev=3, dense_cutoff=1)
+    assert len(calls) == 2
+
+
 def _maxwell_system(family, N, r=2, mode="eliminate"):
     mesh = build_box_mesh(3, N)
     elem = build_element(family, 3, 1, r)
