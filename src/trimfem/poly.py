@@ -68,7 +68,8 @@ def legendre(j):
     return tuple(out.items())
 
 
-def _accumulate(out, key, c):
+def add_term(out, key, c):
+    """Add c to the coefficient `out[key]` in place, dropping a zero sum."""
     s = out.get(key, QZERO) + c
     if s == 0:
         out.pop(key, None)
@@ -103,7 +104,7 @@ class PolyForm:
     def __add__(self, other):
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            _accumulate(out, key, c)
+            add_term(out, key, c)
         return PolyForm(self.n, self.k, out)
 
     def __mul__(self, scalar):
@@ -145,7 +146,7 @@ def exterior_derivative(f: PolyForm) -> PolyForm:
             # sign of dx_axis ^ dx_sigma -> dx_merged
             sign = (-1) ** merged.index(axis)
             key = (out_sigmas.index(merged), exp[:axis] + (p - 1,) + exp[axis + 1:])
-            _accumulate(out, key, c * p * sign)
+            add_term(out, key, c * p * sign)
     return PolyForm(f.n, f.k + 1, out)
 
 
@@ -161,7 +162,7 @@ def koszul(f: PolyForm) -> PolyForm:
         for pos, axis in enumerate(sigma):
             key = (out_sigmas.index(sigma[:pos] + sigma[pos + 1:]),
                    exp[:axis] + (exp[axis] + 1,) + exp[axis + 1:])
-            _accumulate(out, key, -c if pos % 2 else c)
+            add_term(out, key, -c if pos % 2 else c)
     return PolyForm(f.n, f.k - 1, out)
 
 

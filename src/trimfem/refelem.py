@@ -35,6 +35,7 @@ from .poly import (
     Q,
     QZERO,
     PolyForm,
+    add_term,
     evaluate,
     exterior_derivative,
     form_components,
@@ -185,11 +186,7 @@ def trace_vec(vec, n, k, entity: Entity):
                 if fixed_val == -1 and p % 2:
                     val = -val
         key = (out_sigmas.index(tuple(pos[a] for a in sigma)), tuple(new_exp))
-        s = out.get(key, QZERO) + val
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, key, val)
     return out
 
 
@@ -220,11 +217,7 @@ def transform_vec(vec, n, k, axis_map, signs):
             if signs[a] == -1 and p % 2:
                 coeff = -coeff
         key = (sigmas.index(tuple(arr)), tuple(new_exp))
-        s = out.get(key, QZERO) + coeff
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, key, coeff)
     return out
 
 
