@@ -236,6 +236,9 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     dofs = np.unique(np.asarray(dofs, dtype=np.int64))
     A = system.matrix.tocsr()
     nfull = A.shape[0]
+    bad = dofs[(dofs < 0) | (dofs >= nfull)]
+    if bad.size:
+        raise ValueError(f"DOF index {bad[0]} out of range for a system of size {nfull}")
     order = system._ordering  # unresolved: the reduced system may never be factored
     if mode == "eliminate":
         free = np.setdiff1d(np.arange(nfull), dofs)

@@ -39,7 +39,6 @@ from .poly import (
     evaluate,
     exterior_derivative,
     form_components,
-    gauss_rule,
     koszul,
     legendre,
     monomial_exponents,
@@ -695,42 +694,36 @@ def entity_dof_counts(element: Element):
 
 
 # ---------------------------------------------------------------------------
-# discrete exterior derivative fit
+# exact discrete exterior derivative
 # ---------------------------------------------------------------------------
 
 def coboundary_fit(e_k: Element, e_k1: Element):
-    """Fit d(basis of e_k) in span(basis of e_k1) by least squares.
+    """Exact coefficients of d(basis of e_k) in the basis of e_k1.
 
-    Returns the coefficient matrix D (rows: dim e_k, columns: dim e_k1)
-    and the largest L2 residual over the fitted derivatives; a residual
-    at rounding level certifies that the pair forms a discrete complex.
+    Returns D (rows: dim e_k, columns: dim e_k1), an object array of
+    Fractions with d(phi_i) = sum_j D[i, j] psi_j, and the residual 0.0;
+    assembly takes `D.astype(float)`.  Raises ValueError if the psi_j are
+    dependent or some d(phi_i) lies outside their span.
     """
     if e_k.k + 1 != e_k1.k:
         raise ValueError("form degrees are not consecutive")
     if (e_k.family, e_k.n, e_k.r) != (e_k1.family, e_k1.n, e_k1.r):
         raise ValueError("elements must share family, dimension and order")
-    rule = gauss_rule(e_k.n, e_k.r + 2)
-    # values as (points * components, basis) matrices, so that every
-    # quadrature sum is one matrix product with the weights repeated per
-    # component
-    w = np.repeat(rule.weights, e_k1.ncomp)
-    phi = tabulate(e_k1, rule.points).transpose(0, 2, 1).reshape(len(w), e_k1.dim)
-    dphi = tabulate(e_k, rule.points, derivative=True).transpose(0, 2, 1)
-    dphi = dphi.reshape(len(w), e_k.dim)
-    gram = phi.T @ (w[:, None] * phi)
-    rhs = dphi.T @ (w[:, None] * phi)
-    try:
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > 1e15:
-            raise np.linalg.LinAlgError
-        D = np.linalg.solve(gram, rhs.T).T
-    except np.linalg.LinAlgError:
+    # eliminate the psi_j once, each tagged by the key (None, j); the tags
+    # order last, so a row pivots on a tag only if some combination vanishes
+    span = SpanBasis(key_order=lambda k: (1, k[1]) if k[0] is None else (0, _key_order(k)))
+    for j, psi in enumerate(e_k1.basis):
+        span.add({**psi.coeffs, (None, j): Q(1)})
+    if any(p[0] is None for p in span.rows):
         raise ValueError("basis not linearly independent")
-    # pointwise residual d(phi_i) - sum_j D_ij phi_j (forward stable)
-    resid = dphi - phi @ D.T
-    res_sq = w @ resid**2
-    residual = float(np.sqrt(np.clip(res_sq, 0.0, None).max()))
-    return D, residual
+    D = np.full((e_k.dim, e_k1.dim), QZERO, dtype=object)
+    for i, phi in enumerate(e_k.basis):
+        # what reduction leaves of d(phi_i) is -D[i, j] on each tag (None, j)
+        for (ci, j), c in span.reduce(exterior_derivative(phi).coeffs).items():
+            if ci is not None:
+                raise ValueError(f"d of basis form {i} of {e_k!r} leaves the span of {e_k1!r}")
+            D[i, j] = -c
+    return D, 0.0
 
 
 # ---------------------------------------------------------------------------

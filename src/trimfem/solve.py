@@ -39,8 +39,8 @@ the factorization does, not from an option: if the float32
 factorization fails, or its first correction cuts the residual by less
 than 10x, A is refactored in float64 and refined the same way.
 Saddle-point systems and the shift-invert operator stay in float64
-(saddle solves keep one refinement step): they are indefinite, and
-ARPACK needs an accurate shift-invert.
+(saddle solves refine through the same `_refine` loop): they are
+indefinite, and ARPACK needs an accurate shift-invert.
 """
 
 import numpy as np
@@ -234,15 +234,17 @@ def _residual_norms(A, M, norms, vals, vecs):
 
 def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
                      dense_cutoff=4000, ordering=None) -> EigenResult:
-    """Generalized eigenpairs of A x = lambda M x nearest a target.
+    """`nev` generalized eigenpairs of A x = lambda M x around a target.
 
     A must be symmetric positive semidefinite and M symmetric positive
     definite.  Systems up to `dense_cutoff` unknowns, or with no more
-    unknowns than the `nev` pairs requested, use a dense generalized
-    solve; larger ones use ARPACK on the Cayley transform of
-    the shifted problem, followed by an inverse-iteration polish with the
-    factored shifted operator, factored in `ordering` when one is given
-    (the DOF order of A and M, e.g. `SparseSystem.ordering`).
+    unknowns than `nev`, use a dense generalized solve and return the
+    `nev` eigenvalues nearest the target.  Larger ones factor A - target M
+    (in `ordering` if given, e.g. `SparseSystem.ordering`), run ARPACK on
+    the Cayley transform and polish by inverse iteration.  They return the
+    `nev` of largest |(lambda + target) / (lambda - target)|, which prefers
+    eigenvalues above the target (diag(1..40), target 10.4, nev 3: 10, 11,
+    12; dense: 9, 10, 11), and Lanczos may miss degenerate copies.
     """
     if nev < 1:
         raise ValueError(f"nev={nev}: request at least one eigenpair")

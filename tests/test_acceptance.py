@@ -23,7 +23,6 @@ from trimfem.refelem import (
     TENSOR_PRODUCT,
     TRIMMED_SERENDIPITY,
     build_element,
-    coboundary_fit,
     element_by_name,
     entity_dof_counts,
 )
@@ -173,10 +172,11 @@ def _random_form(rng, n, k, degree=3):
 
 def test_criterion_9_property_suites():
     from test_mesh import _interface_traces
-    from test_refelem import _projection_residual
+    from test_refelem import _exact_coboundary, _projection_residual
 
-    with criterion(9, "d.d = 0 exact; conformity <= 1e-11 (r <= 4); coboundary "
-                      "residual <= 1e-10 (r <= 3); polynomial reproduction <= 1e-10"):
+    with criterion(9, "d.d = 0 exact; conformity <= 1e-11 (r <= 4); exact coboundary "
+                      "membership and D_k D_k+1 = 0 (r <= 3); polynomial reproduction "
+                      "<= 1e-10"):
         rng = np.random.default_rng(17)
         done = 0
         while done < 200:
@@ -199,12 +199,9 @@ def test_criterion_9_property_suites():
         for family in (TRIMMED_SERENDIPITY, TENSOR_PRODUCT):
             for n in (2, 3):
                 for r in (1, 2, 3):
-                    for k in range(n):
-                        _, res = coboundary_fit(
-                            build_element(family, n, k, r),
-                            build_element(family, n, k + 1, r),
-                        )
-                        assert res <= 1e-10
+                    D = [_exact_coboundary(family, n, k, r) for k in range(n)]
+                    for Dk, Dk1 in zip(D, D[1:]):
+                        assert not (Dk @ Dk1).any()
 
         rng = np.random.default_rng(23)
         for family in (TRIMMED_SERENDIPITY, TENSOR_PRODUCT):

@@ -5,6 +5,7 @@ import pytest
 
 from trimfem.assemble import (
     PushForward,
+    SparseSystem,
     apply_dirichlet,
     assemble_bilinear,
     assemble_load,
@@ -107,17 +108,18 @@ def test_scale_invariance_against_physical_quadrature():
 
 
 def _coboundary_matrix(mk, mk1):
-    """The global d from the DOFs of `mk` to those of `mk1`: the coboundary
-    matrix D of coboundary_fit placed on `cell_dofs`.  Asserts that the fit
-    is exact and that every cell writes the same value into a shared
-    global entry."""
+    """The global d from the DOFs of `mk` to those of `mk1`: the exact
+    coboundary matrix D of coboundary_fit, in floats, placed on
+    `cell_dofs`.  Asserts that every cell writes the same value, bit for
+    bit, into a shared global entry."""
     D, res = coboundary_fit(mk.element, mk1.element)
-    assert res <= 1e-10
+    assert res == 0.0
+    D = D.astype(float)
     G = np.full((mk1.total, mk.total), np.nan)
     for c in range(mk.mesh.num_cells):
         block = np.ix_(mk1.cell_dofs[c], mk.cell_dofs[c])
         written = ~np.isnan(G[block])
-        assert np.abs(G[block][written] - D.T[written]).max(initial=0.0) <= 1e-12
+        assert np.array_equal(G[block][written], D.T[written])
         G[block] = D.T
     return np.nan_to_num(G)
 
@@ -164,14 +166,14 @@ def test_commuting_curl_and_divergence_identities(form, n, family, r):
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("n, N", [(2, 2), (2, 3), (3, 2)])
 def test_global_complex_has_the_cohomology_of_the_cube(n, N, family, r):
-    """The global maps G_k compose to zero, and their Betti numbers
+    """The global maps G_k compose to exactly zero, and their Betti numbers
     dim - rank G_k - rank G_{k-1} are (1, 0, ..., 0), and (0, ..., 0, 1)
     once the DOFs on an outer vertex plane are removed."""
     mesh = build_box_mesh(n, N)
     maps = [global_numbering(mesh, build_element(family, n, k, r)) for k in range(n + 1)]
     G = [_coboundary_matrix(mk, mk1) for mk, mk1 in zip(maps, maps[1:])]
     for g, g1 in zip(G, G[1:]):
-        assert np.abs(g1 @ g).max() <= 1e-12
+        assert not (g1 @ g).any()
     outer = 2 * np.array(mesh.divisions)
     inner = [~((m.lattice == 0) | (m.lattice == outer)).any(axis=1) for m in maps]
     relative = [g[np.ix_(inner[k + 1], inner[k])] for k, g in enumerate(G)]
@@ -225,6 +227,18 @@ def test_boundary_modes():
 
     with pytest.raises(ValueError, match="unknown boundary mode"):
         apply_dirichlet(K, bdofs, "penalty")
+
+
+@pytest.mark.parametrize("mode", ["eliminate", "diag1"])
+@pytest.mark.parametrize("index", [-1, 4, 7])
+def test_boundary_modes_reject_indices_outside_the_system(mode, index):
+    # a negative index would wrap to the last DOF under diag1 only, and a
+    # large one be ignored under eliminate, so both modes refuse them
+    import scipy.sparse as sp
+
+    K = SparseSystem(sp.identity(4, format="csr"))
+    with pytest.raises(ValueError, match=f"DOF index {index} out of range .* size 4"):
+        apply_dirichlet(K, [0, index], mode)
 
 
 @pytest.mark.parametrize("n, r, N", [(2, 1, 16), (3, 3, 4)])

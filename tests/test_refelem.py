@@ -10,6 +10,7 @@ import pytest
 from trimfem.poly import (
     PolyForm,
     evaluate,
+    exterior_derivative,
     form_components,
     gauss_rule,
     monomial_table,
@@ -364,19 +365,32 @@ def test_tabulate_rejects_outside_points():
 
 
 # ---------------------------------------------------------------------------
-# coboundary fits (discrete complex)
+# exact coboundary matrices (discrete complex)
 # ---------------------------------------------------------------------------
+
+def _exact_coboundary(family, n, k, r):
+    """coboundary_fit's D for the k -> k+1 pair, after asserting that
+    d(phi_i) = sum_j D[i, j] psi_j holds exactly for every row and that
+    the residual is exactly 0."""
+    ek = build_element(family, n, k, r)
+    ek1 = build_element(family, n, k + 1, r)
+    D, residual = coboundary_fit(ek, ek1)
+    assert D.shape == (ek.dim, ek1.dim)
+    assert residual == 0.0
+    for i, phi in enumerate(ek.basis):
+        combo = PolyForm(n, k + 1)
+        for psi, c in zip(ek1.basis, D[i]):
+            combo = combo + psi * c
+        assert exterior_derivative(phi) == combo, f"{family} n={n} k={k} r={r}: row {i}"
+    return D
+
 
 @pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_coboundary_residuals_vanish(family, n, r):
     for k in range(n):
-        ek = build_element(family, n, k, r)
-        ek1 = build_element(family, n, k + 1, r)
-        D, residual = coboundary_fit(ek, ek1)
-        assert D.shape == (ek.dim, ek1.dim)
-        assert residual <= 1e-10, f"{family} n={n} k={k} r={r}: residual {residual}"
+        _exact_coboundary(family, n, k, r)
 
 
 def test_coboundary_of_constant_combination_is_zero():
@@ -384,7 +398,36 @@ def test_coboundary_of_constant_combination_is_zero():
     e1 = build_element(TRIMMED_SERENDIPITY, 3, 1, 1)
     D, _ = coboundary_fit(e0, e1)
     # the vertex functions sum to the constant 1; d(1) = 0
-    assert np.max(np.abs(D.sum(axis=0))) <= 1e-11
+    assert all(s == 0 for s in D.sum(axis=0))
+
+
+def test_coboundary_rejects_derivative_outside_target_span():
+    e0 = build_element(TRIMMED_SERENDIPITY, 2, 0, 2)
+    e1 = build_element(TRIMMED_SERENDIPITY, 2, 1, 2)
+    short = Element(e1.family, e1.n, e1.k, e1.r, e1.basis[:-1], e1.layout, e1.mapping)
+    with pytest.raises(ValueError, match="d of basis form .* leaves the span"):
+        coboundary_fit(e0, short)
+
+
+# SHA-256 of the exact coboundary matrices as text: for each family
+# (trimmed serendipity first), n in {2, 3}, r in {1, 2} and k in 0..n-1,
+# a header line "family n k r", then one line per row of D with its
+# Fractions separated by spaces
+GOLDEN_COBOUNDARY_SHA256 = "baca24c8fa39731af5527b5fa66755df7f7034c09000f7213a4bd113afa3648f"
+
+
+def test_exact_coboundaries_match_golden_digest():
+    lines = []
+    for family in (TRIMMED_SERENDIPITY, TENSOR_PRODUCT):
+        for n in (2, 3):
+            for r in (1, 2):
+                for k in range(n):
+                    D, _ = coboundary_fit(build_element(family, n, k, r),
+                                          build_element(family, n, k + 1, r))
+                    lines.append(f"{family} {n} {k} {r}")
+                    lines += [" ".join(map(str, row)) for row in D]
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_COBOUNDARY_SHA256
 
 
 def test_coboundary_rejects_mismatched_elements():
