@@ -72,25 +72,35 @@ class SparseSystem:
     reduced operator on free DOFs; `expand` scatters a reduced solution
     back to the full DOF vector.
 
-    `ordering` is the elimination order the solvers factor the matrix in
+    `ordering` is the elimination order SuperLU factors the matrix in
     (`ordering[k]` is the k-th row and column eliminated), or None to let
-    SuperLU choose one.  It may be given as a function of no arguments,
-    called on first use, so a system that is never factored never
-    computes it.
+    SuperLU choose one.  `lattice` is the doubled-lattice position of each
+    unknown (`GlobalDofMap.lattice`), from which `solve_spd` builds its
+    multifrontal factor, or None.  Either may be given as a function of no
+    arguments, called on first use, so a system that is never factored
+    never computes it.
     """
 
-    def __init__(self, matrix, rhs=None, full_size=None, free=None, ordering=None):
+    def __init__(self, matrix, rhs=None, full_size=None, free=None, ordering=None,
+                 lattice=None):
         self.matrix = matrix
         self.rhs = rhs
         self.full_size = matrix.shape[0] if full_size is None else full_size
         self.free = free
         self._ordering = ordering
+        self._lattice = lattice
 
     @property
     def ordering(self):
         if callable(self._ordering):
             self._ordering = self._ordering()
         return self._ordering
+
+    @property
+    def lattice(self):
+        if callable(self._lattice):
+            self._lattice = self._lattice()
+        return self._lattice
 
     def expand(self, x):
         if self.free is None:
@@ -163,14 +173,17 @@ def assemble_bilinear(mesh: BoxMesh, map_test: GlobalDofMap,
                       map_trial: GlobalDofMap, form: str) -> SparseSystem:
     """Assemble a global sparse operator from identical per-cell blocks.
 
-    A square operator (one map for test and trial) is ordered by the map's
-    nested-dissection ordering.
+    A square operator (one map for test and trial) carries the map's
+    nested-dissection ordering and lattice.
     """
     if map_test.mesh is not mesh or map_trial.mesh is not mesh:
         raise ValueError("DOF maps must belong to the given mesh")
     local = _local_matrix(form, map_test.element, map_trial.element, mesh.h)
-    ordering = (lambda: map_test.ordering) if map_test is map_trial else None
-    return SparseSystem(_scatter(map_test, map_trial, local), ordering=ordering)
+    matrix = _scatter(map_test, map_trial, local)
+    if map_test is not map_trial:
+        return SparseSystem(matrix)
+    return SparseSystem(matrix, ordering=lambda: map_test.ordering,
+                        lattice=lambda: map_test.lattice)
 
 
 def physical_points(mesh: BoxMesh, rule):
@@ -230,8 +243,8 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     `eliminate` removes constrained rows/columns and solves the reduced
     system; `diag1` zeroes them and puts a unit value on the diagonal,
     which reproduces the spurious unit eigenvalues reported by solvers
-    that use that convention.  The system's ordering carries over,
-    restricted to the free DOFs under `eliminate`.
+    that use that convention.  The system's ordering and lattice carry
+    over, restricted to the free DOFs under `eliminate`.
     """
     dofs = np.unique(np.asarray(dofs, dtype=np.int64))
     A = system.matrix.tocsr()
@@ -239,7 +252,8 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     bad = dofs[(dofs < 0) | (dofs >= nfull)]
     if bad.size:
         raise ValueError(f"DOF index {bad[0]} out of range for a system of size {nfull}")
-    order = system._ordering  # unresolved: the reduced system may never be factored
+    # unresolved: the reduced system may never be factored
+    order, lattice = system._ordering, system._lattice
     if mode == "eliminate":
         free = np.setdiff1d(np.arange(nfull), dofs)
         red = A[free][:, free].tocsr()
@@ -249,8 +263,12 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
             full = order() if callable(order) else order
             return np.searchsorted(free, full[np.isin(full, free)])
 
+        def free_lattice():
+            return (lattice() if callable(lattice) else lattice)[free]
+
         return SparseSystem(red, rhs, full_size=nfull, free=free,
-                            ordering=None if order is None else free_order)
+                            ordering=None if order is None else free_order,
+                            lattice=None if lattice is None else free_lattice)
     if mode == "diag1":
         fixed = np.zeros(nfull, dtype=bool)
         fixed[dofs] = True
@@ -265,7 +283,7 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
         if system.rhs is not None:
             rhs = system.rhs.copy()
             rhs[dofs] = 0.0
-        return SparseSystem(out, rhs, full_size=nfull, ordering=order)
+        return SparseSystem(out, rhs, full_size=nfull, ordering=order, lattice=lattice)
     raise ValueError(f"unknown boundary mode {mode!r}; use 'eliminate' or 'diag1'")
 
 

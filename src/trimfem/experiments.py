@@ -222,9 +222,10 @@ def exact_cavity_eigenvalues(limit=20):
 class MaxwellLevel:
     """Eigenvalue groups found on one mesh level.
 
-    `time_per_iteration` is the solve time per Krylov operator application
-    on the shift-invert path, the factorization included, and None on the
-    dense path, which has no iterations.
+    `time_per_iteration` is the wall time of one Krylov operator
+    application (a triangular solve with the factored shift) on the
+    shift-invert path, the factorization excluded, and None on the dense
+    path, which has no iterations.
     """
 
     N: int
@@ -305,7 +306,8 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
             members = np.sort(lam[np.abs(lam - e) < 0.5])
             if len(members):
                 groups[e] = _subclusters(members)
-        per_iteration = None if result.op_count is None else t_solve / result.op_count
+        per_iteration = (None if result.op_count is None
+                         else result.op_time / result.op_count)
         levels.append(MaxwellLevel(
             N=N, dofs=dofmap.total, groups=groups,
             assembly_time=t_asm, solve_time=t_solve,

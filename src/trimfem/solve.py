@@ -1,19 +1,29 @@
 """Direct solvers and eigensolvers for the assembled systems.
 
-Source problems use a sparse LU factorization with iterative refinement;
+Source problems use a direct factorization with iterative refinement;
 the cavity eigenproblem uses a dense generalized solve on small reduced
 systems and a shift-invert Krylov iteration (Cayley spectral transform,
 so the curl-curl gradient kernel at zero cannot crowd out eigenvalues on
 the far side of the target) on large ones.
 
-Every factorization goes through `_factor`, in one fill-reducing order:
-the geometric nested dissection of the box-mesh lattice that an assembled
-system carries (`SparseSystem.ordering`, see `mesh.nested_dissection`).
-`_factor` permutes the matrix symmetrically into it once and SuperLU
-keeps it (`permc_spec="NATURAL"`).  Against SuperLU's own orderings this
-factored the study systems 1.4-11x faster with 1.1-4.6x less fill (3D
-Poisson r=3 N=16: 70 M -> 24 M; 3D mixed Poisson r=2 N=8: 3.6 M ->
-0.9 M).  The pivoting follows the matrix class:
+An SPD system that carries the lattice of its unknowns (every assembled
+square operator, see `SparseSystem.lattice`) is factored by the
+multifrontal Cholesky of `multifrontal.factor`: dense float64 fronts on
+the geometric nested-dissection tree, each class of identical subtrees
+factored once.  On the 2D r=1 N=512 Poisson system it factored in
+0.3-0.5 s against SuperLU's 0.9-1.4 s (float32) and stored 2.9 M float64
+factor values where SuperLU's float32 factor held 24.6 M; on the study
+systems its solutions meet the gate after at most one float64 correction,
+or reach the rounding floor after two.
+
+Every SuperLU factorization goes through `_factor`, in one fill-reducing
+order: the geometric nested dissection of the box-mesh lattice that an
+assembled system carries (`SparseSystem.ordering`, see
+`mesh.nested_dissection`).  `_factor` permutes the matrix symmetrically
+into it once and SuperLU keeps it (`permc_spec="NATURAL"`).  Against
+SuperLU's own orderings this factored the study systems 1.4-11x faster
+with 1.1-4.6x less fill (3D Poisson r=3 N=16: 70 M -> 24 M; 3D mixed
+Poisson r=2 N=8: 3.6 M -> 0.9 M).  The pivoting follows the matrix class:
 
 - SPD systems use symmetric mode with diagonal pivots (threshold 0), as
   LU without pivoting is stable on SPD matrices.
@@ -26,28 +36,29 @@ A matrix without an ordering, such as one built by hand, is factored as
 before the ordering existed: minimum degree on A^T + A for SPD and
 shifted systems, SuperLU's default COLAMD for saddle-point systems.
 
-SPD systems factor in single precision and refine in double (Buttari,
+SPD systems that SuperLU factors (no lattice, or lattice classes that do
+not hold) factor in single precision and refine in double (Buttari,
 Dongarra, Kurzak, Luszczek, Tomov, ACM TOMS 34(4), 2008; Carson, Higham,
 SIAM J. Sci. Comput. 40(2), 2018).  The float32 factor holds the same
 fill in half the value bytes.  Float64 residuals on the original A
 correct its solutions until the relative residual meets the tolerance
-or a correction fails to halve it, and the best iterate is kept.  On
-the primal Poisson study systems the first correction cuts the residual
-335x (2D, N=512) to 3e5-2e6x (3D), and one to five corrections reach
-the 1e-12 gate or the rounding floor.  The precision follows from what
-the factorization does, not from an option: if the float32
-factorization fails, or its first correction cuts the residual by less
-than 10x, A is refactored in float64 and refined the same way.
-Saddle-point systems and the shift-invert operator stay in float64
-(saddle solves refine through the same `_refine` loop): they are
+or a correction fails to halve it, and the best iterate is kept.  The
+precision follows from what the factorization does, not from an option:
+if the float32 factorization fails, or its first correction cuts the
+residual by less than 10x, A is refactored in float64 and refined the
+same way.  Saddle-point systems and the shift-invert operator stay in
+float64 (saddle solves refine through the same `_refine` loop): they are
 indefinite, and ARPACK needs an accurate shift-invert.
 """
+
+import time
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import multifrontal
 from .assemble import SparseSystem
 
 
@@ -60,12 +71,14 @@ class EigenResult:
     individual entries; multiplicity counting happens only in reports.
     """
 
-    def __init__(self, eigenvalues, eigenvectors, residuals, op_count=None):
+    def __init__(self, eigenvalues, eigenvectors, residuals, op_count=None,
+                 op_time=None):
         order = np.argsort(eigenvalues)
         self.eigenvalues = np.asarray(eigenvalues)[order]
         self.eigenvectors = np.asarray(eigenvectors)[:, order]
         self.residuals = np.asarray(residuals)[order]
         self.op_count = op_count  # operator applications in the Krylov loop
+        self.op_time = op_time  # wall time inside those applications
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -153,12 +166,14 @@ def _refine(A, b, solve, tol, min_first_cut=None):
 def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
     """Solve a symmetric (positive definite) system to a relative residual.
 
-    Factors A in single precision and refines in double (`_refine`).  If
-    the float32 factorization fails, or its first correction cuts the
-    residual by less than `_MIN_FIRST_CUT`, A is refactored in float64 and
-    refined the same way.  A residual above `tol` raises a RuntimeError
-    that gives the refinement steps taken, the factor precision and the
-    rounding floor eps ||A| |x|| / ||b||.
+    A system that carries a lattice is factored by the multifrontal
+    Cholesky of `multifrontal.factor` in float64.  Any other system, and
+    one whose lattice classes do not hold, is factored by SuperLU in single
+    precision; if that factorization fails, or its first correction cuts
+    the residual by less than `_MIN_FIRST_CUT`, A is refactored in float64.
+    Either factor is refined in float64 (`_refine`).  A residual above
+    `tol` raises a RuntimeError that gives the refinement steps taken, the
+    factor and the rounding floor eps ||A| |x|| / ||b||.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
@@ -171,14 +186,19 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
     if bnorm == 0.0:
         return system.expand(np.zeros(A.shape[0]))
     refined = None
-    try:  # cast before _factor permutes, so no float64 copy is permuted
-        solve = _factor(A.astype(np.float32), system.ordering,
-                        "sparse factorization", **_SPD_OPTIONS)
-    except RuntimeError:
-        pass
+    solve = None if system.lattice is None else multifrontal.factor(A, system.lattice)
+    if solve is not None:
+        refined = _refine(A, b, solve, tol)
+        precision = "float64 multifrontal"
     else:
-        refined = _refine(A, b, solve, tol, _MIN_FIRST_CUT)
-    precision = "float32"
+        try:  # cast before _factor permutes, so no float64 copy is permuted
+            solve = _factor(A.astype(np.float32), system.ordering,
+                            "sparse factorization", **_SPD_OPTIONS)
+        except RuntimeError:
+            pass
+        else:
+            refined = _refine(A, b, solve, tol, _MIN_FIRST_CUT)
+        precision = "float32"
     if refined is None:
         solve = None  # release the float32 factor first
         solve = _factor(A, system.ordering, "sparse factorization",
@@ -224,12 +244,14 @@ def solve_saddle(system: SparseSystem, tol=1e-12):
 
 
 def _residual_norms(A, M, norms, vals, vecs):
+    """||A x - lambda M x|| / ((||A|| + |lambda| ||M||) ||x||) per column x."""
     anorm, mnorm = norms  # the infinity norms of A and M
-    out = []
-    for lam, x in zip(vals, vecs.T):
-        r = A @ x - lam * (M @ x)
-        out.append(np.linalg.norm(r) / ((anorm + abs(lam) * mnorm) * np.linalg.norm(x)))
-    return np.asarray(out)
+    # one contiguous row per pair, so a pair's norms do not depend on the
+    # other pairs passed with it
+    R = np.ascontiguousarray((A @ vecs - (M @ vecs) * vals).T)
+    X = np.ascontiguousarray(vecs.T)
+    scale = (anorm + np.abs(vals) * mnorm) * np.linalg.norm(X, axis=1)
+    return np.linalg.norm(R, axis=1) / scale
 
 
 def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
@@ -260,14 +282,17 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
         vals, vecs = vals[order], vecs[:, order]
         return EigenResult(vals, vecs, _residual_norms(A, M, norms, vals, vecs))
 
-    counter = {"n": 0}
+    counter = {"n": 0, "time": 0.0}
     solve = _factor(A - target * M, ordering,
                     f"shift-invert factorization of (A - {target} M)",
                     permc_spec="MMD_AT_PLUS_A")
 
     def op(x):
+        t0 = time.perf_counter()
+        y = solve(x)
         counter["n"] += 1
-        return solve(x)
+        counter["time"] += time.perf_counter() - t0
+        return y
 
     opinv = spla.LinearOperator(A.shape, matvec=op)
     # a fixed start vector makes the returned cluster a function of the inputs
@@ -306,4 +331,4 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
             vecs[:, i] = y
             vals[i] = lam
             res[i : i + 1] = _residual_norms(A, M, norms, vals[i : i + 1], y[:, None])
-    return EigenResult(vals, vecs, res, op_count=counter["n"])
+    return EigenResult(vals, vecs, res, op_count=counter["n"], op_time=counter["time"])

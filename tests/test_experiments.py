@@ -102,8 +102,8 @@ def test_mixed_poisson_zero_source_patch_test():
 
 
 def test_thinnest_residual_margin_still_solves():
-    # the refined residual of this level sits at 9.1e-13, under the 1e-12 gate,
-    # after four float32 refinement steps (1.1e-12 after three)
+    # the refined residual of this level sits at 9.0e-13, under the 1e-12 gate,
+    # after one correction of the multifrontal factor's 2.0e-12
     rows = run_primal_poisson(2, "S", 1, [256])
     assert len(rows) == 1
 
@@ -133,19 +133,26 @@ def test_each_study_level_factors_once(monkeypatch, study, expected):
 
     calls = []
     splu = solve.spla.splu
+    multifrontal = solve.multifrontal.factor
 
     def counting_splu(*args, **kwargs):
         calls.append(args[0].shape)
         return splu(*args, **kwargs)
 
+    def counting_multifrontal(A, lattice):
+        calls.append(A.shape)
+        return multifrontal(A, lattice)
+
     monkeypatch.setattr(solve.spla, "splu", counting_splu)
+    monkeypatch.setattr(solve.multifrontal, "factor", counting_multifrontal)
     study()
     assert len(calls) == expected
 
 
 @pytest.mark.parametrize("study, expected", [
-    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
-    (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), 1),
+    # the multifrontal factor reads the lattice, never the ordering
+    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 0),
+    (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), 0),
     # the stacked flux/potential lattice, never the flux map's own order
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
     # A and M share one map; M is never factored
@@ -242,6 +249,24 @@ def test_maxwell_reports_no_iteration_time_on_the_dense_path():
               if line.split()[0] == "time/iter"]
     assert row[1] == "dense"
     assert float(row[2]) == pytest.approx(sparse.time_per_iteration, abs=1e-6)
+
+
+def test_maxwell_iteration_time_leaves_out_the_factorization(monkeypatch):
+    from trimfem import experiments
+
+    results = []
+    eig = experiments.eig_shift_invert
+
+    def recording_eig(*args, **kwargs):
+        results.append(eig(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "eig_shift_invert", recording_eig)
+    (level,) = run_maxwell_eig("S", 2, [4], nev=6, dense_cutoff=100).levels
+    (result,) = results
+    assert result.op_count > 0
+    assert level.time_per_iteration == result.op_time / result.op_count
+    assert level.time_per_iteration * result.op_count < level.solve_time
 
 
 def test_report_dofs_equality_and_dominance():
