@@ -163,6 +163,8 @@ def factor(A, lattice):
 
 
 def _fronts(A, lattice):
+    """The factored fronts of A, children first; raises _Mismatch where an
+    instance differs from its class representative."""
     n, dim = lattice.shape
     origin, top = _top_box(lattice)
     rel = lattice - origin
@@ -206,11 +208,11 @@ def _fronts(A, lattice):
 
         # the pivots: the representative's DOFs in the pivot box
         q = (np.indices(phi - plo + 1).reshape(dim, -1).T + plo) @ gstride
-        at, slots = np.nonzero(table.reshape(-1, nslot)[base[0] + q] >= 0)
-        p = len(at)
+        cell, slots = np.nonzero(table.reshape(-1, nslot)[base[0] + q] >= 0)
+        p = len(cell)
         if not p and not live:
             continue  # an empty subtree
-        pkeys = q[at] * nslot + slots
+        pkeys = q[cell] * nslot + slots
         pivots = dofs(base, pkeys)
         covered.append(pivots.ravel())
 
@@ -247,7 +249,7 @@ def _fronts(A, lattice):
         order = np.argsort(front, kind="stable")
         sorted_front = front[order]
 
-        def locate(keys):  # front index of keys in the front
+        def locate(keys):  # position in the front
             return order[np.searchsorted(sorted_front, keys)]
 
         # assemble the front: pivot rows, then the children's updates
@@ -265,7 +267,7 @@ def _fronts(A, lattice):
 
         U = F[p:, p:]
         if p:
-            diagonal = F.diagonal()[:p].copy()
+            diagonal = F.diagonal()[:p]
             L, info = lapack.dpotrf(np.asfortranarray(F[:p, :p]), lower=1, clean=1,
                                     overwrite_a=1)
             if not info:  # a pivot at the rounding level of its diagonal
@@ -286,7 +288,7 @@ def _fronts(A, lattice):
                                trans_a=1, overwrite_c=1).T
             fronts.append(_Front(pivots, dofs(base, skeys), Linv, L21t))
         if s and box in uses:
-            shells[box], updates[box] = skeys, np.ascontiguousarray(U)
+            shells[box], updates[box] = skeys, U
 
     if not covered or (np.bincount(np.concatenate(covered), minlength=n) != 1).any():
         raise _Mismatch

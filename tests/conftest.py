@@ -1,0 +1,17 @@
+import pytest
+
+from trimfem import solve
+
+
+@pytest.fixture
+def splu_dtypes(monkeypatch):
+    """The dtype of every matrix passed to SuperLU, in call order."""
+    dtypes = []
+    splu = solve.spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        dtypes.append(A.dtype)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(solve.spla, "splu", recording_splu)
+    return dtypes

@@ -86,20 +86,6 @@ def test_residual_failure_reports_refinement_and_rounding_floor():
         solve_spd(SparseSystem(A, h * np.ones(4)), tol=1e-18)
 
 
-@pytest.fixture
-def splu_dtypes(monkeypatch):
-    """The dtype of every matrix passed to SuperLU, in call order."""
-    dtypes = []
-    splu = solve.spla.splu
-
-    def recording_splu(A, *args, **kwargs):
-        dtypes.append(A.dtype)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(solve.spla, "splu", recording_splu)
-    return dtypes
-
-
 @pytest.mark.parametrize("n, r, N", [(2, 2, 16), (3, 2, 4)])
 def test_assembled_systems_take_the_multifrontal_factor(splu_dtypes, n, r, N):
     # a random right-hand side: the manufactured load is close to an
