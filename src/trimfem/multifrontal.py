@@ -26,8 +26,8 @@ Solves run one batched product per class over all its instances,
 gathering and scattering through precomputed int32 index arrays.  Every
 triangular solve, in the factorization too, is a product with the
 inverse of the front's Cholesky factor (`trtri` once per class, then
-`gemm`): on the 2-core machine the benchmarks ran on, OpenBLAS's threaded
-`trsm` waited 5-16 ms per call on fronts of a few dozen pivots, where the
+`gemm`): on a 2-core Xeon with OpenBLAS 0.3.30, the threaded `trsm`
+waited 5-16 ms per call on fronts of a few dozen pivots, where the
 product takes microseconds and runs single-threaded below OpenBLAS's
 threshold.  All dense kernels come from `scipy.linalg`, so they share one
 OpenBLAS build and its threads (numpy bundles a second one).
