@@ -12,7 +12,8 @@ an update on the shell, which the parent adds into its own front.
 `_split` keys a box by its bounds shifted by an even amount, and on a
 uniform mesh every box of one key has the same matrix rows, so its whole
 subtree yields the same fronts.  `factor` therefore factors each key, a
-class, once, on one representative box, in dense float64 LAPACK.  The top
+class, once, on one representative box, in dense float64 LAPACK; boxes
+of a few dozen unknowns are not split further.  The top
 box is closed on even planes, so a bound of a tree box is even exactly
 when it lies on the outer boundary of the lattice and odd when it faces a
 separator: boxes at an eliminated boundary never share a key with
@@ -48,6 +49,16 @@ from .mesh import _split
 _SINGULAR = np.sqrt(np.finfo(float).eps)
 
 
+# Boxes expected to hold at most this many unknowns (their lattice
+# positions times the lattice's unknowns per position) are leaves: one
+# dense front costs less there than the classes splitting it would add.
+# Against splitting down to single cells it factored the Poisson levels of
+# the benchmark 10-50% faster (3D r=3 N=4: 21 -> 9 ms, 2D r=1 N=512:
+# 0.26 -> 0.23 s) and halved the 2D solves; 128 and 256 were slower on
+# some levels.
+_LEAF = 64
+
+
 class _Mismatch(Exception):
     """An instance of a box class differs from the class representative."""
 
@@ -60,13 +71,14 @@ def _top_box(lattice):
     return lo, ((0,) * len(lo), tuple((hi + hi % 2).tolist()))
 
 
-def _tree(top):
+def _tree(top, leaf):
     """The box classes under `top`, every child before its parents.
 
     Returns a list of (box, pivot lo, pivot hi, [(child, shift), ...]),
     the pivot box being the whole box for a leaf and the splitting plane
     otherwise; a child's shift is its lower corner in the box's
-    coordinates.  Only the two halves of a split are tree nodes.
+    coordinates.  Only the two halves of a split are tree nodes, and a
+    box of at most `leaf` lattice positions is a leaf.
     """
     tree, todo = {}, [top]
     while todo:
@@ -76,7 +88,7 @@ def _tree(top):
         lo, hi = np.array(box[0]), np.array(box[1])
         a, children = _split(lo, hi)
         halves = []
-        if a is not None:
+        if a is not None and np.prod(hi - lo + 1) > leaf:
             p = children[0][1][a] + 1  # the low half ends just before the plane
             shift = np.zeros(len(lo), dtype=np.int64)
             shift[a] = p
@@ -191,7 +203,7 @@ def _fronts(A, lattice):
             raise _Mismatch
         return idx
 
-    tree = _tree(top)
+    tree = _tree(top, _LEAF * np.prod(gshape - 2) / n)  # positions per leaf
     offsets = _instances(tree)
     uses = {}
     for _, _, _, halves in tree:
