@@ -13,15 +13,14 @@ an update on the shell, which the parent adds into its own front.
 uniform mesh every box of one key has the same matrix rows, so its whole
 subtree yields the same fronts.  `factor` therefore factors each key, a
 class, once, on one representative box, in dense float64 LAPACK; boxes
-of a few dozen unknowns are not split further.  The top
-box is closed on even planes, so a bound of a tree box is even exactly
-when it lies on the outer boundary of the lattice and odd when it faces a
-separator: boxes at an eliminated boundary never share a key with
-interior boxes of the same shape.  Reuse is verified, not assumed: every
-instance of a class must have the representative's DOF layout and
-bit-identical matrix rows, and every unknown must be a pivot of exactly
-one box.  Where that fails, `factor` returns None and the caller factors
-the matrix another way.
+of a few dozen unknowns are not split further.  The top box is closed on
+even planes, so a bound of a tree box is even exactly when it lies on the
+outer boundary of the lattice and odd when it faces a separator: boxes at
+an eliminated boundary never share a key with interior boxes of the same
+shape.  Reuse is verified, not assumed: every instance of a class must
+have the representative's DOF layout and bit-identical matrix rows, and
+every unknown must be a pivot of exactly one box.  Where that fails,
+`factor` returns None and the caller factors the matrix another way.
 
 Solves run one batched product per class over all its instances,
 gathering and scattering through precomputed int32 index arrays.  Every

@@ -11,7 +11,7 @@ square operator, see `SparseSystem.lattice`) is factored by the
 multifrontal Cholesky of `multifrontal.factor`: dense float64 fronts on
 the geometric nested-dissection tree, each class of identical subtrees
 factored once.  On the 2D r=1 N=512 Poisson system it factored in
-0.3-0.5 s against SuperLU's 0.9-1.4 s (float32) and stored 2.9 M float64
+0.3-0.4 s against SuperLU's 0.9-1.4 s (float32) and stored 3.0 M float64
 factor values where SuperLU's float32 factor held 24.6 M.  On the
 benchmark's Poisson levels its solutions meet the gate after at most one
 float64 correction, or reach the rounding floor after two.
