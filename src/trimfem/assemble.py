@@ -155,17 +155,31 @@ def _local_matrix(form, elem_test, elem_trial, h):
 
 
 def _scatter(map_test: GlobalDofMap, map_trial: GlobalDofMap, local):
-    nc = map_test.mesh.num_cells
+    """The CSR sum of the block `local` over every cell.
+
+    The (cell, local row) incidences are ordered by global row, cells in
+    order within a row, so every row receives its entries in the order a
+    COO matrix of the cells' (row, column, value) triplets would give it,
+    and `sum_duplicates` adds them in that order too.  No pre-summing by
+    blocks of cells: that changes the rounding of rows on a block edge.
+    Besides the uncompressed indices and values, the only temporaries are
+    one argsort and one quotient and remainder of the incidences; the
+    result is compacted to arrays of exactly nnz entries.
+    """
     a, b = local.shape
-    rows = np.broadcast_to(map_test.cell_dofs[:, :, None], (nc, a, b))
-    cols = np.broadcast_to(map_trial.cell_dofs[:, None, :], (nc, a, b))
-    vals = np.broadcast_to(local, (nc, a, b))
-    mat = sp.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(map_test.total, map_trial.total),
-    ).tocsr()
+    nrows, ncols = map_test.total, map_trial.total
+    rows = map_test.cell_dofs.ravel()
+    idx = np.int32 if max(rows.size * b, nrows, ncols) < 2**31 else np.int64
+    indptr = np.zeros(nrows + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=nrows) * b, out=indptr[1:])
+    cells, i = np.divmod(np.argsort(rows, kind="stable"), a)
+    indices = map_trial.cell_dofs.astype(idx)[cells].ravel()
+    del cells
+    mat = sp.csr_matrix((local[i].ravel(), indices, indptr), shape=(nrows, ncols))
+    del i
     mat.sum_duplicates()
-    mat.sort_indices()
+    # sum_duplicates leaves views of the uncompressed buffers
+    mat.indices, mat.data = mat.indices.copy(), mat.data.copy()
     return mat
 
 
@@ -186,27 +200,42 @@ def assemble_bilinear(mesh: BoxMesh, map_test: GlobalDofMap,
                         lattice=lambda: map_test.lattice)
 
 
-def physical_points(mesh: BoxMesh, rule):
-    """Quadrature points mapped to every cell, shape (ncells, P, n)."""
-    origins = mesh.cell_lattice * np.asarray(mesh.h)
+def physical_points(mesh: BoxMesh, rule, cells=slice(None)):
+    """Quadrature points mapped to the cells `cells` (default: every cell),
+    shape (ncells, P, n)."""
+    origins = mesh.cell_lattice[cells] * np.asarray(mesh.h)
     ref01 = (rule.points + 1.0) / 2.0 * np.asarray(mesh.h)
     return origins[:, None, :] + ref01[None, :, :]
+
+
+def _cell_blocks(mesh: BoxMesh, rule, dofmap: GlobalDofMap):
+    """Consecutive cells in blocks whose quadrature points hold about as
+    many coordinates as there are unknowns, in multiples of 64 cells.
+
+    Every per-cell value computed by blocks equals the one computed over
+    all cells at once, so the blocks bound the temporaries of a pointwise
+    evaluation to O(unknowns) without changing a bit of the result.
+    """
+    step = max(64, dofmap.total // (len(rule.points) * mesh.n) // 64 * 64)
+    return [slice(c, c + step) for c in range(0, mesh.num_cells, step)]
 
 
 def assemble_load(mesh: BoxMesh, dofmap: GlobalDofMap, f) -> np.ndarray:
     """Right-hand side vector for the functional v -> int f . v.
 
-    `f` is evaluated pointwise at the physical quadrature nodes; it must
-    accept an (..., n) array and return scalar values (scalar elements)
-    or proxy-vector components (..., n).
+    `f` is evaluated pointwise at the physical quadrature nodes, a block
+    of cells at a time; it must accept an (..., n) array and return
+    scalar values (scalar elements) or proxy-vector components (..., n).
     """
     element = dofmap.element
     rule = gauss_rule(element.n, element.r + 2)
     phi, weights = _proxy_table(element, mesh.h, rule)
-    fvals = np.asarray(f(physical_points(mesh, rule))).reshape(mesh.num_cells, -1)
-    contrib = (fvals * weights) @ phi
     b = np.zeros(dofmap.total)
-    np.add.at(b, dofmap.cell_dofs.ravel(), contrib.ravel())
+    for cells in _cell_blocks(mesh, rule, dofmap):
+        pts = physical_points(mesh, rule, cells)
+        fvals = np.asarray(f(pts)).reshape(len(pts), -1)
+        # cell by cell in order, as one add.at over all cells would add
+        np.add.at(b, dofmap.cell_dofs[cells].ravel(), ((fvals * weights) @ phi).ravel())
     return b
 
 
@@ -298,10 +327,14 @@ def l2_error(mesh: BoxMesh, dofmap: GlobalDofMap, coefficients, exact) -> float:
         raise ValueError("coefficient vector length does not match the DOF map")
     rule = gauss_rule(element.n, element.r + 3)
     phi, weights = _proxy_table(element, mesh.h, rule)
-    coefmat = np.asarray(coefficients)[dofmap.cell_dofs]
-    target = np.asarray(exact(physical_points(mesh, rule))).reshape(len(coefmat), -1)
-    diff = coefmat @ phi.T - target
-    err2 = float(np.sum(diff**2 @ weights))
+    coefficients = np.asarray(coefficients)
+    cell_err2 = np.empty(mesh.num_cells)
+    for cells in _cell_blocks(mesh, rule, dofmap):
+        coefmat = coefficients[dofmap.cell_dofs[cells]]
+        target = np.asarray(exact(physical_points(mesh, rule, cells)))
+        diff = coefmat @ phi.T - target.reshape(len(coefmat), -1)
+        cell_err2[cells] = diff**2 @ weights
+    err2 = float(np.sum(cell_err2))  # one sum over all cells, not by blocks
     return float(np.sqrt(max(err2, 0.0)))
 
 

@@ -26,11 +26,20 @@ Solves run one batched product per class over all its instances,
 gathering and scattering through precomputed int32 index arrays.  Every
 triangular solve, in the factorization too, is a product with the
 inverse of the front's Cholesky factor (`trtri` once per class, then
-`gemm`): on a 2-core Xeon with OpenBLAS 0.3.30, the threaded `trsm`
-waited 5-16 ms per call on fronts of a few dozen pivots, where the
-product takes microseconds and runs single-threaded below OpenBLAS's
-threshold.  All dense kernels come from `scipy.linalg`, so they share one
-OpenBLAS build and its threads (numpy bundles a second one).
+`trmm` or `gemm`): on a 2-core Xeon with OpenBLAS 0.3.30, the threaded
+`trsm` waited 5-16 ms per call on fronts of a few dozen pivots, where the
+product takes microseconds.  All dense kernels come from `scipy.linalg`,
+so they share one OpenBLAS build and its threads (numpy bundles a second
+one).
+
+Memory follows the factor.  Besides A and the stored factor, the set-up
+keeps one key per unknown and one lookup entry per grid slot, int32 where
+they fit; the rows of a class's instances are verified a slice of at most
+n entries at a time; and each front is assembled in Fortran order, so
+that LAPACK and BLAS factor it in place and its pivot rows become the
+stored factor without a copy.  On the 2D r=1 N=512 Poisson system (28 MiB
+of matrix, 25 MiB of factor) the traced peak of `factor` above its input
+went from 83 to 43 MiB.
 """
 
 from typing import NamedTuple
@@ -56,6 +65,11 @@ _SINGULAR = np.sqrt(np.finfo(float).eps)
 # 0.26 -> 0.23 s) and halved the 2D solves; 128 and 256 were slower on
 # some levels.
 _LEAF = 64
+
+
+def _int_type(bound):
+    """int32 for values up to `bound` where it fits, int64 otherwise."""
+    return np.int32 if bound < 2**31 else np.int64
 
 
 class _Mismatch(Exception):
@@ -178,21 +192,25 @@ def _fronts(A, lattice):
     instance differs from its class representative."""
     n, dim = lattice.shape
     origin, top = _top_box(lattice)
-    rel = lattice - origin
     # The grid of positions with a margin of one around the top box, so
     # that every shell position has a cell.  A DOF's key is its grid index
     # times nslot plus its slot, its rank among the DOFs at its position
     # in index order; less a box corner's grid index times nslot, it is
     # the DOF's key relative to that box.  `table` maps keys to DOFs.
+    # Only `dkey` and `table` outlive the set-up, in int32 where they fit.
     gshape = np.array(top[1]) + 3
     gstride = np.cumprod(np.r_[1, gshape[:0:-1]])[::-1]
-    lin = (rel + 1) @ gstride
+    ncell = int(np.prod(gshape))
+    lin = ((lattice - (origin - 1)) @ gstride).astype(_int_type(ncell))
     by_pos = np.argsort(lin, kind="stable")
-    count = np.bincount(lin, minlength=int(np.prod(gshape)))
-    nslot = int(count.max())
-    dkey = np.empty(n, dtype=np.int64)
-    dkey[by_pos] = lin[by_pos] * nslot + np.arange(n) - (np.cumsum(count) - count)[lin[by_pos]]
-    table = np.full(len(count) * nslot, -1, dtype=np.int32)
+    lin = lin[by_pos]
+    first = np.flatnonzero(np.r_[True, lin[1:] != lin[:-1]])
+    runs = np.diff(np.r_[first, n])
+    nslot = int(runs.max())
+    dkey = np.empty(n, dtype=_int_type(ncell * nslot))
+    dkey[by_pos] = lin.astype(dkey.dtype) * nslot + (np.arange(n) - np.repeat(first, runs))
+    del lin, by_pos, first, runs
+    table = np.full(ncell * nslot, -1, dtype=_int_type(n))
     table[dkey] = np.arange(n)
 
     def dofs(base, keys):
@@ -227,21 +245,25 @@ def _fronts(A, lattice):
         pivots = dofs(base, pkeys)
         covered.append(pivots.ravel())
 
-        # the pivot rows of every instance, in the representative's terms
-        first = A.indptr[pivots.ravel()]
-        lens = (A.indptr[pivots.ravel() + 1] - first).reshape(len(off), p)
+        # the pivot rows of the representative, in its terms, and those of
+        # every other instance compared with them, in slices of instances
+        # that gather at most n entries at a time
+        first = A.indptr[pivots]
+        lens = A.indptr[pivots + 1] - first
         if (lens != lens[0]).any():
             raise _Mismatch
         row = np.repeat(np.arange(p), lens[0])
-        at = first.reshape(len(off), p)[:, row] + (
-            np.arange(len(row)) - np.repeat(np.cumsum(lens[0]) - lens[0], lens[0]))
+        within = np.arange(len(row)) - np.repeat(np.cumsum(lens[0]) - lens[0], lens[0])
+        at = first[0, row] + within
         cols, vals = A.indices[at], A.data[at]
-        ckeys = dkey[cols] - base[:, None] * nslot
-        if ((ckeys != ckeys[0]).any()
-                or (vals.view(np.int64) != vals[0].view(np.int64)).any()):
-            raise _Mismatch
-        ckeys, vals = ckeys[0], vals[0]
-        pos = rel[cols[0]] - off[0]
+        ckeys = dkey[cols] - base[0] * nslot
+        step = max(1, n // max(len(row), 1))
+        for i in range(1, len(off), step):
+            at = first[i:i + step, row] + within
+            if ((dkey[A.indices[at]] - base[i:i + step, None] * nslot != ckeys).any()
+                    or (A.data[at].view(np.int64) != vals.view(np.int64)).any()):
+                raise _Mismatch
+        pos = lattice[cols] - origin - off[0]
         if ((pos < -1) | (pos > hi + 1)).any():
             raise _Mismatch  # a coupling beyond the cells around the box
 
@@ -263,24 +285,31 @@ def _fronts(A, lattice):
         def locate(keys):  # position in the front
             return order[np.searchsorted(sorted_front, keys)]
 
-        # assemble the front: pivot rows, then the children's updates
+        # assemble the front in Fortran order, as its pivot rows Y = [F11 |
+        # F12] and its shell block F22 (F21 = F12^T is never formed): the
+        # pivot rows of A, then the children's updates U, whose transposes
+        # read in C order run through Y and F22 in their memory order.
+        # LAPACK and BLAS then work in place, and Y becomes [L^-1 | L21^T].
         keep = ((pos >= plo) & (pos <= phi)).all(axis=1) | outside
-        F = np.zeros((p + s, p + s))
-        F[row[keep], locate(ckeys[keep])] = vals[keep]
-        F[p:, :p] = F[:p, p:].T
+        Y = np.zeros((p, p + s), order="F")
+        F22 = np.zeros((s, s), order="F")
+        Y[row[keep], locate(ckeys[keep])] = vals[keep]
         for child, d in live:
             idx = locate(shells[child] + d)
-            np.add.at(F.reshape(-1), (idx[:, None] * (p + s) + idx).ravel(),
-                      updates[child].ravel())
+            Ut, a, b = updates[child].T, np.flatnonzero(idx < p), np.flatnonzero(idx >= p)
+            np.add.at(Y.T.reshape(-1), (idx[a] + p * idx[:, None]).ravel(),
+                      Ut.take(a, axis=1).ravel())
+            jb = idx[b] - p
+            np.add.at(F22.T.reshape(-1), (jb + s * jb[:, None]).ravel(),
+                      Ut.take(b, axis=0).take(b, axis=1).ravel())
             uses[child] -= 1
             if not uses[child]:
                 del updates[child]
 
-        U = F[p:, p:]
+        U = F22
         if p:
-            diagonal = F.diagonal()[:p]
-            L, info = lapack.dpotrf(np.asfortranarray(F[:p, :p]), lower=1, clean=1,
-                                    overwrite_a=1)
+            diagonal = Y.diagonal().copy()
+            L, info = lapack.dpotrf(Y[:, :p], lower=1, clean=1, overwrite_a=1)
             if not info:  # a pivot at the rounding level of its diagonal
                 small = np.flatnonzero(L.diagonal() ** 2 <= _SINGULAR * diagonal)
                 info = small[0] + 1 if len(small) else 0
@@ -290,13 +319,11 @@ def _fronts(A, lattice):
                     f"definite (pivot {info} of {p}, front size {p + s}, "
                     f"{len(off)} instances; matrix size {n}, nnz {A.nnz})")
             Linv, info = lapack.dtrtri(L, lower=1, overwrite_c=1)
-            L21t = np.empty((p, 0), order="F")
-            if s:
-                L21t = blas.dgemm(1.0, Linv, np.asfortranarray(F[:p, p:]))
-                # U = F22 - L21t^T L21t is symmetric, so its Fortran result
-                # read in C order is U itself
-                U = blas.dgemm(-1.0, L21t, L21t, beta=1.0, c=np.asfortranarray(U),
-                               trans_a=1, overwrite_c=1).T
+            L21t = Y[:, p:]
+            if s:  # L21^T = L^-1 F12, then U = F22 - L21 L21^T
+                L21t = blas.dtrmm(1.0, Linv, L21t, lower=1, overwrite_b=1)
+                U = blas.dgemm(-1.0, L21t, L21t, beta=1.0, c=F22, trans_a=1,
+                               overwrite_c=1)
             fronts.append(_Front(pivots, dofs(base, skeys), Linv, L21t))
         if s and box in uses:
             shells[box], updates[box] = skeys, U

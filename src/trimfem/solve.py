@@ -85,9 +85,23 @@ class EigenResult:
 
 
 def _check_symmetric(A, tol=1e-12):
-    """Raise unless max |A - A^T| <= tol max |A|, at any scale of A."""
-    d = A - A.T
-    if d.nnz and np.abs(d.data).max() > tol * np.abs(A.data).max():
+    """Raise unless max |A - A^T| <= tol max |A|, at any scale of A.
+
+    A canonical CSR matrix with a symmetric pattern, as every assembled
+    one has, is compared with its transpose value by value, in the
+    transpose's own array; any other takes the subtraction A - A^T, whose
+    union pattern costs a third matrix.
+    """
+    if not A.nnz:
+        return
+    T = A.T.tocsr()  # the transpose, with sorted indices
+    if (A.has_canonical_format and np.array_equal(A.indptr, T.indptr)
+            and np.array_equal(A.indices, T.indices)):
+        d = np.subtract(T.data, A.data, out=T.data)
+    else:
+        d = (A - T).data
+    scale = max(A.data.max(), -A.data.min())  # max |A| without an |A| copy
+    if d.size and np.abs(d, out=d).max() > tol * scale:
         raise ValueError("matrix is not symmetric")
 
 
@@ -207,7 +221,9 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
         precision = "float64 (refactored)"
     x, res, steps = refined
     if not np.isfinite(res) or res > tol:
-        floor = np.finfo(float).eps * np.linalg.norm(abs(A) @ abs(x)) / bnorm
+        A.sum_duplicates()  # |A| on A's own index arrays, without a copy of A
+        absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+        floor = np.finfo(float).eps * np.linalg.norm(absA @ np.abs(x)) / bnorm
         raise RuntimeError(
             f"solver residual {res:.3e} exceeds tolerance {tol:.1e} after "
             f"{steps} refinement steps on a {precision} factor; rounding "

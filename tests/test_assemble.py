@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from trimfem import assemble
 from trimfem.assemble import (
     PushForward,
     SparseSystem,
@@ -362,3 +364,108 @@ def test_rhs_entries_match_manufactured_source():
     direct = -assemble_load(mesh, l2, f)
     assert np.allclose(sys.rhs[hdiv.total:], direct, atol=1e-14)
 
+
+
+def _coo_scatter(map_test, map_trial, local):
+    """The COO sum of the per-cell blocks, the reference `_scatter` must
+    reproduce bit for bit."""
+    nc = map_test.mesh.num_cells
+    a, b = local.shape
+    rows = np.broadcast_to(map_test.cell_dofs[:, :, None], (nc, a, b))
+    cols = np.broadcast_to(map_trial.cell_dofs[:, None, :], (nc, a, b))
+    vals = np.broadcast_to(local, (nc, a, b))
+    mat = sp.coo_matrix(
+        (vals.ravel(), (rows.ravel(), cols.ravel())),
+        shape=(map_test.total, map_trial.total),
+    ).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+def _scatter_cases():
+    for family in (TRIMMED_SERENDIPITY, TENSOR_PRODUCT):
+        for n, divisions in ((2, (5, 3)), (3, (3, 2, 4))):
+            yield family, n, divisions, "GradGrad", 0, 0
+            for k in range(n + 1):
+                yield family, n, divisions, "Mass", k, k
+            if n == 3:
+                yield family, n, divisions, "CurlCurl", 1, 1
+            yield family, n, divisions, "DivCoupling", n, n - 1
+
+
+def _maps(family, n, divisions, k_test, k_trial, r=2):
+    mesh = build_box_mesh(n, divisions)
+
+    def dofmap(k):
+        mapping = ("h1" if k == 0 else "l2" if k == n else
+                   "contravariant" if k == n - 1 else "covariant")
+        return global_numbering(mesh, build_element(family, n, k, r, mapping=mapping))
+
+    map_test = dofmap(k_test)
+    return mesh, map_test, map_test if k_trial == k_test else dofmap(k_trial)
+
+
+@pytest.mark.parametrize("family, n, divisions, form, k_test, k_trial", list(_scatter_cases()))
+def test_scatter_is_bit_identical_to_the_coo_sum(family, n, divisions, form, k_test, k_trial):
+    mesh, map_test, map_trial = _maps(family, n, divisions, k_test, k_trial)
+    local = assemble._local_matrix(form, map_test.element, map_trial.element, mesh.h)
+    # random blocks too: rows whose duplicates round differently in
+    # another summation order
+    rng = np.random.default_rng(k_test)
+    for block in (local, rng.standard_normal(local.shape)):
+        got = assemble._scatter(map_test, map_trial, block)
+        want = _coo_scatter(map_test, map_trial, block)
+        assert got.shape == want.shape and got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+        # no uncompressed buffer stays alive behind the matrix
+        for array in (got.data, got.indices):
+            assert array.flags.owndata and array.size == got.nnz
+
+
+def _load_in_one_block(mesh, dofmap, f):
+    element = dofmap.element
+    rule = gauss_rule(element.n, element.r + 2)
+    phi, weights = assemble._proxy_table(element, mesh.h, rule)
+    fvals = np.asarray(f(physical_points(mesh, rule))).reshape(mesh.num_cells, -1)
+    contrib = (fvals * weights) @ phi
+    b = np.zeros(dofmap.total)
+    np.add.at(b, dofmap.cell_dofs.ravel(), contrib.ravel())
+    return b
+
+
+def _l2_error_in_one_block(mesh, dofmap, coefficients, exact):
+    element = dofmap.element
+    rule = gauss_rule(element.n, element.r + 3)
+    phi, weights = assemble._proxy_table(element, mesh.h, rule)
+    coefmat = np.asarray(coefficients)[dofmap.cell_dofs]
+    target = np.asarray(exact(physical_points(mesh, rule))).reshape(len(coefmat), -1)
+    diff = coefmat @ phi.T - target
+    return float(np.sqrt(max(float(np.sum(diff**2 @ weights)), 0.0)))
+
+
+@pytest.mark.parametrize("name, n, r, divisions", [
+    ("S", 2, 1, (40, 28)),
+    ("Lagrange", 3, 2, (7, 6, 5)),
+    ("NCE", 3, 2, (8, 7, 6)),
+    ("DPC", 2, 2, (20, 24)),
+])
+def test_loads_and_errors_by_blocks_equal_one_block(name, n, r, divisions):
+    mesh = build_box_mesh(n, divisions)
+    dofmap = global_numbering(mesh, element_by_name(name, n, r))
+    ncomp = 1 if dofmap.element.k in (0, n) else n
+
+    def field(x):
+        u = np.sin(np.pi * x[..., 0]) * np.exp(x[..., 1] - x[..., -1] ** 2)
+        return u if ncomp == 1 else np.stack([u * (a + 1) for a in range(n)], axis=-1)
+
+    for order in (2, 3):  # the load's and the error's quadrature
+        rule = gauss_rule(n, dofmap.element.r + order)
+        assert len(assemble._cell_blocks(mesh, rule, dofmap)) > 2
+    b = assemble_load(mesh, dofmap, field)
+    assert np.array_equal(b, _load_in_one_block(mesh, dofmap, field))
+    c = np.random.default_rng(0).standard_normal(dofmap.total)
+    assert l2_error(mesh, dofmap, c, field) == _l2_error_in_one_block(mesh, dofmap, c, field)

@@ -15,6 +15,7 @@ from trimfem.assemble import (
 from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering
 from trimfem.refelem import TRIMMED_SERENDIPITY, build_element, element_by_name
 from trimfem import solve
+from trimfem.experiments import run_primal_poisson
 from trimfem.solve import eig_shift_invert, solve_saddle, solve_spd
 
 PI2 = np.pi**2
@@ -75,6 +76,36 @@ def test_symmetry_check_is_relative_to_the_matrix_scale():
         solve_spd(SparseSystem(A, np.ones(2)))
 
 
+@pytest.fixture
+def subtractions(monkeypatch):
+    """The shapes of the sparse subtractions made, the symmetry gate's
+    fallback when a matrix and its transpose differ in pattern."""
+    shapes = []
+    subtract = sp.csr_matrix.__sub__
+
+    def recording_subtract(self, other):
+        shapes.append(self.shape)
+        return subtract(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "__sub__", recording_subtract)
+    return shapes
+
+
+def test_symmetry_gate_rejects_asymmetric_values_on_a_symmetric_pattern(subtractions):
+    A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0 + 1e-9, 4.0, 2.0], [0.0, 2.0, 4.0]]))
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        solve_spd(SparseSystem(A, np.ones(3)))
+    assert subtractions == []  # compared with its transpose in place
+
+
+def test_symmetry_gate_falls_back_where_only_one_side_stores_a_zero(subtractions):
+    A = sp.csr_matrix((np.array([2.0, 0.0, 2.0]), np.array([0, 1, 1]), np.array([0, 2, 3])),
+                      shape=(2, 2))
+    x = solve_spd(SparseSystem(A, np.ones(2)))
+    assert subtractions == [(2, 2)]
+    assert np.abs(x - 0.5).max() <= 1e-15
+
+
 def test_residual_failure_reports_refinement_and_rounding_floor():
     h = 1 / 5
     A = sp.diags([-np.ones(3) / h, 2 * np.ones(4) / h, -np.ones(3) / h], [-1, 0, 1],
@@ -101,6 +132,15 @@ def test_assembled_systems_take_the_multifrontal_factor(splu_dtypes, n, r, N):
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
     x64 = spla.spsolve(A.tocsc(), b)
     assert np.linalg.norm(x - x64) / np.linalg.norm(x64) <= 1e-10
+
+
+@pytest.mark.parametrize("n, family, r, N", [(2, "S", 1, 32), (3, "S", 3, 4), (3, "Q", 3, 4)])
+def test_every_benchmark_poisson_shape_takes_the_multifrontal_factor(splu_dtypes, n, family,
+                                                                      r, N):
+    # a silent fallback to SuperLU would still solve, so only this shows it
+    (row,) = run_primal_poisson(n, family, r, [N], bc_mode="diag1")
+    assert splu_dtypes == []
+    assert row.error < 1e-2
 
 
 @pytest.mark.parametrize("offdiag, tilt", [
