@@ -203,7 +203,7 @@ def _fronts(A, lattice):
     ncell = int(np.prod(gshape))
     lin = ((lattice - (origin - 1)) @ gstride).astype(_int_type(ncell))
     by_pos = np.argsort(lin, kind="stable")
-    lin = lin[by_pos]
+    lin = lin[by_pos]  # in position order, each position a run of slots
     first = np.flatnonzero(np.r_[True, lin[1:] != lin[:-1]])
     runs = np.diff(np.r_[first, n])
     nslot = int(runs.max())
