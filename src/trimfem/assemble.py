@@ -8,6 +8,8 @@ spaces H1 / H(curl) / H(div) / L2 conforming, with 1-forms mapped
 covariantly and (n-1)-forms by the contravariant (Piola) map.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -69,38 +71,50 @@ class SparseSystem:
     """An assembled sparse operator with optional right-hand side and BCs.
 
     After `eliminate`-mode boundary conditions the stored matrix is the
-    reduced operator on free DOFs; `expand` scatters a reduced solution
-    back to the full DOF vector.
+    reduced operator on the DOFs `free`; `expand` scatters a reduced
+    solution back to the full DOF vector.
 
-    `ordering` is the elimination order SuperLU factors the matrix in
-    (`ordering[k]` is the k-th row and column eliminated), or None to let
-    SuperLU choose one.  `lattice` is the doubled-lattice position of each
-    unknown (`GlobalDofMap.lattice`), from which `solve_spd` builds its
-    multifrontal factor, or None.  Either may be given as a function of no
-    arguments, called on first use, so a system that is never factored
-    never computes it.
+    The constructor's `lattice` is the doubled-lattice position of each of
+    the `full_size` DOFs (`GlobalDofMap.lattice`), or None.  It may be
+    given as a function of no arguments, called on first use, so a system
+    that is never factored never computes it.  The two facts a
+    factorization reads derive from it and are cached:
+
+    - `lattice`, its rows of the unknowns (those in `free`), from which
+      `solve_spd` builds its multifrontal factor;
+    - `ordering`, the elimination order SuperLU factors the matrix in
+      (`ordering[k]` is the k-th unknown eliminated): the nested
+      dissection of the full lattice with the eliminated DOFs taken out.
+
+    Both are None without a lattice.
     """
 
-    def __init__(self, matrix, rhs=None, full_size=None, free=None, ordering=None,
-                 lattice=None):
+    def __init__(self, matrix, rhs=None, full_size=None, free=None, lattice=None):
         self.matrix = matrix
         self.rhs = rhs
         self.full_size = matrix.shape[0] if full_size is None else full_size
         self.free = free
-        self._ordering = ordering
         self._lattice = lattice
 
-    @property
-    def ordering(self):
-        if callable(self._ordering):
-            self._ordering = self._ordering()
-        return self._ordering
-
-    @property
-    def lattice(self):
+    def _full_lattice(self):
         if callable(self._lattice):
             self._lattice = self._lattice()
         return self._lattice
+
+    @cached_property
+    def lattice(self):
+        full = self._full_lattice()
+        return full if full is None or self.free is None else full[self.free]
+
+    @cached_property
+    def ordering(self):
+        full = self._full_lattice()
+        if full is None:
+            return None
+        order = nested_dissection(full)
+        if self.free is None:
+            return order
+        return np.searchsorted(self.free, order[np.isin(order, self.free)])
 
     def expand(self, x):
         if self.free is None:
@@ -188,7 +202,7 @@ def assemble_bilinear(mesh: BoxMesh, map_test: GlobalDofMap,
     """Assemble a global sparse operator from identical per-cell blocks.
 
     A square operator (one map for test and trial) carries the map's
-    nested-dissection ordering and lattice.
+    lattice.
     """
     if map_test.mesh is not mesh or map_trial.mesh is not mesh:
         raise ValueError("DOF maps must belong to the given mesh")
@@ -196,8 +210,7 @@ def assemble_bilinear(mesh: BoxMesh, map_test: GlobalDofMap,
     matrix = _scatter(map_test, map_trial, local)
     if map_test is not map_trial:
         return SparseSystem(matrix)
-    return SparseSystem(matrix, ordering=lambda: map_test.ordering,
-                        lattice=lambda: map_test.lattice)
+    return SparseSystem(matrix, lattice=lambda: map_test.lattice)
 
 
 def physical_points(mesh: BoxMesh, rule, cells=slice(None)):
@@ -262,8 +275,8 @@ def assemble_mixed_poisson(mesh: BoxMesh, hdiv_map: GlobalDofMap,
     B = assemble_bilinear(mesh, l2_map, hdiv_map, "DivCoupling").matrix
     mat = sp.bmat([[M, B.T], [B, None]], format="csr")
     rhs = np.concatenate([np.zeros(hdiv_map.total), -assemble_load(mesh, l2_map, f)])
-    return SparseSystem(mat, rhs, ordering=lambda: nested_dissection(
-        np.concatenate([hdiv_map.lattice, l2_map.lattice])))
+    return SparseSystem(mat, rhs, lattice=lambda: np.concatenate(
+        [hdiv_map.lattice, l2_map.lattice]))
 
 
 def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSystem:
@@ -272,8 +285,9 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     `eliminate` removes constrained rows/columns and solves the reduced
     system; `diag1` zeroes them and puts a unit value on the diagonal,
     which reproduces the spurious unit eigenvalues reported by solvers
-    that use that convention.  The system's ordering and lattice carry
-    over, restricted to the free DOFs under `eliminate`.
+    that use that convention.  The system's lattice carries over; under
+    `eliminate` the reduced system's ordering and lattice are restricted to
+    the free DOFs.
     """
     dofs = np.unique(np.asarray(dofs, dtype=np.int64))
     A = system.matrix.tocsr()
@@ -281,23 +295,14 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     bad = dofs[(dofs < 0) | (dofs >= nfull)]
     if bad.size:
         raise ValueError(f"DOF index {bad[0]} out of range for a system of size {nfull}")
-    # unresolved: the reduced system may never be factored
-    order, lattice = system._ordering, system._lattice
+    # unresolved: the new system may never be factored (an already reduced
+    # system passes the lattice of its unknowns, the new system's full DOFs)
+    lattice = system._lattice if system.free is None else system.lattice
     if mode == "eliminate":
         free = np.setdiff1d(np.arange(nfull), dofs)
         red = A[free][:, free].tocsr()
         rhs = None if system.rhs is None else system.rhs[free]
-
-        def free_order():
-            full = order() if callable(order) else order
-            return np.searchsorted(free, full[np.isin(full, free)])
-
-        def free_lattice():
-            return (lattice() if callable(lattice) else lattice)[free]
-
-        return SparseSystem(red, rhs, full_size=nfull, free=free,
-                            ordering=None if order is None else free_order,
-                            lattice=None if lattice is None else free_lattice)
+        return SparseSystem(red, rhs, full_size=nfull, free=free, lattice=lattice)
     if mode == "diag1":
         fixed = np.zeros(nfull, dtype=bool)
         fixed[dofs] = True
@@ -312,7 +317,7 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
         if system.rhs is not None:
             rhs = system.rhs.copy()
             rhs[dofs] = 0.0
-        return SparseSystem(out, rhs, full_size=nfull, ordering=order, lattice=lattice)
+        return SparseSystem(out, rhs, full_size=nfull, lattice=lattice)
     raise ValueError(f"unknown boundary mode {mode!r}; use 'eliminate' or 'diag1'")
 
 

@@ -100,8 +100,8 @@ class GlobalDofMap:
     cell c.  Local and global entity frames agree on axis-aligned meshes
     (see the module docstring), so no orientation factors are stored.
 
-    `lattice` and `ordering` are computed on first use and cached, so a
-    map that only counts DOFs never builds them.
+    `lattice` is computed on first use and cached, so a map that only
+    counts DOFs never builds it.
     """
 
     def __init__(self, mesh: BoxMesh, element: Element):
@@ -130,11 +130,6 @@ class GlobalDofMap:
             positions = self.mesh.entity_positions(entity)
             lattice[self.cell_dofs[:, start:stop]] = positions[:, None, :]
         return lattice
-
-    @cached_property
-    def ordering(self):
-        """Nested-dissection elimination order of the DOFs (a permutation)."""
-        return nested_dissection(self.lattice)
 
 
 def _split(lo, hi):

@@ -11,14 +11,14 @@ square operator, see `SparseSystem.lattice`) is factored by the
 multifrontal Cholesky of `multifrontal.factor`: dense float64 fronts on
 the geometric nested-dissection tree, each class of identical subtrees
 factored once.  On the 2D r=1 N=512 Poisson system it factored in
-0.3-0.4 s against SuperLU's 0.9-1.4 s (float32) and stored 3.0 M float64
-factor values where SuperLU's float32 factor held 24.6 M.  On the
-benchmark's Poisson levels its solutions meet the gate after at most one
-float64 correction, or reach the rounding floor after two.
+0.3-0.4 s against 0.9-1.4 s for the single-precision SuperLU factor it
+replaced, and stored 3.0 M factor values where that one held 24.6 M.  On
+the benchmark's Poisson levels its solutions meet the gate after at most
+one correction, or reach the rounding floor after two.
 
-Every SuperLU factorization goes through `_factor`, in one fill-reducing
-order: the geometric nested dissection of the box-mesh lattice that an
-assembled system carries (`SparseSystem.ordering`, see
+Every SuperLU factorization is float64 and goes through `_factor`, in one
+fill-reducing order: the geometric nested dissection of the box-mesh
+lattice that an assembled system carries (`SparseSystem.ordering`, see
 `mesh.nested_dissection`).  `_factor` permutes the matrix symmetrically
 into it once and SuperLU keeps it (`permc_spec="NATURAL"`).  Against
 SuperLU's own orderings this factored the study systems 1.4-11x faster
@@ -36,19 +36,9 @@ A matrix without an ordering, such as one built by hand, is factored as
 before the ordering existed: minimum degree on A^T + A for SPD and
 shifted systems, SuperLU's default COLAMD for saddle-point systems.
 
-SPD systems that SuperLU factors (no lattice, or lattice classes that do
-not hold) factor in single precision and refine in double (Buttari,
-Dongarra, Kurzak, Luszczek, Tomov, ACM TOMS 34(4), 2008; Carson, Higham,
-SIAM J. Sci. Comput. 40(2), 2018).  The float32 factor holds the same
-fill in half the value bytes.  Float64 residuals on the original A
-correct its solutions until the relative residual meets the tolerance
-or a correction fails to halve it, and the best iterate is kept.  The
-precision follows from what the factorization does, not from an option:
-if the float32 factorization fails, or its first correction cuts the
-residual by less than 10x, A is refactored in float64 and refined the
-same way.  Saddle-point systems and the shift-invert operator stay in
-float64 (saddle solves refine through the same `_refine` loop): they are
-indefinite, and ARPACK needs an accurate shift-invert.
+The SPD and saddle-point solves are one routine, `_direct_solve`: check
+the right-hand side and the symmetry, return zeros for a zero right-hand
+side, factor once, refine (`_refine`) and gate the relative residual.
 """
 
 import time
@@ -126,15 +116,12 @@ def _factor(A, ordering, stage, **options):
         raise RuntimeError(
             f"{stage} failed (matrix size {n}, nnz {nnz}): {err}"
         ) from err
-    dtype = A.dtype
+    if ordering is None:
+        return lu.solve
 
-    def solve(b):  # in the factor's precision, returning float64
-        if ordering is None:
-            y = lu.solve(b.astype(dtype, copy=False))
-            return y.astype(np.float64, copy=False)
-        y = lu.solve(b[ordering].astype(dtype, copy=False))
-        x = np.empty(y.shape)
-        x[ordering] = y
+    def solve(b):
+        x = np.empty(b.shape)
+        x[ordering] = lu.solve(b[ordering])
         return x
 
     return solve
@@ -142,18 +129,14 @@ def _factor(A, ordering, stage, **options):
 
 _SPD_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True))
-# a float32 factor whose first float64 correction cuts the residual less
-# than this is refactored in float64; the study systems measure >= 330x
-_MIN_FIRST_CUT = 10.0
 
 
-def _refine(A, b, solve, tol, min_first_cut=None):
+def _refine(A, b, solve, tol):
     """Iterative refinement of `solve(b)` with float64 residuals on A.
 
     Corrects until the relative residual meets `tol` or a correction fails
     to halve it, and returns the best iterate, its relative residual and
-    the number of corrections.  Returns None instead when the first
-    correction cuts the residual by less than `min_first_cut`.
+    the number of corrections.
     """
     bnorm = np.linalg.norm(b)
     x = solve(b)
@@ -162,12 +145,10 @@ def _refine(A, b, solve, tol, min_first_cut=None):
     steps = 0
     while not res <= tol:
         rnorm = np.linalg.norm(r)
-        y = x + rnorm * solve(r / rnorm)  # scaled: float32 cannot underflow
+        y = x + rnorm * solve(r / rnorm)
         s = b - A @ y
         new = np.linalg.norm(s) / bnorm
         steps += 1
-        if steps == 1 and min_first_cut and not new * min_first_cut <= res:
-            return None
         if not new < res:
             break
         halved = new <= res / 2
@@ -177,19 +158,17 @@ def _refine(A, b, solve, tol, min_first_cut=None):
     return x, res, steps
 
 
-def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
-    """Solve a symmetric (positive definite) system to a relative residual.
+def _direct_solve(system: SparseSystem, tol, spd):
+    """Solve the symmetric `system` to a relative residual `tol`.
 
-    A system that carries a lattice is factored by the multifrontal
-    Cholesky of `multifrontal.factor` in float64.  Any other system, and
-    one whose lattice classes do not hold, is factored by SuperLU in single
-    precision; if that factorization fails, or its first correction cuts
-    the residual by less than `_MIN_FIRST_CUT`, A is refactored in float64.
-    Either factor is refined in float64 (`_refine`).  A residual above
-    `tol` raises a RuntimeError that gives the refinement steps taken, the
+    An `spd` system that carries a lattice is factored by the multifrontal
+    Cholesky of `multifrontal.factor`; any other system, and one whose
+    lattice classes do not hold, by SuperLU (`_factor`), in symmetric mode
+    if `spd`.  The factor is refined (`_refine`).  A residual above `tol`
+    raises a RuntimeError that gives the refinement steps taken, the
     factor and the rounding floor eps ||A| |x|| / ||b||.
 
-    Returns the full-length coefficient vector (zeros on eliminated DOFs).
+    Returns the solution of the stored (reduced) system.
     """
     A = system.matrix.tocsr()
     b = system.rhs
@@ -198,65 +177,52 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
     _check_symmetric(A)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return system.expand(np.zeros(A.shape[0]))
-    refined = None
-    solve = None if system.lattice is None else multifrontal.factor(A, system.lattice)
-    if solve is not None:
-        refined = _refine(A, b, solve, tol)
-        precision = "float64 multifrontal"
-    else:
-        try:  # cast before _factor permutes, so no float64 copy is permuted
-            solve = _factor(A.astype(np.float32), system.ordering,
-                            "sparse factorization", **_SPD_OPTIONS)
-        except RuntimeError:
-            pass
-        else:
-            refined = _refine(A, b, solve, tol, _MIN_FIRST_CUT)
-        precision = "float32"
-    if refined is None:
-        solve = None  # release the float32 factor first
-        solve = _factor(A, system.ordering, "sparse factorization",
-                        **_SPD_OPTIONS)
-        refined = _refine(A, b, solve, tol)
-        precision = "float64 (refactored)"
-    x, res, steps = refined
+        return np.zeros(A.shape[0])
+    solve = None
+    if spd and system.lattice is not None:
+        solve = multifrontal.factor(A, system.lattice)
+    factor = "multifrontal"
+    if solve is None:
+        factor = "SuperLU"
+        solve = (_factor(A, system.ordering, "sparse factorization", **_SPD_OPTIONS)
+                 if spd else _factor(A, system.ordering, "saddle factorization"))
+    x, res, steps = _refine(A, b, solve, tol)
     if not np.isfinite(res) or res > tol:
         A.sum_duplicates()  # |A| on A's own index arrays, without a copy of A
         absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
         floor = np.finfo(float).eps * np.linalg.norm(absA @ np.abs(x)) / bnorm
         raise RuntimeError(
             f"solver residual {res:.3e} exceeds tolerance {tol:.1e} after "
-            f"{steps} refinement steps on a {precision} factor; rounding "
+            f"{steps} refinement steps on a {factor} factor; rounding "
             f"floor eps*||A||x||/||b|| = {floor:.1e} "
             f"(matrix size {A.shape[0]}, nnz {A.nnz})"
         )
-    return system.expand(x)
+    return x
+
+
+def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
+    """Solve a symmetric positive definite system to a relative residual.
+
+    A system that carries a lattice is factored by the multifrontal
+    Cholesky of `multifrontal.factor`; any other system, and one whose
+    lattice classes do not hold, by one float64 SuperLU factorization in
+    symmetric mode.  See `_direct_solve` for the refinement and the gate.
+
+    Returns the full-length coefficient vector (zeros on eliminated DOFs).
+    """
+    return system.expand(_direct_solve(system, tol, spd=True))
 
 
 def solve_saddle(system: SparseSystem, tol=1e-12):
     """Solve an assembled mixed system to a relative residual.
 
-    Factors A in float64 and refines (`_refine`).  A residual above `tol`
-    raises a RuntimeError that gives the refinement steps taken.
+    Factors A by SuperLU with threshold pivoting; see `_direct_solve` for
+    the refinement and the gate.
 
     Returns one stacked vector, flux coefficients first; callers split it
     at the flux space dimension they assembled with.
     """
-    A = system.matrix.tocsr()
-    b = system.rhs
-    if b is None:
-        raise ValueError("system has no right-hand side")
-    _check_symmetric(A)
-    if np.linalg.norm(b) == 0.0:
-        return np.zeros(A.shape[0])
-    solve = _factor(A, system.ordering, "saddle factorization")
-    x, res, steps = _refine(A, b, solve, tol)
-    if not np.isfinite(res) or res > tol:
-        raise RuntimeError(
-            f"saddle residual {res:.3e} exceeds tolerance {tol:.1e} after "
-            f"{steps} refinement steps (matrix size {A.shape[0]}, nnz {A.nnz})"
-        )
-    return x
+    return _direct_solve(system, tol, spd=False)
 
 
 def _residual_norms(A, M, norms, vals, vecs):
@@ -313,25 +279,22 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
     opinv = spla.LinearOperator(A.shape, matvec=op)
     # a fixed start vector makes the returned cluster a function of the inputs
     v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        vals, vecs = spla.eigsh(
-            A, k=nev, M=M, sigma=target, mode="cayley", which="LM",
-            tol=tol * 1e-2, OPinv=opinv, ncv=min(n - 1, max(4 * nev, 60)),
-            maxiter=5000, v0=v0,
-        )
-    except spla.ArpackNoConvergence:
-        # one retry with a larger subspace before giving up
+    # one retry with a larger subspace before giving up
+    for ncv, maxiter in ((max(4 * nev, 60), 5000), (8 * nev, 20000)):
         try:
             vals, vecs = spla.eigsh(
                 A, k=nev, M=M, sigma=target, mode="cayley", which="LM",
-                tol=tol * 1e-2, OPinv=opinv, ncv=min(n - 1, 8 * nev),
-                maxiter=20000, v0=v0,
+                tol=tol * 1e-2, OPinv=opinv, ncv=min(n - 1, ncv),
+                maxiter=maxiter, v0=v0,
             )
+            break
         except spla.ArpackNoConvergence as err:
-            raise RuntimeError(
-                f"eigensolver did not converge for {nev} pairs near {target} "
-                f"(size {n}); partial results: {len(err.eigenvalues)} pairs"
-            ) from err
+            failure = err
+    else:
+        raise RuntimeError(
+            f"eigensolver did not converge for {nev} pairs near {target} "
+            f"(size {n}); partial results: {len(failure.eigenvalues)} pairs"
+        ) from failure
     # inverse-iteration polish: one factored solve per vector tightens the
     # back-transformed residuals to the factorization level
     res = _residual_norms(A, M, norms, vals, vecs)

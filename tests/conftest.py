@@ -5,7 +5,11 @@ from trimfem import solve
 
 @pytest.fixture
 def splu_dtypes(monkeypatch):
-    """The dtype of every matrix passed to SuperLU, in call order."""
+    """The dtype of every matrix passed to SuperLU, in call order.
+
+    Empty when every factor was multifrontal; an SPD system that falls
+    back to SuperLU adds one float64 entry.
+    """
     dtypes = []
     splu = solve.spla.splu
 

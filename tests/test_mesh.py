@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trimfem.assemble import PushForward
-from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering
+from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering, nested_dissection
 from trimfem.refelem import (
     TENSOR_PRODUCT,
     TRIMMED_SERENDIPITY,
@@ -255,7 +255,8 @@ def _numbering_digest_bytes():
                         elem = build_element(family, n, k, r, mapping=mapping)
                         dofmap = global_numbering(mesh, elem)
                         out += [repr(dofmap.total).encode(), ints(dofmap.cell_dofs),
-                                ints(dofmap.lattice), ints(dofmap.ordering)]
+                                ints(dofmap.lattice),
+                                ints(nested_dissection(dofmap.lattice))]
                         if k == 0:
                             out.append(ints(boundary_dofs(dofmap, "full-trace")))
                         elif k == 1:

@@ -50,7 +50,7 @@ def test_multifrontal_agrees_with_superlu(splu_dtypes, n, name, r, divisions, fo
     assert splu_dtypes == []
     assert _residual(system, x) <= 1e-12
     y = solve_spd(_unordered(system))
-    assert splu_dtypes == [np.float32]
+    assert splu_dtypes == [np.float64]
     assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
 
 
@@ -86,7 +86,7 @@ def test_the_top_box_must_be_closed_on_even_planes(monkeypatch, splu_dtypes):
     monkeypatch.setattr(multifrontal, "_top_box", unclosed)
     assert multifrontal.factor(system.matrix, system.lattice) is None
     x = solve_spd(system)  # falls back to SuperLU
-    assert splu_dtypes == [np.float32]
+    assert splu_dtypes == [np.float64]
     assert _residual(system, x) <= 1e-12
 
 
@@ -119,7 +119,7 @@ def test_a_changed_interior_dof_falls_back_to_superlu(splu_dtypes, change):
     changed = change(system, _dof_at(system, (8, 10)))
     assert multifrontal.factor(changed.matrix, changed.lattice) is None
     x = solve_spd(changed)
-    assert splu_dtypes == [np.float32]
+    assert splu_dtypes == [np.float64]
     assert _residual(changed, x) <= 1e-12
 
 
@@ -132,7 +132,7 @@ def test_a_lattice_that_swaps_two_vertices_falls_back(splu_dtypes):
     lattice[[i, j]] = lattice[[j, i]]
     assert multifrontal.factor(system.matrix, lattice) is None
     x = solve_spd(SparseSystem(system.matrix, system.rhs, lattice=lattice))
-    assert splu_dtypes == [np.float32]
+    assert splu_dtypes == [np.float64]
     assert _residual(system, x) <= 1e-12
 
 
@@ -144,7 +144,7 @@ def test_a_coupling_beyond_the_cells_around_a_box_falls_back(splu_dtypes):
                            lattice=system.lattice)
     assert multifrontal.factor(coupled.matrix, coupled.lattice) is None
     x = solve_spd(coupled)
-    assert splu_dtypes == [np.float32]
+    assert splu_dtypes == [np.float64]
     assert _residual(coupled, x) <= 1e-12
 
 
@@ -157,7 +157,7 @@ def test_every_unknown_must_be_a_pivot_of_its_class_layout(splu_dtypes):
     A = sp.identity(len(lattice), format="csr") * 2.0
     assert multifrontal.factor(A, lattice) is None
     x = solve_spd(SparseSystem(A, np.ones(len(lattice)), lattice=lattice))
-    assert splu_dtypes == [np.float32]
+    assert splu_dtypes == [np.float64]
     assert np.abs(x - 0.5).max() <= 1e-15
 
 

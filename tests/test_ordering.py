@@ -70,10 +70,9 @@ def test_lattice_doubles_entity_coordinates():
                                         (3, "SminusCurl", 2, 3), (2, "RTCF", 2, 5)])
 def test_nested_dissection_is_a_deterministic_permutation(n, name, r, N):
     dofmap = _dofmap(n, name, r, N)
-    order = dofmap.ordering
+    order = nested_dissection(dofmap.lattice)
     assert np.array_equal(np.sort(order), np.arange(dofmap.total))
     assert np.array_equal(order, nested_dissection(dofmap.lattice.copy()))
-    assert dofmap.ordering is order  # cached
 
 
 def test_nested_dissection_of_arbitrary_points():
@@ -94,7 +93,8 @@ def test_nested_dissection_of_arbitrary_points():
 def test_top_separator_leaves_no_coupling_between_the_halves(n, name, r, N, form):
     dofmap = _dofmap(n, name, r, N)
     A = assemble_bilinear(dofmap.mesh, dofmap, dofmap, form)
-    assert A.ordering is dofmap.ordering
+    assert np.array_equal(A.ordering, nested_dissection(dofmap.lattice))
+    assert A.ordering is A.ordering  # cached on the system
     _assert_top_separator(A.matrix, dofmap.lattice, A.ordering)
 
 
@@ -112,9 +112,24 @@ def test_eliminated_ordering_is_a_permutation_of_the_free_dofs(n, name, r, N, ki
     order = red.ordering
     assert np.array_equal(np.sort(order), np.arange(len(red.free)))
     # the full order with the boundary DOFs taken out
-    kept = dofmap.ordering[np.isin(dofmap.ordering, red.free)]
+    full = nested_dissection(dofmap.lattice)
+    kept = full[np.isin(full, red.free)]
     assert np.array_equal(red.free[order], kept)
-    assert apply_dirichlet(system, bdofs, "diag1").ordering is dofmap.ordering
+    assert np.array_equal(apply_dirichlet(system, bdofs, "diag1").ordering, full)
+
+
+@pytest.mark.parametrize("mode", ["eliminate", "diag1"])
+def test_a_reduced_system_carries_the_lattice_of_its_unknowns(mode):
+    # the reduced system's unknowns are the full DOFs of a second reduction
+    dofmap = _dofmap(2, "Lagrange", 2, 4)
+    system = assemble_bilinear(dofmap.mesh, dofmap, dofmap, "GradGrad")
+    red = apply_dirichlet(system, boundary_dofs(dofmap, "full-trace"), "eliminate")
+    again = apply_dirichlet(red, [0, 5], mode)
+    assert again.full_size == len(red.free)
+    kept = np.arange(len(red.free)) if mode == "diag1" else again.free
+    assert np.array_equal(again.lattice, dofmap.lattice[red.free][kept])
+    assert np.array_equal(np.sort(again.ordering), np.arange(len(kept)))
+    _assert_top_separator(again.matrix, again.lattice, again.ordering)
 
 
 @pytest.mark.parametrize("n,name,r", [(2, "Lagrange", 2), (3, "S", 2)])
