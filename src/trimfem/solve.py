@@ -2,9 +2,10 @@
 
 Source problems use a direct factorization with iterative refinement;
 the cavity eigenproblem uses a dense generalized solve on small reduced
-systems and a shift-invert Krylov iteration (Cayley spectral transform,
-so the curl-curl gradient kernel at zero cannot crowd out eigenvalues on
-the far side of the target) on large ones.
+systems and a shift-invert Krylov iteration (Cayley spectral transform)
+on large ones.  Both paths keep the pairs of smallest Cayley magnitude
+|lambda - sigma| / |lambda + sigma|, so the curl-curl gradient kernel at
+zero cannot crowd out eigenvalues on the far side of the shift sigma.
 
 An SPD system that carries the lattice of its unknowns (every assembled
 square operator, see `SparseSystem.lattice`) is factored by the
@@ -32,9 +33,10 @@ Poisson r=2 N=8: 3.6 M -> 0.9 M).  The pivoting follows the matrix class:
   definiteness (symmetric mode on A - sigma M was no faster and left
   25-40x larger residuals).
 
-A matrix without an ordering, such as one built by hand, is factored as
-before the ordering existed: minimum degree on A^T + A for SPD and
-shifted systems, SuperLU's default COLAMD for saddle-point systems.
+A system without a lattice, such as `SparseSystem(matrix)` around a
+matrix built by hand, has no ordering and is factored as before the
+ordering existed: minimum degree on A^T + A for SPD and shifted systems,
+SuperLU's default COLAMD for saddle-point systems.
 
 The SPD and saddle-point solves are one routine, `_direct_solve`: check
 the right-hand side and the symmetry, return zeros for a zero right-hand
@@ -236,36 +238,44 @@ def _residual_norms(A, M, norms, vals, vecs):
     return np.linalg.norm(R, axis=1) / scale
 
 
-def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
-                     dense_cutoff=4000, ordering=None) -> EigenResult:
+def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
+                     tol=1e-7, dense_cutoff=4000) -> EigenResult:
     """`nev` generalized eigenpairs of A x = lambda M x around a target.
 
-    A must be symmetric positive semidefinite and M symmetric positive
-    definite.  Systems up to `dense_cutoff` unknowns, or with no more
-    unknowns than `nev`, use a dense generalized solve and return the
-    `nev` eigenvalues nearest the target.  Larger ones factor A - target M
-    (in `ordering` if given, e.g. `SparseSystem.ordering`), run ARPACK on
-    the Cayley transform and polish by inverse iteration.  They return the
-    `nev` of largest |(lambda + target) / (lambda - target)|, which prefers
-    eigenvalues above the target (diag(1..40), target 10.4, nev 3: 10, 11,
-    12; dense: 9, 10, 11), and Lanczos may miss degenerate copies.
+    `A` and `M` are assembled systems; A's matrix must be symmetric
+    positive semidefinite and M's symmetric positive definite, and the
+    target positive.  Both paths return the `nev` eigenpairs of smallest
+    |lambda - target| / |lambda + target|, the Cayley magnitude, so an
+    eigenvalue at zero (the curl-curl gradient kernel) or far below the
+    target ranks last, and eigenvalues above the target are preferred
+    (diag(1..40), target 10.4, nev 3: 10, 11, 12).
+
+    Systems up to `dense_cutoff` unknowns, or with no more unknowns than
+    `nev`, use a dense generalized solve ranked by a stable sort.  Larger
+    ones factor A - target M in `A.ordering` and run ARPACK on the Cayley
+    transform, which ranks the same way; Lanczos may miss degenerate
+    copies.
     """
     if nev < 1:
         raise ValueError(f"nev={nev}: request at least one eigenpair")
-    A = sp.csr_matrix(A)
-    M = sp.csr_matrix(M)
+    if not target > 0:
+        raise ValueError(f"target={target}: the ranking needs a positive shift")
+    system = A
+    A = sp.csr_matrix(A.matrix)
+    M = sp.csr_matrix(M.matrix)
     _check_symmetric(A)
     _check_symmetric(M)
     n = A.shape[0]
     norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
     if n <= dense_cutoff or nev >= n:
         vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
-        order = np.argsort(np.abs(vals - target), kind="stable")[:nev]
+        cayley = np.abs(vals - target) / np.abs(vals + target)
+        order = np.argsort(cayley, kind="stable")[:nev]
         vals, vecs = vals[order], vecs[:, order]
         return EigenResult(vals, vecs, _residual_norms(A, M, norms, vals, vecs))
 
     counter = {"n": 0, "time": 0.0}
-    solve = _factor(A - target * M, ordering,
+    solve = _factor(A - target * M, system.ordering,
                     f"shift-invert factorization of (A - {target} M)",
                     permc_spec="MMD_AT_PLUS_A")
 
@@ -295,19 +305,5 @@ def eig_shift_invert(A, M, target=3.0, nev=15, tol=1e-7,
             f"eigensolver did not converge for {nev} pairs near {target} "
             f"(size {n}); partial results: {len(failure.eigenvalues)} pairs"
         ) from failure
-    # inverse-iteration polish: one factored solve per vector tightens the
-    # back-transformed residuals to the factorization level
-    res = _residual_norms(A, M, norms, vals, vecs)
-    for i in range(len(vals)):
-        x = vecs[:, i]
-        for _ in range(3):
-            if res[i] <= tol * 0.1:
-                break
-            y = solve(M @ x)
-            y /= np.sqrt(abs(y @ (M @ y)))
-            lam = (y @ (A @ y)) / (y @ (M @ y))
-            x = y
-            vecs[:, i] = y
-            vals[i] = lam
-            res[i : i + 1] = _residual_norms(A, M, norms, vals[i : i + 1], y[:, None])
-    return EigenResult(vals, vecs, res, op_count=counter["n"], op_time=counter["time"])
+    return EigenResult(vals, vecs, _residual_norms(A, M, norms, vals, vecs),
+                       op_count=counter["n"], op_time=counter["time"])

@@ -238,6 +238,34 @@ def test_maxwell_takes_the_dense_path_when_nev_covers_the_system():
     assert count == 3 and value == pytest.approx(2.4317, abs=1e-4)
 
 
+def test_maxwell_diag1_reports_what_elimination_reports():
+    # the planted unit eigenvalues rank last, like the gradient-kernel
+    # zeros, so diag1 mode reports the pairs elimination mode reports
+    elim, diag1 = (run_maxwell_eig("S", 1, [4], bc_mode=mode).levels[0]
+                   for mode in ("eliminate", "diag1"))
+    assert elim.time_per_iteration is diag1.time_per_iteration is None  # dense
+    assert elim.groups.keys() == diag1.groups.keys() == {2, 3, 6}
+    for e, clusters in elim.groups.items():
+        assert [c for _, c in diag1.groups[e]] == [c for _, c in clusters]
+        assert [v for v, _ in diag1.groups[e]] == pytest.approx(
+            [v for v, _ in clusters], rel=1e-12)
+
+
+def test_maxwell_numbers_one_space_per_level(monkeypatch):
+    from trimfem import experiments
+
+    numbered = []
+    numbering = experiments.global_numbering
+
+    def recording_numbering(mesh, element):
+        numbered.append(element)
+        return numbering(mesh, element)
+
+    monkeypatch.setattr(experiments, "global_numbering", recording_numbering)
+    run_maxwell_eig("S", 1, [2, 4])
+    assert len(numbered) == 2
+
+
 def test_maxwell_reports_no_iteration_time_on_the_dense_path():
     # N=2 leaves 6 free DOFs and takes the dense path; N=4 leaves more
     # than dense_cutoff and iterates

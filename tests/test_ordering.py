@@ -190,8 +190,8 @@ def test_ordered_and_unordered_cavity_eigenvalues_agree(family):
     A = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "CurlCurl"), bdofs)
     M = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "Mass"), bdofs)
     kwargs = dict(target=3.0 * PI2, nev=5, dense_cutoff=1)
-    ordered = eig_shift_invert(A.matrix, M.matrix, ordering=A.ordering, **kwargs)
-    plain = eig_shift_invert(A.matrix, M.matrix, **kwargs)
+    ordered = eig_shift_invert(A, M, **kwargs)
+    plain = eig_shift_invert(SparseSystem(A.matrix), SparseSystem(M.matrix), **kwargs)
     assert ordered.op_count > 0 and plain.op_count > 0
     assert np.abs(ordered.eigenvalues / plain.eigenvalues - 1).max() <= 1e-9
     assert ordered.residuals.max() <= 1e-6

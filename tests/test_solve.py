@@ -217,30 +217,50 @@ def test_solve_saddle_gate_reports_refinement_steps():
         solve_saddle(system, tol=0.0)
 
 
+def _diagonal_pencil(n):
+    """The systems of diag(1..n) x = lambda x, without a lattice."""
+    A = SparseSystem(sp.diags(np.arange(1.0, n + 1.0)).tocsr())
+    return A, SparseSystem(sp.identity(n, format="csr"))
+
+
 def test_diagonal_eigenproblem():
-    A = sp.diags([1.0, 2.0, 3.0]).tocsr()
-    M = sp.identity(3, format="csr")
+    A, M = _diagonal_pencil(3)
     res = eig_shift_invert(A, M, target=2.5, nev=2)
     assert np.allclose(sorted(res.eigenvalues), [2.0, 3.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("ordering", [None, np.arange(20)[::-1]])
-def test_shift_invert_reports_a_singular_shift(ordering):
+def test_dense_rank_of_a_target_that_is_an_eigenvalue():
+    # |lambda - target| / |lambda + target| is zero there, not a division by zero
+    A, M = _diagonal_pencil(3)
+    res = eig_shift_invert(A, M, target=2.0, nev=1)
+    assert np.array_equal(res.eigenvalues, [2.0])
+
+
+@pytest.mark.parametrize("lattice", [None, 2 * np.arange(20)[::-1, None]])
+def test_shift_invert_reports_a_singular_shift(lattice):
     # the shift hits the eigenvalue 3 exactly, so A - 3 M is singular
-    A = sp.diags(np.arange(1.0, 21.0)).tocsr()
-    M = sp.identity(20, format="csr")
+    A, M = _diagonal_pencil(20)
+    A = SparseSystem(A.matrix, lattice=lattice)
+    assert (A.ordering is None) == (lattice is None)
     with pytest.raises(RuntimeError,
                        match=r"shift-invert factorization.*size 20, nnz \d+"):
-        eig_shift_invert(A, M, target=3.0, nev=2, dense_cutoff=1, ordering=ordering)
+        eig_shift_invert(A, M, target=3.0, nev=2, dense_cutoff=1)
 
 
 @pytest.mark.parametrize("dense_cutoff", [4000, 1], ids=["dense", "shift-invert"])
 def test_eig_shift_invert_rejects_nev_below_one(dense_cutoff):
     # the shift is singular, so factoring before the check would raise RuntimeError
-    A = sp.diags(np.arange(1.0, 21.0)).tocsr()
-    M = sp.identity(20, format="csr")
+    A, M = _diagonal_pencil(20)
     with pytest.raises(ValueError, match="nev=0"):
         eig_shift_invert(A, M, target=3.0, nev=0, dense_cutoff=dense_cutoff)
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0, float("nan")])
+def test_eig_shift_invert_rejects_a_shift_that_is_not_positive(target):
+    # |lambda - target| / |lambda + target| ranks nothing sensibly there
+    A, M = _diagonal_pencil(20)
+    with pytest.raises(ValueError, match="positive shift"):
+        eig_shift_invert(A, M, target=target, nev=2)
 
 
 def _failing_eigsh(monkeypatch, failures):
@@ -264,8 +284,7 @@ def _failing_eigsh(monkeypatch, failures):
 
 
 def test_eig_shift_invert_retries_once_with_a_larger_subspace(monkeypatch):
-    A = sp.diags(np.arange(1.0, 41.0)).tocsr()
-    M = sp.identity(40, format="csr")
+    A, M = _diagonal_pencil(40)
     calls, returned = _failing_eigsh(monkeypatch, failures=1)
     res = eig_shift_invert(A, M, target=10.4, nev=3, dense_cutoff=1)
     assert len(calls) == 2
@@ -276,8 +295,7 @@ def test_eig_shift_invert_retries_once_with_a_larger_subspace(monkeypatch):
 
 
 def test_eig_shift_invert_reports_a_failed_retry(monkeypatch):
-    A = sp.diags(np.arange(1.0, 41.0)).tocsr()
-    M = sp.identity(40, format="csr")
+    A, M = _diagonal_pencil(40)
     calls, _ = _failing_eigsh(monkeypatch, failures=2)
     with pytest.raises(RuntimeError, match=r"did not converge for 3 pairs near 10\.4 "
                                            r"\(size 40\); partial results: 2 pairs"):
@@ -292,24 +310,36 @@ def _maxwell_system(family, N, r=2, mode="eliminate"):
     bdofs = boundary_dofs(dofmap, "tangential-trace")
     A = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "CurlCurl"), bdofs, mode)
     M = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "Mass"), bdofs, mode)
-    return A.matrix, M.matrix
+    return A, M
 
 
 def test_maxwell_operator_is_positive_semidefinite():
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 2)
-    vals = np.linalg.eigvalsh(A.toarray())
+    vals = np.linalg.eigvalsh(A.matrix.toarray())
     assert vals.min() >= -1e-9 * max(vals.max(), 1.0)
 
 
+def _both_paths(A, M, target, nev):
+    """The dense and the shift-invert results, checked to hold the same pairs."""
+    dense = eig_shift_invert(A, M, target=target, nev=nev, dense_cutoff=10**9)
+    sparse = eig_shift_invert(A, M, target=target, nev=nev, dense_cutoff=1)
+    assert len(dense) == len(sparse) == nev
+    assert np.abs(dense.eigenvalues / sparse.eigenvalues - 1).max() <= 1e-12
+    return dense, sparse
+
+
 def test_dense_and_shift_invert_paths_agree():
+    # both paths rank by the Cayley magnitude, so neither returns a
+    # gradient-kernel zero
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
-    dense = eig_shift_invert(A, M, target=3.0 * PI2, nev=12, dense_cutoff=10**9)
-    sparse = eig_shift_invert(A, M, target=3.0 * PI2, nev=12, dense_cutoff=1)
-    dense_phys = np.sort(dense.eigenvalues[dense.eigenvalues > PI2])
-    sparse_phys = np.sort(sparse.eigenvalues[sparse.eigenvalues > PI2])
-    m = min(len(dense_phys), len(sparse_phys))
-    assert m >= 10
-    assert np.abs(dense_phys[:m] / sparse_phys[:m] - 1).max() <= 1e-8
+    dense, _ = _both_paths(A, M, 3.0 * PI2, nev=12)
+    assert dense.eigenvalues.min() > PI2
+
+
+def test_both_paths_prefer_eigenvalues_above_the_target():
+    A, M = _diagonal_pencil(40)
+    for res in _both_paths(A, M, 10.4, nev=3):
+        assert np.allclose(res.eigenvalues, [10.0, 11.0, 12.0], rtol=0, atol=1e-12)
 
 
 def test_shift_invert_path_is_deterministic():
@@ -325,7 +355,8 @@ def test_eigen_residuals_below_tolerance():
     tol = 1e-7
     res = eig_shift_invert(A, M, target=3.0 * PI2, nev=10, tol=tol, dense_cutoff=1)
     assert res.residuals.max() <= 10 * tol
-    # the residuals kept through the polish are those of the returned pairs
+    # the residuals reported are those of the returned pairs
+    A, M = A.matrix, M.matrix
     norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
     assert np.array_equal(res.residuals, solve._residual_norms(
         A, M, norms, res.eigenvalues, res.eigenvectors))
@@ -337,10 +368,11 @@ def test_spurious_unit_eigenvalues_in_diag1_mode():
     import scipy.linalg
 
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 2, mode="diag1")
-    vals = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    vals = scipy.linalg.eigh(A.matrix.toarray(), M.matrix.toarray(), eigvals_only=True)
     ones = np.sum(np.abs(vals - 1.0) < 1e-9)
     assert ones > 0
     # while elimination mode has none
     Ae, Me = _maxwell_system(TRIMMED_SERENDIPITY, 2, mode="eliminate")
-    vals_e = scipy.linalg.eigh(Ae.toarray(), Me.toarray(), eigvals_only=True)
+    vals_e = scipy.linalg.eigh(Ae.matrix.toarray(), Me.matrix.toarray(),
+                               eigvals_only=True)
     assert np.sum(np.abs(vals_e - 1.0) < 1e-9) == 0
