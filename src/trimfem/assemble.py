@@ -74,19 +74,13 @@ class SparseSystem:
     reduced operator on the DOFs `free`; `expand` scatters a reduced
     solution back to the full DOF vector.
 
-    The constructor's `lattice` is the doubled-lattice position of each of
-    the `full_size` DOFs (`GlobalDofMap.lattice`), or None.  It may be
-    given as a function of no arguments, called on first use, so a system
-    that is never factored never computes it.  The two facts a
-    factorization reads derive from it and are cached:
-
-    - `lattice`, its rows of the unknowns (those in `free`), from which
-      `solve_spd` builds its multifrontal factor;
-    - `ordering`, the elimination order SuperLU factors the matrix in
-      (`ordering[k]` is the k-th unknown eliminated): the nested
-      dissection of the full lattice with the eliminated DOFs taken out.
-
-    Both are None without a lattice.
+    `lattice` is the doubled-lattice position of each unknown of the
+    stored matrix (`GlobalDofMap.lattice`), or None.  The constructor may
+    take it as a function of no arguments, called on first use, so a
+    system that is never factored never computes it.  It is the one fact a
+    factorization reads: `solve_spd` builds its multifrontal factor on it,
+    and SuperLU factors in the cached `ordering`, its nested dissection
+    (`ordering[k]` is the k-th unknown eliminated), None without a lattice.
     """
 
     def __init__(self, matrix, rhs=None, full_size=None, free=None, lattice=None):
@@ -96,25 +90,13 @@ class SparseSystem:
         self.free = free
         self._lattice = lattice
 
-    def _full_lattice(self):
-        if callable(self._lattice):
-            self._lattice = self._lattice()
-        return self._lattice
-
     @cached_property
     def lattice(self):
-        full = self._full_lattice()
-        return full if full is None or self.free is None else full[self.free]
+        return self._lattice() if callable(self._lattice) else self._lattice
 
     @cached_property
     def ordering(self):
-        full = self._full_lattice()
-        if full is None:
-            return None
-        order = nested_dissection(full)
-        if self.free is None:
-            return order
-        return np.searchsorted(self.free, order[np.isin(order, self.free)])
+        return None if self.lattice is None else nested_dissection(self.lattice)
 
     def expand(self, x):
         if self.free is None:
@@ -285,23 +267,26 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     `eliminate` removes constrained rows/columns and solves the reduced
     system; `diag1` zeroes them and puts a unit value on the diagonal,
     which reproduces the spurious unit eigenvalues reported by solvers
-    that use that convention.  The system's lattice carries over; under
-    `eliminate` the reduced system's ordering and lattice are restricted to
-    the free DOFs.
+    that use that convention.  `dofs` are integer indices of the system's
+    unknowns.  The new system's lattice is the system's, under `eliminate`
+    its rows of the free DOFs, computed when first used.
     """
-    dofs = np.unique(np.asarray(dofs, dtype=np.int64))
+    dofs = np.asarray(dofs)
+    if dofs.size and not np.issubdtype(dofs.dtype, np.integer):
+        raise ValueError(f"DOF indices must be integers, got dtype {dofs.dtype}")
+    dofs = np.unique(dofs.astype(np.int64))
     A = system.matrix.tocsr()
     nfull = A.shape[0]
     bad = dofs[(dofs < 0) | (dofs >= nfull)]
     if bad.size:
         raise ValueError(f"DOF index {bad[0]} out of range for a system of size {nfull}")
-    # unresolved: the new system may never be factored (an already reduced
-    # system passes the lattice of its unknowns, the new system's full DOFs)
-    lattice = system._lattice if system.free is None else system.lattice
+    whole = system._lattice  # not the system: a closure would keep its matrix alive
     if mode == "eliminate":
         free = np.setdiff1d(np.arange(nfull), dofs)
         red = A[free][:, free].tocsr()
         rhs = None if system.rhs is None else system.rhs[free]
+        lattice = None if whole is None else lambda: (
+            whole() if callable(whole) else whole)[free]
         return SparseSystem(red, rhs, full_size=nfull, free=free, lattice=lattice)
     if mode == "diag1":
         fixed = np.zeros(nfull, dtype=bool)
@@ -317,7 +302,7 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
         if system.rhs is not None:
             rhs = system.rhs.copy()
             rhs[dofs] = 0.0
-        return SparseSystem(out, rhs, full_size=nfull, lattice=lattice)
+        return SparseSystem(out, rhs, full_size=nfull, lattice=whole)
     raise ValueError(f"unknown boundary mode {mode!r}; use 'eliminate' or 'diag1'")
 
 

@@ -249,7 +249,7 @@ class MaxwellReport:
 
 
 def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
-                    bc_mode="eliminate", dense_cutoff=4000):
+                    bc_mode="eliminate"):
     """Maxwell cavity eigenvalues on [0,1]^3 with H(curl) elements.
 
     Eigenvalues are reported normalized by pi^2 and matched to the exact
@@ -275,8 +275,7 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
         return A, M
 
     def solve(systems):
-        return eig_shift_invert(*systems, target=target * pi2, nev=nev, tol=tol,
-                                dense_cutoff=dense_cutoff)
+        return eig_shift_invert(*systems, target=target * pi2, nev=nev, tol=tol)
 
     levels = []
     for N, _, (dofmap,), result, t_asm, t_solve in _run_levels(3, N_list, [element],

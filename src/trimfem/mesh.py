@@ -157,6 +157,14 @@ def _split(lo, hi):
     return a, tuple(children)
 
 
+def _top_box(lattice):
+    """Even shift of the lattice and its bounding box closed on even planes."""
+    lo = lattice.min(axis=0)
+    lo = lo - lo % 2
+    hi = lattice.max(axis=0) - lo
+    return lo, ((0,) * len(lo), tuple((hi + hi % 2).tolist()))
+
+
 def nested_dissection(lattice):
     """Geometric nested-dissection order of points on a doubled box lattice.
 
@@ -164,11 +172,13 @@ def nested_dissection(lattice):
     values, as in `GlobalDofMap.lattice`.  DOFs couple only within the
     closure of a cell, so the points on an even plane separate those on
     either side of it; an odd plane separates nothing.  The bounding box of
-    the points is split at the even plane nearest its middle, along its
-    longest axis with such a plane strictly inside; both halves come
-    first, each split the same way, and the plane last.  Boxes without an
-    interior even plane (at most one cell wide) are leaves, ordered
-    lexicographically by position.
+    the points, closed on even planes (`_top_box`), is split at the even
+    plane nearest its middle, along its longest axis with such a plane
+    strictly inside; both halves come first, each split the same way, and
+    the plane last.  Boxes without an interior even plane (at most one cell
+    wide) are leaves, ordered lexicographically by position.  A lattice
+    without its outer planes has the whole lattice's box, so its order is
+    the whole lattice's with those points taken out.
 
     The splits depend only on box bounds, so the order is computed once
     per distinct box shape on the grid of all lattice positions, smallest
@@ -181,9 +191,7 @@ def nested_dissection(lattice):
     lattice = np.asarray(lattice, dtype=np.int64)
     if not len(lattice):
         return np.arange(0)
-    parity = lattice.min(axis=0) % 2
-    rel = lattice - (lattice.min(axis=0) - parity)  # an even shift
-    top = (tuple(parity.tolist()), tuple(rel.max(axis=0).tolist()))
+    origin, top = _top_box(lattice)
     splits, todo = {}, [top]
     while todo:
         box = todo.pop()
@@ -200,7 +208,7 @@ def nested_dissection(lattice):
         low, high, plane = (rank[c] for c in children)
         rank[box] = np.concatenate(
             [low, plane + (low.size + high.size), high + low.size], axis=a)
-    return np.argsort(rank[top][tuple((rel - parity).T)], kind="stable")
+    return np.argsort(rank[top][tuple((lattice - origin).T)], kind="stable")
 
 
 def global_numbering(mesh: BoxMesh, element: Element) -> GlobalDofMap:

@@ -2,12 +2,13 @@
 
 The unknowns of an assembled system sit on the doubled lattice of a box
 mesh (`GlobalDofMap.lattice`), and the elimination tree is the geometric
-nested dissection of `mesh._split` (George, SIAM J. Numer. Anal. 10(2),
-1973): a box eliminates its two halves first and the points on its
-splitting plane last, as one dense front (Duff & Reid, ACM TOMS 9(3),
-1983).  A front holds the box's pivots and its shell, the points just
-outside the box that its subtree couples to; eliminating the pivots leaves
-an update on the shell, which the parent adds into its own front.
+nested dissection of `mesh.nested_dissection`, one top box (`_top_box`)
+split by `_split` (George, SIAM J. Numer. Anal. 10(2), 1973): a box
+eliminates its two halves first and the points on its splitting plane
+last, as one dense front (Duff & Reid, ACM TOMS 9(3), 1983).  A front
+holds the box's pivots and its shell, the points just outside the box
+that its subtree couples to; eliminating the pivots leaves an update on
+the shell, which the parent adds into its own front.
 
 `_split` keys a box by its bounds shifted by an even amount, and on a
 uniform mesh every box of one key has the same matrix rows, so its whole
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .mesh import _split
+from .mesh import _split, _top_box
 
 
 # A pivot below this fraction of its front diagonal marks the front
@@ -74,14 +75,6 @@ def _int_type(bound):
 
 class _Mismatch(Exception):
     """An instance of a box class differs from the class representative."""
-
-
-def _top_box(lattice):
-    """Even shift of the lattice and its bounding box closed on even planes."""
-    lo = lattice.min(axis=0)
-    lo = lo - lo % 2
-    hi = lattice.max(axis=0) - lo
-    return lo, ((0,) * len(lo), tuple((hi + hi % 2).tolist()))
 
 
 def _tree(top, leaf):

@@ -18,25 +18,17 @@ the benchmark's Poisson levels its solutions meet the gate after at most
 one correction, or reach the rounding floor after two.
 
 Every SuperLU factorization is float64 and goes through `_factor`, in one
-fill-reducing order: the geometric nested dissection of the box-mesh
-lattice that an assembled system carries (`SparseSystem.ordering`, see
-`mesh.nested_dissection`).  `_factor` permutes the matrix symmetrically
-into it once and SuperLU keeps it (`permc_spec="NATURAL"`).  Against
-SuperLU's own orderings this factored the study systems 1.4-11x faster
-with 1.1-4.6x less fill (3D Poisson r=3 N=16: 70 M -> 24 M; 3D mixed
-Poisson r=2 N=8: 3.6 M -> 0.9 M).  The pivoting follows the matrix class:
-
-- SPD systems use symmetric mode with diagonal pivots (threshold 0), as
-  LU without pivoting is stable on SPD matrices.
-- The indefinite shifted operator A - sigma M and saddle-point systems
-  keep threshold pivoting, so their stability does not rest on
-  definiteness (symmetric mode on A - sigma M was no faster and left
-  25-40x larger residuals).
-
-A system without a lattice, such as `SparseSystem(matrix)` around a
-matrix built by hand, has no ordering and is factored as before the
-ordering existed: minimum degree on A^T + A for SPD and shifted systems,
-SuperLU's default COLAMD for saddle-point systems.
+configuration: the fill-reducing order is the geometric nested
+dissection of the lattice an assembled system carries
+(`SparseSystem.ordering`, see `mesh.nested_dissection`), into which
+`_factor` permutes the matrix symmetrically once for SuperLU to keep
+(`permc_spec="NATURAL"`), and the pivoting is SuperLU's default
+threshold pivoting, whose stability does not rest on definiteness.
+Against SuperLU's own orderings this factored the study systems 1.4-11x
+faster with 1.1-4.6x less fill (3D Poisson r=3 N=16: 70 M -> 24 M; 3D
+mixed Poisson r=2 N=8: 3.6 M -> 0.9 M).  A system without a lattice, such
+as `SparseSystem(matrix)` around a matrix built by hand, is factored in
+SuperLU's default COLAMD order.
 
 The SPD and saddle-point solves are one routine, `_direct_solve`: check
 the right-hand side and the symmetry, return zeros for a zero right-hand
@@ -97,23 +89,24 @@ def _check_symmetric(A, tol=1e-12):
         raise ValueError("matrix is not symmetric")
 
 
-def _factor(A, ordering, stage, **options):
+def _factor(A, ordering, stage):
     """Solve function of one SuperLU factorization of the square matrix A.
 
     With an `ordering`, A is permuted symmetrically into it once and
     SuperLU keeps the natural order; the returned function permutes
     right-hand sides and solutions, so callers work in the original
-    numbering.  Without one, `options` (passed to `splu`) choose the
-    order.  A failed factorization raises an error naming the `stage`
-    and the matrix size and nnz.
+    numbering.  Without one, SuperLU orders A by COLAMD.  Either way it
+    pivots by its default threshold.  A failed factorization raises an
+    error naming the `stage` and the matrix size and nnz.
     """
     n, nnz = A.shape[0], A.nnz
+    permc_spec = "COLAMD"
     if ordering is not None:
         A = A[ordering][:, ordering]
-        options["permc_spec"] = "NATURAL"
+        permc_spec = "NATURAL"
     A = A.tocsc()  # rebound so that no permuted CSR copy lives through splu
     try:
-        lu = spla.splu(A, **options)
+        lu = spla.splu(A, permc_spec=permc_spec)
     except RuntimeError as err:
         raise RuntimeError(
             f"{stage} failed (matrix size {n}, nnz {nnz}): {err}"
@@ -127,10 +120,6 @@ def _factor(A, ordering, stage, **options):
         return x
 
     return solve
-
-
-_SPD_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
 
 
 def _refine(A, b, solve, tol):
@@ -165,8 +154,8 @@ def _direct_solve(system: SparseSystem, tol, spd):
 
     An `spd` system that carries a lattice is factored by the multifrontal
     Cholesky of `multifrontal.factor`; any other system, and one whose
-    lattice classes do not hold, by SuperLU (`_factor`), in symmetric mode
-    if `spd`.  The factor is refined (`_refine`).  A residual above `tol`
+    lattice classes do not hold, by SuperLU (`_factor`).  The factor is
+    refined (`_refine`).  A residual above `tol`
     raises a RuntimeError that gives the refinement steps taken, the
     factor and the rounding floor eps ||A| |x|| / ||b||.
 
@@ -186,8 +175,8 @@ def _direct_solve(system: SparseSystem, tol, spd):
     factor = "multifrontal"
     if solve is None:
         factor = "SuperLU"
-        solve = (_factor(A, system.ordering, "sparse factorization", **_SPD_OPTIONS)
-                 if spd else _factor(A, system.ordering, "saddle factorization"))
+        solve = _factor(A, system.ordering,
+                        "sparse factorization" if spd else "saddle factorization")
     x, res, steps = _refine(A, b, solve, tol)
     if not np.isfinite(res) or res > tol:
         A.sum_duplicates()  # |A| on A's own index arrays, without a copy of A
@@ -207,8 +196,8 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
 
     A system that carries a lattice is factored by the multifrontal
     Cholesky of `multifrontal.factor`; any other system, and one whose
-    lattice classes do not hold, by one float64 SuperLU factorization in
-    symmetric mode.  See `_direct_solve` for the refinement and the gate.
+    lattice classes do not hold, by one float64 SuperLU factorization
+    (`_factor`).  See `_direct_solve` for the refinement and the gate.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
@@ -218,8 +207,8 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
 def solve_saddle(system: SparseSystem, tol=1e-12):
     """Solve an assembled mixed system to a relative residual.
 
-    Factors A by SuperLU with threshold pivoting; see `_direct_solve` for
-    the refinement and the gate.
+    Factors A by SuperLU (`_factor`); see `_direct_solve` for the
+    refinement and the gate.
 
     Returns one stacked vector, flux coefficients first; callers split it
     at the flux space dimension they assembled with.
@@ -238,8 +227,12 @@ def _residual_norms(A, M, norms, vals, vecs):
     return np.linalg.norm(R, axis=1) / scale
 
 
+# Eigenproblems of at most this many unknowns take the dense path.
+_DENSE_CUTOFF = 4000
+
+
 def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
-                     tol=1e-7, dense_cutoff=4000) -> EigenResult:
+                     tol=1e-7) -> EigenResult:
     """`nev` generalized eigenpairs of A x = lambda M x around a target.
 
     `A` and `M` are assembled systems; A's matrix must be symmetric
@@ -250,7 +243,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
     target ranks last, and eigenvalues above the target are preferred
     (diag(1..40), target 10.4, nev 3: 10, 11, 12).
 
-    Systems up to `dense_cutoff` unknowns, or with no more unknowns than
+    Systems up to `_DENSE_CUTOFF` unknowns, or with no more unknowns than
     `nev`, use a dense generalized solve ranked by a stable sort.  Larger
     ones factor A - target M in `A.ordering` and run ARPACK on the Cayley
     transform, which ranks the same way; Lanczos may miss degenerate
@@ -260,6 +253,8 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
         raise ValueError(f"nev={nev}: request at least one eigenpair")
     if not target > 0:
         raise ValueError(f"target={target}: the ranking needs a positive shift")
+    if not A.matrix.shape[0]:
+        raise ValueError("eigenproblem of size 0: the system has no unknowns")
     system = A
     A = sp.csr_matrix(A.matrix)
     M = sp.csr_matrix(M.matrix)
@@ -267,7 +262,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
     _check_symmetric(M)
     n = A.shape[0]
     norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
-    if n <= dense_cutoff or nev >= n:
+    if n <= _DENSE_CUTOFF or nev >= n:
         vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
         cayley = np.abs(vals - target) / np.abs(vals + target)
         order = np.argsort(cayley, kind="stable")[:nev]
@@ -276,8 +271,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
 
     counter = {"n": 0, "time": 0.0}
     solve = _factor(A - target * M, system.ordering,
-                    f"shift-invert factorization of (A - {target} M)",
-                    permc_spec="MMD_AT_PLUS_A")
+                    f"shift-invert factorization of (A - {target} M)")
 
     def op(x):
         t0 = time.perf_counter()
@@ -294,7 +288,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
         try:
             vals, vecs = spla.eigsh(
                 A, k=nev, M=M, sigma=target, mode="cayley", which="LM",
-                tol=tol * 1e-2, OPinv=opinv, ncv=min(n - 1, ncv),
+                tol=tol * 1e-2, OPinv=opinv, ncv=min(n, ncv),
                 maxiter=maxiter, v0=v0,
             )
             break

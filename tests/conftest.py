@@ -4,18 +4,42 @@ from trimfem import solve
 
 
 @pytest.fixture
-def splu_dtypes(monkeypatch):
+def _splu_calls(monkeypatch):
+    """The dtype and the keyword arguments of every SuperLU call."""
+    dtypes, options = [], []
+    splu = solve.spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        dtypes.append(A.dtype)
+        options.append(kwargs)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(solve.spla, "splu", recording_splu)
+    return dtypes, options
+
+
+@pytest.fixture
+def splu_dtypes(_splu_calls):
     """The dtype of every matrix passed to SuperLU, in call order.
 
     Empty when every factor was multifrontal; an SPD system that falls
     back to SuperLU adds one float64 entry.
     """
-    dtypes = []
-    splu = solve.spla.splu
+    return _splu_calls[0]
 
-    def recording_splu(A, *args, **kwargs):
-        dtypes.append(A.dtype)
-        return splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(solve.spla, "splu", recording_splu)
-    return dtypes
+@pytest.fixture
+def splu_options(_splu_calls):
+    """The keyword arguments of every SuperLU call, in call order."""
+    return _splu_calls[1]
+
+
+@pytest.fixture
+def dense_cutoff(monkeypatch):
+    """A function that sets `solve._DENSE_CUTOFF` for the test: the largest
+    eigenproblem solved densely (1 sends every larger one to shift-invert)."""
+
+    def set_cutoff(n):
+        monkeypatch.setattr(solve, "_DENSE_CUTOFF", n)
+
+    return set_cutoff

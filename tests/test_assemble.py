@@ -243,6 +243,24 @@ def test_boundary_modes_reject_indices_outside_the_system(mode, index):
         apply_dirichlet(K, [0, index], mode)
 
 
+@pytest.mark.parametrize("mode", ["eliminate", "diag1"])
+@pytest.mark.parametrize("dofs", [[False, False, False, True, True], [3.7]],
+                         ids=["boolean-mask", "float"])
+def test_boundary_modes_reject_indices_that_are_not_integers(mode, dofs):
+    # a mask would be cast to the indices {0, 1} and 3.7 truncated to 3
+    K = SparseSystem(sp.identity(5, format="csr"))
+    with pytest.raises(ValueError, match="DOF indices must be integers"):
+        apply_dirichlet(K, dofs, mode)
+
+
+@pytest.mark.parametrize("dofs", [[], [4, 3], np.array([3, 4], dtype=np.uint8)],
+                         ids=["empty", "list", "uint8"])
+def test_boundary_modes_accept_integer_and_empty_indices(dofs):
+    K = SparseSystem(sp.identity(5, format="csr"))
+    want = [0, 1, 2] if len(dofs) else [0, 1, 2, 3, 4]
+    assert np.array_equal(apply_dirichlet(K, dofs).free, want)
+
+
 @pytest.mark.parametrize("n, r, N", [(2, 1, 16), (3, 3, 4)])
 def test_diag1_matches_the_sparse_product_construction(n, r, N):
     import scipy.sparse as sp

@@ -125,12 +125,13 @@ def test_studies_accept_numpy_integers():
     (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
     # N=3: N=2 has 6 free DOFs, fewer than the 15 pairs requested, so it
-    # takes the dense path even with dense_cutoff=1
-    (lambda: run_maxwell_eig("S", 1, [3], dense_cutoff=1), 1),
+    # takes the dense path even with a dense cutoff of 1
+    (lambda: run_maxwell_eig("S", 1, [3]), 1),
 ], ids=["primal-poisson", "mixed-poisson", "maxwell-sparse"])
-def test_each_study_level_factors_once(monkeypatch, study, expected):
+def test_each_study_level_factors_once(monkeypatch, dense_cutoff, study, expected):
     from trimfem import solve
 
+    dense_cutoff(1)
     calls = []
     splu = solve.spla.splu
     multifrontal = solve.multifrontal.factor
@@ -149,21 +150,23 @@ def test_each_study_level_factors_once(monkeypatch, study, expected):
     assert len(calls) == expected
 
 
-@pytest.mark.parametrize("study, expected", [
+@pytest.mark.parametrize("study, cutoff, expected", [
     # the multifrontal factor reads the lattice, never the ordering
-    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 0),
-    (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), 0),
+    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 4000, 0),
+    (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), 4000, 0),
     # the stacked flux/potential lattice, never the flux map's own order
-    (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
+    (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 4000, 2),
     # A and M share one map; M is never factored
-    (lambda: run_maxwell_eig("S", 1, [3], dense_cutoff=1), 1),
+    (lambda: run_maxwell_eig("S", 1, [3]), 1, 1),
     # the dense path factors nothing
-    (lambda: run_maxwell_eig("S", 1, [3]), 0),
+    (lambda: run_maxwell_eig("S", 1, [3]), 4000, 0),
 ], ids=["primal-poisson", "primal-eliminate", "mixed-poisson", "maxwell-sparse",
         "maxwell-dense"])
-def test_orderings_are_computed_only_for_factored_maps(monkeypatch, study, expected):
+def test_orderings_are_computed_only_for_factored_maps(monkeypatch, dense_cutoff, study,
+                                                        cutoff, expected):
     from trimfem import assemble, mesh
 
+    dense_cutoff(cutoff)
     calls = []
     nested_dissection = mesh.nested_dissection
 
@@ -203,7 +206,10 @@ def test_studies_reject_bad_levels_before_meshing(monkeypatch, study, levels):
      "levels []"),
     (["maxwell-eig", "--element", "SminusCurl", "--order", "1", "--levels", "3",
       "--nev", "0"], "nev=0"),
-], ids=["decreasing-levels", "empty-levels", "nev-0"])
+    # one cell of lowest order: every DOF is on the boundary
+    (["maxwell-eig", "--element", "SminusCurl", "--order", "1", "--levels", "1"],
+     "eigenproblem of size 0"),
+], ids=["decreasing-levels", "empty-levels", "nev-0", "cavity-without-unknowns"])
 def test_cli_rejects_bad_study_input(capsys, argv, message):
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
@@ -229,13 +235,19 @@ def test_maxwell_report_small():
     assert "DOF" in text and "time/iter" in text
 
 
-def test_maxwell_takes_the_dense_path_when_nev_covers_the_system():
+def test_maxwell_takes_the_dense_path_when_nev_covers_the_system(dense_cutoff):
     # N=2 leaves 6 free DOFs, fewer than the 15 pairs requested
-    sparse = run_maxwell_eig("S", 1, [2], dense_cutoff=1)
     dense = run_maxwell_eig("S", 1, [2])
+    dense_cutoff(1)
+    sparse = run_maxwell_eig("S", 1, [2])
     assert sparse.levels[0].groups == dense.levels[0].groups
     ((value, count),) = dense.levels[0].groups[2]
     assert count == 3 and value == pytest.approx(2.4317, abs=1e-4)
+
+
+def test_maxwell_names_a_cavity_without_unknowns():
+    with pytest.raises(ValueError, match="eigenproblem of size 0"):
+        run_maxwell_eig("S", 1, [1])
 
 
 def test_maxwell_diag1_reports_what_elimination_reports():
@@ -266,10 +278,11 @@ def test_maxwell_numbers_one_space_per_level(monkeypatch):
     assert len(numbered) == 2
 
 
-def test_maxwell_reports_no_iteration_time_on_the_dense_path():
+def test_maxwell_reports_no_iteration_time_on_the_dense_path(dense_cutoff):
     # N=2 leaves 6 free DOFs and takes the dense path; N=4 leaves more
-    # than dense_cutoff and iterates
-    rep = run_maxwell_eig("S", 1, [2, 4], nev=6, dense_cutoff=100)
+    # than the dense cutoff and iterates
+    dense_cutoff(100)
+    rep = run_maxwell_eig("S", 1, [2, 4], nev=6)
     dense, sparse = rep.levels
     assert dense.time_per_iteration is None
     assert 0 < sparse.time_per_iteration < sparse.solve_time
@@ -279,9 +292,10 @@ def test_maxwell_reports_no_iteration_time_on_the_dense_path():
     assert float(row[2]) == pytest.approx(sparse.time_per_iteration, abs=1e-6)
 
 
-def test_maxwell_iteration_time_leaves_out_the_factorization(monkeypatch):
+def test_maxwell_iteration_time_leaves_out_the_factorization(monkeypatch, dense_cutoff):
     from trimfem import experiments
 
+    dense_cutoff(100)
     results = []
     eig = experiments.eig_shift_invert
 
@@ -290,7 +304,7 @@ def test_maxwell_iteration_time_leaves_out_the_factorization(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(experiments, "eig_shift_invert", recording_eig)
-    (level,) = run_maxwell_eig("S", 2, [4], nev=6, dense_cutoff=100).levels
+    (level,) = run_maxwell_eig("S", 2, [4], nev=6).levels
     (result,) = results
     assert result.op_count > 0
     assert level.time_per_iteration == result.op_time / result.op_count

@@ -10,6 +10,7 @@ from trimfem.assemble import (
     assemble_load,
     assemble_mixed_poisson,
 )
+from trimfem.experiments import run_mixed_poisson
 from trimfem.mesh import (
     boundary_dofs,
     build_box_mesh,
@@ -102,6 +103,8 @@ def test_top_separator_leaves_no_coupling_between_the_halves(n, name, r, N, form
     (2, "Lagrange", 2, 3, "full-trace"),
     (3, "S", 2, 3, "full-trace"),
     (3, "SminusCurl", 2, 3, "tangential-trace"),
+    # a box of the reduced lattice not closed on even planes orders it otherwise
+    (3, "SminusCurl", 2, 8, "tangential-trace"),
 ])
 def test_eliminated_ordering_is_a_permutation_of_the_free_dofs(n, name, r, N, kind):
     dofmap = _dofmap(n, name, r, N)
@@ -111,6 +114,7 @@ def test_eliminated_ordering_is_a_permutation_of_the_free_dofs(n, name, r, N, ki
     red = apply_dirichlet(system, bdofs, "eliminate")
     order = red.ordering
     assert np.array_equal(np.sort(order), np.arange(len(red.free)))
+    assert np.array_equal(order, nested_dissection(red.lattice))
     # the full order with the boundary DOFs taken out
     full = nested_dissection(dofmap.lattice)
     kept = full[np.isin(full, red.free)]
@@ -183,15 +187,25 @@ def test_ordered_and_unordered_saddle_solves_agree(n, family, N):
 
 
 @pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
-def test_ordered_and_unordered_cavity_eigenvalues_agree(family):
+def test_ordered_and_unordered_cavity_eigenvalues_agree(dense_cutoff, splu_options,
+                                                        family):
     mesh = build_box_mesh(3, 8)
     dofmap = global_numbering(mesh, build_element(family, 3, 1, 2))
     bdofs = boundary_dofs(dofmap, "tangential-trace")
     A = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "CurlCurl"), bdofs)
     M = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "Mass"), bdofs)
-    kwargs = dict(target=3.0 * PI2, nev=5, dense_cutoff=1)
+    dense_cutoff(1)
+    kwargs = dict(target=3.0 * PI2, nev=5)
     ordered = eig_shift_invert(A, M, **kwargs)
     plain = eig_shift_invert(SparseSystem(A.matrix), SparseSystem(M.matrix), **kwargs)
+    assert splu_options == [{"permc_spec": "NATURAL"}, {"permc_spec": "COLAMD"}]
     assert ordered.op_count > 0 and plain.op_count > 0
     assert np.abs(ordered.eigenvalues / plain.eigenvalues - 1).max() <= 1e-9
     assert ordered.residuals.max() <= 1e-6
+
+
+@pytest.mark.parametrize("family", ["S", "Q"])
+def test_mixed_levels_reach_superlu_in_the_lattice_order(splu_options, family):
+    # the permuted matrix in natural order, with SuperLU's default pivoting
+    run_mixed_poisson(3, family, 2, [4, 8])
+    assert splu_options == [{"permc_spec": "NATURAL"}] * 2

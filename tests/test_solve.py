@@ -237,22 +237,44 @@ def test_dense_rank_of_a_target_that_is_an_eigenvalue():
 
 
 @pytest.mark.parametrize("lattice", [None, 2 * np.arange(20)[::-1, None]])
-def test_shift_invert_reports_a_singular_shift(lattice):
+def test_shift_invert_reports_a_singular_shift(dense_cutoff, lattice):
     # the shift hits the eigenvalue 3 exactly, so A - 3 M is singular
+    dense_cutoff(1)
     A, M = _diagonal_pencil(20)
     A = SparseSystem(A.matrix, lattice=lattice)
     assert (A.ordering is None) == (lattice is None)
     with pytest.raises(RuntimeError,
                        match=r"shift-invert factorization.*size 20, nnz \d+"):
-        eig_shift_invert(A, M, target=3.0, nev=2, dense_cutoff=1)
+        eig_shift_invert(A, M, target=3.0, nev=2)
 
 
-@pytest.mark.parametrize("dense_cutoff", [4000, 1], ids=["dense", "shift-invert"])
-def test_eig_shift_invert_rejects_nev_below_one(dense_cutoff):
+@pytest.mark.parametrize("cutoff", [4000, 1], ids=["dense", "shift-invert"])
+def test_eig_shift_invert_rejects_nev_below_one(dense_cutoff, cutoff):
     # the shift is singular, so factoring before the check would raise RuntimeError
+    dense_cutoff(cutoff)
     A, M = _diagonal_pencil(20)
     with pytest.raises(ValueError, match="nev=0"):
-        eig_shift_invert(A, M, target=3.0, nev=0, dense_cutoff=dense_cutoff)
+        eig_shift_invert(A, M, target=3.0, nev=0)
+
+
+def test_shift_invert_returns_all_but_one_pair(dense_cutoff):
+    # ARPACK needs nev < ncv <= n, so the subspace may span the whole space
+    A, M = _diagonal_pencil(16)
+    dense = eig_shift_invert(A, M, target=3.5, nev=15)
+    dense_cutoff(1)
+    sparse = eig_shift_invert(A, M, target=3.5, nev=15)
+    assert sparse.op_count > 0
+    assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-10
+
+
+def test_systems_without_a_lattice_reach_superlu_in_colamd_order(dense_cutoff,
+                                                                  splu_options):
+    # an SPD system whose lattice is unknown, and a shifted pencil built by hand
+    A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    solve_spd(SparseSystem(A, np.ones(2)))
+    dense_cutoff(1)
+    eig_shift_invert(*_diagonal_pencil(20), target=3.5, nev=2)
+    assert splu_options == [{"permc_spec": "COLAMD"}] * 2
 
 
 @pytest.mark.parametrize("target", [0.0, -1.0, float("nan")])
@@ -283,23 +305,25 @@ def _failing_eigsh(monkeypatch, failures):
     return calls, returned
 
 
-def test_eig_shift_invert_retries_once_with_a_larger_subspace(monkeypatch):
+def test_eig_shift_invert_retries_once_with_a_larger_subspace(monkeypatch, dense_cutoff):
+    dense_cutoff(1)
     A, M = _diagonal_pencil(40)
     calls, returned = _failing_eigsh(monkeypatch, failures=1)
-    res = eig_shift_invert(A, M, target=10.4, nev=3, dense_cutoff=1)
+    res = eig_shift_invert(A, M, target=10.4, nev=3)
     assert len(calls) == 2
-    assert (calls[0]["ncv"], calls[0]["maxiter"]) == (39, 5000)
-    assert (calls[1]["ncv"], calls[1]["maxiter"]) == (min(40 - 1, 8 * 3), 20000)
+    assert (calls[0]["ncv"], calls[0]["maxiter"]) == (40, 5000)
+    assert (calls[1]["ncv"], calls[1]["maxiter"]) == (8 * 3, 20000)
     assert np.array_equal(res.eigenvalues, returned[0])
     assert np.abs(res.eigenvalues - np.round(res.eigenvalues)).max() <= 1e-10
 
 
-def test_eig_shift_invert_reports_a_failed_retry(monkeypatch):
+def test_eig_shift_invert_reports_a_failed_retry(monkeypatch, dense_cutoff):
+    dense_cutoff(1)
     A, M = _diagonal_pencil(40)
     calls, _ = _failing_eigsh(monkeypatch, failures=2)
     with pytest.raises(RuntimeError, match=r"did not converge for 3 pairs near 10\.4 "
                                            r"\(size 40\); partial results: 2 pairs"):
-        eig_shift_invert(A, M, target=10.4, nev=3, dense_cutoff=1)
+        eig_shift_invert(A, M, target=10.4, nev=3)
     assert len(calls) == 2
 
 
@@ -319,41 +343,45 @@ def test_maxwell_operator_is_positive_semidefinite():
     assert vals.min() >= -1e-9 * max(vals.max(), 1.0)
 
 
-def _both_paths(A, M, target, nev):
+def _both_paths(dense_cutoff, A, M, target, nev):
     """The dense and the shift-invert results, checked to hold the same pairs."""
-    dense = eig_shift_invert(A, M, target=target, nev=nev, dense_cutoff=10**9)
-    sparse = eig_shift_invert(A, M, target=target, nev=nev, dense_cutoff=1)
+    dense_cutoff(10**9)
+    dense = eig_shift_invert(A, M, target=target, nev=nev)
+    dense_cutoff(1)
+    sparse = eig_shift_invert(A, M, target=target, nev=nev)
     assert len(dense) == len(sparse) == nev
     assert np.abs(dense.eigenvalues / sparse.eigenvalues - 1).max() <= 1e-12
     return dense, sparse
 
 
-def test_dense_and_shift_invert_paths_agree():
+def test_dense_and_shift_invert_paths_agree(dense_cutoff):
     # both paths rank by the Cayley magnitude, so neither returns a
     # gradient-kernel zero
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
-    dense, _ = _both_paths(A, M, 3.0 * PI2, nev=12)
+    dense, _ = _both_paths(dense_cutoff, A, M, 3.0 * PI2, nev=12)
     assert dense.eigenvalues.min() > PI2
 
 
-def test_both_paths_prefer_eigenvalues_above_the_target():
+def test_both_paths_prefer_eigenvalues_above_the_target(dense_cutoff):
     A, M = _diagonal_pencil(40)
-    for res in _both_paths(A, M, 10.4, nev=3):
+    for res in _both_paths(dense_cutoff, A, M, 10.4, nev=3):
         assert np.allclose(res.eigenvalues, [10.0, 11.0, 12.0], rtol=0, atol=1e-12)
 
 
-def test_shift_invert_path_is_deterministic():
+def test_shift_invert_path_is_deterministic(dense_cutoff):
+    dense_cutoff(1)
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 2)
-    first = eig_shift_invert(A, M, target=3.0 * PI2, nev=8, dense_cutoff=1)
-    second = eig_shift_invert(A, M, target=3.0 * PI2, nev=8, dense_cutoff=1)
+    first = eig_shift_invert(A, M, target=3.0 * PI2, nev=8)
+    second = eig_shift_invert(A, M, target=3.0 * PI2, nev=8)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert first.op_count == second.op_count
 
 
-def test_eigen_residuals_below_tolerance():
+def test_eigen_residuals_below_tolerance(dense_cutoff):
+    dense_cutoff(1)
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
     tol = 1e-7
-    res = eig_shift_invert(A, M, target=3.0 * PI2, nev=10, tol=tol, dense_cutoff=1)
+    res = eig_shift_invert(A, M, target=3.0 * PI2, nev=10, tol=tol)
     assert res.residuals.max() <= 10 * tol
     # the residuals reported are those of the returned pairs
     A, M = A.matrix, M.matrix
