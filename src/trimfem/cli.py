@@ -18,8 +18,6 @@ import argparse
 import sys
 
 from .experiments import (
-    ExperimentRow,
-    _dominant,
     format_maxwell,
     format_rows,
     report_dofs,
@@ -30,11 +28,7 @@ from .experiments import (
     write_csv,
     write_table,
 )
-from .refelem import (
-    _NAME_TABLE,
-    element_by_name,
-    element_dump,
-)
+from .refelem import element_by_name, element_dump, element_names
 
 # convergence subcommand -> (help, study, usable element names)
 _STUDIES = {
@@ -53,7 +47,7 @@ def _int_list(text):
 
 def _family_of(name, allowed, n, order):
     """Family of the named element, which must be usable here and exist in nD."""
-    if name in _NAME_TABLE and name not in allowed:
+    if name in element_names() and name not in allowed:
         raise ValueError(
             f"element {name!r} not usable here; choose one of {', '.join(allowed)}"
         )
@@ -146,20 +140,11 @@ def _run(args):
 
 
 def _write_maxwell_csvs(report, prefix):
-    """One CSV per tracked eigenvalue: h, Dofs, Error=|lambda_h - lambda|."""
-    for e in report.tracked():
-        rows = []
-        for i, lv in enumerate(report.levels):
-            if e not in lv.groups:
-                continue
-            rows.append(ExperimentRow(
-                h=1.0 / lv.N, dofs=lv.dofs,
-                error=abs(_dominant(lv.groups[e]) - e),
-                time=lv.assembly_time + lv.solve_time,
-                rate=report.rates[e][i],
-                assembly_time=lv.assembly_time, solve_time=lv.solve_time,
-            ))
-        write_csv(rows, f"{prefix}_eigenvalue{e}.csv")
+    """One CSV per tracked eigenvalue: its error series, one row per level
+    that found it (Error = |lambda_h - lambda|)."""
+    for e, rows in report.series.items():
+        write_csv([row for row in rows if row is not None],
+                  f"{prefix}_eigenvalue{e}.csv")
 
 
 def main(argv=None):

@@ -1,11 +1,11 @@
 """Experiment harness: projection, Poisson, mixed Poisson, cavity resonator.
 
 Each study runs over a list of mesh refinements N (h = 1/N on [0,1]^n),
-records global DOF counts, L2 errors and timings, and computes
-convergence rates between consecutive levels.  One level loop serves
-every study: it numbers the spaces, then times assembly and the single
-solve (factorization included) separately; the reported Time column is
-their sum.
+records global DOF counts, errors and timings as `ExperimentRow`s, and
+computes convergence rates between consecutive levels by one rule,
+`_fill_rates`.  One level loop serves every study: it numbers the
+spaces, then times assembly and the single solve (factorization
+included) separately; the reported Time column is their sum.
 """
 
 import csv
@@ -23,12 +23,7 @@ from .assemble import (
     l2_error,
 )
 from .mesh import boundary_dofs, build_box_mesh, global_numbering
-from .refelem import (
-    TENSOR_PRODUCT,
-    TRIMMED_SERENDIPITY,
-    build_element,
-    element_by_name,
-)
+from .refelem import TENSOR_PRODUCT, TRIMMED_SERENDIPITY, build_element
 from .solve import eig_shift_invert, solve_saddle, solve_spd
 
 _FAMILY_ALIASES = {
@@ -50,15 +45,20 @@ def _family(family):
 
 @dataclass
 class ExperimentRow:
-    """One refinement level of a convergence study."""
+    """One refinement level of a study: mesh size h, global DOFs, the
+    error, its `rate` against the level before (None on the first level
+    and after a missing one) and the level's assembly and solve times."""
 
     h: float
     dofs: int
     error: float
-    time: float
     rate: float | None = None
     assembly_time: float = 0.0
     solve_time: float = 0.0
+
+    @property
+    def time(self):
+        return self.assembly_time + self.solve_time
 
 
 def convergence_rate(err_coarse, err_fine, h_coarse, h_fine):
@@ -68,6 +68,17 @@ def convergence_rate(err_coarse, err_fine, h_coarse, h_fine):
     if err_coarse <= 0.0 or err_fine <= 0.0:
         return float("nan")
     return math.log(err_coarse / err_fine) / math.log(h_coarse / h_fine)
+
+
+def _fill_rates(rows):
+    """Set each row's rate against the row before it and return `rows`.
+
+    A None entry is a missing level; the row after it keeps rate None.
+    """
+    for prev, cur in zip(rows, rows[1:]):
+        if prev is not None and cur is not None:
+            cur.rate = convergence_rate(prev.error, cur.error, prev.h, cur.h)
+    return rows
 
 
 def _run_levels(n, N_list, elements, assemble, solve):
@@ -101,11 +112,8 @@ def _convergence_study(n, N_list, elements, assemble, solve, exact):
         offset = sum(m.total for m in maps[:-1])
         err = l2_error(mesh, maps[-1], x[offset:], exact)
         rows.append(ExperimentRow(1.0 / N, offset + maps[-1].total, err,
-                                  t_asm + t_solve, assembly_time=t_asm,
-                                  solve_time=t_solve))
-    for prev, cur in zip(rows, rows[1:]):
-        cur.rate = convergence_rate(prev.error, cur.error, prev.h, cur.h)
-    return rows
+                                  assembly_time=t_asm, solve_time=t_solve))
+    return _fill_rates(rows)
 
 
 def _sin_product(x, n):
@@ -128,8 +136,7 @@ def _grad_sin_product(x, n):
 
 def run_projection(n, family, r, N_list, tol=1e-12):
     """L2-project g = grad(sin...sin) onto the H(curl) space of order r."""
-    family = _family(family)
-    name = "SminusCurl" if family == TRIMMED_SERENDIPITY else ("RTCE" if n == 2 else "NCE")
+    element = build_element(_family(family), n, 1, r, mapping="covariant")
 
     def g(x):
         return _grad_sin_product(x, n)
@@ -139,15 +146,14 @@ def run_projection(n, family, r, N_list, tol=1e-12):
         system.rhs = assemble_load(mesh, dofmap, g)
         return system
 
-    return _convergence_study(n, N_list, [element_by_name(name, n, r)], assemble,
+    return _convergence_study(n, N_list, [element], assemble,
                               lambda system: solve_spd(system, tol=tol), g)
 
 
 def run_primal_poisson(n, family, r, N_list, bc_mode="diag1", tol=1e-12):
     """Homogeneous Dirichlet Poisson problem with the manufactured solution
     u = sin(pi x) sin(pi y) [sin(pi z)]."""
-    family = _family(family)
-    name = "S" if family == TRIMMED_SERENDIPITY else "Lagrange"
+    element = build_element(_family(family), n, 0, r, mapping="h1")
 
     def assemble(mesh, dofmap):
         system = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
@@ -157,7 +163,7 @@ def run_primal_poisson(n, family, r, N_list, bc_mode="diag1", tol=1e-12):
         bdofs = boundary_dofs(dofmap, "full-trace")
         return apply_dirichlet(system, bdofs, bc_mode)
 
-    return _convergence_study(n, N_list, [element_by_name(name, n, r)], assemble,
+    return _convergence_study(n, N_list, [element], assemble,
                               lambda system: solve_spd(system, tol=tol),
                               lambda x: _sin_product(x, n))
 
@@ -168,15 +174,14 @@ def run_mixed_poisson(n, family, r, N_list, tol=1e-12):
     The reported error is the L2 error of the scalar solution u.
     """
     family = _family(family)
-    hname = "SminusDiv" if family == TRIMMED_SERENDIPITY else ("RTCF" if n == 2 else "NCF")
-    lname = "DPC" if family == TRIMMED_SERENDIPITY else "DQ"
+    elements = [build_element(family, n, n - 1, r, mapping="contravariant"),
+                build_element(family, n, n, r, mapping="l2")]
 
     def assemble(mesh, hdiv_map, l2_map):
         return assemble_mixed_poisson(
             mesh, hdiv_map, l2_map, lambda x: n * np.pi**2 * _sin_product(x, n)
         )
 
-    elements = [element_by_name(hname, n, r), element_by_name(lname, n, r - 1)]
     return _convergence_study(n, N_list, elements, assemble,
                               lambda system: solve_saddle(system, tol=tol),
                               lambda x: _sin_product(x, n))
@@ -239,13 +244,26 @@ class MaxwellLevel:
 
 @dataclass
 class MaxwellReport:
+    """Cavity study: the levels and, per tracked exact eigenvalue e, its
+    error series, one `ExperimentRow` or None (e not found) per level.
+
+    A row's error is |dominant cluster - e| and its rate is taken against
+    the level before, None when e is missing there.
+    """
+
     family: str
     r: int
     levels: list          # list of MaxwellLevel
-    rates: dict           # exact eigenvalue -> list of rate-or-None per level
+    series: dict          # exact eigenvalue -> [ExperimentRow or None] per level
+
+    @property
+    def rates(self):
+        """Exact eigenvalue -> list of rate-or-None per level."""
+        return {e: [None if row is None else row.rate for row in rows]
+                for e, rows in self.series.items()}
 
     def tracked(self):
-        return sorted({e for lv in self.levels for e in lv.groups})
+        return sorted(self.series)
 
 
 def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
@@ -259,6 +277,7 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
     last; those that still come back, on meshes with fewer than `nev`
     other pairs, are dropped from the report.  Elimination boundary
     conditions are the default, so the unit eigenvalues never appear.
+    The report's `series` holds each tracked eigenvalue's error rows.
     """
     family = _family(family)
     if nev < 1:
@@ -300,22 +319,21 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
             residual=float(result.residuals.max()),
         ))
 
-    rates = {}
+    series = {}
     for e in sorted({e for lv in levels for e in lv.groups}):
-        rr = [None]
-        for prev, cur in zip(levels, levels[1:]):
-            if e in prev.groups and e in cur.groups:
-                d_prev = abs(_dominant(prev.groups[e]) - e)
-                d_cur = abs(_dominant(cur.groups[e]) - e)
-                rr.append(convergence_rate(d_prev, d_cur, 1.0 / prev.N, 1.0 / cur.N))
-            else:
-                rr.append(None)
-        rates[e] = rr
-    return MaxwellReport(family=family, r=r, levels=levels, rates=rates)
+        series[e] = _fill_rates([
+            None if e not in lv.groups else ExperimentRow(
+                1.0 / lv.N, lv.dofs, abs(_dominant(lv.groups[e]) - e),
+                assembly_time=lv.assembly_time, solve_time=lv.solve_time)
+            for lv in levels
+        ])
+    return MaxwellReport(family=family, r=r, levels=levels, series=series)
 
 
 def report_dofs(n, k, r_list, N):
     """Global DOF totals of both families on an N^n mesh, per order."""
+    if not r_list:
+        raise ValueError(f"orders {r_list} must be a non-empty list")
     mesh = build_box_mesh(n, N)
     rows = []
     for r in r_list:
@@ -329,9 +347,6 @@ def report_dofs(n, k, r_list, N):
 # CSV and text output
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = ["h", "Dofs", "Error", "Time", "rate"]
-
-
 def write_table(path, header, records):
     """Write a header line and one CSV line per record."""
     with open(path, "w", newline="") as fh:
@@ -341,27 +356,12 @@ def write_table(path, header, records):
 
 
 def write_csv(rows, path):
-    """Emit rows as h,Dofs,Error,Time,rate (rate empty on the first row)."""
-    write_table(path, CSV_HEADER, (
+    """Emit rows as h,Dofs,Error,Time,rate (rate empty where it is None)."""
+    write_table(path, ["h", "Dofs", "Error", "Time", "rate"], (
         [repr(row.h), row.dofs, repr(row.error), repr(row.time),
          "" if row.rate is None else repr(row.rate)]
         for row in rows
     ))
-
-
-def read_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        for rec in reader:
-            rows.append(ExperimentRow(
-                h=float(rec[0]), dofs=int(rec[1]), error=float(rec[2]),
-                time=float(rec[3]), rate=None if rec[4] == "" else float(rec[4]),
-            ))
-    return rows
 
 
 def format_rows(rows):
@@ -391,8 +391,9 @@ def format_maxwell(report: MaxwellReport):
                 if j < len(clusters):
                     val, _count = clusters[j]
                     txt = f"{val:.6f}"
-                    if j == 0 and report.rates[e][i] is not None:
-                        txt += f" ({report.rates[e][i]:.2f})"
+                    rate = report.series[e][i].rate
+                    if j == 0 and rate is not None:
+                        txt += f" ({rate:.2f})"
                     cells.append(f"{txt:>22}")
                 else:
                     cells.append(f"{'-':>22}")

@@ -32,7 +32,8 @@ SuperLU's default COLAMD order.
 
 The SPD and saddle-point solves are one routine, `_direct_solve`: check
 the right-hand side and the symmetry, return zeros for a zero right-hand
-side, factor once, refine (`_refine`) and gate the relative residual.
+side, factor once, refine (`_refine`), gate the relative residual and
+expand the solution of an eliminated system to full length.
 """
 
 import time
@@ -159,16 +160,19 @@ def _direct_solve(system: SparseSystem, tol, spd):
     raises a RuntimeError that gives the refinement steps taken, the
     factor and the rounding floor eps ||A| |x|| / ||b||.
 
-    Returns the solution of the stored (reduced) system.
+    Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
     A = system.matrix.tocsr()
     b = system.rhs
     if b is None:
         raise ValueError("system has no right-hand side")
+    if np.shape(b) != (A.shape[0],):
+        raise ValueError(f"right-hand side of shape {np.shape(b)} does not fit "
+                         f"a matrix of size {A.shape[0]}")
     _check_symmetric(A)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(A.shape[0])
+        return system.expand(np.zeros(A.shape[0]))
     solve = None
     if spd and system.lattice is not None:
         solve = multifrontal.factor(A, system.lattice)
@@ -188,7 +192,7 @@ def _direct_solve(system: SparseSystem, tol, spd):
             f"floor eps*||A||x||/||b|| = {floor:.1e} "
             f"(matrix size {A.shape[0]}, nnz {A.nnz})"
         )
-    return x
+    return system.expand(x)
 
 
 def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
@@ -201,7 +205,7 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
-    return system.expand(_direct_solve(system, tol, spd=True))
+    return _direct_solve(system, tol, spd=True)
 
 
 def solve_saddle(system: SparseSystem, tol=1e-12):
@@ -210,8 +214,9 @@ def solve_saddle(system: SparseSystem, tol=1e-12):
     Factors A by SuperLU (`_factor`); see `_direct_solve` for the
     refinement and the gate.
 
-    Returns one stacked vector, flux coefficients first; callers split it
-    at the flux space dimension they assembled with.
+    Returns one full-length stacked vector (zeros on eliminated DOFs),
+    flux coefficients first; callers split it at the flux space dimension
+    they assembled with.
     """
     return _direct_solve(system, tol, spd=False)
 

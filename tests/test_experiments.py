@@ -1,5 +1,6 @@
 """Experiment harness: rates, CSV round trips, reports, CLI."""
 
+import csv
 import math
 import re
 import subprocess
@@ -12,11 +13,11 @@ import pytest
 from trimfem.cli import main as cli_main
 from trimfem.experiments import (
     ExperimentRow,
+    _dominant,
     convergence_rate,
     exact_cavity_eigenvalues,
     format_maxwell,
     format_rows,
-    read_csv,
     report_dofs,
     run_maxwell_eig,
     run_mixed_poisson,
@@ -24,6 +25,12 @@ from trimfem.experiments import (
     run_projection,
     write_csv,
 )
+
+
+def _read_csv(path):
+    """The records of a study CSV, each a dict keyed by the header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_convergence_rate_matches_reported_values():
@@ -61,10 +68,9 @@ def test_csv_round_trip(tmp_path):
     rows = run_projection(2, "S", 2, [4, 8])
     path = tmp_path / "proj.csv"
     write_csv(rows, path)
-    back = read_csv(path)
-    assert [(r.h, r.dofs, r.error, r.time, r.rate) for r in back] == [
-        (r.h, r.dofs, r.error, r.time, r.rate) for r in rows
-    ]
+    back = [(float(r["h"]), int(r["Dofs"]), float(r["Error"]), float(r["Time"]),
+             None if r["rate"] == "" else float(r["rate"])) for r in _read_csv(path)]
+    assert back == [(r.h, r.dofs, r.error, r.time, r.rate) for r in rows]
     text = path.read_text().splitlines()
     assert text[0] == "h,Dofs,Error,Time,rate"
 
@@ -99,6 +105,36 @@ def test_mixed_poisson_zero_source_patch_test():
     sys = assemble_mixed_poisson(mesh, hdiv, l2, lambda x: np.zeros(x.shape[:-1]))
     x = solve_saddle(sys)
     assert np.abs(x).max() <= 1e-10
+
+
+@pytest.mark.parametrize("study, names", [
+    # spd_solve
+    (lambda: run_primal_poisson(3, "S", 3, [1]), [("S", 3, 3)]),
+    (lambda: run_primal_poisson(3, "Q", 3, [1]), [("Lagrange", 3, 3)]),
+    (lambda: run_primal_poisson(2, "S", 1, [2]), [("S", 2, 1)]),
+    # indefinite_solve
+    (lambda: run_mixed_poisson(3, "S", 2, [1]), [("SminusDiv", 3, 2), ("DPC", 3, 1)]),
+    (lambda: run_mixed_poisson(3, "Q", 2, [1]), [("NCF", 3, 2), ("DQ", 3, 1)]),
+], ids=["poisson-3D-S3", "poisson-3D-Q3", "poisson-2D-S1", "mixed-3D-S2",
+        "mixed-3D-Q2"])
+def test_studies_number_the_elements_the_benchmark_builds(monkeypatch, study, names):
+    # perfbench/workloads.setup builds these elements by name before the
+    # timed pass; a study that reached another cache key would build cold
+    from trimfem import experiments
+    from trimfem.refelem import element_by_name
+
+    numbered = []
+    numbering = experiments.global_numbering
+
+    def recording_numbering(mesh, element):
+        numbered.append(element)
+        return numbering(mesh, element)
+
+    monkeypatch.setattr(experiments, "global_numbering", recording_numbering)
+    study()
+    assert len(numbered) == len(names)
+    for element, name in zip(numbered, names):
+        assert element is element_by_name(*name)
 
 
 def test_thinnest_residual_margin_still_solves():
@@ -209,7 +245,9 @@ def test_studies_reject_bad_levels_before_meshing(monkeypatch, study, levels):
     # one cell of lowest order: every DOF is on the boundary
     (["maxwell-eig", "--element", "SminusCurl", "--order", "1", "--levels", "1"],
      "eigenproblem of size 0"),
-], ids=["decreasing-levels", "empty-levels", "nev-0", "cavity-without-unknowns"])
+    (["dofs", "--orders", ""], "orders []"),
+], ids=["decreasing-levels", "empty-levels", "nev-0", "cavity-without-unknowns",
+        "dofs-without-orders"])
 def test_cli_rejects_bad_study_input(capsys, argv, message):
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
@@ -233,6 +271,28 @@ def test_maxwell_report_small():
     assert rate == pytest.approx(4.0, abs=0.8)  # pre-asymptotic window
     text = format_maxwell(rep)
     assert "DOF" in text and "time/iter" in text
+
+
+def test_cavity_rate_is_none_against_a_level_without_the_eigenvalue(tmp_path):
+    # lambda = 3 is missing at N=2: its series has no row there, the N=4 row
+    # has no rate and the N=6 row a rate against N=4
+    rep = run_maxwell_eig("S", 1, [2, 4, 6], nev=12)
+    assert 3 not in rep.levels[0].groups
+    first, second, third = rep.series[3]
+    assert first is None and second.rate is None
+    assert rep.rates[3][:2] == [None, None]
+    assert rep.rates[3][2] == pytest.approx(2.02, abs=0.01)
+    assert third.error == abs(_dominant(rep.levels[2].groups[3]) - 3)
+    assert (third.h, third.dofs) == (1 / 6, rep.levels[2].dofs)
+    assert third.time == rep.levels[2].assembly_time + rep.levels[2].solve_time
+
+    from trimfem.cli import _write_maxwell_csvs
+
+    _write_maxwell_csvs(rep, tmp_path / "cavity")
+    rows = _read_csv(tmp_path / "cavity_eigenvalue3.csv")
+    assert len(rows) == 2
+    assert rows[0]["rate"] == "" and float(rows[1]["rate"]) == third.rate
+    assert [float(row["Error"]) for row in rows] == [second.error, third.error]
 
 
 def test_maxwell_takes_the_dense_path_when_nev_covers_the_system(dense_cutoff):
@@ -319,9 +379,11 @@ def test_report_dofs_equality_and_dominance():
 
 
 def test_format_rows_readable():
-    rows = [ExperimentRow(h=0.25, dofs=10, error=1e-3, time=0.1, rate=None)]
+    rows = [ExperimentRow(h=0.25, dofs=10, error=1e-3, assembly_time=0.25,
+                          solve_time=0.5)]
+    assert rows[0].time == 0.75  # derived, never stored
     text = format_rows(rows)
-    assert "Dofs" in text and "0.25" in text
+    assert "Dofs" in text and "0.25" in text and "0.7500" in text
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +398,8 @@ def test_cli_project_writes_csv(tmp_path, capsys):
     ])
     assert code == 0
     assert "rate" in capsys.readouterr().out
-    rows = read_csv(out)
-    assert len(rows) == 2
+    rows = _read_csv(out)
+    assert len(rows) == 2 and rows[0]["rate"] == ""
 
 
 def test_cli_rejects_unknown_element(capsys):
@@ -414,8 +476,8 @@ def test_cli_maxwell_tol_flag_and_csvs(tmp_path, capsys):
     assert code == 0
     written = sorted(p.name for p in tmp_path.iterdir())
     assert "cavity_eigenvalue2.csv" in written
-    rows = read_csv(tmp_path / "cavity_eigenvalue2.csv")
-    assert len(rows) == 2 and rows[1].rate is not None
+    rows = _read_csv(tmp_path / "cavity_eigenvalue2.csv")
+    assert len(rows) == 2 and rows[1]["rate"] != ""
 
 
 def test_matched_cost_mixed_comparison():

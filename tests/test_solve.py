@@ -1,5 +1,7 @@
 """Linear and eigenvalue solvers."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -215,6 +217,42 @@ def test_solve_saddle_gate_reports_refinement_steps():
                        r"factor; rounding floor eps\*\|\|A\|\|x\|\|/\|\|b\|\| = "
                        r"\d\.\de-\d\d \(matrix size \d+, nnz \d+\)$"):
         solve_saddle(system, tol=0.0)
+
+
+def test_solve_saddle_expands_an_eliminated_system():
+    mesh = build_box_mesh(2, 4)
+    hdiv = global_numbering(mesh, element_by_name("SminusDiv", 2, 2))
+    l2 = global_numbering(mesh, element_by_name("DPC", 2, 1))
+    system = assemble_mixed_poisson(mesh, hdiv, l2, lambda x: np.sin(np.pi * x[..., 0]))
+    fixed = np.flatnonzero(hdiv.lattice[:, 0] == 0)  # the flux DOFs on x = 0
+    red = apply_dirichlet(system, fixed, "eliminate")
+    x = solve_saddle(red)
+    assert len(x) == hdiv.total + l2.total == 160
+    assert not x[fixed].any()
+    r = red.rhs - red.matrix @ x[red.free]
+    assert np.linalg.norm(r) / np.linalg.norm(red.rhs) <= 1e-12
+
+
+def _poisson_system(N):
+    """The 2D S_1 Poisson system on an N x N mesh, with its lattice."""
+    dofmap = global_numbering(build_box_mesh(2, N), element_by_name("S", 2, 1))
+    system = assemble_bilinear(dofmap.mesh, dofmap, dofmap, "GradGrad")
+    system.rhs = np.ones(dofmap.total)
+    return apply_dirichlet(system, boundary_dofs(dofmap, "full-trace"), "eliminate")
+
+
+@pytest.mark.parametrize("make_system", [
+    lambda: _poisson_system(4),
+    lambda: SparseSystem(sp.identity(9, format="csr"), np.ones(9)),
+], ids=["with-lattice", "without-lattice"])
+@pytest.mark.parametrize("solver", [solve_spd, solve_saddle], ids=["spd", "saddle"])
+def test_direct_solves_name_a_right_hand_side_of_the_wrong_length(make_system, solver):
+    system = make_system()
+    assert system.matrix.shape[0] == 9
+    system.rhs = np.ones(8)
+    with pytest.raises(ValueError, match=re.escape(
+            "right-hand side of shape (8,) does not fit a matrix of size 9")):
+        solver(system)
 
 
 def _diagonal_pencil(n):
