@@ -29,9 +29,18 @@ triangular solve, in the factorization too, is a product with the
 inverse of the front's Cholesky factor (`trtri` once per class, then
 `trmm` or `gemm`): on a 2-core Xeon with OpenBLAS 0.3.30, the threaded
 `trsm` waited 5-16 ms per call on fronts of a few dozen pivots, where the
-product takes microseconds.  All dense kernels come from `scipy.linalg`,
-so they share one OpenBLAS build and its threads (numpy bundles a second
-one).
+product takes microseconds.
+
+All dense kernels come from `scipy.linalg`, so they share one OpenBLAS
+build, the one scipy's wheel bundles (numpy bundles a second one, which
+is left alone).  `factor` and every solve run them on one thread of that
+build's pool (`_one_blas_thread`).  Most fronts hold a few dozen to a
+few hundred pivots, and on them a second thread cost more than it saved:
+on the benchmark's `spd_solve` Poisson ladders (shared 2-core Xeon, ten
+alternating fresh-process pairs) the median pass went from 3.15 to
+2.55 s.  One thread also makes the factor and its solutions the same
+bits whatever the pool's size: with the pool at two threads they
+differed from the one-thread results in the last digits.
 
 Memory follows the factor.  Besides A and the stored factor, the set-up
 keeps one key per unknown and one lookup entry per grid slot, int32 where
@@ -43,9 +52,14 @@ of matrix, 25 MiB of factor) the traced peak of `factor` above its input
 went from 83 to 43 MiB.
 """
 
+import contextlib
+import ctypes
+import functools
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.linalg import blas, lapack
 
 from .mesh import _split, _top_box
@@ -71,6 +85,53 @@ _LEAF = 64
 def _int_type(bound):
     """int32 for values up to `bound` where it fits, int64 otherwise."""
     return np.int32 if bound < 2**31 else np.int64
+
+
+@functools.cache
+def _blas_threads():
+    """The get and set functions of the thread count of scipy's OpenBLAS.
+
+    scipy's wheels bundle OpenBLAS as `scipy.libs/libscipy_openblas*.so`,
+    which exports `scipy_openblas_get_num_threads` and
+    `scipy_openblas_set_num_threads`.  Returns None where no such library
+    or symbol is found (another scipy build, a system BLAS).  Looked up on
+    first use, so importing trimfem loads nothing.
+    """
+    for lib in sorted((Path(scipy.__file__).parent.parent / "scipy.libs")
+                      .glob("libscipy_openblas*.so")):
+        try:
+            blas_lib = ctypes.CDLL(str(lib))
+            get = blas_lib.scipy_openblas_get_num_threads
+            set_ = blas_lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of scipy's OpenBLAS pool, then restore
+    the pool's count, also when the block raises.
+
+    Without the pool control of `_blas_threads` this does nothing; no
+    build that lacks it has been run with trimfem.  The count belongs to
+    the process, so threads that factor at the same time can restore
+    each other's count of one.
+    """
+    pool = _blas_threads()
+    if pool is None:
+        yield
+        return
+    get, set_ = pool
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
 
 
 class _Mismatch(Exception):
@@ -143,17 +204,19 @@ class MultifrontalCholesky:
 
     def __call__(self, b):
         x = np.array(b, dtype=np.float64)
-        for f in self.fronts:  # forward: L y = b, children first
-            Y = blas.dgemm(1.0, f.Linv, x[f.pivots].T)
-            x[f.pivots] = Y.T
-            if f.shell.size:
-                np.subtract.at(x, f.shell.ravel(),
-                               blas.dgemm(1.0, f.L21t, Y, trans_a=1).T.ravel())
-        for f in reversed(self.fronts):  # backward: L^T x = y, parents first
-            Z = x[f.pivots].T
-            if f.shell.size:
-                Z = blas.dgemm(-1.0, f.L21t, x[f.shell].T, beta=1.0, c=Z, overwrite_c=1)
-            x[f.pivots] = blas.dgemm(1.0, f.Linv, Z, trans_a=1).T
+        with _one_blas_thread():
+            for f in self.fronts:  # forward: L y = b, children first
+                Y = blas.dgemm(1.0, f.Linv, x[f.pivots].T)
+                x[f.pivots] = Y.T
+                if f.shell.size:
+                    np.subtract.at(x, f.shell.ravel(),
+                                   blas.dgemm(1.0, f.L21t, Y, trans_a=1).T.ravel())
+            for f in reversed(self.fronts):  # backward: L^T x = y, parents first
+                Z = x[f.pivots].T
+                if f.shell.size:
+                    Z = blas.dgemm(-1.0, f.L21t, x[f.shell].T, beta=1.0, c=Z,
+                                   overwrite_c=1)
+                x[f.pivots] = blas.dgemm(1.0, f.Linv, Z, trans_a=1).T
         return x
 
 
@@ -175,7 +238,8 @@ def factor(A, lattice):
         A = A.copy()
         A.sum_duplicates()
     try:
-        return MultifrontalCholesky(_fronts(A, lattice))
+        with _one_blas_thread():
+            return MultifrontalCholesky(_fronts(A, lattice))
     except _Mismatch:
         return None
 

@@ -180,3 +180,71 @@ def test_classes_stay_far_below_the_tree_nodes():
 def test_a_lattice_of_the_wrong_length_is_not_factored():
     A = sp.csr_matrix(5 * np.eye(4) - np.ones((4, 4)))
     assert multifrontal.factor(A, np.zeros((3, 2), dtype=np.int64)) is None
+
+
+@pytest.fixture
+def blas_pool():
+    """The get and set functions of scipy's OpenBLAS thread count; the test
+    leaves the count as it found it."""
+    get, set_ = multifrontal._blas_threads()
+    count = get()
+    yield get, set_
+    set_(count)
+
+
+def test_the_installed_scipy_exposes_its_blas_thread_count():
+    # without it every factor would silently run on the default threads
+    assert multifrontal._blas_threads() is not None
+
+
+@pytest.mark.parametrize("threads", [2, 1])
+def test_the_kernels_run_on_one_thread_and_the_count_is_restored(
+        monkeypatch, blas_pool, threads):
+    get, set_ = blas_pool
+    set_(threads)
+    seen, potrf, dgemm = [], lapack.dpotrf, multifrontal.blas.dgemm
+
+    def potrf_seeing_threads(*args, **kwargs):
+        seen.append(get())
+        return potrf(*args, **kwargs)
+
+    def dgemm_seeing_threads(*args, **kwargs):
+        seen.append(get())
+        return dgemm(*args, **kwargs)
+
+    monkeypatch.setattr(multifrontal.lapack, "dpotrf", potrf_seeing_threads)
+    monkeypatch.setattr(multifrontal.blas, "dgemm", dgemm_seeing_threads)
+    system, _ = _system(2, "S", 2, 16, mode="diag1")
+    factor = multifrontal.factor(system.matrix, system.lattice)
+    factor(system.rhs)
+    assert get() == threads
+    assert seen and set(seen) == {1}
+    with pytest.raises(RuntimeError, match="is not positive definite"):
+        multifrontal.factor(-system.matrix, system.lattice)
+    assert get() == threads
+
+
+def test_solutions_do_not_depend_on_the_blas_thread_count(blas_pool):
+    _, set_ = blas_pool
+    system, _ = _system(3, "S", 3, 8, mode="diag1")
+    solutions = []
+    for threads in (2, 1):
+        set_(threads)
+        factor = multifrontal.factor(system.matrix, system.lattice)
+        solutions.append(factor(system.rhs).tobytes())
+    assert solutions[0] == solutions[1]
+
+
+def test_without_the_thread_count_control_the_solve_is_unchanged(
+        monkeypatch, blas_pool, splu_dtypes):
+    # a build whose OpenBLAS exports no count: the kernels run on the
+    # pool as it is, here preset to the one thread the control would set
+    _, set_ = blas_pool
+    system, _ = _system(3, "S", 3, 8, mode="diag1")
+    x = solve_spd(system)
+    set_(1)
+    monkeypatch.setattr(multifrontal, "_blas_threads", lambda: None)
+    y = solve_spd(system)
+    assert splu_dtypes == []
+    assert _residual(system, y) <= 1e-12
+    assert x.tobytes() == y.tobytes()

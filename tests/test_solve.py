@@ -305,6 +305,35 @@ def test_shift_invert_returns_all_but_one_pair(dense_cutoff):
     assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-10
 
 
+def test_every_operator_application_is_a_solve_arpack_asked_for(monkeypatch,
+                                                                dense_cutoff):
+    # a LinearOperator given no dtype probes its matvec with a zero vector
+    # before ARPACK starts: one more solve, counted as an application
+    dense_cutoff(1)
+    solves, before_arpack = [], []
+    factor, eigsh = solve._factor, solve.spla.eigsh
+
+    def counting_factor(*args):
+        lu_solve = factor(*args)
+
+        def counted(b):
+            solves.append(len(b))
+            return lu_solve(b)
+
+        return counted
+
+    def entered_eigsh(*args, **kwargs):
+        before_arpack.append(len(solves))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "_factor", counting_factor)
+    monkeypatch.setattr(solve.spla, "eigsh", entered_eigsh)
+    A, M = _maxwell_system(TRIMMED_SERENDIPITY, 2)
+    res = eig_shift_invert(A, M, target=3.0 * PI2, nev=8)
+    assert res.op_count == len(solves) - before_arpack[0]
+    assert before_arpack == [0]
+
+
 def test_systems_without_a_lattice_reach_superlu_in_colamd_order(dense_cutoff,
                                                                   splu_options):
     # an SPD system whose lattice is unknown, and a shifted pencil built by hand
