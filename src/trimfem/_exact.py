@@ -2,12 +2,16 @@
 
 Vectors are dicts mapping hashable keys to nonzero rationals: (component,
 exponent-tuple) pairs of monomial forms in the reference element
-construction, column indices in the matrix routines below.  One
-eliminator, `SpanBasis`, keeps the reduced row echelon basis of a span;
-kernels, particular solutions and Gram solves all read theirs from it.
-No floating point enters, so unisolvence and trace tests hold at machine
-precision.
+construction, column indices in the matrix routines below.  A matrix is
+a list of such sparse rows, a right-hand side a sparse vector over row
+indices.  One eliminator, `SpanBasis`, keeps the reduced row echelon
+basis of a span; kernels, particular solutions and Gram solves all read
+theirs from it, and a solve eliminates every right-hand side in one
+pass.  No floating point enters, so unisolvence and trace tests hold at
+machine precision.
 """
+
+import math
 
 from .poly import Q, QZERO
 
@@ -36,17 +40,8 @@ def vec_content_normalize(a):
     """Scale so coefficients are integers with gcd 1; fixes an overall sign."""
     if not a:
         return a
-    from math import gcd
-
-    nums = [v.numerator for v in a.values()]
-    dens = [v.denominator for v in a.values()]
-    g = 0
-    for x in nums:
-        g = gcd(g, int(x))
-    l = 1
-    for x in dens:
-        l = l * int(x) // gcd(l, int(x))
-    scale = Q(l, g) if g else Q(1)
+    g = math.gcd(*(int(v.numerator) for v in a.values()))
+    scale = Q(math.lcm(*(int(v.denominator) for v in a.values())), g) if g else Q(1)
     out = {k: v * scale for k, v in a.items()}
     first = min(out)
     if out[first] < 0:
@@ -101,55 +96,67 @@ class SpanBasis:
         return [self.rows[p] for p in sorted(self.rows, key=self.key_order)]
 
 
-def _row_span(rows):
-    """SpanBasis of dense rational rows, keyed by column index."""
+def _eliminate(rows, rhs, ncols):
+    """Pivot rows of [rows | rhs], right-hand side j in column ncols + j.
+
+    `rows` are sparse {column: rational} rows, each right-hand side a
+    sparse {row index: rational} vector.
+    """
     span = SpanBasis()
-    for row in rows:
-        span.add({j: Q(v) for j, v in enumerate(row) if v})
-    return span
+    for i, row in enumerate(rows):
+        aug = {j: Q(v) for j, v in row.items() if v}
+        aug.update((ncols + j, Q(b[i])) for j, b in enumerate(rhs) if b.get(i))
+        span.add(aug)
+    return span.rows
+
+
+def _solutions(pivots, nrhs, ncols):
+    """Per right-hand side: pivot values in ascending column order, free ones 0."""
+    return [{pc: row[ncols + j] for pc, row in sorted(pivots.items())
+             if pc < ncols and ncols + j in row} for j in range(nrhs)]
 
 
 def rational_kernel(rows, ncols):
-    """Kernel basis of a dense rational matrix given as lists of length ncols.
+    """Kernel basis of a rational matrix given as sparse rows over ncols columns.
 
-    Returns one kernel vector per free column, in ascending column order,
-    with that free variable set to 1 and the other free variables to 0.
+    Returns one sparse kernel vector per free column, in ascending column
+    order, with that free variable set to 1 and the other free variables
+    to 0; each vector's keys ascend.
     """
-    pivots = _row_span(rows).rows
+    pivots = _eliminate(rows, (), ncols)
     kernel = []
     for f in (c for c in range(ncols) if c not in pivots):
-        v = [QZERO] * ncols
+        v = {pc: -row[f] for pc, row in pivots.items() if f in row}
         v[f] = Q(1)
-        for pc, row in pivots.items():
-            v[pc] = -row.get(f, QZERO)
-        kernel.append(v)
+        kernel.append(dict(sorted(v.items())))
     return kernel
 
 
 def rational_solve(rows, rhs):
-    """One particular solution of a consistent rational system, or None.
+    """One particular solution per right-hand side of a rational system.
 
-    `rows` is a list of dense rational rows, `rhs` the right-hand sides.
-    Free variables are set to zero.
+    `rows` are sparse rows, `rhs` a list of sparse right-hand sides; all
+    are eliminated at once.  Each solution is sparse with free variables
+    set to zero, or None where that right-hand side is inconsistent.
     """
-    ncols = len(rows[0]) if rows else 0
-    pivots = _row_span([*r, b] for r, b in zip(rows, rhs)).rows
-    if ncols in pivots:
-        return None  # a row reduces to 0 = 1
-    x = [QZERO] * ncols
-    for pc, row in pivots.items():
-        x[pc] = row.get(ncols, QZERO)
-    return x
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    pivots = _eliminate(rows, rhs, ncols)
+    # a pivot past ncols is a row 0 = b; every rhs with an entry there fails
+    bad = {c for pc, row in pivots.items() if pc >= ncols for c in row}
+    return [None if ncols + j in bad else x
+            for j, x in enumerate(_solutions(pivots, len(rhs), ncols))]
 
 
 def gram_solve(gram, rhs):
     """Solve a symmetric positive-definite rational system exactly.
 
-    Raises ValueError unless the Gram matrix has full rank, also when the
+    `gram` is given as sparse rows, `rhs` as a list of sparse right-hand
+    sides; returns one sparse solution per right-hand side.  Raises
+    ValueError unless the Gram matrix has full rank, also when a
     right-hand side happens to lie in its range.
     """
     n = len(gram)
-    pivots = _row_span([*r, b] for r, b in zip(gram, rhs)).rows
+    pivots = _eliminate(gram, rhs, n)
     if sorted(pivots) != list(range(n)):
         raise ValueError("singular Gram matrix")
-    return [pivots[i].get(n, QZERO) for i in range(n)]
+    return _solutions(pivots, len(rhs), n)

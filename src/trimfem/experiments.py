@@ -275,8 +275,10 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
     pairs of smallest Cayley magnitude around the target, which ranks
     gradient-kernel zeros and (in diag1 mode) the planted unit eigenvalues
     last; those that still come back, on meshes with fewer than `nev`
-    other pairs, are dropped from the report.  Elimination boundary
-    conditions are the default, so the unit eigenvalues never appear.
+    other pairs, are dropped from the report by one filter that keeps
+    lambda/pi^2 > 0.5 (a zero reads 0, a unit eigenvalue 1/pi^2 ~ 0.10).
+    Elimination boundary conditions are the default, so the unit
+    eigenvalues never appear.
     The report's `series` holds each tracked eigenvalue's error rows.
     """
     family = _family(family)
@@ -300,10 +302,7 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7,
     for N, _, (dofmap,), result, t_asm, t_solve in _run_levels(3, N_list, [element],
                                                                assemble, solve):
         lam = result.eigenvalues / pi2  # ascending
-        keep = lam > 0.5
-        if bc_mode == "diag1":
-            keep &= np.abs(lam * pi2 - 1.0) > 1e-6
-        lam = lam[keep]
+        lam = lam[lam > 0.5]
 
         groups = {}
         for e in exact_cavity_eigenvalues():

@@ -379,6 +379,23 @@ def _tensor_entity(n, k, r, entity: Entity):
 # generic entity split for the trimmed family
 # ---------------------------------------------------------------------------
 
+def _combine(coeffs, vecs, start=None):
+    """start + sum of coeffs[i] * vecs[i] over a sparse coefficient dict, in its order."""
+    v = start or {}
+    for i, c in coeffs.items():
+        v = vec_add(v, vecs[i], c)
+    return v
+
+
+def _trace_rows(traces):
+    """Sparse rows {i: coefficient}, one per trace key, of vectors' traces."""
+    rows = {}
+    for i, t in enumerate(traces):
+        for key, c in t.items():
+            rows.setdefault(key, {})[i] = c
+    return rows
+
+
 def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
     """Basis functions associated to one entity, from the exact span.
 
@@ -387,35 +404,12 @@ def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
     orthogonal basis of its trace space on the entity, and lifts each trace
     back, orthogonally to the fully-vanishing subspace.
     """
-    d = entity.dim
     basis_vecs = space.echelon_rows()
-    m = len(basis_vecs)
-
-    others = [e for dd in range(k, d + 1) for e in topo.entities[dd] if e != entity]
-    key_index = {}
-    cols = [dict() for _ in range(m)]
-    for e in others:
-        for i, bv in enumerate(basis_vecs):
-            tr = trace_vec(bv, n, k, e)
-            for key, c in tr.items():
-                gk = (e, key)
-                if gk not in key_index:
-                    key_index[gk] = len(key_index)
-                cols[i][key_index[gk]] = c
-    rows = [[QZERO] * m for _ in range(len(key_index))]
-    for i, coldict in enumerate(cols):
-        for rix, c in coldict.items():
-            rows[rix][i] = c
-    coeff_kernel = rational_kernel(rows, m)
-
-    s_vecs = []
-    for coeffs in coeff_kernel:
-        v = {}
-        for c, bv in zip(coeffs, basis_vecs):
-            if c != 0:
-                v = vec_add(v, bv, c)
-        if v:
-            s_vecs.append(v)
+    others = [e for dd in range(k, entity.dim + 1) for e in topo.entities[dd] if e != entity]
+    other_traces = [{(e, key): c for e in others for key, c in trace_vec(bv, n, k, e).items()}
+                    for bv in basis_vecs]
+    kernel = rational_kernel(list(_trace_rows(other_traces).values()), len(basis_vecs))
+    s_vecs = [_combine(coeffs, basis_vecs) for coeffs in kernel]
     if not s_vecs:
         return []
 
@@ -439,42 +433,23 @@ def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
         ortho.append(v)
     ortho = [vec_content_normalize(o) for o in ortho]
 
-    # lift each canonical trace: solve for the trace, then remove the
-    # component in the fully-vanishing subspace (L2-orthogonal lift)
-    tkeys = sorted({key for t in traces for key in t}, key=_key_order)
-    tindex = {key: i for i, key in enumerate(tkeys)}
-    mat = [[QZERO] * len(s_vecs) for _ in tkeys]
-    for j, t in enumerate(traces):
-        for key, c in t.items():
-            mat[tindex[key]][j] = c
-    z_coeffs = rational_kernel(mat, len(s_vecs))
-    z_vecs = []
-    for coeffs in z_coeffs:
-        v = {}
-        for c, sv in zip(coeffs, s_vecs):
-            if c != 0:
-                v = vec_add(v, sv, c)
-        if v:
-            z_vecs.append(v)
-    zgram = [[vec_l2(a, b) for b in z_vecs] for a in z_vecs]
-
-    out = []
-    for tau in ortho:
-        rhs = [tau.get(key, QZERO) for key in tkeys]
-        alpha = rational_solve(mat, rhs)
-        if alpha is None:
-            raise RuntimeError("entity trace not reachable; split failed")
-        v0 = {}
-        for c, sv in zip(alpha, s_vecs):
-            if c != 0:
-                v0 = vec_add(v0, sv, c)
-        if z_vecs:
-            beta = gram_solve(zgram, [vec_l2(v0, z) for z in z_vecs])
-            for b, z in zip(beta, z_vecs):
-                if b != 0:
-                    v0 = vec_add(v0, z, -b)
-        out.append(PolyForm(n, k, vec_content_normalize(v0)))
-    return out
+    # lift every canonical trace in one solve, then remove the component
+    # in the fully-vanishing subspace (L2-orthogonal lift)
+    trace_rows = _trace_rows(traces)
+    index = {key: i for i, key in enumerate(trace_rows)}
+    rows = list(trace_rows.values())
+    z_vecs = [_combine(coeffs, s_vecs) for coeffs in rational_kernel(rows, len(s_vecs))]
+    alphas = rational_solve(rows, [{index[key]: c for key, c in tau.items()} for tau in ortho])
+    if None in alphas:
+        raise RuntimeError("entity trace not reachable; split failed")
+    lifts = [_combine(alpha, s_vecs) for alpha in alphas]
+    if z_vecs:
+        zgram = [{j: vec_l2(a, b) for j, b in enumerate(z_vecs)} for a in z_vecs]
+        betas = gram_solve(zgram, [{j: vec_l2(v0, z) for j, z in enumerate(z_vecs)}
+                                   for v0 in lifts])
+        lifts = [_combine({j: -b for j, b in beta.items()}, z_vecs, v0)
+                 for beta, v0 in zip(betas, lifts)]
+    return [PolyForm(n, k, vec_content_normalize(v0)) for v0 in lifts]
 
 
 def _check_entity_traces(forms, n, k, entity, topo):

@@ -1,5 +1,6 @@
-"""Properties of exact rational elimination against a dense Gauss-Jordan
-reference, on generated sparse integer systems (needs hypothesis)."""
+"""Properties of exact rational elimination on sparse rows against a dense
+Gauss-Jordan reference, on generated sparse integer systems (needs
+hypothesis)."""
 
 from fractions import Fraction
 
@@ -12,8 +13,13 @@ st = pytest.importorskip("hypothesis.strategies")
 given, settings = hypothesis.given, hypothesis.settings
 
 
+def _sparse(vec):
+    """Sparse {index: value} form of a dense vector, or None for None."""
+    return None if vec is None else {j: Fraction(v) for j, v in enumerate(vec) if v}
+
+
 def _apply(rows, x):
-    return [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
+    return _sparse([sum(Fraction(row.get(c, 0)) * v for c, v in x.items()) for row in rows])
 
 
 def _reference_rref(rows, ncols):
@@ -85,27 +91,36 @@ _PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 @given(_sparse_systems())
 def test_sparse_elimination_matches_dense_gauss_jordan(system):
     mat, ncols, consistent, arbitrary, _ = system
-    assert rational_kernel(mat, ncols) == _reference_kernel(mat, ncols)
-    for rhs in (consistent, arbitrary):
-        assert rational_solve(mat, rhs) == _reference_solve(mat, rhs, ncols)
-    x = rational_solve(mat, consistent)
-    assert x is not None and _apply(mat, x) == consistent
+    # two arbitrary right-hand sides: the second may be inconsistent
+    # without taking a pivot of its own
+    dense = (consistent, arbitrary, arbitrary[::-1])
+    rows, rhs = [_sparse(r) for r in mat], [_sparse(b) for b in dense]
+    kernel = rational_kernel(rows, ncols)
+    assert kernel == [_sparse(v) for v in _reference_kernel(mat, ncols)]
+    assert all(list(v) == sorted(v) for v in kernel)
+    solutions = rational_solve(rows, rhs)
+    assert solutions == [_sparse(_reference_solve(mat, b, ncols)) for b in dense]
+    # all right-hand sides at once give what each gives alone
+    assert solutions == [rational_solve(rows, [b])[0] for b in rhs]
+    x = solutions[0]
+    assert x is not None and list(x) == sorted(x) and _apply(rows, x) == rhs[0]
 
 
 @_PROPERTY
 @given(_sparse_systems())
 def test_sparse_elimination_ignores_row_order(system):
     mat, ncols, consistent, arbitrary, perm = system
-    permuted = [mat[i] for i in perm]
+    rows = [_sparse(r) for r in mat]
+    permuted = [rows[i] for i in perm]
 
     def echelon(rows):
         span = SpanBasis()
         for row in rows:
-            span.add({j: Fraction(v) for j, v in enumerate(row) if v})
+            span.add(row)
         return span.echelon_rows()
 
-    assert echelon(permuted) == echelon(mat)
-    assert rational_kernel(permuted, ncols) == rational_kernel(mat, ncols)
-    for rhs in (consistent, arbitrary):
-        assert (rational_solve(permuted, [rhs[i] for i in perm])
-                == rational_solve(mat, rhs))
+    assert echelon(permuted) == echelon(rows)
+    assert rational_kernel(permuted, ncols) == rational_kernel(rows, ncols)
+    dense = (consistent, arbitrary)
+    assert (rational_solve(permuted, [_sparse([b[i] for i in perm]) for b in dense])
+            == rational_solve(rows, [_sparse(b) for b in dense]))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from trimfem import refelem
 from trimfem.poly import (
     PolyForm,
     evaluate,
@@ -210,6 +211,26 @@ def test_trace_association_exact_for_trimmed():
                 for other in topo.entities[d]:
                     if other != e_own:
                         assert not trace_vec(vec, 3, 1, other)
+
+
+def test_each_split_entity_solves_its_trace_system_once(monkeypatch):
+    """A cold build lifts all traces of a split entity in one solve."""
+    for cache in (refelem._build_element_cached, refelem._build_entity_sets,
+                  refelem.trimmed_space):
+        cache.cache_clear()
+    solve, rhs_counts = refelem.rational_solve, []
+
+    def counted(rows, rhs):
+        rhs_counts.append(len(rhs))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(refelem, "rational_solve", counted)
+    element = build_element(TRIMMED_SERENDIPITY, 3, 1, 3)
+    # one representative face and the cell are split; those with DOFs solve
+    counts = entity_dof_counts(element)
+    split = [counts[d] for d in (2, 3) if counts[d]]
+    assert max(split) > 1
+    assert rhs_counts == split
 
 
 # ---------------------------------------------------------------------------
