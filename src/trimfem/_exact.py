@@ -117,34 +117,30 @@ def _solutions(pivots, nrhs, ncols):
 
 
 def rational_kernel(rows, ncols):
-    """Kernel basis of a rational matrix given as sparse rows over ncols columns.
+    """Kernel basis of sparse rows over ncols columns (see `rational_solve`)."""
+    return rational_solve(rows, (), ncols)[0]
 
-    Returns one sparse kernel vector per free column, in ascending column
-    order, with that free variable set to 1 and the other free variables
-    to 0; each vector's keys ascend.
+
+def rational_solve(rows, rhs, ncols):
+    """(kernel, solutions) of sparse rows over ncols columns, in one pass.
+
+    The kernel holds one sparse vector per free column (a column no row
+    touches is free), in ascending column order, with that variable 1 and
+    the other free ones 0.  Right-hand sides are sparse and pivot after
+    every matrix column, so they leave the kernel unchanged; each solution
+    sets the free variables to 0, or is None where it is inconsistent.
+    Every vector's keys ascend.
     """
-    pivots = _eliminate(rows, (), ncols)
+    pivots = _eliminate(rows, rhs, ncols)
     kernel = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = {pc: -row[f] for pc, row in pivots.items() if f in row}
         v[f] = Q(1)
         kernel.append(dict(sorted(v.items())))
-    return kernel
-
-
-def rational_solve(rows, rhs):
-    """One particular solution per right-hand side of a rational system.
-
-    `rows` are sparse rows, `rhs` a list of sparse right-hand sides; all
-    are eliminated at once.  Each solution is sparse with free variables
-    set to zero, or None where that right-hand side is inconsistent.
-    """
-    ncols = 1 + max((c for row in rows for c in row), default=-1)
-    pivots = _eliminate(rows, rhs, ncols)
     # a pivot past ncols is a row 0 = b; every rhs with an entry there fails
     bad = {c for pc, row in pivots.items() if pc >= ncols for c in row}
-    return [None if ncols + j in bad else x
-            for j, x in enumerate(_solutions(pivots, len(rhs), ncols))]
+    return kernel, [None if ncols + j in bad else x
+                    for j, x in enumerate(_solutions(pivots, len(rhs), ncols))]
 
 
 def gram_solve(gram, rhs):

@@ -228,9 +228,9 @@ class MaxwellLevel:
     """Eigenvalue groups found on one mesh level.
 
     `time_per_iteration` is the wall time of one Krylov operator
-    application (a triangular solve with the factored shift) on the
-    shift-invert path, the factorization excluded, and None on the dense
-    path, which has no iterations.
+    application (a triangular solve with the factored shift), the
+    factorization excluded.  It is None on a level too small for the
+    Krylov iteration, which `eig_shift_invert` solves densely.
     """
 
     N: int

@@ -433,13 +433,14 @@ def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
         ortho.append(v)
     ortho = [vec_content_normalize(o) for o in ortho]
 
-    # lift every canonical trace in one solve, then remove the component
-    # in the fully-vanishing subspace (L2-orthogonal lift)
+    # lift every canonical trace in one solve, whose kernel spans the fully-
+    # vanishing subspace, and remove the lifts' part in it (L2-orthogonal)
     trace_rows = _trace_rows(traces)
     index = {key: i for i, key in enumerate(trace_rows)}
     rows = list(trace_rows.values())
-    z_vecs = [_combine(coeffs, s_vecs) for coeffs in rational_kernel(rows, len(s_vecs))]
-    alphas = rational_solve(rows, [{index[key]: c for key, c in tau.items()} for tau in ortho])
+    kernel, alphas = rational_solve(
+        rows, [{index[key]: c for key, c in tau.items()} for tau in ortho], len(s_vecs))
+    z_vecs = [_combine(coeffs, s_vecs) for coeffs in kernel]
     if None in alphas:
         raise RuntimeError("entity trace not reachable; split failed")
     lifts = [_combine(alpha, s_vecs) for alpha in alphas]

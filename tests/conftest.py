@@ -33,13 +33,3 @@ def splu_options(_splu_calls):
     """The keyword arguments of every SuperLU call, in call order."""
     return _splu_calls[1]
 
-
-@pytest.fixture
-def dense_cutoff(monkeypatch):
-    """A function that sets `solve._DENSE_CUTOFF` for the test: the largest
-    eigenproblem solved densely (1 sends every larger one to shift-invert)."""
-
-    def set_cutoff(n):
-        monkeypatch.setattr(solve, "_DENSE_CUTOFF", n)
-
-    return set_cutoff

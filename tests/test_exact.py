@@ -46,25 +46,29 @@ def test_kernel_is_exact_rational():
 
 
 def test_solve_sets_free_variables_to_zero():
-    (x,) = rational_solve(A, [{0: 5, 2: 11}])
+    kernel, (x,) = rational_solve(A, [{0: 5, 2: 11}], 4)
     assert x == {0: 2, 3: 1}
+    # the right-hand side pivots last, so the kernel is the matrix's own
+    assert kernel == rational_kernel(A, 4)
     assert _apply(A, x) == {0: 5, 2: 11}
 
 
 def test_solve_is_exact_rational():
-    assert (rational_solve([{0: 2, 1: 1}, {0: 1, 1: 3}], [{0: 1, 1: 2}])
-            == [{0: Fraction(1, 5), 1: Fraction(3, 5)}])
+    assert (rational_solve([{0: 2, 1: 1}, {0: 1, 1: 3}], [{0: 1, 1: 2}], 2)
+            == ([], [{0: Fraction(1, 5), 1: Fraction(3, 5)}]))
 
 
 def test_solve_returns_none_on_inconsistent_system():
     # a nonzero rhs on the zero row, then a consistent one, in one elimination
-    assert rational_solve(A, [{0: 5, 1: 1, 2: 11}, {0: 5, 2: 12}]) == [None, {0: -1, 3: 2}]
+    assert rational_solve(A, [{0: 5, 1: 1, 2: 11}, {0: 5, 2: 12}], 4)[1] == [
+        None, {0: -1, 3: 2}]
 
 
 def test_solve_checks_every_right_hand_side_not_only_pivots():
     # x0 = 1 and x0 = 2, then x0 = 1 and x0 = 3: both inconsistent, but
     # only the first right-hand side takes a pivot in the augmented matrix
-    assert rational_solve([{0: 1}, {0: 1}], [{0: 1, 1: 2}, {0: 1, 1: 3}]) == [None, None]
+    assert rational_solve([{0: 1}, {0: 1}], [{0: 1, 1: 2}, {0: 1, 1: 3}], 1)[1] == [
+        None, None]
 
 
 def test_gram_solve():

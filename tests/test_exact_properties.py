@@ -98,10 +98,11 @@ def test_sparse_elimination_matches_dense_gauss_jordan(system):
     kernel = rational_kernel(rows, ncols)
     assert kernel == [_sparse(v) for v in _reference_kernel(mat, ncols)]
     assert all(list(v) == sorted(v) for v in kernel)
-    solutions = rational_solve(rows, rhs)
+    augmented, solutions = rational_solve(rows, rhs, ncols)
+    assert augmented == kernel  # the right-hand sides pivot last
     assert solutions == [_sparse(_reference_solve(mat, b, ncols)) for b in dense]
     # all right-hand sides at once give what each gives alone
-    assert solutions == [rational_solve(rows, [b])[0] for b in rhs]
+    assert solutions == [rational_solve(rows, [b], ncols)[1][0] for b in rhs]
     x = solutions[0]
     assert x is not None and list(x) == sorted(x) and _apply(rows, x) == rhs[0]
 
@@ -122,5 +123,5 @@ def test_sparse_elimination_ignores_row_order(system):
     assert echelon(permuted) == echelon(rows)
     assert rational_kernel(permuted, ncols) == rational_kernel(rows, ncols)
     dense = (consistent, arbitrary)
-    assert (rational_solve(permuted, [_sparse([b[i] for i in perm]) for b in dense])
-            == rational_solve(rows, [_sparse(b) for b in dense]))
+    assert (rational_solve(permuted, [_sparse([b[i] for i in perm]) for b in dense], ncols)
+            == rational_solve(rows, [_sparse(b) for b in dense], ncols))

@@ -160,14 +160,13 @@ def test_studies_accept_numpy_integers():
 @pytest.mark.parametrize("study, expected", [
     (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
-    # N=3: N=2 has 6 free DOFs, fewer than the 15 pairs requested, so it
-    # takes the dense path even with a dense cutoff of 1
+    # N=3: N=2 has 6 free DOFs, too few for ARPACK's 15 + _GUARD pairs,
+    # so it takes the dense fallback and factors nothing
     (lambda: run_maxwell_eig("S", 1, [3]), 1),
 ], ids=["primal-poisson", "mixed-poisson", "maxwell-sparse"])
-def test_each_study_level_factors_once(monkeypatch, dense_cutoff, study, expected):
+def test_each_study_level_factors_once(monkeypatch, study, expected):
     from trimfem import solve
 
-    dense_cutoff(1)
     calls = []
     splu = solve.spla.splu
     multifrontal = solve.multifrontal.factor
@@ -186,23 +185,21 @@ def test_each_study_level_factors_once(monkeypatch, dense_cutoff, study, expecte
     assert len(calls) == expected
 
 
-@pytest.mark.parametrize("study, cutoff, expected", [
+@pytest.mark.parametrize("study, expected", [
     # the multifrontal factor reads the lattice, never the ordering
-    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 4000, 0),
-    (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), 4000, 0),
+    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 0),
+    (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), 0),
     # the stacked flux/potential lattice, never the flux map's own order
-    (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 4000, 2),
+    (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
     # A and M share one map; M is never factored
-    (lambda: run_maxwell_eig("S", 1, [3]), 1, 1),
-    # the dense path factors nothing
-    (lambda: run_maxwell_eig("S", 1, [3]), 4000, 0),
+    (lambda: run_maxwell_eig("S", 1, [3]), 1),
+    # the dense fallback (6 free DOFs for 15 pairs) factors nothing
+    (lambda: run_maxwell_eig("S", 1, [2]), 0),
 ], ids=["primal-poisson", "primal-eliminate", "mixed-poisson", "maxwell-sparse",
         "maxwell-dense"])
-def test_orderings_are_computed_only_for_factored_maps(monkeypatch, dense_cutoff, study,
-                                                        cutoff, expected):
+def test_orderings_are_computed_only_for_factored_maps(monkeypatch, study, expected):
     from trimfem import assemble, mesh
 
-    dense_cutoff(cutoff)
     calls = []
     nested_dissection = mesh.nested_dissection
 
@@ -295,13 +292,11 @@ def test_cavity_rate_is_none_against_a_level_without_the_eigenvalue(tmp_path):
     assert [float(row["Error"]) for row in rows] == [second.error, third.error]
 
 
-def test_maxwell_takes_the_dense_path_when_nev_covers_the_system(dense_cutoff):
+def test_maxwell_takes_the_dense_path_when_nev_covers_the_system():
     # N=2 leaves 6 free DOFs, fewer than the 15 pairs requested
-    dense = run_maxwell_eig("S", 1, [2])
-    dense_cutoff(1)
-    sparse = run_maxwell_eig("S", 1, [2])
-    assert sparse.levels[0].groups == dense.levels[0].groups
-    ((value, count),) = dense.levels[0].groups[2]
+    (level,) = run_maxwell_eig("S", 1, [2]).levels
+    assert level.time_per_iteration is None
+    ((value, count),) = level.groups[2]
     assert count == 3 and value == pytest.approx(2.4317, abs=1e-4)
 
 
@@ -315,7 +310,6 @@ def test_maxwell_diag1_reports_what_elimination_reports():
     # zeros, so diag1 mode reports the pairs elimination mode reports
     elim, diag1 = (run_maxwell_eig("S", 1, [4], bc_mode=mode).levels[0]
                    for mode in ("eliminate", "diag1"))
-    assert elim.time_per_iteration is diag1.time_per_iteration is None  # dense
     assert elim.groups.keys() == diag1.groups.keys() == {2, 3, 6}
     for e, clusters in elim.groups.items():
         assert [c for _, c in diag1.groups[e]] == [c for _, c in clusters]
@@ -338,10 +332,9 @@ def test_maxwell_numbers_one_space_per_level(monkeypatch):
     assert len(numbered) == 2
 
 
-def test_maxwell_reports_no_iteration_time_on_the_dense_path(dense_cutoff):
-    # N=2 leaves 6 free DOFs and takes the dense path; N=4 leaves more
-    # than the dense cutoff and iterates
-    dense_cutoff(100)
+def test_maxwell_reports_no_iteration_time_on_the_dense_path():
+    # N=2 leaves 6 free DOFs, too few for ARPACK's 6 + _GUARD pairs, and
+    # takes the dense fallback; N=4 iterates
     rep = run_maxwell_eig("S", 1, [2, 4], nev=6)
     dense, sparse = rep.levels
     assert dense.time_per_iteration is None
@@ -352,10 +345,10 @@ def test_maxwell_reports_no_iteration_time_on_the_dense_path(dense_cutoff):
     assert float(row[2]) == pytest.approx(sparse.time_per_iteration, abs=1e-6)
 
 
-def test_maxwell_iteration_time_leaves_out_the_factorization(monkeypatch, dense_cutoff):
+def _recorded_eig_results(monkeypatch):
+    """The list that every cavity study's `EigenResult` is appended to."""
     from trimfem import experiments
 
-    dense_cutoff(100)
     results = []
     eig = experiments.eig_shift_invert
 
@@ -364,11 +357,31 @@ def test_maxwell_iteration_time_leaves_out_the_factorization(monkeypatch, dense_
         return results[-1]
 
     monkeypatch.setattr(experiments, "eig_shift_invert", recording_eig)
+    return results
+
+
+def test_maxwell_iteration_time_leaves_out_the_factorization(monkeypatch):
+    results = _recorded_eig_results(monkeypatch)
     (level,) = run_maxwell_eig("S", 2, [4], nev=6).levels
     (result,) = results
     assert result.op_count > 0
     assert level.time_per_iteration == result.op_time / result.op_count
     assert level.time_per_iteration * result.op_count < level.solve_time
+
+
+@pytest.mark.parametrize("family", ["S", "Q"])
+def test_cavity_clusters_at_n4_are_complete(monkeypatch, family):
+    # Lanczos asked for exactly 15 pairs returned Q-_2 N=4 as 5 x4, 6 x3,
+    # 8 x2, 9 x1; the guard pair restores the nearer copies
+    results = _recorded_eig_results(monkeypatch)
+    (level,) = run_maxwell_eig(family, 2, [4]).levels
+    (result,) = results
+    assert len(result) == 15 and result.op_count > 0
+    counts = {e: [c for _, c in clusters] for e, clusters in level.groups.items()}
+    # 2, 3 and 5 whole; 6 is cut by the window at 4 of its 6 copies, which
+    # S- splits 3 + 1
+    assert {e: counts[e] for e in (2, 3, 5)} == {2: [3], 3: [2], 5: [6]}
+    assert counts.keys() == {2, 3, 5, 6} and sum(counts[6]) == 4
 
 
 def test_report_dofs_equality_and_dominance():

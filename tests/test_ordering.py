@@ -187,14 +187,12 @@ def test_ordered_and_unordered_saddle_solves_agree(n, family, N):
 
 
 @pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
-def test_ordered_and_unordered_cavity_eigenvalues_agree(dense_cutoff, splu_options,
-                                                        family):
+def test_ordered_and_unordered_cavity_eigenvalues_agree(splu_options, family):
     mesh = build_box_mesh(3, 8)
     dofmap = global_numbering(mesh, build_element(family, 3, 1, 2))
     bdofs = boundary_dofs(dofmap, "tangential-trace")
     A = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "CurlCurl"), bdofs)
     M = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "Mass"), bdofs)
-    dense_cutoff(1)
     kwargs = dict(target=3.0 * PI2, nev=5)
     ordered = eig_shift_invert(A, M, **kwargs)
     plain = eig_shift_invert(SparseSystem(A.matrix), SparseSystem(M.matrix), **kwargs)

@@ -213,16 +213,20 @@ def test_trace_association_exact_for_trimmed():
                         assert not trace_vec(vec, 3, 1, other)
 
 
-def test_each_split_entity_solves_its_trace_system_once(monkeypatch):
-    """A cold build lifts all traces of a split entity in one solve."""
+def _clear_element_caches():
     for cache in (refelem._build_element_cached, refelem._build_entity_sets,
                   refelem.trimmed_space):
         cache.cache_clear()
+
+
+def test_each_split_entity_solves_its_trace_system_once(monkeypatch):
+    """A cold build lifts all traces of a split entity in one solve."""
+    _clear_element_caches()
     solve, rhs_counts = refelem.rational_solve, []
 
-    def counted(rows, rhs):
+    def counted(rows, rhs, ncols):
         rhs_counts.append(len(rhs))
-        return solve(rows, rhs)
+        return solve(rows, rhs, ncols)
 
     monkeypatch.setattr(refelem, "rational_solve", counted)
     element = build_element(TRIMMED_SERENDIPITY, 3, 1, 3)
@@ -231,6 +235,27 @@ def test_each_split_entity_solves_its_trace_system_once(monkeypatch):
     split = [counts[d] for d in (2, 3) if counts[d]]
     assert max(split) > 1
     assert rhs_counts == split
+
+
+def test_each_split_entity_takes_one_kernel(monkeypatch):
+    """The lifts' solve also gives the fully-vanishing subspace, so the
+    only kernel per split entity is that of its other-entity traces."""
+    _clear_element_caches()
+    calls = {"split": 0, "kernel": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(refelem, "_entity_split_generic",
+                        counting("split", refelem._entity_split_generic))
+    monkeypatch.setattr(refelem, "rational_kernel",
+                        counting("kernel", refelem.rational_kernel))
+    build_element(TRIMMED_SERENDIPITY, 3, 1, 3)
+    # one representative face and the cell
+    assert calls == {"split": 2, "kernel": 2}
 
 
 # ---------------------------------------------------------------------------

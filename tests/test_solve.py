@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -267,17 +268,28 @@ def test_diagonal_eigenproblem():
     assert np.allclose(sorted(res.eigenvalues), [2.0, 3.0], atol=1e-12)
 
 
+def _reference(A, M, target, nev):
+    """The ascending eigenvalues of the `nev` pairs of smallest Cayley
+    magnitude, from a dense generalized solve."""
+    vals = scipy.linalg.eigh(A.matrix.toarray(), M.matrix.toarray(), eigvals_only=True)
+    cayley = np.abs(vals - target) / np.abs(vals + target)
+    return np.sort(vals[np.argsort(cayley, kind="stable")[:nev]])
+
+
 def test_dense_rank_of_a_target_that_is_an_eigenvalue():
-    # |lambda - target| / |lambda + target| is zero there, not a division by zero
+    # 3 unknowns are too few for ARPACK's nev + _GUARD pairs, so the dense
+    # fallback ranks, and |lambda - target| / |lambda + target| is zero
+    # there, not a division by zero
     A, M = _diagonal_pencil(3)
-    res = eig_shift_invert(A, M, target=2.0, nev=1)
-    assert np.array_equal(res.eigenvalues, [2.0])
+    nev = 3 - solve._GUARD
+    res = eig_shift_invert(A, M, target=2.0, nev=nev)
+    assert res.op_count is None
+    assert np.array_equal(res.eigenvalues, [2.0, 3.0][:nev])  # 1 ranks last
 
 
 @pytest.mark.parametrize("lattice", [None, 2 * np.arange(20)[::-1, None]])
-def test_shift_invert_reports_a_singular_shift(dense_cutoff, lattice):
+def test_shift_invert_reports_a_singular_shift(lattice):
     # the shift hits the eigenvalue 3 exactly, so A - 3 M is singular
-    dense_cutoff(1)
     A, M = _diagonal_pencil(20)
     A = SparseSystem(A.matrix, lattice=lattice)
     assert (A.ordering is None) == (lattice is None)
@@ -286,30 +298,46 @@ def test_shift_invert_reports_a_singular_shift(dense_cutoff, lattice):
         eig_shift_invert(A, M, target=3.0, nev=2)
 
 
-@pytest.mark.parametrize("cutoff", [4000, 1], ids=["dense", "shift-invert"])
-def test_eig_shift_invert_rejects_nev_below_one(dense_cutoff, cutoff):
-    # the shift is singular, so factoring before the check would raise RuntimeError
-    dense_cutoff(cutoff)
-    A, M = _diagonal_pencil(20)
+@pytest.mark.parametrize("n, target", [(1, 1.0), (20, 3.0)], ids=["dense", "shift-invert"])
+def test_eig_shift_invert_rejects_nev_below_one(n, target):
+    # the shift is singular, so factoring before the check would raise
+    # RuntimeError, and the dense fallback would return no pairs
+    A, M = _diagonal_pencil(n)
     with pytest.raises(ValueError, match="nev=0"):
-        eig_shift_invert(A, M, target=3.0, nev=0)
+        eig_shift_invert(A, M, target=target, nev=0)
 
 
-def test_shift_invert_returns_all_but_one_pair(dense_cutoff):
-    # ARPACK needs nev < ncv <= n, so the subspace may span the whole space
+def test_shift_invert_returns_all_but_one_pair():
+    # ARPACK needs k < ncv <= n, so at k = n - 1 the subspace is capped
+    # at the whole space
     A, M = _diagonal_pencil(16)
-    dense = eig_shift_invert(A, M, target=3.5, nev=15)
-    dense_cutoff(1)
-    sparse = eig_shift_invert(A, M, target=3.5, nev=15)
-    assert sparse.op_count > 0
-    assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-10
+    nev = 16 - 1 - solve._GUARD
+    res = eig_shift_invert(A, M, target=3.5, nev=nev)
+    assert res.op_count > 0
+    assert np.abs(res.eigenvalues - _reference(A, M, 3.5, nev)).max() <= 1e-10
 
 
-def test_every_operator_application_is_a_solve_arpack_asked_for(monkeypatch,
-                                                                dense_cutoff):
+@pytest.mark.parametrize("spare, dense", [(2, False), (1, False), (0, True)],
+                         ids=["k<n-1", "k=n-1", "k=n"])
+def test_only_systems_too_small_for_arpack_are_solved_densely(monkeypatch, spare, dense):
+    # ARPACK computes k = nev + _GUARD pairs; n - k = spare
+    calls = []
+    eigh = solve.scipy.linalg.eigh
+
+    def recording_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(solve.scipy.linalg, "eigh", recording_eigh)
+    A, M = _diagonal_pencil(20)
+    res = eig_shift_invert(A, M, target=3.5, nev=20 - spare - solve._GUARD)
+    assert calls == ([(20, 20)] if dense else [])
+    assert (res.op_count is None) == dense
+
+
+def test_every_operator_application_is_a_solve_arpack_asked_for(monkeypatch):
     # a LinearOperator given no dtype probes its matvec with a zero vector
     # before ARPACK starts: one more solve, counted as an application
-    dense_cutoff(1)
     solves, before_arpack = [], []
     factor, eigsh = solve._factor, solve.spla.eigsh
 
@@ -334,12 +362,10 @@ def test_every_operator_application_is_a_solve_arpack_asked_for(monkeypatch,
     assert before_arpack == [0]
 
 
-def test_systems_without_a_lattice_reach_superlu_in_colamd_order(dense_cutoff,
-                                                                  splu_options):
+def test_systems_without_a_lattice_reach_superlu_in_colamd_order(splu_options):
     # an SPD system whose lattice is unknown, and a shifted pencil built by hand
     A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     solve_spd(SparseSystem(A, np.ones(2)))
-    dense_cutoff(1)
     eig_shift_invert(*_diagonal_pencil(20), target=3.5, nev=2)
     assert splu_options == [{"permc_spec": "COLAMD"}] * 2
 
@@ -372,20 +398,21 @@ def _failing_eigsh(monkeypatch, failures):
     return calls, returned
 
 
-def test_eig_shift_invert_retries_once_with_a_larger_subspace(monkeypatch, dense_cutoff):
-    dense_cutoff(1)
+def test_eig_shift_invert_retries_once_with_a_larger_subspace(monkeypatch):
     A, M = _diagonal_pencil(40)
     calls, returned = _failing_eigsh(monkeypatch, failures=1)
     res = eig_shift_invert(A, M, target=10.4, nev=3)
-    assert len(calls) == 2
-    assert (calls[0]["ncv"], calls[0]["maxiter"]) == (40, 5000)
-    assert (calls[1]["ncv"], calls[1]["maxiter"]) == (8 * 3, 20000)
-    assert np.array_equal(res.eigenvalues, returned[0])
-    assert np.abs(res.eigenvalues - np.round(res.eigenvalues)).max() <= 1e-10
+    k = 3 + solve._GUARD
+    assert [call["k"] for call in calls] == [k, k]
+    # the subspace follows k, capped at n
+    assert (calls[0]["ncv"], calls[0]["maxiter"]) == (min(40, max(4 * k, 60)), 5000)
+    assert (calls[1]["ncv"], calls[1]["maxiter"]) == (min(40, 8 * k), 20000)
+    (computed,) = returned
+    assert len(computed) == k and np.isin(res.eigenvalues, computed).all()
+    assert np.allclose(res.eigenvalues, [10.0, 11.0, 12.0], rtol=0, atol=1e-10)
 
 
-def test_eig_shift_invert_reports_a_failed_retry(monkeypatch, dense_cutoff):
-    dense_cutoff(1)
+def test_eig_shift_invert_reports_a_failed_retry(monkeypatch):
     A, M = _diagonal_pencil(40)
     calls, _ = _failing_eigsh(monkeypatch, failures=2)
     with pytest.raises(RuntimeError, match=r"did not converge for 3 pairs near 10\.4 "
@@ -410,33 +437,30 @@ def test_maxwell_operator_is_positive_semidefinite():
     assert vals.min() >= -1e-9 * max(vals.max(), 1.0)
 
 
-def _both_paths(dense_cutoff, A, M, target, nev):
-    """The dense and the shift-invert results, checked to hold the same pairs."""
-    dense_cutoff(10**9)
-    dense = eig_shift_invert(A, M, target=target, nev=nev)
-    dense_cutoff(1)
-    sparse = eig_shift_invert(A, M, target=target, nev=nev)
-    assert len(dense) == len(sparse) == nev
-    assert np.abs(dense.eigenvalues / sparse.eigenvalues - 1).max() <= 1e-12
-    return dense, sparse
-
-
-def test_dense_and_shift_invert_paths_agree(dense_cutoff):
-    # both paths rank by the Cayley magnitude, so neither returns a
-    # gradient-kernel zero
+def test_dense_and_shift_invert_paths_agree():
+    # the shift-invert result against a dense reference ranked the same
+    # way, so neither holds a gradient-kernel zero
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
-    dense, _ = _both_paths(dense_cutoff, A, M, 3.0 * PI2, nev=12)
-    assert dense.eigenvalues.min() > PI2
+    res = eig_shift_invert(A, M, target=3.0 * PI2, nev=12)
+    reference = _reference(A, M, 3.0 * PI2, 12)
+    assert res.op_count > 0
+    assert np.abs(res.eigenvalues / reference - 1).max() <= 1e-12
+    assert reference.min() > PI2
 
 
-def test_both_paths_prefer_eigenvalues_above_the_target(dense_cutoff):
-    A, M = _diagonal_pencil(40)
-    for res in _both_paths(dense_cutoff, A, M, 10.4, nev=3):
+def test_both_paths_prefer_eigenvalues_above_the_target():
+    # 12 beats 9 on the Cayley magnitude; diag(9..12) is too small for
+    # ARPACK and takes the dense fallback
+    sparse = eig_shift_invert(*_diagonal_pencil(40), target=10.4, nev=3)
+    small = SparseSystem(sp.diags([9.0, 10.0, 11.0, 12.0]).tocsr())
+    dense = eig_shift_invert(small, SparseSystem(sp.identity(4, format="csr")),
+                             target=10.4, nev=3)
+    assert sparse.op_count > 0 and dense.op_count is None
+    for res in (sparse, dense):
         assert np.allclose(res.eigenvalues, [10.0, 11.0, 12.0], rtol=0, atol=1e-12)
 
 
-def test_shift_invert_path_is_deterministic(dense_cutoff):
-    dense_cutoff(1)
+def test_shift_invert_path_is_deterministic():
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 2)
     first = eig_shift_invert(A, M, target=3.0 * PI2, nev=8)
     second = eig_shift_invert(A, M, target=3.0 * PI2, nev=8)
@@ -444,8 +468,7 @@ def test_shift_invert_path_is_deterministic(dense_cutoff):
     assert first.op_count == second.op_count
 
 
-def test_eigen_residuals_below_tolerance(dense_cutoff):
-    dense_cutoff(1)
+def test_eigen_residuals_below_tolerance():
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
     tol = 1e-7
     res = eig_shift_invert(A, M, target=3.0 * PI2, nev=10, tol=tol)
@@ -460,8 +483,6 @@ def test_eigen_residuals_below_tolerance(dense_cutoff):
 
 def test_spurious_unit_eigenvalues_in_diag1_mode():
     # diag-one boundary handling plants eigenvalues exactly at 1
-    import scipy.linalg
-
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 2, mode="diag1")
     vals = scipy.linalg.eigh(A.matrix.toarray(), M.matrix.toarray(), eigvals_only=True)
     ones = np.sum(np.abs(vals - 1.0) < 1e-9)
