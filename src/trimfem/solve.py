@@ -238,7 +238,7 @@ _GUARD = 1
 
 
 def _nearest(vals, vecs, target, nev):
-    """The `nev` pairs of smallest Cayley magnitude; ties keep their order."""
+    """The `nev` pairs of smallest Cayley magnitude, for `EigenResult` to sort."""
     order = np.argsort(np.abs(vals - target) / np.abs(vals + target), kind="stable")
     return vals[order[:nev]], vecs[:, order[:nev]]
 
@@ -292,8 +292,8 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
     opinv = spla.LinearOperator(A.shape, matvec=op, dtype=np.float64)
     # a fixed start vector makes the returned cluster a function of the inputs
     v0 = np.random.default_rng(0).standard_normal(n)
-    # ncv follows k (k 16, ncv 60 missed copies at Q-_2 N=8); one retry
-    for ncv, maxiter in ((max(4 * k, 60), 5000), (8 * k, 20000)):
+    # ncv follows k (k 16, ncv 60 missed copies at Q-_2 N=8); retry on twice it
+    for ncv, maxiter in ((max(4 * k, 60), 5000), (max(8 * k, 120), 20000)):
         try:
             vals, vecs = spla.eigsh(
                 A, k=k, M=M, sigma=target, mode="cayley", which="LM",

@@ -369,12 +369,12 @@ def test_maxwell_iteration_time_leaves_out_the_factorization(monkeypatch):
     assert level.time_per_iteration * result.op_count < level.solve_time
 
 
-@pytest.mark.parametrize("family", ["S", "Q"])
-def test_cavity_clusters_at_n4_are_complete(monkeypatch, family):
-    # Lanczos asked for exactly 15 pairs returned Q-_2 N=4 as 5 x4, 6 x3,
-    # 8 x2, 9 x1; the guard pair restores the nearer copies
+@pytest.mark.parametrize("family, N", [("S", 4), ("Q", 4), ("Q", 8)])
+def test_cavity_clusters_are_complete(monkeypatch, family, N):
+    # Lanczos asked for exactly 15 pairs returned Q-_2 N=4 and N=8 as 5 x4,
+    # 6 x3, 8 x2, 9 x1; the guard pair restores the nearer copies
     results = _recorded_eig_results(monkeypatch)
-    (level,) = run_maxwell_eig(family, 2, [4]).levels
+    (level,) = run_maxwell_eig(family, 2, [N]).levels
     (result,) = results
     assert len(result) == 15 and result.op_count > 0
     counts = {e: [c for _, c in clusters] for e, clusters in level.groups.items()}
@@ -382,6 +382,14 @@ def test_cavity_clusters_at_n4_are_complete(monkeypatch, family):
     # S- splits 3 + 1
     assert {e: counts[e] for e in (2, 3, 5)} == {2: [3], 3: [2], 5: [6]}
     assert counts.keys() == {2, 3, 5, 6} and sum(counts[6]) == 4
+
+
+def test_cavity_subclusters_below_the_target():
+    # Cayley magnitude ranks the pairs below the target in descending order;
+    # the report must still see S- split 6 into 3 + 3 here
+    (level,) = run_maxwell_eig("S", 2, [4], target=7.0).levels
+    counts = {e: [c for _, c in clusters] for e, clusters in level.groups.items()}
+    assert counts == {6: [3, 3], 8: [3], 9: [3, 3]}
 
 
 def test_report_dofs_equality_and_dominance():

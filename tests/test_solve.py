@@ -399,17 +399,25 @@ def _failing_eigsh(monkeypatch, failures):
 
 
 def test_eig_shift_invert_retries_once_with_a_larger_subspace(monkeypatch):
-    A, M = _diagonal_pencil(40)
+    A, M = _diagonal_pencil(200)
     calls, returned = _failing_eigsh(monkeypatch, failures=1)
     res = eig_shift_invert(A, M, target=10.4, nev=3)
     k = 3 + solve._GUARD
     assert [call["k"] for call in calls] == [k, k]
-    # the subspace follows k, capped at n
-    assert (calls[0]["ncv"], calls[0]["maxiter"]) == (min(40, max(4 * k, 60)), 5000)
-    assert (calls[1]["ncv"], calls[1]["maxiter"]) == (min(40, 8 * k), 20000)
+    # the subspace follows k, and the retry doubles it
+    assert (calls[0]["ncv"], calls[0]["maxiter"]) == (max(4 * k, 60), 5000)
+    assert (calls[1]["ncv"], calls[1]["maxiter"]) == (2 * calls[0]["ncv"], 20000)
+    # 9, 10, 11, 12 computed; 9 ranks last in Cayley magnitude
     (computed,) = returned
-    assert len(computed) == k and np.isin(res.eigenvalues, computed).all()
-    assert np.allclose(res.eigenvalues, [10.0, 11.0, 12.0], rtol=0, atol=1e-10)
+    assert np.allclose(computed, [9.0, 10.0, 11.0, 12.0], rtol=0, atol=1e-10)
+    assert np.array_equal(res.eigenvalues, computed[1:])
+
+
+def test_eig_shift_invert_returns_ascending_eigenvalues():
+    # Cayley magnitude ranks these 7, 8, 9, 6, 10
+    A, M = _diagonal_pencil(40)
+    res = eig_shift_invert(A, M, target=7.4, nev=5)
+    assert np.allclose(res.eigenvalues, [6.0, 7.0, 8.0, 9.0, 10.0], rtol=0, atol=1e-10)
 
 
 def test_eig_shift_invert_reports_a_failed_retry(monkeypatch):
