@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoxMesh, GlobalDofMap, nested_dissection
+from .mesh import BoxMesh, GlobalDofMap
 from .poly import gauss_rule
 from .refelem import Element, tabulate
 
@@ -79,8 +79,7 @@ class SparseSystem:
     take it as a function of no arguments, called on first use, so a
     system that is never factored never computes it.  It is the one fact a
     factorization reads: `solve_spd` builds its multifrontal factor on it,
-    and SuperLU factors in the cached `ordering`, its nested dissection
-    (`ordering[k]` is the k-th unknown eliminated), None without a lattice.
+    and SuperLU factors in its nested dissection.
     """
 
     def __init__(self, matrix, rhs=None, full_size=None, free=None, lattice=None):
@@ -93,10 +92,6 @@ class SparseSystem:
     @cached_property
     def lattice(self):
         return self._lattice() if callable(self._lattice) else self._lattice
-
-    @cached_property
-    def ordering(self):
-        return None if self.lattice is None else nested_dissection(self.lattice)
 
     def expand(self, x):
         if self.free is None:

@@ -80,7 +80,6 @@ def make_parser():
     p = sub.add_parser("maxwell-eig", help="cavity resonator eigenvalues (3D)")
     _add_common(p, with_dim=False, tol_default=1e-7)
     p.add_argument("--levels", type=_int_list, default=[4, 8])
-    p.add_argument("--bc-mode", choices=("eliminate", "diag1"), default="eliminate")
     p.add_argument("--target", type=float, default=3.0)
     p.add_argument("--nev", type=int, default=15)
 
@@ -112,8 +111,7 @@ def _run(args):
     if args.command == "maxwell-eig":
         family = _family_of(args.element, ("SminusCurl", "NCE"), 3, args.order)
         report = run_maxwell_eig(family, args.order, args.levels,
-                                 target=args.target, nev=args.nev, tol=args.tol,
-                                 bc_mode=args.bc_mode)
+                                 target=args.target, nev=args.nev, tol=args.tol)
         print(format_maxwell(report))
         if args.out:
             _write_maxwell_csvs(report, args.out)

@@ -1,10 +1,13 @@
 """Direct solvers and eigensolvers for the assembled systems.
 
 Source problems use a direct factorization with iterative refinement;
-the cavity eigenproblem uses a shift-invert Krylov iteration (Cayley
-spectral transform) and keeps the pairs of smallest Cayley magnitude
-|lambda - sigma| / |lambda + sigma|, so the curl-curl gradient kernel at
-zero cannot crowd out eigenvalues on the far side of the shift sigma.
+the cavity eigenproblem uses one eigen path at every size, ARPACK's
+shift-invert Lanczos iteration (Cayley spectral transform), and keeps the
+pairs of smallest Cayley magnitude |lambda - sigma| / |lambda + sigma|,
+so the curl-curl gradient kernel at zero cannot crowd out eigenvalues on
+the far side of the shift sigma.  ARPACK computes fewer pairs than the
+pencil has unknowns, so at most n - 1 pairs of an n-unknown pencil come
+back, and a shift that is an eigenvalue raises at every size.
 
 An SPD system that carries the lattice of its unknowns (every assembled
 square operator, see `SparseSystem.lattice`) is factored by the
@@ -19,8 +22,9 @@ one correction, or reach the rounding floor after two.
 Every SuperLU factorization is float64 and goes through `_factor`, in one
 configuration: the fill-reducing order is the geometric nested
 dissection of the lattice an assembled system carries
-(`SparseSystem.ordering`, see `mesh.nested_dissection`), into which
-`_factor` permutes the matrix symmetrically once for SuperLU to keep
+(`SparseSystem.lattice`, ordered by `mesh.nested_dissection` when the
+system is factored), into which `_factor` permutes the matrix
+symmetrically once for SuperLU to keep
 (`permc_spec="NATURAL"`), and the pivoting is SuperLU's default
 threshold pivoting, whose stability does not rest on definiteness.
 Against SuperLU's own orderings this factored the study systems 1.4-11x
@@ -38,12 +42,12 @@ expand the solution of an eliminated system to full length.
 import time
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import multifrontal
 from .assemble import SparseSystem
+from .mesh import nested_dissection
 
 
 class EigenResult:
@@ -55,8 +59,7 @@ class EigenResult:
     individual entries; multiplicity counting happens only in reports.
     """
 
-    def __init__(self, eigenvalues, eigenvectors, residuals, op_count=None,
-                 op_time=None):
+    def __init__(self, eigenvalues, eigenvectors, residuals, op_count, op_time):
         order = np.argsort(eigenvalues)
         self.eigenvalues = np.asarray(eigenvalues)[order]
         self.eigenvectors = np.asarray(eigenvectors)[:, order]
@@ -89,17 +92,19 @@ def _check_symmetric(A, tol=1e-12):
         raise ValueError("matrix is not symmetric")
 
 
-def _factor(A, ordering, stage):
+def _factor(A, lattice, stage):
     """Solve function of one SuperLU factorization of the square matrix A.
 
-    With an `ordering`, A is permuted symmetrically into it once and
-    SuperLU keeps the natural order; the returned function permutes
-    right-hand sides and solutions, so callers work in the original
-    numbering.  Without one, SuperLU orders A by COLAMD.  Either way it
-    pivots by its default threshold.  A failed factorization raises an
-    error naming the `stage` and the matrix size and nnz.
+    With a `lattice` (the positions of A's unknowns), A is permuted
+    symmetrically into its nested dissection once and SuperLU keeps the
+    natural order; the returned function permutes right-hand sides and
+    solutions, so callers work in the original numbering.  Without one,
+    SuperLU orders A by COLAMD.  Either way it pivots by its default
+    threshold.  A failed factorization raises an error naming the `stage`
+    and the matrix size and nnz.
     """
     n, nnz = A.shape[0], A.nnz
+    ordering = None if lattice is None else nested_dissection(lattice)
     permc_spec = "COLAMD"
     if ordering is not None:
         A = A[ordering][:, ordering]
@@ -178,7 +183,7 @@ def _direct_solve(system: SparseSystem, tol, spd):
     factor = "multifrontal"
     if solve is None:
         factor = "SuperLU"
-        solve = _factor(A, system.ordering,
+        solve = _factor(A, system.lattice,
                         "sparse factorization" if spd else "saddle factorization")
     x, res, steps = _refine(A, b, solve, tol)
     if not np.isfinite(res) or res > tol:
@@ -247,38 +252,36 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
                      tol=1e-7) -> EigenResult:
     """`nev` generalized eigenpairs of A x = lambda M x around a target.
 
-    `A` and `M` are assembled systems; A's matrix must be symmetric
-    positive semidefinite and M's symmetric positive definite, and the
-    target positive.  The result holds the `nev` eigenpairs of smallest
-    |lambda - target| / |lambda + target|, the Cayley magnitude, so an
-    eigenvalue at zero (the curl-curl gradient kernel) or far below the
-    target ranks last, and eigenvalues above the target are preferred
-    (diag(1..40), target 10.4, nev 3: 10, 11, 12).  ARPACK computes
-    `nev + _GUARD` pairs on the Cayley transform of A - target M, factored
-    in `A.ordering`, so a target that is an eigenvalue raises.  Only a
-    system of at most `nev + _GUARD` unknowns, too small for ARPACK, is
-    solved densely.
+    `A` and `M` are assembled systems of n >= 2 unknowns; A's matrix must
+    be symmetric positive semidefinite and M's symmetric positive
+    definite, and the target positive.  The result holds the `nev`
+    eigenpairs of smallest |lambda - target| / |lambda + target|, the
+    Cayley magnitude, so an eigenvalue at zero (the curl-curl gradient
+    kernel) or far below the target ranks last, and eigenvalues above the
+    target are preferred (diag(1..40), target 10.4, nev 3: 10, 11, 12).
+    ARPACK computes k = min(nev + _GUARD, n - 1) pairs, as it needs k < n,
+    on the Cayley transform of A - target M, factored by `_factor`.  So
+    at most n - 1 pairs come back (for `nev >= n` the one ranked last is
+    dropped), and a target that is an eigenvalue raises at every size.
     """
     if nev < 1:
         raise ValueError(f"nev={nev}: request at least one eigenpair")
     if not target > 0:
         raise ValueError(f"target={target}: the ranking needs a positive shift")
-    if not A.matrix.shape[0]:
-        raise ValueError("eigenproblem of size 0: the system has no unknowns")
+    n = A.matrix.shape[0]
+    if n < 2:
+        raise ValueError(f"eigenproblem of size {n}: the Krylov iteration "
+                         f"needs at least 2 unknowns")
     system = A
     A = sp.csr_matrix(A.matrix)
     M = sp.csr_matrix(M.matrix)
     _check_symmetric(A)
     _check_symmetric(M)
-    n = A.shape[0]
     norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
-    k = nev + _GUARD
-    if k >= n:  # ARPACK needs k < n
-        vals, vecs = _nearest(*scipy.linalg.eigh(A.toarray(), M.toarray()), target, nev)
-        return EigenResult(vals, vecs, _residual_norms(A, M, norms, vals, vecs))
+    k = min(nev + _GUARD, n - 1)
 
     times = []  # of the operator applications
-    solve = _factor(A - target * M, system.ordering,
+    solve = _factor(A - target * M, system.lattice,
                     f"shift-invert factorization of (A - {target} M)")
 
     def op(x):

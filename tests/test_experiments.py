@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trimfem.cli import _STUDIES, make_parser
 from trimfem.cli import main as cli_main
 from trimfem.experiments import (
     ExperimentRow,
@@ -160,8 +161,6 @@ def test_studies_accept_numpy_integers():
 @pytest.mark.parametrize("study, expected", [
     (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
-    # N=3: N=2 has 6 free DOFs, too few for ARPACK's 15 + _GUARD pairs,
-    # so it takes the dense fallback and factors nothing
     (lambda: run_maxwell_eig("S", 1, [3]), 1),
 ], ids=["primal-poisson", "mixed-poisson", "maxwell-sparse"])
 def test_each_study_level_factors_once(monkeypatch, study, expected):
@@ -193,12 +192,12 @@ def test_each_study_level_factors_once(monkeypatch, study, expected):
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
     # A and M share one map; M is never factored
     (lambda: run_maxwell_eig("S", 1, [3]), 1),
-    # the dense fallback (6 free DOFs for 15 pairs) factors nothing
-    (lambda: run_maxwell_eig("S", 1, [2]), 0),
+    # 6 free DOFs for 15 pairs: ARPACK still runs, on the factored shift
+    (lambda: run_maxwell_eig("S", 1, [2]), 1),
 ], ids=["primal-poisson", "primal-eliminate", "mixed-poisson", "maxwell-sparse",
-        "maxwell-dense"])
+        "maxwell-n2"])
 def test_orderings_are_computed_only_for_factored_maps(monkeypatch, study, expected):
-    from trimfem import assemble, mesh
+    from trimfem import mesh, solve
 
     calls = []
     nested_dissection = mesh.nested_dissection
@@ -208,7 +207,7 @@ def test_orderings_are_computed_only_for_factored_maps(monkeypatch, study, expec
         return nested_dissection(lattice)
 
     monkeypatch.setattr(mesh, "nested_dissection", counting)
-    monkeypatch.setattr(assemble, "nested_dissection", counting)
+    monkeypatch.setattr(solve, "nested_dissection", counting)
     study()
     assert len(calls) == expected
 
@@ -292,29 +291,22 @@ def test_cavity_rate_is_none_against_a_level_without_the_eigenvalue(tmp_path):
     assert [float(row["Error"]) for row in rows] == [second.error, third.error]
 
 
-def test_maxwell_takes_the_dense_path_when_nev_covers_the_system():
-    # N=2 leaves 6 free DOFs, fewer than the 15 pairs requested
-    (level,) = run_maxwell_eig("S", 1, [2]).levels
-    assert level.time_per_iteration is None
+@pytest.mark.parametrize("nev", [5, 6, 15])
+def test_maxwell_drops_the_zero_when_nev_covers_the_system(monkeypatch, nev):
+    # N=2 leaves 6 free DOFs: 0, 2.4317 x3 and 3.6476 x2 over pi^2.  Five
+    # pairs come back at most, and the zero, ranked last, is the one dropped
+    results = _recorded_eig_results(monkeypatch)
+    (level,) = run_maxwell_eig("S", 1, [2], nev=nev).levels
+    (result,) = results
+    assert len(result) == 5 and result.eigenvalues.min() > np.pi**2
     ((value, count),) = level.groups[2]
     assert count == 3 and value == pytest.approx(2.4317, abs=1e-4)
+    assert level.groups.keys() == {2}
 
 
 def test_maxwell_names_a_cavity_without_unknowns():
     with pytest.raises(ValueError, match="eigenproblem of size 0"):
         run_maxwell_eig("S", 1, [1])
-
-
-def test_maxwell_diag1_reports_what_elimination_reports():
-    # the planted unit eigenvalues rank last, like the gradient-kernel
-    # zeros, so diag1 mode reports the pairs elimination mode reports
-    elim, diag1 = (run_maxwell_eig("S", 1, [4], bc_mode=mode).levels[0]
-                   for mode in ("eliminate", "diag1"))
-    assert elim.groups.keys() == diag1.groups.keys() == {2, 3, 6}
-    for e, clusters in elim.groups.items():
-        assert [c for _, c in diag1.groups[e]] == [c for _, c in clusters]
-        assert [v for v, _ in diag1.groups[e]] == pytest.approx(
-            [v for v, _ in clusters], rel=1e-12)
 
 
 def test_maxwell_numbers_one_space_per_level(monkeypatch):
@@ -332,17 +324,14 @@ def test_maxwell_numbers_one_space_per_level(monkeypatch):
     assert len(numbered) == 2
 
 
-def test_maxwell_reports_no_iteration_time_on_the_dense_path():
-    # N=2 leaves 6 free DOFs, too few for ARPACK's 6 + _GUARD pairs, and
-    # takes the dense fallback; N=4 iterates
+def test_maxwell_reports_iteration_time_on_every_level():
+    # N=2 leaves 6 free DOFs for 6 pairs requested; it iterates like N=4
     rep = run_maxwell_eig("S", 1, [2, 4], nev=6)
-    dense, sparse = rep.levels
-    assert dense.time_per_iteration is None
-    assert 0 < sparse.time_per_iteration < sparse.solve_time
     (row,) = [line.split() for line in format_maxwell(rep).splitlines()
               if line.split()[0] == "time/iter"]
-    assert row[1] == "dense"
-    assert float(row[2]) == pytest.approx(sparse.time_per_iteration, abs=1e-6)
+    for level, cell in zip(rep.levels, row[1:], strict=True):
+        assert 0 < level.time_per_iteration < level.solve_time
+        assert float(cell) == pytest.approx(level.time_per_iteration, abs=1e-6)
 
 
 def _recorded_eig_results(monkeypatch):
@@ -390,6 +379,14 @@ def test_cavity_subclusters_below_the_target():
     (level,) = run_maxwell_eig("S", 2, [4], target=7.0).levels
     counts = {e: [c for _, c in clusters] for e, clusters in level.groups.items()}
     assert counts == {6: [3, 3], 8: [3], 9: [3, 3]}
+
+
+def test_cavity_report_matches_exact_values_above_twenty():
+    # the exact values matched follow the returned pairs; a fixed limit of
+    # 20 left this report empty
+    (level,) = run_maxwell_eig("S", 2, [4], target=24.0, nev=8).levels
+    counts = {e: [c for _, c in clusters] for e, clusters in level.groups.items()}
+    assert counts == {24: [3], 25: [3], 26: [2]}
 
 
 def test_report_dofs_equality_and_dominance():
@@ -518,3 +515,25 @@ def test_readme_quickstart_names_are_importable():
     namespace = {}
     exec(code, namespace)
     assert namespace["err"] < 1e-4
+
+
+def test_readme_command_lines_parse():
+    # every "trimfem ..." line under "Command line", as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line.split()[1:] for line in block.splitlines()
+             if line.startswith("trimfem ")]
+    assert {argv[0] for argv in lines} == set(_STUDIES) | {
+        "maxwell-eig", "dofs", "element-dump"}
+    parser = make_parser()
+    for argv in lines:
+        assert parser.parse_args(argv).command == argv[0]
+
+
+def test_maxwell_eig_has_no_bc_mode(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        make_parser().parse_args(["maxwell-eig", "--element", "SminusCurl",
+                                  "--bc-mode", "diag1"])
+    assert exit_info.value.code == 2
+    assert "--bc-mode" in capsys.readouterr().err

@@ -94,9 +94,8 @@ def test_nested_dissection_of_arbitrary_points():
 def test_top_separator_leaves_no_coupling_between_the_halves(n, name, r, N, form):
     dofmap = _dofmap(n, name, r, N)
     A = assemble_bilinear(dofmap.mesh, dofmap, dofmap, form)
-    assert np.array_equal(A.ordering, nested_dissection(dofmap.lattice))
-    assert A.ordering is A.ordering  # cached on the system
-    _assert_top_separator(A.matrix, dofmap.lattice, A.ordering)
+    assert np.array_equal(A.lattice, dofmap.lattice)
+    _assert_top_separator(A.matrix, dofmap.lattice, nested_dissection(A.lattice))
 
 
 @pytest.mark.parametrize("n,name,r,N,kind", [
@@ -112,14 +111,14 @@ def test_eliminated_ordering_is_a_permutation_of_the_free_dofs(n, name, r, N, ki
     system = assemble_bilinear(dofmap.mesh, dofmap, dofmap, form)
     bdofs = boundary_dofs(dofmap, kind)
     red = apply_dirichlet(system, bdofs, "eliminate")
-    order = red.ordering
+    order = nested_dissection(red.lattice)
     assert np.array_equal(np.sort(order), np.arange(len(red.free)))
-    assert np.array_equal(order, nested_dissection(red.lattice))
     # the full order with the boundary DOFs taken out
     full = nested_dissection(dofmap.lattice)
     kept = full[np.isin(full, red.free)]
     assert np.array_equal(red.free[order], kept)
-    assert np.array_equal(apply_dirichlet(system, bdofs, "diag1").ordering, full)
+    assert np.array_equal(
+        nested_dissection(apply_dirichlet(system, bdofs, "diag1").lattice), full)
 
 
 @pytest.mark.parametrize("mode", ["eliminate", "diag1"])
@@ -132,8 +131,9 @@ def test_a_reduced_system_carries_the_lattice_of_its_unknowns(mode):
     assert again.full_size == len(red.free)
     kept = np.arange(len(red.free)) if mode == "diag1" else again.free
     assert np.array_equal(again.lattice, dofmap.lattice[red.free][kept])
-    assert np.array_equal(np.sort(again.ordering), np.arange(len(kept)))
-    _assert_top_separator(again.matrix, again.lattice, again.ordering)
+    order = nested_dissection(again.lattice)
+    assert np.array_equal(np.sort(order), np.arange(len(kept)))
+    _assert_top_separator(again.matrix, again.lattice, order)
 
 
 @pytest.mark.parametrize("n,name,r", [(2, "Lagrange", 2), (3, "S", 2)])
@@ -162,7 +162,7 @@ def test_ordered_and_unordered_spd_solves_agree(n, name, r, N, mode):
     system.rhs = assemble_load(dofmap.mesh, dofmap,
                                lambda x: np.sin(np.pi * x[..., 0]) * np.cos(x[..., 1]))
     system = apply_dirichlet(system, boundary_dofs(dofmap, "full-trace"), mode)
-    assert system.ordering is not None
+    assert system.lattice is not None
     x = solve_spd(system)
     y = solve_spd(_unordered(system))
     assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
@@ -179,7 +179,7 @@ def test_ordered_and_unordered_saddle_solves_agree(n, family, N):
     l2 = global_numbering(mesh, element_by_name(lname, n, 1))
     system = assemble_mixed_poisson(mesh, hdiv, l2,
                                     lambda x: n * PI2 * np.sin(np.pi * x[..., 0]))
-    order = system.ordering
+    order = nested_dissection(system.lattice)
     assert np.array_equal(np.sort(order), np.arange(hdiv.total + l2.total))
     x = solve_saddle(system)
     y = solve_saddle(_unordered(system))

@@ -276,32 +276,36 @@ def _reference(A, M, target, nev):
     return np.sort(vals[np.argsort(cayley, kind="stable")[:nev]])
 
 
-def test_dense_rank_of_a_target_that_is_an_eigenvalue():
-    # 3 unknowns are too few for ARPACK's nev + _GUARD pairs, so the dense
-    # fallback ranks, and |lambda - target| / |lambda + target| is zero
-    # there, not a division by zero
-    A, M = _diagonal_pencil(3)
-    nev = 3 - solve._GUARD
-    res = eig_shift_invert(A, M, target=2.0, nev=nev)
-    assert res.op_count is None
-    assert np.array_equal(res.eigenvalues, [2.0, 3.0][:nev])  # 1 ranks last
-
-
 @pytest.mark.parametrize("lattice", [None, 2 * np.arange(20)[::-1, None]])
 def test_shift_invert_reports_a_singular_shift(lattice):
     # the shift hits the eigenvalue 3 exactly, so A - 3 M is singular
     A, M = _diagonal_pencil(20)
     A = SparseSystem(A.matrix, lattice=lattice)
-    assert (A.ordering is None) == (lattice is None)
     with pytest.raises(RuntimeError,
                        match=r"shift-invert factorization.*size 20, nnz \d+"):
         eig_shift_invert(A, M, target=3.0, nev=2)
 
 
+@pytest.mark.parametrize("nev", [1, 3])
+def test_a_small_pencil_reports_a_singular_shift(nev):
+    # 3 unknowns take the same path as 20: A - 2 M is factored, and fails
+    A, M = _diagonal_pencil(3)
+    with pytest.raises(RuntimeError,
+                       match=r"shift-invert factorization.*size 3, nnz \d+"):
+        eig_shift_invert(A, M, target=2.0, nev=nev)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_eig_shift_invert_rejects_a_pencil_below_two_unknowns(n):
+    A, M = _diagonal_pencil(n)
+    with pytest.raises(ValueError, match=f"eigenproblem of size {n}: .*at least 2"):
+        eig_shift_invert(A, M, target=1.5, nev=1)
+
+
 @pytest.mark.parametrize("n, target", [(1, 1.0), (20, 3.0)], ids=["dense", "shift-invert"])
 def test_eig_shift_invert_rejects_nev_below_one(n, target):
     # the shift is singular, so factoring before the check would raise
-    # RuntimeError, and the dense fallback would return no pairs
+    # RuntimeError; nev is checked before the pencil's size, too
     A, M = _diagonal_pencil(n)
     with pytest.raises(ValueError, match="nev=0"):
         eig_shift_invert(A, M, target=target, nev=0)
@@ -317,22 +321,19 @@ def test_shift_invert_returns_all_but_one_pair():
     assert np.abs(res.eigenvalues - _reference(A, M, 3.5, nev)).max() <= 1e-10
 
 
-@pytest.mark.parametrize("spare, dense", [(2, False), (1, False), (0, True)],
-                         ids=["k<n-1", "k=n-1", "k=n"])
-def test_only_systems_too_small_for_arpack_are_solved_densely(monkeypatch, spare, dense):
-    # ARPACK computes k = nev + _GUARD pairs; n - k = spare
-    calls = []
-    eigh = solve.scipy.linalg.eigh
-
-    def recording_eigh(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(solve.scipy.linalg, "eigh", recording_eigh)
-    A, M = _diagonal_pencil(20)
-    res = eig_shift_invert(A, M, target=3.5, nev=20 - spare - solve._GUARD)
-    assert calls == ([(20, 20)] if dense else [])
-    assert (res.op_count is None) == dense
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nev_at_or_above_n_returns_all_but_one_pair(n):
+    # ARPACK computes at most n - 1 pairs; the one ranked last is dropped
+    rng = np.random.default_rng(n)
+    B, C = rng.standard_normal((2, n, n))
+    A = SparseSystem(sp.csr_matrix(B @ B.T + 0.1 * np.eye(n)))
+    M = SparseSystem(sp.csr_matrix(C @ C.T + n * np.eye(n)))
+    target = float(np.mean(_reference(A, M, 1.0, n)[:2]))  # no eigenvalue
+    reference = _reference(A, M, target, n - 1)
+    for nev in (n, n + 5):
+        res = eig_shift_invert(A, M, target=target, nev=nev)
+        assert len(res) == n - 1 and res.op_count > 0
+        assert np.abs(res.eigenvalues / reference - 1).max() <= 1e-10
 
 
 def test_every_operator_application_is_a_solve_arpack_asked_for(monkeypatch):
@@ -456,15 +457,15 @@ def test_dense_and_shift_invert_paths_agree():
     assert reference.min() > PI2
 
 
-def test_both_paths_prefer_eigenvalues_above_the_target():
-    # 12 beats 9 on the Cayley magnitude; diag(9..12) is too small for
-    # ARPACK and takes the dense fallback
-    sparse = eig_shift_invert(*_diagonal_pencil(40), target=10.4, nev=3)
-    small = SparseSystem(sp.diags([9.0, 10.0, 11.0, 12.0]).tocsr())
-    dense = eig_shift_invert(small, SparseSystem(sp.identity(4, format="csr")),
+def test_every_size_prefers_eigenvalues_above_the_target():
+    # 12 beats 9 on the Cayley magnitude, on 40 unknowns and on the 4 of
+    # diag(9..12), where ARPACK computes k = n - 1 pairs
+    large = eig_shift_invert(*_diagonal_pencil(40), target=10.4, nev=3)
+    small = eig_shift_invert(SparseSystem(sp.diags([9.0, 10.0, 11.0, 12.0]).tocsr()),
+                             SparseSystem(sp.identity(4, format="csr")),
                              target=10.4, nev=3)
-    assert sparse.op_count > 0 and dense.op_count is None
-    for res in (sparse, dense):
+    for res in (large, small):
+        assert res.op_count > 0
         assert np.allclose(res.eigenvalues, [10.0, 11.0, 12.0], rtol=0, atol=1e-12)
 
 
@@ -486,7 +487,7 @@ def test_eigen_residuals_below_tolerance():
     norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
     assert np.array_equal(res.residuals, solve._residual_norms(
         A, M, norms, res.eigenvalues, res.eigenvectors))
-    assert res.op_count is not None and res.op_count > 0
+    assert res.op_count > 0
 
 
 def test_spurious_unit_eigenvalues_in_diag1_mode():
