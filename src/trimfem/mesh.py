@@ -141,27 +141,31 @@ def _split(lo, hi):
     shift moves the splitting planes along with the box, so boxes of one
     key are ordered alike.
     """
-    lo, hi = np.array(lo), np.array(hi)
-    plane = 2 * ((lo + hi + 2) // 4)  # the even value nearest the middle
-    inside = (lo < plane) & (plane < hi)
-    if not inside.any():
+    # in Python ints: on arrays of two or three entries numpy's per-call
+    # cost set the time of a tree of a few hundred boxes
+    lo, hi = [int(v) for v in lo], [int(v) for v in hi]
+    plane = [2 * ((l + h + 2) // 4) for l, h in zip(lo, hi)]  # the even value nearest the middle
+    inside = [a for a, (l, c, h) in enumerate(zip(lo, plane, hi)) if l < c < h]
+    if not inside:
         return None, ()
-    a = int(np.where(inside, hi - lo, -1).argmax())
-    p = int(plane[a])
+    a = max(inside, key=lambda a: hi[a] - lo[a])  # the first longest
+    p = plane[a]
     children = []
     for start, stop in ((lo[a], p - 1), (p + 1, hi[a]), (p, p)):
-        clo, chi = lo.copy(), hi.copy()
+        clo, chi = list(lo), list(hi)
         shift = start - start % 2
         clo[a], chi[a] = start - shift, stop - shift
-        children.append((tuple(clo.tolist()), tuple(chi.tolist())))
+        children.append((tuple(clo), tuple(chi)))
     return a, tuple(children)
 
 
 def _top_box(lattice):
     """Even shift of the lattice and its bounding box closed on even planes."""
-    lo = lattice.min(axis=0)
+    # one column at a time: a reduction along axis 0 of an (m, n) array
+    # took 15x as long on m = 263,169
+    lo = np.array([column.min() for column in lattice.T])
     lo = lo - lo % 2
-    hi = lattice.max(axis=0) - lo
+    hi = np.array([column.max() for column in lattice.T]) - lo
     return lo, ((0,) * len(lo), tuple((hi + hi % 2).tolist()))
 
 

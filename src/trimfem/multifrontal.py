@@ -42,12 +42,24 @@ alternating fresh-process pairs) the median pass went from 3.15 to
 bits whatever the pool's size: with the pool at two threads they
 differed from the one-thread results in the last digits.
 
+Outside the dense kernels the factor is numpy bookkeeping, so each front
+is assembled in as few passes over its entries as numpy allows.  The
+representative's pivot rows are classified once per distinct column, not
+per entry: in the pivot box, outside the box (the shell), or inside a
+child's subtree and dropped.  A child's update goes into the front by one
+slice add per pair of runs along which the child's and the front's
+positions both step by one, where the blocks are large, and otherwise by
+one indexed add whose values are read as slices where they are
+contiguous (`_extend_add`); either way every entry takes one add per
+child in the same order, so the fronts keep their bits.  Other instances'
+rows are compared in the order they sit in A.
+
 Memory follows the factor.  Besides A and the stored factor, the set-up
-keeps one key per unknown and one lookup entry per grid slot, int32 where
-they fit; the rows of a class's instances are verified a slice of at most
-n entries at a time; and each front is assembled in Fortran order, so
-that LAPACK and BLAS factor it in place and its pivot rows become the
-stored factor without a copy.  On the 2D r=1 N=512 Poisson system (28 MiB
+keeps one key and one rank per unknown and one lookup entry per grid
+slot, int32 where they fit; the rows of a class's instances are verified
+a slice of at most n entries at a time; and each front is assembled in
+Fortran order, so that LAPACK and BLAS factor it in place and its pivot
+rows become the stored factor without a copy.  On the 2D r=1 N=512 Poisson system (28 MiB
 of matrix, 25 MiB of factor) the traced peak of `factor` above its input
 went from 83 to 43 MiB.
 """
@@ -55,6 +67,7 @@ went from 83 to 43 MiB.
 import contextlib
 import ctypes
 import functools
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,6 +93,18 @@ _SINGULAR = np.sqrt(np.finfo(float).eps)
 # 0.26 -> 0.23 s) and halved the 2D solves; 128 and 256 were slower on
 # some levels.
 _LEAF = 64
+
+
+# A child's update goes into its parent's front by slices where its runs
+# of rows and columns (`_extend_add`) give blocks of at least this many
+# entries on average, and by one indexed add otherwise.  Warm, np.add.at
+# cost 9-11 ns per entry with its index and copies, and a slice add 2.2 us
+# plus 1.7 ns per entry (numpy 2.4, 2-core Xeon), even near 300 entries a
+# block; inside the factor, with cold updates, the slice add won only from
+# about a thousand.  Cutoffs of 1024 to 8192 were within run-to-run
+# spread of each other on the benchmark's Poisson levels, 512 was 10-20%
+# slower, and never slicing up to 10% slower.
+_SLICE = 4096
 
 
 def _int_type(bound):
@@ -152,19 +177,24 @@ def _tree(top, leaf):
         box = todo.pop()
         if box in tree:
             continue
-        lo, hi = np.array(box[0]), np.array(box[1])
+        lo, hi = list(box[0]), list(box[1])
         a, children = _split(lo, hi)
         halves = []
-        if a is not None and np.prod(hi - lo + 1) > leaf:
+        if a is not None and _volume(box) > leaf:
             p = children[0][1][a] + 1  # the low half ends just before the plane
             shift = np.zeros(len(lo), dtype=np.int64)
             shift[a] = p
             halves = [(children[0], 0 * shift), (children[1], shift)]
             lo[a] = hi[a] = p
-        tree[box] = (lo, hi, halves)
+        tree[box] = (np.array(lo), np.array(hi), halves)
         todo.extend(child for child, _ in halves)
-    order = sorted(tree, key=lambda b: (np.prod(np.subtract(b[1], b[0]) + 1), b))
+    order = sorted(tree, key=lambda b: (_volume(b), b))
     return [(box, *tree[box]) for box in order]
+
+
+def _volume(box):
+    """Lattice positions in the box."""
+    return math.prod(h - l + 1 for l, h in zip(*box))
 
 
 def _instances(tree):
@@ -194,13 +224,19 @@ class MultifrontalCholesky:
     """A verified multifrontal Cholesky factor; call it to solve A x = b.
 
     `classes` counts the distinct factored fronts and `nodes` the tree
-    boxes that have pivots, summed over all instances.
+    boxes that have pivots, summed over all instances.  `stored` counts the
+    values the factor holds, L^-1 and L21^T of each class, and
+    `per_instance` the values a factor that stored every instance of a
+    class would hold.
     """
 
     def __init__(self, fronts):
         self.fronts = fronts
         self.classes = len(fronts)
         self.nodes = sum(len(f.pivots) for f in fronts)
+        sizes = [f.Linv.size + f.L21t.size for f in fronts]
+        self.stored = sum(sizes)
+        self.per_instance = sum(size * len(f.pivots) for size, f in zip(sizes, fronts))
 
     def __call__(self, b):
         x = np.array(b, dtype=np.float64)
@@ -244,10 +280,61 @@ def factor(A, lattice):
         return None
 
 
+def _distinct(keys):
+    """The distinct values of `keys`, ascending (np.unique took 2-5x as
+    long on these arrays)."""
+    keys = np.sort(keys)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return keys[new]
+
+
+def _breaks(src, dst):
+    """Where the runs along which `src` and `dst` both step by one start,
+    the first excepted."""
+    return ((((src[1:] - src[:-1]) != 1) | ((dst[1:] - dst[:-1]) != 1)).nonzero()[0]
+            + 1).tolist()
+
+
+def _extend_add(T, rows, U, urows, cols=None, ucols=None):
+    """T[rows[i], cols[j]] += U[urows[i], ucols[j]] for every i and j.
+
+    `cols` and `ucols` default to `rows` and `urows`.  `urows` and `ucols`
+    ascend, and no position of T is hit twice, so each entry of T takes
+    one add whichever way it is made: by one slice add per pair of runs
+    (`_breaks`) where the blocks hold `_SLICE` entries on average, else by
+    one indexed add over all of them.
+    """
+    square = cols is None
+    if square:
+        cols, ucols = rows, urows
+    size = len(rows) * len(cols)
+    if size >= _SLICE:
+        rb = _breaks(urows, rows)
+        cb = rb if square else _breaks(ucols, cols)
+        if size >= _SLICE * (len(rb) + 1) * (len(cb) + 1):
+            rb, cb = [0] + rb, [0] + cb
+            cblocks = list(zip(cols[cb].tolist(), ucols[cb].tolist(),
+                               np.diff(cb + [len(cols)]).tolist()))
+            for t, u, k in zip(rows[rb].tolist(), urows[rb].tolist(),
+                               np.diff(rb + [len(rows)]).tolist()):
+                Tr, Ur = T[t:t + k], U[u:u + k]
+                for tc, uc, kc in cblocks:
+                    Tr[:, tc:tc + kc] += Ur[:, uc:uc + kc]
+            return
+    # the values in the order of T's entries: U^T's rows ucols and columns
+    # urows, a slice where they are one run and taken otherwise
+    Ut = (U.T[ucols[0]:ucols[-1] + 1] if ucols[-1] - ucols[0] == len(ucols) - 1
+          else U.T.take(ucols, axis=0))
+    Ut = (Ut[:, urows[0]:urows[-1] + 1] if urows[-1] - urows[0] == len(urows) - 1
+          else Ut.take(urows, axis=1))
+    np.add.at(T.T.reshape(-1), (rows + T.shape[0] * cols[:, None]).ravel(), Ut.ravel())
+
+
 def _fronts(A, lattice):
     """The factored fronts of A, children first; raises _Mismatch where an
     instance differs from its class representative."""
-    n, dim = lattice.shape
+    n = len(lattice)
     origin, top = _top_box(lattice)
     # The grid of positions with a margin of one around the top box, so
     # that every shell position has a cell.  A DOF's key is its grid index
@@ -258,7 +345,8 @@ def _fronts(A, lattice):
     gshape = np.array(top[1]) + 3
     gstride = np.cumprod(np.r_[1, gshape[:0:-1]])[::-1]
     ncell = int(np.prod(gshape))
-    lin = ((lattice - (origin - 1)) @ gstride).astype(_int_type(ncell))
+    lin = sum((x - (o - 1)) * g for x, o, g in zip(lattice.T, origin, gstride))
+    lin = lin.astype(_int_type(ncell))
     by_pos = np.argsort(lin, kind="stable")
     lin = lin[by_pos]  # in position order, each position a run of slots
     first = np.flatnonzero(np.r_[True, lin[1:] != lin[:-1]])
@@ -269,11 +357,13 @@ def _fronts(A, lattice):
     del lin, by_pos, first, runs
     table = np.full(ncell * nslot, -1, dtype=_int_type(n))
     table[dkey] = np.arange(n)
+    grid = table.reshape(tuple(gshape) + (nslot,))
+    rank = np.empty(n, dtype=_int_type(n))  # of a column among a box's columns
 
     def dofs(base, keys):
         """Global indices of the DOFs at relative `keys` in every instance."""
-        idx = table[base[:, None] * nslot + keys]
-        if (idx < 0).any():
+        idx = table.take(base[:, None] + keys)
+        if np.count_nonzero(idx < 0):
             raise _Mismatch
         return idx
 
@@ -287,78 +377,91 @@ def _fronts(A, lattice):
     shells, updates, fronts, covered = {}, {}, [], []
     for box, plo, phi, halves in tree:
         off = offsets[box]
-        base = (off + 1) @ gstride  # grid index of each instance's corner
+        base = ((off + 1) @ gstride * nslot).astype(dkey.dtype)  # corner keys
         lo, hi = np.array(box[0]), np.array(box[1])
-        live = [(child, (shift @ gstride) * nslot) for child, shift in halves
+        live = [(child, int(shift @ gstride) * nslot) for child, shift in halves
                 if child in shells]
 
-        # the pivots: the representative's DOFs in the pivot box
-        q = (np.indices(phi - plo + 1).reshape(dim, -1).T + plo) @ gstride
-        cell, slots = np.nonzero(table.reshape(-1, nslot)[base[0] + q] >= 0)
-        p = len(cell)
+        # the pivots: the representative's DOFs in the pivot box, in key
+        # order, read off the grid of `table`
+        corner = off[0] + 1  # of the representative, in grid cells
+        pivots = grid[tuple(map(slice, corner + plo, corner + phi + 1))]
+        pivots = pivots[pivots >= 0]
+        p = len(pivots)
         if not p and not live:
             continue  # an empty subtree
-        pkeys = q[cell] * nslot + slots
+        pkeys = dkey.take(pivots) - base[0]
         pivots = dofs(base, pkeys)
         covered.append(pivots.ravel())
 
-        # the pivot rows of the representative, in its terms, and those of
-        # every other instance compared with them, in slices of instances
-        # that gather at most n entries at a time
-        first = A.indptr[pivots]
-        lens = A.indptr[pivots + 1] - first
-        if (lens != lens[0]).any():
-            raise _Mismatch
-        row = np.repeat(np.arange(p), lens[0])
-        within = np.arange(len(row)) - np.repeat(np.cumsum(lens[0]) - lens[0], lens[0])
-        at = first[0, row] + within
-        cols, vals = A.indices[at], A.data[at]
-        ckeys = dkey[cols] - base[0] * nslot
-        step = max(1, n // max(len(row), 1))
-        for i in range(1, len(off), step):
-            at = first[i:i + step, row] + within
-            if ((dkey[A.indices[at]] - base[i:i + step, None] * nslot != ckeys).any()
-                    or (A.data[at].view(np.int64) != vals.view(np.int64)).any()):
+        # the pivot rows of the representative: the distinct columns
+        # `ucols` they reach, at relative keys `ukeys`, and each entry's
+        # rank among them.  Those of every other instance are compared
+        # with them, in slices of instances that gather at most n entries
+        # at a time, taken in the order of their rows in A (a third faster
+        # than tree order on the 2D r=1 N=512 leaves).
+        first = A.indptr.take(pivots)
+        lens = A.indptr.take(pivots + 1) - first
+        lens0 = lens[0]
+        row = np.arange(p).repeat(lens0)
+        at = (first[0] - lens0.cumsum() + lens0).repeat(lens0) + np.arange(len(row))
+        cols, vals = A.indices.take(at), A.data.take(at)
+        ucols = _distinct(cols)
+        rank[ucols] = np.arange(len(ucols))
+        inv = rank.take(cols)
+        ukeys = dkey.take(ucols) - base[0]
+        if p and len(off) > 1:
+            if np.count_nonzero(lens != lens0):
                 raise _Mismatch
-        pos = lattice[cols] - origin - off[0]
-        if ((pos < -1) | (pos > hi + 1)).any():
+            within = at - first[0].take(row)
+            ckeys, ivals = ukeys[inv], vals.view(np.int64)
+            step = max(1, n // max(len(row), 1))
+            others = first[1:, 0].argsort() + 1
+            for i in range(0, len(others), step):
+                some = others[i:i + step]
+                at = first[some].take(row, axis=1) + within
+                if (np.count_nonzero(dkey.take(A.indices.take(at)) - base[some, None] != ckeys)
+                        or np.count_nonzero(A.data.take(at).view(np.int64) != ivals)):
+                    raise _Mismatch
+        pos = lattice.take(ucols, axis=0) - (origin + off[0])
+        if np.count_nonzero((pos < -1) | (pos > hi + 1)):
             raise _Mismatch  # a coupling beyond the cells around the box
 
         # the shell: what the rows and the children's shells reach outside
         # the box; a child's shell point inside it lies on the plane
         outside = ((pos < lo) | (pos > hi)).any(axis=1)
-        reach = [ckeys[outside]]
+        reach, planes = [ukeys[outside]], []
         for child, d in live:
             k = shells[child] + d
-            reach.append(k[pkeys[np.searchsorted(pkeys, k).clip(max=p - 1)] != k]
-                         if p else k)
-        skeys = np.unique(np.concatenate(reach))
+            j = pkeys.searchsorted(k)
+            on = pkeys[np.minimum(j, p - 1)] == k if p else np.zeros(len(k), bool)
+            b = (~on).nonzero()[0]
+            reach.append(k[b])
+            planes.append((j, on.nonzero()[0], b, reach[-1]))
+        skeys = _distinct(np.concatenate(reach))
         s = len(skeys)
-
-        front = np.concatenate([pkeys, skeys])
-        order = np.argsort(front, kind="stable")
-        sorted_front = front[order]
-
-        def locate(keys):  # position in the front
-            return order[np.searchsorted(sorted_front, keys)]
 
         # assemble the front in Fortran order, as its pivot rows Y = [F11 |
         # F12] and its shell block F22 (F21 = F12^T is never formed): the
-        # pivot rows of A, then the children's updates U, whose transposes
-        # read in C order run through Y and F22 in their memory order.
-        # LAPACK and BLAS then work in place, and Y becomes [L^-1 | L21^T].
-        keep = ((pos >= plo) & (pos <= phi)).all(axis=1) | outside
+        # pivot rows of A, on the columns in the pivot box or outside the
+        # box, then the children's updates U (`_extend_add`).  The front
+        # lists the pivots, then the shell, each in key order.  LAPACK and
+        # BLAS then work in place, and Y becomes [L^-1 | L21^T].
+        column = pkeys.searchsorted(ukeys)  # a column's place in the front,
+        column[pkeys.take(column, mode="clip") != ukeys] = -1  # -1 if dropped
+        column[outside] = skeys.searchsorted(reach[0]) + p
+        flat = column.take(inv) * p + row  # Y's entry in Fortran order, < 0 if none
+        kept = flat >= 0
         Y = np.zeros((p, p + s), order="F")
         F22 = np.zeros((s, s), order="F")
-        Y[row[keep], locate(ckeys[keep])] = vals[keep]
-        for child, d in live:
-            idx = locate(shells[child] + d)
-            Ut, a, b = updates[child].T, np.flatnonzero(idx < p), np.flatnonzero(idx >= p)
-            np.add.at(Y.T.reshape(-1), (idx[a] + p * idx[:, None]).ravel(),
-                      Ut.take(a, axis=1).ravel())
-            jb = idx[b] - p
-            np.add.at(F22.T.reshape(-1), (jb + s * jb[:, None]).ravel(),
-                      Ut.take(b, axis=0).take(b, axis=1).ravel())
+        Y.T.reshape(-1).put(flat[kept], vals[kept])
+        for (child, _), (idx, a, b, kb) in zip(live, planes):
+            idx[b] = skeys.searchsorted(kb) + p  # the child's shell in the front
+            U = updates[child]
+            if len(a):
+                _extend_add(Y, idx[a], U, a, idx, np.arange(len(idx)))
+            if len(b):
+                _extend_add(F22, idx[b] - p, U, b)
             uses[child] -= 1
             if not uses[child]:
                 del updates[child]

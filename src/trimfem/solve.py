@@ -13,9 +13,10 @@ An SPD system that carries the lattice of its unknowns (every assembled
 square operator, see `SparseSystem.lattice`) is factored by the
 multifrontal Cholesky of `multifrontal.factor`: dense float64 fronts on
 the geometric nested-dissection tree, each class of identical subtrees
-factored once.  On the 2D r=1 N=512 Poisson system it factored in
-0.3-0.4 s against 0.9-1.4 s for the single-precision SuperLU factor it
-replaced, and stored 3.0 M factor values where that one held 24.6 M.  On
+factored once.  On the 2D r=1 N=512 Poisson system it factors in
+0.21-0.25 s warm (0.24-0.32 s before its fronts were assembled in fewer
+passes) against 0.9-1.4 s for the single-precision SuperLU factor it
+replaced, and stores 3.0 M factor values where that one held 24.6 M.  On
 the benchmark's Poisson levels its solutions meet the gate after at most
 one correction, or reach the rounding floor after two.
 
@@ -37,6 +38,13 @@ The SPD and saddle-point solves are one routine, `_direct_solve`: check
 the right-hand side and the symmetry, return zeros for a zero right-hand
 side, factor once, refine (`_refine`), gate the relative residual and
 expand the solution of an eliminated system to full length.
+
+The factorizations, solves and eigensolves run their BLAS on one thread
+of scipy's OpenBLAS pool (`multifrontal._one_blas_thread`), so their
+results are the same bits whatever the pool's size: with the pool at two
+threads, the Q-_2 N=8 cavity's eigenvalues changed in the last digits.
+Where scipy's BLAS exports no pool control the scope does nothing, and
+the guarantee is untested there.
 """
 
 import time
@@ -154,6 +162,7 @@ def _refine(A, b, solve, tol):
     return x, res, steps
 
 
+@multifrontal._one_blas_thread()  # the same bits at any pool size
 def _direct_solve(system: SparseSystem, tol, spd):
     """Solve the symmetric `system` to a relative residual `tol`.
 
@@ -248,6 +257,7 @@ def _nearest(vals, vecs, target, nev):
     return vals[order[:nev]], vecs[:, order[:nev]]
 
 
+@multifrontal._one_blas_thread()  # the same bits at any pool size
 def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
                      tol=1e-7) -> EigenResult:
     """`nev` generalized eigenpairs of A x = lambda M x around a target.

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import re
 import subprocess
 import sys
@@ -473,6 +474,40 @@ def test_cli_maxwell_small(capsys, tmp_path):
     ])
     assert code == 0
     assert "cavity" in capsys.readouterr().out
+
+
+# One small level of each study, run with scipy's OpenBLAS pool at one and
+# then two threads; prints one line of outputs per pool size.  The Q-_2 N=8
+# cavity is the smallest level whose eigenvalues changed with the pool size
+# before every solve ran on one thread of it.
+_EACH_STUDY = """
+from trimfem import experiments, multifrontal
+
+_, set_threads = multifrontal._blas_threads()
+for threads in (1, 2):
+    set_threads(threads)
+    rows = (experiments.run_primal_poisson(3, "S", 3, [6])
+            + experiments.run_projection(2, "Q", 2, [16])
+            + experiments.run_mixed_poisson(3, "Q", 2, [4]))
+    level = experiments.run_maxwell_eig("Q", 2, [8]).levels[0]
+    print(repr(([(row.dofs, row.error) for row in rows], level.dofs,
+                sorted(level.groups.items()), level.residual)))
+"""
+
+
+def test_study_outputs_do_not_depend_on_either_blas_pool():
+    # numpy bundles its own OpenBLAS, whose pool OPENBLAS_NUM_THREADS sizes
+    # at start-up (scipy's too, until the script presets it)
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for numpy_threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   OPENBLAS_NUM_THREADS=numpy_threads)
+        proc = subprocess.run([sys.executable, "-c", _EACH_STUDY], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs += proc.stdout.splitlines()
+    assert len(outputs) == 4 and len(set(outputs)) == 1
 
 
 def test_cli_entry_point_runs_as_module():

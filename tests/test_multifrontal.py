@@ -177,6 +177,31 @@ def test_classes_stay_far_below_the_tree_nodes():
     assert factor.classes < 200 and factor.nodes > 50 * factor.classes
 
 
+def _front_bytes(factor):
+    return [(f.pivots.tobytes(), f.shell.tobytes(), f.Linv.tobytes(), f.L21t.tobytes())
+            for f in factor.fronts]
+
+
+@pytest.mark.parametrize("n, r, N", [(3, 3, 6), (2, 1, 64)])
+def test_slice_and_indexed_extend_adds_give_the_same_fronts(monkeypatch, n, r, N):
+    # each entry of a front takes one add per child whichever way the
+    # child's update goes in, so the fronts keep their bytes
+    system, _ = _system(n, "S", r, N, mode="diag1")
+    default = _front_bytes(multifrontal.factor(system.matrix, system.lattice))
+    for threshold in (0, np.inf):  # every block by slices, every block indexed
+        monkeypatch.setattr(multifrontal, "_SLICE", threshold)
+        assert _front_bytes(multifrontal.factor(system.matrix, system.lattice)) == default
+
+
+def test_the_factor_reports_its_stored_and_per_instance_values():
+    # 3D S-_2 N=12 Poisson under eliminate, the matched-accuracy pair's
+    # S-_2 level: one factor per class, against one per tree box
+    system, _ = _system(3, "S", 2, 12, mode="eliminate")
+    factor = multifrontal.factor(system.matrix, system.lattice)
+    assert factor.stored == sum(f.Linv.size + f.L21t.size for f in factor.fronts)
+    assert (factor.stored, factor.per_instance) == (1_045_109, 1_423_813)
+
+
 def test_a_lattice_of_the_wrong_length_is_not_factored():
     A = sp.csr_matrix(5 * np.eye(4) - np.ones((4, 4)))
     assert multifrontal.factor(A, np.zeros((3, 2), dtype=np.int64)) is None
