@@ -174,16 +174,16 @@ def _scatter(map_test: GlobalDofMap, map_trial: GlobalDofMap, local):
     return mat
 
 
-def assemble_bilinear(mesh: BoxMesh, map_test: GlobalDofMap,
-                      map_trial: GlobalDofMap, form: str) -> SparseSystem:
+def assemble_bilinear(map_test: GlobalDofMap, map_trial: GlobalDofMap,
+                      form: str) -> SparseSystem:
     """Assemble a global sparse operator from identical per-cell blocks.
 
-    A square operator (one map for test and trial) carries the map's
-    lattice.
+    Both maps must number the same mesh.  A square operator (one map for
+    test and trial) carries the map's lattice.
     """
-    if map_test.mesh is not mesh or map_trial.mesh is not mesh:
-        raise ValueError("DOF maps must belong to the given mesh")
-    local = _local_matrix(form, map_test.element, map_trial.element, mesh.h)
+    if map_trial.mesh is not map_test.mesh:
+        raise ValueError("DOF maps must belong to the same mesh")
+    local = _local_matrix(form, map_test.element, map_trial.element, map_test.mesh.h)
     matrix = _scatter(map_test, map_trial, local)
     if map_test is not map_trial:
         return SparseSystem(matrix)
@@ -198,7 +198,7 @@ def physical_points(mesh: BoxMesh, rule, cells=slice(None)):
     return origins[:, None, :] + ref01[None, :, :]
 
 
-def _cell_blocks(mesh: BoxMesh, rule, dofmap: GlobalDofMap):
+def _cell_blocks(rule, dofmap: GlobalDofMap):
     """Consecutive cells in blocks whose quadrature points hold about as
     many coordinates as there are unknowns, in multiples of 64 cells.
 
@@ -206,22 +206,23 @@ def _cell_blocks(mesh: BoxMesh, rule, dofmap: GlobalDofMap):
     all cells at once, so the blocks bound the temporaries of a pointwise
     evaluation to O(unknowns) without changing a bit of the result.
     """
+    mesh = dofmap.mesh
     step = max(64, dofmap.total // (len(rule.points) * mesh.n) // 64 * 64)
     return [slice(c, c + step) for c in range(0, mesh.num_cells, step)]
 
 
-def assemble_load(mesh: BoxMesh, dofmap: GlobalDofMap, f) -> np.ndarray:
+def assemble_load(dofmap: GlobalDofMap, f) -> np.ndarray:
     """Right-hand side vector for the functional v -> int f . v.
 
     `f` is evaluated pointwise at the physical quadrature nodes, a block
     of cells at a time; it must accept an (..., n) array and return
     scalar values (scalar elements) or proxy-vector components (..., n).
     """
-    element = dofmap.element
+    element, mesh = dofmap.element, dofmap.mesh
     rule = gauss_rule(element.n, element.r + 2)
     phi, weights = _proxy_table(element, mesh.h, rule)
     b = np.zeros(dofmap.total)
-    for cells in _cell_blocks(mesh, rule, dofmap):
+    for cells in _cell_blocks(rule, dofmap):
         pts = physical_points(mesh, rule, cells)
         fvals = np.asarray(f(pts)).reshape(len(pts), -1)
         # cell by cell in order, as one add.at over all cells would add
@@ -229,8 +230,8 @@ def assemble_load(mesh: BoxMesh, dofmap: GlobalDofMap, f) -> np.ndarray:
     return b
 
 
-def assemble_mixed_poisson(mesh: BoxMesh, hdiv_map: GlobalDofMap,
-                           l2_map: GlobalDofMap, f) -> SparseSystem:
+def assemble_mixed_poisson(hdiv_map: GlobalDofMap, l2_map: GlobalDofMap,
+                           f) -> SparseSystem:
     """Saddle-point system [[M, B^T], [B, 0]] with rhs (0, -int f v).
 
     The H(div) space must be the (n-1)-form element of order r and the L2
@@ -238,9 +239,9 @@ def assemble_mixed_poisson(mesh: BoxMesh, hdiv_map: GlobalDofMap,
     the stable pairing: SminusDiv_r with DPC_{r-1}, RTCF/NCF_r with DQ_{r-1}.
     """
     eh, el = hdiv_map.element, l2_map.element
-    if eh.k != mesh.n - 1 or eh.mapping != "contravariant":
+    if eh.k != eh.n - 1 or eh.mapping != "contravariant":
         raise ValueError("mixed Poisson needs an H(div) element for the flux")
-    if el.k != mesh.n or el.mapping != "l2":
+    if el.k != el.n or el.mapping != "l2":
         raise ValueError("mixed Poisson needs an L2 element for the potential")
     if eh.family != el.family or eh.r != el.r:
         raise ValueError(
@@ -248,10 +249,10 @@ def assemble_mixed_poisson(mesh: BoxMesh, hdiv_map: GlobalDofMap,
             "order r-1 (and RTCF/NCF with DQ of order r-1); "
             f"got orders {eh.r} and {el.r} (usage order {el.r - 1})"
         )
-    M = assemble_bilinear(mesh, hdiv_map, hdiv_map, "Mass").matrix
-    B = assemble_bilinear(mesh, l2_map, hdiv_map, "DivCoupling").matrix
+    M = assemble_bilinear(hdiv_map, hdiv_map, "Mass").matrix
+    B = assemble_bilinear(l2_map, hdiv_map, "DivCoupling").matrix
     mat = sp.bmat([[M, B.T], [B, None]], format="csr")
-    rhs = np.concatenate([np.zeros(hdiv_map.total), -assemble_load(mesh, l2_map, f)])
+    rhs = np.concatenate([np.zeros(hdiv_map.total), -assemble_load(l2_map, f)])
     return SparseSystem(mat, rhs, lattice=lambda: np.concatenate(
         [hdiv_map.lattice, l2_map.lattice]))
 
@@ -301,20 +302,20 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     raise ValueError(f"unknown boundary mode {mode!r}; use 'eliminate' or 'diag1'")
 
 
-def l2_error(mesh: BoxMesh, dofmap: GlobalDofMap, coefficients, exact) -> float:
+def l2_error(dofmap: GlobalDofMap, coefficients, exact) -> float:
     """L2 distance between a coefficient vector and an exact field.
 
     `exact` receives physical points (..., n) and returns scalars or
     proxy-vector components matching the element's mapping.
     """
-    element = dofmap.element
+    element, mesh = dofmap.element, dofmap.mesh
     if len(coefficients) != dofmap.total:
         raise ValueError("coefficient vector length does not match the DOF map")
     rule = gauss_rule(element.n, element.r + 3)
     phi, weights = _proxy_table(element, mesh.h, rule)
     coefficients = np.asarray(coefficients)
     cell_err2 = np.empty(mesh.num_cells)
-    for cells in _cell_blocks(mesh, rule, dofmap):
+    for cells in _cell_blocks(rule, dofmap):
         coefmat = coefficients[dofmap.cell_dofs[cells]]
         target = np.asarray(exact(physical_points(mesh, rule, cells)))
         diff = coefmat @ phi.T - target.reshape(len(coefmat), -1)
@@ -323,13 +324,13 @@ def l2_error(mesh: BoxMesh, dofmap: GlobalDofMap, coefficients, exact) -> float:
     return float(np.sqrt(max(err2, 0.0)))
 
 
-def nonzero_count(system: SparseSystem, drop_tol=1e-14):
-    """Stored nonzeros after dropping explicit near-zero entries.
+def nonzero_count(system: SparseSystem):
+    """Stored nonzeros after dropping explicit entries below 1e-14 in magnitude.
 
     Returns (count, fill fraction), the fraction being count / (rows*cols).
     """
     A = system.matrix.tocsr().copy()
-    A.data[np.abs(A.data) < drop_tol] = 0.0
+    A.data[np.abs(A.data) < 1e-14] = 0.0
     A.eliminate_zeros()
     count = int(A.nnz)
     frac = count / (A.shape[0] * A.shape[1])

@@ -74,8 +74,6 @@ def make_parser():
         p = sub.add_parser(command, help=help_text)
         _add_common(p)
         p.add_argument("--levels", type=_int_list, default=[4, 8, 16, 32])
-        if command == "poisson":
-            p.add_argument("--bc-mode", choices=("eliminate", "diag1"), default="diag1")
 
     p = sub.add_parser("maxwell-eig", help="cavity resonator eigenvalues (3D)")
     _add_common(p, with_dim=False, tol_default=1e-7)
@@ -102,8 +100,7 @@ def _run(args):
     if args.command in _STUDIES:
         _, study, allowed = _STUDIES[args.command]
         family = _family_of(args.element, allowed, args.dim, args.order)
-        options = {"bc_mode": args.bc_mode} if "bc_mode" in args else {}
-        rows = study(args.dim, family, args.order, args.levels, tol=args.tol, **options)
+        rows = study(args.dim, family, args.order, args.levels, tol=args.tol)
         print(format_rows(rows))
         if args.out:
             write_csv(rows, args.out)

@@ -85,9 +85,9 @@ def _run_levels(n, N_list, elements, assemble, solve):
     """Run a study on the N^n box mesh for every N in `N_list`.
 
     Per level, numbers each element on the mesh, then times
-    `assemble(mesh, *maps)` and `solve(system)` separately.  Yields
-    (N, mesh, maps, solution, assembly time, solve time), with N the
-    Python int the mesh stores.
+    `assemble(*maps)` and `solve(system)` separately.  Yields
+    (N, maps, solution, assembly time, solve time), with N the Python int
+    the mesh stores.
     """
     if not N_list or any(a >= b for a, b in zip(N_list, N_list[1:])):
         raise ValueError(f"levels {N_list} must be a non-empty, strictly increasing list")
@@ -95,10 +95,10 @@ def _run_levels(n, N_list, elements, assemble, solve):
         mesh = build_box_mesh(n, N)
         maps = [global_numbering(mesh, e) for e in elements]
         t0 = time.perf_counter()
-        system = assemble(mesh, *maps)
+        system = assemble(*maps)
         t1 = time.perf_counter()
         solution = solve(system)
-        yield mesh.divisions[0], mesh, maps, solution, t1 - t0, time.perf_counter() - t1
+        yield mesh.divisions[0], maps, solution, t1 - t0, time.perf_counter() - t1
 
 
 def _convergence_study(n, N_list, elements, assemble, solve, exact):
@@ -107,10 +107,9 @@ def _convergence_study(n, N_list, elements, assemble, solve, exact):
     Solutions stack the coefficients of all spaces; Dofs counts them all.
     """
     rows = []
-    for N, mesh, maps, x, t_asm, t_solve in _run_levels(n, N_list, elements,
-                                                         assemble, solve):
+    for N, maps, x, t_asm, t_solve in _run_levels(n, N_list, elements, assemble, solve):
         offset = sum(m.total for m in maps[:-1])
-        err = l2_error(mesh, maps[-1], x[offset:], exact)
+        err = l2_error(maps[-1], x[offset:], exact)
         rows.append(ExperimentRow(1.0 / N, offset + maps[-1].total, err,
                                   assembly_time=t_asm, solve_time=t_solve))
     return _fill_rates(rows)
@@ -141,9 +140,9 @@ def run_projection(n, family, r, N_list, tol=1e-12):
     def g(x):
         return _grad_sin_product(x, n)
 
-    def assemble(mesh, dofmap):
-        system = assemble_bilinear(mesh, dofmap, dofmap, "Mass")
-        system.rhs = assemble_load(mesh, dofmap, g)
+    def assemble(dofmap):
+        system = assemble_bilinear(dofmap, dofmap, "Mass")
+        system.rhs = assemble_load(dofmap, g)
         return system
 
     return _convergence_study(n, N_list, [element], assemble,
@@ -155,13 +154,10 @@ def run_primal_poisson(n, family, r, N_list, bc_mode="diag1", tol=1e-12):
     u = sin(pi x) sin(pi y) [sin(pi z)]."""
     element = build_element(_family(family), n, 0, r, mapping="h1")
 
-    def assemble(mesh, dofmap):
-        system = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
-        system.rhs = assemble_load(
-            mesh, dofmap, lambda x: n * np.pi**2 * _sin_product(x, n)
-        )
-        bdofs = boundary_dofs(dofmap, "full-trace")
-        return apply_dirichlet(system, bdofs, bc_mode)
+    def assemble(dofmap):
+        system = assemble_bilinear(dofmap, dofmap, "GradGrad")
+        system.rhs = assemble_load(dofmap, lambda x: n * np.pi**2 * _sin_product(x, n))
+        return apply_dirichlet(system, boundary_dofs(dofmap), bc_mode)
 
     return _convergence_study(n, N_list, [element], assemble,
                               lambda system: solve_spd(system, tol=tol),
@@ -177,10 +173,9 @@ def run_mixed_poisson(n, family, r, N_list, tol=1e-12):
     elements = [build_element(family, n, n - 1, r, mapping="contravariant"),
                 build_element(family, n, n, r, mapping="l2")]
 
-    def assemble(mesh, hdiv_map, l2_map):
+    def assemble(hdiv_map, l2_map):
         return assemble_mixed_poisson(
-            mesh, hdiv_map, l2_map, lambda x: n * np.pi**2 * _sin_product(x, n)
-        )
+            hdiv_map, l2_map, lambda x: n * np.pi**2 * _sin_product(x, n))
 
     return _convergence_study(n, N_list, elements, assemble,
                               lambda system: solve_saddle(system, tol=tol),
@@ -282,10 +277,10 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
     pi2 = np.pi**2
     element = build_element(family, 3, 1, r, mapping="covariant")
 
-    def assemble(mesh, dofmap):
-        A = assemble_bilinear(mesh, dofmap, dofmap, "CurlCurl")
-        M = assemble_bilinear(mesh, dofmap, dofmap, "Mass")
-        bdofs = boundary_dofs(dofmap, "tangential-trace")
+    def assemble(dofmap):
+        A = assemble_bilinear(dofmap, dofmap, "CurlCurl")
+        M = assemble_bilinear(dofmap, dofmap, "Mass")
+        bdofs = boundary_dofs(dofmap)
         A = apply_dirichlet(A, bdofs)  # rebound: the full A is freed first
         return A, apply_dirichlet(M, bdofs)
 
@@ -293,8 +288,8 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
         return eig_shift_invert(*systems, target=target * pi2, nev=nev, tol=tol)
 
     levels = []
-    for N, _, (dofmap,), result, t_asm, t_solve in _run_levels(3, N_list, [element],
-                                                               assemble, solve):
+    for N, (dofmap,), result, t_asm, t_solve in _run_levels(3, N_list, [element],
+                                                            assemble, solve):
         lam = result.eigenvalues / pi2  # ascending
         groups = {}
         for e in exact_cavity_eigenvalues(limit=int(lam[-1] + 0.5)):

@@ -220,26 +220,14 @@ def global_numbering(mesh: BoxMesh, element: Element) -> GlobalDofMap:
     return GlobalDofMap(mesh, element)
 
 
-def boundary_dofs(dofmap: GlobalDofMap, kind: str) -> np.ndarray:
-    """Global indices of DOFs with a nonvanishing boundary trace.
+def boundary_dofs(dofmap: GlobalDofMap) -> np.ndarray:
+    """Global indices of the DOFs that carry the element's boundary trace.
 
-    `kind` is "full-trace" (H1 elements) or "tangential-trace" (H(curl)
-    elements); both resolve to the DOFs whose entity lies on an outer
-    vertex plane, lattice position 0 or 2 N_a (cell DOFs are odd on every
-    axis, so never among them).
+    They are the DOFs whose entity lies on an outer vertex plane, lattice
+    position 0 or 2 N_a: the full trace of an H1 element, the tangential
+    trace of an H(curl) one, the normal trace of an H(div) one, and none
+    of an L2 element, whose DOFs all sit on cells (odd on every axis).
     """
-    element = dofmap.element
-    k = element.k
-    if kind == "full-trace":
-        if k != 0:
-            raise ValueError("full-trace boundary conditions apply to 0-forms only")
-    elif kind == "tangential-trace":
-        if k == 0 or element.mapping != "covariant":
-            raise ValueError(
-                "tangential-trace boundary conditions apply to H(curl) elements only"
-            )
-    else:
-        raise ValueError(f"unknown boundary condition kind {kind!r}")
     lat = dofmap.lattice
     outer = 2 * np.array(dofmap.mesh.divisions)
     return np.flatnonzero(((lat == 0) | (lat == outer)).any(axis=1))

@@ -1,9 +1,11 @@
 """Multifrontal Cholesky factorization on the nested-dissection tree of a box lattice.
 
 The unknowns of an assembled system sit on the doubled lattice of a box
-mesh (`GlobalDofMap.lattice`), and the elimination tree is the geometric
-nested dissection of `mesh.nested_dissection`, one top box (`_top_box`)
-split by `_split` (George, SIAM J. Numer. Anal. 10(2), 1973): a box
+mesh (`GlobalDofMap.lattice`), and the elimination tree is `_tree`'s: one
+top box (`_top_box`) split by `_split`, the geometric nested-dissection
+rule of `mesh.nested_dissection` (George, SIAM J. Numer. Anal. 10(2),
+1973), except that only the two halves are split again, not the plane,
+and a box expected to hold at most `_LEAF` unknowns is a leaf.  A box
 eliminates its two halves first and the points on its splitting plane
 last, as one dense front (Duff & Reid, ACM TOMS 9(3), 1983).  A front
 holds the box's pivots and its shell, the points just outside the box
@@ -13,8 +15,7 @@ the shell, which the parent adds into its own front.
 `_split` keys a box by its bounds shifted by an even amount, and on a
 uniform mesh every box of one key has the same matrix rows, so its whole
 subtree yields the same fronts.  `factor` therefore factors each key, a
-class, once, on one representative box, in dense float64 LAPACK; boxes
-of a few dozen unknowns are not split further.  The top box is closed on
+class, once, on one representative box, in dense float64 LAPACK.  The top box is closed on
 even planes, so a bound of a tree box is even exactly when it lies on the
 outer boundary of the lattice and odd when it faces a separator: boxes at
 an eliminated boundary never share a key with interior boxes of the same
@@ -35,12 +36,13 @@ All dense kernels come from `scipy.linalg`, so they share one OpenBLAS
 build, the one scipy's wheel bundles (numpy bundles a second one, which
 is left alone).  `factor` and every solve run them on one thread of that
 build's pool (`_one_blas_thread`).  Most fronts hold a few dozen to a
-few hundred pivots, and on them a second thread cost more than it saved:
-on the benchmark's `spd_solve` Poisson ladders (shared 2-core Xeon, ten
-alternating fresh-process pairs) the median pass went from 3.15 to
-2.55 s.  One thread also makes the factor and its solutions the same
-bits whatever the pool's size: with the pool at two threads they
-differed from the one-thread results in the last digits.
+few hundred pivots, and on them a second thread costs more than it
+saves: on the benchmark's `spd_solve` Poisson ladders (shared 2-core
+Xeon, ten alternating fresh-process pairs) the median pass took 3.15 s
+with two threads and 2.55 s with one.  One thread also makes the factor
+and its solutions the same bits whatever the pool's size: with the pool
+at two threads they differ from the one-thread results in the last
+digits.
 
 Outside the dense kernels the factor is numpy bookkeeping, so each front
 is assembled in as few passes over its entries as numpy allows.  The
@@ -59,9 +61,9 @@ keeps one key and one rank per unknown and one lookup entry per grid
 slot, int32 where they fit; the rows of a class's instances are verified
 a slice of at most n entries at a time; and each front is assembled in
 Fortran order, so that LAPACK and BLAS factor it in place and its pivot
-rows become the stored factor without a copy.  On the 2D r=1 N=512 Poisson system (28 MiB
-of matrix, 25 MiB of factor) the traced peak of `factor` above its input
-went from 83 to 43 MiB.
+rows become the stored factor without a copy.  On the 2D r=1 N=512
+Poisson system (28 MiB of matrix, 25 MiB of factor) the traced peak of
+`factor` above its input is 43 MiB.
 """
 
 import contextlib

@@ -14,9 +14,8 @@ square operator, see `SparseSystem.lattice`) is factored by the
 multifrontal Cholesky of `multifrontal.factor`: dense float64 fronts on
 the geometric nested-dissection tree, each class of identical subtrees
 factored once.  On the 2D r=1 N=512 Poisson system it factors in
-0.21-0.25 s warm (0.24-0.32 s before its fronts were assembled in fewer
-passes) against 0.9-1.4 s for the single-precision SuperLU factor it
-replaced, and stores 3.0 M factor values where that one held 24.6 M.  On
+0.21-0.25 s warm against 0.9-1.4 s for a single-precision SuperLU
+factor, and stores 3.0 M factor values where that one holds 24.6 M.  On
 the benchmark's Poisson levels its solutions meet the gate after at most
 one correction, or reach the rounding floor after two.
 
@@ -28,7 +27,7 @@ system is factored), into which `_factor` permutes the matrix
 symmetrically once for SuperLU to keep
 (`permc_spec="NATURAL"`), and the pivoting is SuperLU's default
 threshold pivoting, whose stability does not rest on definiteness.
-Against SuperLU's own orderings this factored the study systems 1.4-11x
+Against SuperLU's own orderings this factors the study systems 1.4-11x
 faster with 1.1-4.6x less fill (3D Poisson r=3 N=16: 70 M -> 24 M; 3D
 mixed Poisson r=2 N=8: 3.6 M -> 0.9 M).  A system without a lattice, such
 as `SparseSystem(matrix)` around a matrix built by hand, is factored in
@@ -42,7 +41,7 @@ expand the solution of an eliminated system to full length.
 The factorizations, solves and eigensolves run their BLAS on one thread
 of scipy's OpenBLAS pool (`multifrontal._one_blas_thread`), so their
 results are the same bits whatever the pool's size: with the pool at two
-threads, the Q-_2 N=8 cavity's eigenvalues changed in the last digits.
+threads, the Q-_2 N=8 cavity's eigenvalues differ in the last digits.
 Where scipy's BLAS exports no pool control the scope does nothing, and
 the guarantee is untested there.
 """

@@ -146,7 +146,7 @@ def test_criterion_7_mixed_poisson_parity_and_patch_test():
         mesh = build_box_mesh(2, 8)
         hdiv = global_numbering(mesh, element_by_name("SminusDiv", 2, 2))
         l2 = global_numbering(mesh, element_by_name("DPC", 2, 1))
-        sys = assemble_mixed_poisson(mesh, hdiv, l2, lambda x: np.zeros(x.shape[:-1]))
+        sys = assemble_mixed_poisson(hdiv, l2, lambda x: np.zeros(x.shape[:-1]))
         assert np.abs(solve_saddle(sys)).max() <= 1e-10
 
 
@@ -220,8 +220,8 @@ def test_criterion_10_nonzero_counts():
         for name in ("Lagrange", "S"):
             mesh = build_box_mesh(2, 128)
             dofmap = global_numbering(mesh, element_by_name(name, 2, 4))
-            K = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
-            bdofs = boundary_dofs(dofmap, "full-trace")
+            K = assemble_bilinear(dofmap, dofmap, "GradGrad")
+            bdofs = boundary_dofs(dofmap)
             diag_cnt, diag_frac = nonzero_count(apply_dirichlet(K, bdofs, "diag1"))
             elim_cnt, _ = nonzero_count(apply_dirichlet(K, bdofs, "eliminate"))
             assert diag_cnt > 0 and elim_cnt > 0

@@ -32,7 +32,7 @@ def test_lowest_order_mass_diagonal_on_unit_cube():
     mesh = build_box_mesh(3, 1)
     elem = build_element(TRIMMED_SERENDIPITY, 3, 0, 1)
     dofmap = global_numbering(mesh, elem)
-    M = assemble_bilinear(mesh, dofmap, dofmap, "Mass").matrix.toarray()
+    M = assemble_bilinear(dofmap, dofmap, "Mass").matrix.toarray()
     assert np.allclose(np.diag(M), 1 / 27, atol=1e-14)
     assert np.allclose(M, M.T, atol=1e-15)
 
@@ -43,7 +43,7 @@ def test_gradgrad_kernel_contains_constants():
     for family in (TRIMMED_SERENDIPITY, TENSOR_PRODUCT):
         elem = build_element(family, 2, 0, 3)
         dofmap = global_numbering(mesh, elem)
-        K = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad").matrix
+        K = assemble_bilinear(dofmap, dofmap, "GradGrad").matrix
         const = np.zeros(dofmap.total)
         const[: mesh.num_vertices] = 1.0  # vertex dofs come first
         assert np.max(np.abs(K @ const)) <= 1e-12
@@ -53,16 +53,29 @@ def test_curlcurl_rejects_scalar_elements():
     mesh = build_box_mesh(3, 1)
     dofmap = global_numbering(mesh, build_element(TRIMMED_SERENDIPITY, 3, 0, 1))
     with pytest.raises(ValueError, match="1-form"):
-        assemble_bilinear(mesh, dofmap, dofmap, "CurlCurl")
+        assemble_bilinear(dofmap, dofmap, "CurlCurl")
 
 
 def test_unknown_form_rejected():
     mesh = build_box_mesh(2, 1)
     dofmap = global_numbering(mesh, build_element(TRIMMED_SERENDIPITY, 2, 0, 1))
     with pytest.raises(ValueError, match="unknown form"):
-        assemble_bilinear(mesh, dofmap, dofmap, "BiLaplace")
+        assemble_bilinear(dofmap, dofmap, "BiLaplace")
     with pytest.raises(ValueError, match="DivCoupling"):  # lists the valid ones
-        assemble_bilinear(mesh, dofmap, dofmap, "DivDiv-coupling")
+        assemble_bilinear(dofmap, dofmap, "DivDiv-coupling")
+
+
+def test_maps_on_different_meshes_rejected():
+    # same cell count and DOF total, so only the meshes tell them apart
+    element = element_by_name("DPC", 2, 2)
+    map_a = global_numbering(build_box_mesh(2, (2, 3)), element)
+    map_b = global_numbering(build_box_mesh(2, (3, 2)), element)
+    assert map_a.total == map_b.total
+    with pytest.raises(ValueError, match="same mesh"):
+        assemble_bilinear(map_a, map_b, "Mass")
+    hdiv = global_numbering(build_box_mesh(2, (3, 2)), element_by_name("SminusDiv", 2, 3))
+    with pytest.raises(ValueError, match="same mesh"):
+        assemble_mixed_poisson(hdiv, map_a, lambda x: np.ones(x.shape[:-1]))
 
 
 @pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
@@ -73,7 +86,7 @@ def test_mass_matrices_are_spd(family, n, k, r):
     mapping = None
     elem = build_element(family, n, k, r)
     dofmap = global_numbering(mesh, elem)
-    M = assemble_bilinear(mesh, dofmap, dofmap, "Mass").matrix.toarray()
+    M = assemble_bilinear(dofmap, dofmap, "Mass").matrix.toarray()
     asym = np.abs(M - M.T).max() / max(np.abs(M).max(), 1e-30)
     assert asym <= 1e-12
     assert np.linalg.eigvalsh(M).min() > 0
@@ -83,7 +96,7 @@ def test_symmetric_forms_assemble_symmetric():
     mesh = build_box_mesh(3, 2)
     elem = build_element(TRIMMED_SERENDIPITY, 3, 1, 2)
     dofmap = global_numbering(mesh, elem)
-    A = assemble_bilinear(mesh, dofmap, dofmap, "CurlCurl").matrix
+    A = assemble_bilinear(dofmap, dofmap, "CurlCurl").matrix
     diff = (A - A.T).tocoo()
     scale = np.abs(A.data).max()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12 * scale
@@ -95,7 +108,7 @@ def test_scale_invariance_against_physical_quadrature():
     mesh = build_box_mesh(2, (2, 3))
     elem = build_element(TRIMMED_SERENDIPITY, 2, 1, 2)
     dofmap = global_numbering(mesh, elem)
-    M = assemble_bilinear(mesh, dofmap, dofmap, "Mass").matrix.toarray()
+    M = assemble_bilinear(dofmap, dofmap, "Mass").matrix.toarray()
 
     rule = gauss_rule(2, elem.r + 2)
     pf = PushForward(elem, mesh.h)
@@ -140,12 +153,12 @@ def _assert_commuting_diagram(form, n, family, r):
     mapping = "covariant" if k == 0 else None
     mk1 = global_numbering(mesh, build_element(family, n, k + 1, r, mapping=mapping))
     G = _coboundary_matrix(mk, mk1)
-    M = assemble_bilinear(mesh, mk1, mk1, "Mass").matrix.toarray()
+    M = assemble_bilinear(mk1, mk1, "Mass").matrix.toarray()
     if form == "DivCoupling":
-        got = assemble_bilinear(mesh, mk1, mk, form).matrix.toarray()
+        got = assemble_bilinear(mk1, mk, form).matrix.toarray()
         want = M @ G
     else:
-        got = assemble_bilinear(mesh, mk, mk, form).matrix.toarray()
+        got = assemble_bilinear(mk, mk, form).matrix.toarray()
         want = G.T @ M @ G
     assert np.abs(got - want).max() <= 1e-12 * np.abs(got).max()
 
@@ -193,7 +206,7 @@ def test_load_vector_matches_quadrature_of_f():
     def f(x):
         return 2 * np.pi**2 * np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
 
-    b = assemble_load(mesh, dofmap, f)
+    b = assemble_load(dofmap, f)
     rule = gauss_rule(2, elem.r + 2)
     pf = PushForward(elem, mesh.h)
     vals = pf.values(tabulate(elem, rule.points))
@@ -210,9 +223,9 @@ def test_boundary_modes():
     mesh = build_box_mesh(2, 2)
     elem = element_by_name("S", 2, 2)
     dofmap = global_numbering(mesh, elem)
-    K = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
+    K = assemble_bilinear(dofmap, dofmap, "GradGrad")
     K.rhs = np.ones(dofmap.total)
-    bdofs = boundary_dofs(dofmap, "full-trace")
+    bdofs = boundary_dofs(dofmap)
 
     red = apply_dirichlet(K, bdofs, "eliminate")
     assert red.matrix.shape[0] == dofmap.total - len(bdofs)
@@ -267,8 +280,8 @@ def test_diag1_matches_the_sparse_product_construction(n, r, N):
 
     mesh = build_box_mesh(n, N)
     dofmap = global_numbering(mesh, element_by_name("S", n, r))
-    K = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
-    bdofs = boundary_dofs(dofmap, "full-trace")
+    K = assemble_bilinear(dofmap, dofmap, "GradGrad")
+    bdofs = boundary_dofs(dofmap)
     free = np.ones(dofmap.total)
     free[bdofs] = 0.0
     D = sp.diags(free)
@@ -285,7 +298,7 @@ def test_nonzero_count_single_cell():
     mesh = build_box_mesh(3, 1)
     elem = build_element(TRIMMED_SERENDIPITY, 3, 0, 1)
     dofmap = global_numbering(mesh, elem)
-    M = assemble_bilinear(mesh, dofmap, dofmap, "Mass")
+    M = assemble_bilinear(dofmap, dofmap, "Mass")
     count, frac = nonzero_count(M)
     assert count == 64  # dense 8x8 block
     assert frac == pytest.approx(1.0)
@@ -299,7 +312,7 @@ def test_l2_error_of_zero_coefficients_is_field_norm():
     def exact(x):
         return np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
 
-    err = l2_error(mesh, dofmap, np.zeros(dofmap.total), exact)
+    err = l2_error(dofmap, np.zeros(dofmap.total), exact)
     assert err == pytest.approx(0.5, abs=1e-12)  # ||sin sin||_{L2} = 1/2
 
 
@@ -321,10 +334,10 @@ def test_projection_reproduces_low_order_polynomials(family, n, k, r):
             return vals[0]
         return np.stack(vals, axis=-1)
 
-    M = assemble_bilinear(mesh, dofmap, dofmap, "Mass").matrix
-    b = assemble_load(mesh, dofmap, field)
+    M = assemble_bilinear(dofmap, dofmap, "Mass").matrix
+    b = assemble_load(dofmap, field)
     c = spla.spsolve(M.tocsc(), b)
-    assert l2_error(mesh, dofmap, c, field) <= 1e-10
+    assert l2_error(dofmap, c, field) <= 1e-10
 
 
 def test_mixed_system_structure_and_pairing():
@@ -335,7 +348,7 @@ def test_mixed_system_structure_and_pairing():
     def f(x):
         return 2 * np.pi**2 * np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
 
-    sys = assemble_mixed_poisson(mesh, hdiv, l2, f)
+    sys = assemble_mixed_poisson(hdiv, l2, f)
     A = sys.matrix
     nh, nl = hdiv.total, l2.total
     assert A.shape == (nh + nl, nh + nl)
@@ -346,7 +359,7 @@ def test_mixed_system_structure_and_pairing():
 
     bad_l2 = global_numbering(mesh, element_by_name("DPC", 2, 2))
     with pytest.raises(ValueError, match="order-mismatched|pairs with DPC"):
-        assemble_mixed_poisson(mesh, hdiv, bad_l2, f)
+        assemble_mixed_poisson(hdiv, bad_l2, f)
 
 
 def test_mixed_divergence_of_constant_flux_vanishes():
@@ -356,7 +369,7 @@ def test_mixed_divergence_of_constant_flux_vanishes():
     hdiv = global_numbering(mesh, element_by_name("SminusDiv", 2, 2))
     l2 = global_numbering(mesh, element_by_name("DPC", 2, 1))
     # interpolate the constant field (1, 2) into the H(div) space
-    M = assemble_bilinear(mesh, hdiv, hdiv, "Mass").matrix
+    M = assemble_bilinear(hdiv, hdiv, "Mass").matrix
 
     def const(x):
         out = np.zeros(x.shape[:-1] + (2,))
@@ -364,8 +377,8 @@ def test_mixed_divergence_of_constant_flux_vanishes():
         out[..., 1] = 2.0
         return out
 
-    sigma = spla.spsolve(M.tocsc(), assemble_load(mesh, hdiv, const))
-    B = assemble_bilinear(mesh, l2, hdiv, "DivCoupling").matrix
+    sigma = spla.spsolve(M.tocsc(), assemble_load(hdiv, const))
+    B = assemble_bilinear(l2, hdiv, "DivCoupling").matrix
     assert np.abs(B @ sigma).max() <= 1e-11
 
 
@@ -378,8 +391,8 @@ def test_rhs_entries_match_manufactured_source():
     def f(x):
         return 2 * np.pi**2 * np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
 
-    sys = assemble_mixed_poisson(mesh, hdiv, l2, f)
-    direct = -assemble_load(mesh, l2, f)
+    sys = assemble_mixed_poisson(hdiv, l2, f)
+    direct = -assemble_load(l2, f)
     assert np.allclose(sys.rhs[hdiv.total:], direct, atol=1e-14)
 
 
@@ -482,8 +495,8 @@ def test_loads_and_errors_by_blocks_equal_one_block(name, n, r, divisions):
 
     for order in (2, 3):  # the load's and the error's quadrature
         rule = gauss_rule(n, dofmap.element.r + order)
-        assert len(assemble._cell_blocks(mesh, rule, dofmap)) > 2
-    b = assemble_load(mesh, dofmap, field)
+        assert len(assemble._cell_blocks(rule, dofmap)) > 2
+    b = assemble_load(dofmap, field)
     assert np.array_equal(b, _load_in_one_block(mesh, dofmap, field))
     c = np.random.default_rng(0).standard_normal(dofmap.total)
-    assert l2_error(mesh, dofmap, c, field) == _l2_error_in_one_block(mesh, dofmap, c, field)
+    assert l2_error(dofmap, c, field) == _l2_error_in_one_block(mesh, dofmap, c, field)

@@ -104,7 +104,7 @@ def test_mixed_poisson_zero_source_patch_test():
     mesh = build_box_mesh(2, 4)
     hdiv = global_numbering(mesh, element_by_name("SminusDiv", 2, 2))
     l2 = global_numbering(mesh, element_by_name("DPC", 2, 1))
-    sys = assemble_mixed_poisson(mesh, hdiv, l2, lambda x: np.zeros(x.shape[:-1]))
+    sys = assemble_mixed_poisson(hdiv, l2, lambda x: np.zeros(x.shape[:-1]))
     x = solve_saddle(sys)
     assert np.abs(x).max() <= 1e-10
 
@@ -570,5 +570,12 @@ def test_maxwell_eig_has_no_bc_mode(capsys):
     with pytest.raises(SystemExit) as exit_info:
         make_parser().parse_args(["maxwell-eig", "--element", "SminusCurl",
                                   "--bc-mode", "diag1"])
+    assert exit_info.value.code == 2
+    assert "--bc-mode" in capsys.readouterr().err
+
+
+def test_poisson_has_no_bc_mode(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        make_parser().parse_args(["poisson", "--element", "S", "--bc-mode", "diag1"])
     assert exit_info.value.code == 2
     assert "--bc-mode" in capsys.readouterr().err

@@ -40,11 +40,11 @@ def level():
     mesh = build_box_mesh(2, 128)
     dofmap = global_numbering(mesh, element_by_name("S", 2, 1))
     dofmap.lattice  # the numbering's own arrays are no stage's temporaries
-    system = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
-    system = apply_dirichlet(system, boundary_dofs(dofmap, "full-trace"), "diag1")
+    system = assemble_bilinear(dofmap, dofmap, "GradGrad")
+    system = apply_dirichlet(system, boundary_dofs(dofmap), "diag1")
     A = system.matrix
     assert A.nnz == 144_153
-    return mesh, dofmap, system, A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    return dofmap, system, A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 
 @pytest.mark.parametrize("stage, bound", [
@@ -55,12 +55,12 @@ def level():
     ("multifrontal.factor", 1.95),  # measured 1.77 (1.01 is the factor), before 2.77
 ])
 def test_each_stage_peaks_below_a_multiple_of_the_matrix(level, stage, bound):
-    mesh, dofmap, system, matrix_bytes = level
+    dofmap, system, matrix_bytes = level
     x = np.random.default_rng(0).standard_normal(dofmap.total)
     run = {
-        "assemble_bilinear": lambda: assemble_bilinear(mesh, dofmap, dofmap, "GradGrad"),
-        "assemble_load": lambda: assemble_load(mesh, dofmap, _field),
-        "l2_error": lambda: l2_error(mesh, dofmap, x, _field),
+        "assemble_bilinear": lambda: assemble_bilinear(dofmap, dofmap, "GradGrad"),
+        "assemble_load": lambda: assemble_load(dofmap, _field),
+        "l2_error": lambda: l2_error(dofmap, x, _field),
         "_check_symmetric": lambda: solve._check_symmetric(system.matrix),
         "multifrontal.factor": lambda: multifrontal.factor(system.matrix, system.lattice),
     }[stage]
@@ -73,8 +73,8 @@ def test_instance_rows_are_verified_in_slices():
     # measured 1.42, 2.91 with one slice per class, 4.79 before
     mesh = build_box_mesh(2, (512, 4))
     dofmap = global_numbering(mesh, element_by_name("S", 2, 1))
-    system = assemble_bilinear(mesh, dofmap, dofmap, "GradGrad")
-    system = apply_dirichlet(system, boundary_dofs(dofmap, "full-trace"), "diag1")
+    system = assemble_bilinear(dofmap, dofmap, "GradGrad")
+    system = apply_dirichlet(system, boundary_dofs(dofmap), "diag1")
     A, lattice = system.matrix, system.lattice
     matrix_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     assert _traced_peak(lambda: multifrontal.factor(A, lattice)) <= 1.6 * matrix_bytes

@@ -137,7 +137,7 @@ def test_boundary_dofs_2d_scalar_order2():
     mesh = build_box_mesh(2, 2)
     elem = element_by_name("S", 2, 2)
     dofmap = global_numbering(mesh, elem)
-    bdofs = boundary_dofs(dofmap, "full-trace")
+    bdofs = boundary_dofs(dofmap)
     assert len(bdofs) == 16  # 8 boundary vertices + 8 boundary edges
 
 
@@ -145,20 +145,33 @@ def test_boundary_dofs_single_cell_curl():
     mesh = build_box_mesh(3, 1)
     elem = build_element(TRIMMED_SERENDIPITY, 3, 1, 2)
     dofmap = global_numbering(mesh, elem)
-    bdofs = boundary_dofs(dofmap, "tangential-trace")
+    bdofs = boundary_dofs(dofmap)
     assert len(bdofs) == 36  # every DOF of a single cell sits on the boundary
 
 
-def test_boundary_dofs_kind_validation():
-    mesh = build_box_mesh(2, 2)
-    scalar = global_numbering(mesh, build_element(TRIMMED_SERENDIPITY, 2, 0, 1))
-    curl = global_numbering(mesh, build_element(TRIMMED_SERENDIPITY, 2, 1, 1))
-    with pytest.raises(ValueError, match="H\\(curl\\)"):
-        boundary_dofs(scalar, "tangential-trace")
-    with pytest.raises(ValueError, match="0-forms"):
-        boundary_dofs(curl, "full-trace")
-    with pytest.raises(ValueError, match="unknown"):
-        boundary_dofs(scalar, "normal-trace")
+@pytest.mark.parametrize("n, name, divisions", [
+    (2, "RTCF", (3, 4)),
+    (3, "SminusDiv", (2, 3, 2)),
+])
+def test_boundary_dofs_of_hdiv_maps_are_the_outer_plane_dofs(n, name, divisions):
+    mesh = build_box_mesh(n, divisions)
+    dofmap = global_numbering(mesh, element_by_name(name, n, 2))
+    outer = 2 * np.array(divisions)
+    lat = dofmap.lattice
+    on_plane = {i for i in range(dofmap.total)
+                if any(p == 0 or p == o for p, o in zip(lat[i], outer))}
+    bdofs = boundary_dofs(dofmap)
+    assert set(bdofs.tolist()) == on_plane
+    # the normal trace: the DOFs of the boundary facets and nothing else
+    facets = sum(2 * np.prod(np.delete(divisions, a)) for a in range(n))
+    assert len(bdofs) == entity_dof_counts(dofmap.element)[n - 1] * facets
+
+
+@pytest.mark.parametrize("n, name", [(2, "DQ"), (3, "DQ"), (2, "DPC"), (3, "DPC")])
+def test_boundary_dofs_of_l2_maps_are_empty(n, name):
+    dofmap = global_numbering(build_box_mesh(n, 2), element_by_name(name, n, 2))
+    assert dofmap.total > 0
+    assert boundary_dofs(dofmap).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +270,8 @@ def _numbering_digest_bytes():
                         out += [repr(dofmap.total).encode(), ints(dofmap.cell_dofs),
                                 ints(dofmap.lattice),
                                 ints(nested_dissection(dofmap.lattice))]
-                        if k == 0:
-                            out.append(ints(boundary_dofs(dofmap, "full-trace")))
-                        elif k == 1:
-                            out.append(ints(boundary_dofs(dofmap, "tangential-trace")))
+                        if k in (0, 1):
+                            out.append(ints(boundary_dofs(dofmap)))
     return b"".join(out)
 
 

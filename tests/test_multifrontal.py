@@ -17,10 +17,10 @@ def _system(n, name, r, divisions, form="GradGrad", mode=None):
     loads are close to eigenvectors and would converge unusually fast."""
     mesh = build_box_mesh(n, divisions)
     dofmap = global_numbering(mesh, element_by_name(name, n, r))
-    system = assemble_bilinear(mesh, dofmap, dofmap, form)
+    system = assemble_bilinear(dofmap, dofmap, form)
     system.rhs = np.random.default_rng(0).standard_normal(dofmap.total)
     if mode is not None:
-        system = apply_dirichlet(system, boundary_dofs(dofmap, "full-trace"), mode)
+        system = apply_dirichlet(system, boundary_dofs(dofmap), mode)
     return system, dofmap
 
 

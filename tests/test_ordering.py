@@ -93,7 +93,7 @@ def test_nested_dissection_of_arbitrary_points():
 ])
 def test_top_separator_leaves_no_coupling_between_the_halves(n, name, r, N, form):
     dofmap = _dofmap(n, name, r, N)
-    A = assemble_bilinear(dofmap.mesh, dofmap, dofmap, form)
+    A = assemble_bilinear(dofmap, dofmap, form)
     assert np.array_equal(A.lattice, dofmap.lattice)
     _assert_top_separator(A.matrix, dofmap.lattice, nested_dissection(A.lattice))
 
@@ -108,8 +108,8 @@ def test_top_separator_leaves_no_coupling_between_the_halves(n, name, r, N, form
 def test_eliminated_ordering_is_a_permutation_of_the_free_dofs(n, name, r, N, kind):
     dofmap = _dofmap(n, name, r, N)
     form = "GradGrad" if kind == "full-trace" else "CurlCurl"
-    system = assemble_bilinear(dofmap.mesh, dofmap, dofmap, form)
-    bdofs = boundary_dofs(dofmap, kind)
+    system = assemble_bilinear(dofmap, dofmap, form)
+    bdofs = boundary_dofs(dofmap)
     red = apply_dirichlet(system, bdofs, "eliminate")
     order = nested_dissection(red.lattice)
     assert np.array_equal(np.sort(order), np.arange(len(red.free)))
@@ -125,8 +125,8 @@ def test_eliminated_ordering_is_a_permutation_of_the_free_dofs(n, name, r, N, ki
 def test_a_reduced_system_carries_the_lattice_of_its_unknowns(mode):
     # the reduced system's unknowns are the full DOFs of a second reduction
     dofmap = _dofmap(2, "Lagrange", 2, 4)
-    system = assemble_bilinear(dofmap.mesh, dofmap, dofmap, "GradGrad")
-    red = apply_dirichlet(system, boundary_dofs(dofmap, "full-trace"), "eliminate")
+    system = assemble_bilinear(dofmap, dofmap, "GradGrad")
+    red = apply_dirichlet(system, boundary_dofs(dofmap), "eliminate")
     again = apply_dirichlet(red, [0, 5], mode)
     assert again.full_size == len(red.free)
     kept = np.arange(len(red.free)) if mode == "diag1" else again.free
@@ -141,8 +141,8 @@ def test_odd_bounds_split_at_an_even_plane(n, name, r):
     # without the boundary the lattice spans [1, 5]: its middle, 3, is an
     # odd plane, which would leave the two halves coupled
     dofmap = _dofmap(n, name, r, 3)
-    system = assemble_bilinear(dofmap.mesh, dofmap, dofmap, "GradGrad")
-    red = apply_dirichlet(system, boundary_dofs(dofmap, "full-trace"), "eliminate")
+    system = assemble_bilinear(dofmap, dofmap, "GradGrad")
+    red = apply_dirichlet(system, boundary_dofs(dofmap), "eliminate")
     lattice = dofmap.lattice[red.free]
     assert lattice.min() == 1 and lattice.max() == 5
     assert _top_split(lattice)[1] == 4
@@ -158,10 +158,10 @@ def _unordered(system):
                                              (3, "Lagrange", 2, 4, "eliminate")])
 def test_ordered_and_unordered_spd_solves_agree(n, name, r, N, mode):
     dofmap = _dofmap(n, name, r, N)
-    system = assemble_bilinear(dofmap.mesh, dofmap, dofmap, "GradGrad")
-    system.rhs = assemble_load(dofmap.mesh, dofmap,
+    system = assemble_bilinear(dofmap, dofmap, "GradGrad")
+    system.rhs = assemble_load(dofmap,
                                lambda x: np.sin(np.pi * x[..., 0]) * np.cos(x[..., 1]))
-    system = apply_dirichlet(system, boundary_dofs(dofmap, "full-trace"), mode)
+    system = apply_dirichlet(system, boundary_dofs(dofmap), mode)
     assert system.lattice is not None
     x = solve_spd(system)
     y = solve_spd(_unordered(system))
@@ -177,7 +177,7 @@ def test_ordered_and_unordered_saddle_solves_agree(n, family, N):
         hname, lname = ("RTCF" if n == 2 else "NCF"), "DQ"
     hdiv = global_numbering(mesh, element_by_name(hname, n, 2))
     l2 = global_numbering(mesh, element_by_name(lname, n, 1))
-    system = assemble_mixed_poisson(mesh, hdiv, l2,
+    system = assemble_mixed_poisson(hdiv, l2,
                                     lambda x: n * PI2 * np.sin(np.pi * x[..., 0]))
     order = nested_dissection(system.lattice)
     assert np.array_equal(np.sort(order), np.arange(hdiv.total + l2.total))
@@ -190,9 +190,9 @@ def test_ordered_and_unordered_saddle_solves_agree(n, family, N):
 def test_ordered_and_unordered_cavity_eigenvalues_agree(splu_options, family):
     mesh = build_box_mesh(3, 8)
     dofmap = global_numbering(mesh, build_element(family, 3, 1, 2))
-    bdofs = boundary_dofs(dofmap, "tangential-trace")
-    A = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "CurlCurl"), bdofs)
-    M = apply_dirichlet(assemble_bilinear(mesh, dofmap, dofmap, "Mass"), bdofs)
+    bdofs = boundary_dofs(dofmap)
+    A = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "CurlCurl"), bdofs)
+    M = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "Mass"), bdofs)
     kwargs = dict(target=3.0 * PI2, nev=5)
     ordered = eig_shift_invert(A, M, **kwargs)
     plain = eig_shift_invert(SparseSystem(A.matrix), SparseSystem(M.matrix), **kwargs)
