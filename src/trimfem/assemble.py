@@ -79,7 +79,8 @@ class SparseSystem:
     take it as a function of no arguments, called on first use, so a
     system that is never factored never computes it.  It is the one fact a
     factorization reads: `solve_spd` builds its multifrontal factor on it,
-    and SuperLU factors in its nested dissection.
+    and SuperLU factors in the postorder of the same elimination tree
+    (`multifrontal.elimination_order`).
     """
 
     def __init__(self, matrix, rhs=None, full_size=None, free=None, lattice=None):

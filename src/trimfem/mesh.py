@@ -8,9 +8,9 @@ gives the entity's place on the grid of its type (the entities with the
 same tangential axes); types follow `refelem.cell_topology` order within
 each dimension.  Global DOFs are allocated dimension by dimension and
 contiguously per entity, so DOFs on a shared entity receive the same
-global numbers from every adjacent cell; the boundary DOFs are those on
-an outer vertex plane; and `nested_dissection` turns DOF positions into a
-geometric fill-reducing elimination order.
+global numbers from every adjacent cell, and the boundary DOFs are those
+on an outer vertex plane.  The factorizations order the unknowns by
+these positions (`multifrontal`).
 
 Edges are globally oriented by increasing coordinate along their axis and
 faces by the right-handed frame of their in-plane axes in ascending order.
@@ -130,89 +130,6 @@ class GlobalDofMap:
             positions = self.mesh.entity_positions(entity)
             lattice[self.cell_dofs[:, start:stop]] = positions[:, None, :]
         return lattice
-
-
-def _split(lo, hi):
-    """How nested dissection splits the lattice box [lo, hi].
-
-    Returns the split axis and the (low half, high half, plane) child
-    boxes, or (None, ()) for a leaf.  Boxes are keyed by their bounds
-    shifted by an even amount so that every lower bound is 0 or 1: an even
-    shift moves the splitting planes along with the box, so boxes of one
-    key are ordered alike.
-    """
-    # in Python ints: on arrays of two or three entries numpy's per-call
-    # cost set the time of a tree of a few hundred boxes
-    lo, hi = [int(v) for v in lo], [int(v) for v in hi]
-    plane = [2 * ((l + h + 2) // 4) for l, h in zip(lo, hi)]  # the even value nearest the middle
-    inside = [a for a, (l, c, h) in enumerate(zip(lo, plane, hi)) if l < c < h]
-    if not inside:
-        return None, ()
-    a = max(inside, key=lambda a: hi[a] - lo[a])  # the first longest
-    p = plane[a]
-    children = []
-    for start, stop in ((lo[a], p - 1), (p + 1, hi[a]), (p, p)):
-        clo, chi = list(lo), list(hi)
-        shift = start - start % 2
-        clo[a], chi[a] = start - shift, stop - shift
-        children.append((tuple(clo), tuple(chi)))
-    return a, tuple(children)
-
-
-def _top_box(lattice):
-    """Even shift of the lattice and its bounding box closed on even planes."""
-    # one column at a time: a reduction along axis 0 of an (m, n) array
-    # took 15x as long on m = 263,169
-    lo = np.array([column.min() for column in lattice.T])
-    lo = lo - lo % 2
-    hi = np.array([column.max() for column in lattice.T]) - lo
-    return lo, ((0,) * len(lo), tuple((hi + hi % 2).tolist()))
-
-
-def nested_dissection(lattice):
-    """Geometric nested-dissection order of points on a doubled box lattice.
-
-    `lattice` is an (m, n) integer array with vertex planes at even
-    values, as in `GlobalDofMap.lattice`.  DOFs couple only within the
-    closure of a cell, so the points on an even plane separate those on
-    either side of it; an odd plane separates nothing.  The bounding box of
-    the points, closed on even planes (`_top_box`), is split at the even
-    plane nearest its middle, along its longest axis with such a plane
-    strictly inside; both halves come first, each split the same way, and
-    the plane last.  Boxes without an interior even plane (at most one cell
-    wide) are leaves, ordered lexicographically by position.  A lattice
-    without its outer planes has the whole lattice's box, so its order is
-    the whole lattice's with those points taken out.
-
-    The splits depend only on box bounds, so the order is computed once
-    per distinct box shape on the grid of all lattice positions, smallest
-    shapes first, and the points are then sorted by the rank of their
-    position (points at one position keep their input order), so time and
-    memory follow the volume of the bounding box: about 2^n per mesh cell
-    for a DOF lattice.  Returns `perm` with `perm[k]` the index of the
-    k-th point eliminated.
-    """
-    lattice = np.asarray(lattice, dtype=np.int64)
-    if not len(lattice):
-        return np.arange(0)
-    origin, top = _top_box(lattice)
-    splits, todo = {}, [top]
-    while todo:
-        box = todo.pop()
-        if box not in splits:
-            splits[box] = _split(*box)
-            todo.extend(splits[box][1])
-    rank = {}
-    for box in sorted(splits, key=lambda b: np.prod(np.subtract(b[1], b[0]) + 1)):
-        a, children = splits[box]
-        if a is None:
-            shape = np.subtract(box[1], box[0]) + 1
-            rank[box] = np.arange(np.prod(shape)).reshape(shape)
-            continue
-        low, high, plane = (rank[c] for c in children)
-        rank[box] = np.concatenate(
-            [low, plane + (low.size + high.size), high + low.size], axis=a)
-    return np.argsort(rank[top][tuple((lattice - origin).T)], kind="stable")
 
 
 def global_numbering(mesh: BoxMesh, element: Element) -> GlobalDofMap:

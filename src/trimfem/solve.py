@@ -20,23 +20,24 @@ the benchmark's Poisson levels its solutions meet the gate after at most
 one correction, or reach the rounding floor after two.
 
 Every SuperLU factorization is float64 and goes through `_factor`, in one
-configuration: the fill-reducing order is the geometric nested
-dissection of the lattice an assembled system carries
-(`SparseSystem.lattice`, ordered by `mesh.nested_dissection` when the
-system is factored), into which `_factor` permutes the matrix
-symmetrically once for SuperLU to keep
+configuration: the fill-reducing order is the postorder of the
+multifrontal factor's elimination tree on the lattice an assembled system
+carries (`SparseSystem.lattice`, ordered by
+`multifrontal.elimination_order` when the system is factored), into which
+`_factor` permutes the matrix symmetrically once for SuperLU to keep
 (`permc_spec="NATURAL"`), and the pivoting is SuperLU's default
 threshold pivoting, whose stability does not rest on definiteness.
-Against SuperLU's own orderings this factors the study systems 1.4-11x
-faster with 1.1-4.6x less fill (3D Poisson r=3 N=16: 70 M -> 24 M; 3D
-mixed Poisson r=2 N=8: 3.6 M -> 0.9 M).  A system without a lattice, such
-as `SparseSystem(matrix)` around a matrix built by hand, is factored in
+Against SuperLU's COLAMD order this stores 1.8-4.6x less fill on the
+indefinite N=8 systems (the 3D cavity shift: S-_2 3.49 M -> 1.89 M,
+Q-_2 9.68 M -> 4.02 M; 3D mixed Poisson r=2: S-_2 3.63 M -> 0.93 M,
+Q-_2 11.88 M -> 2.60 M).  A system without a lattice, such as
+`SparseSystem(matrix)` around a matrix built by hand, is factored in
 SuperLU's default COLAMD order.
 
 The SPD and saddle-point solves are one routine, `_direct_solve`: check
-the right-hand side and the symmetry, return zeros for a zero right-hand
-side, factor once, refine (`_refine`), gate the relative residual and
-expand the solution of an eliminated system to full length.
+the tolerance, the right-hand side and the symmetry, return zeros for a
+zero right-hand side, factor once, refine (`_refine`), gate the relative
+residual and expand the solution of an eliminated system to full length.
 
 The factorizations, solves and eigensolves run their BLAS on one thread
 of scipy's OpenBLAS pool (`multifrontal._one_blas_thread`), so their
@@ -54,7 +55,6 @@ import scipy.sparse.linalg as spla
 
 from . import multifrontal
 from .assemble import SparseSystem
-from .mesh import nested_dissection
 
 
 class EigenResult:
@@ -103,19 +103,22 @@ def _factor(A, lattice, stage):
     """Solve function of one SuperLU factorization of the square matrix A.
 
     With a `lattice` (the positions of A's unknowns), A is permuted
-    symmetrically into its nested dissection once and SuperLU keeps the
-    natural order; the returned function permutes right-hand sides and
-    solutions, so callers work in the original numbering.  Without one,
-    SuperLU orders A by COLAMD.  Either way it pivots by its default
-    threshold.  A failed factorization raises an error naming the `stage`
-    and the matrix size and nnz.
+    symmetrically into its `multifrontal.elimination_order` once and
+    SuperLU keeps the natural order; the returned function permutes
+    right-hand sides and solutions, so callers work in the original
+    numbering.  Without one, SuperLU orders A by COLAMD.  Either way it
+    pivots by its default threshold.  A lattice of another length than
+    A's and a failed factorization raise errors naming the `stage` and
+    the sizes.
     """
     n, nnz = A.shape[0], A.nnz
-    ordering = None if lattice is None else nested_dissection(lattice)
-    permc_spec = "COLAMD"
-    if ordering is not None:
+    ordering, permc_spec = None, "COLAMD"
+    if lattice is not None:
+        if len(lattice) != n:
+            raise ValueError(f"{stage}: a lattice of {len(lattice)} positions does "
+                             f"not fit a matrix of size {n}")
+        ordering, permc_spec = multifrontal.elimination_order(lattice), "NATURAL"
         A = A[ordering][:, ordering]
-        permc_spec = "NATURAL"
     A = A.tocsc()  # rebound so that no permuted CSR copy lives through splu
     try:
         lu = spla.splu(A, permc_spec=permc_spec)
@@ -132,6 +135,12 @@ def _factor(A, lattice, stage):
         return x
 
     return solve
+
+
+def _check_tol(tol):
+    """Raise unless `tol` is finite and positive: NaN and inf pass anything."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol={tol}: the tolerance must be finite and positive")
 
 
 def _refine(A, b, solve, tol):
@@ -174,6 +183,7 @@ def _direct_solve(system: SparseSystem, tol, spd):
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
+    _check_tol(tol)
     A = system.matrix.tocsr()
     b = system.rhs
     if b is None:
@@ -273,6 +283,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
     at most n - 1 pairs come back (for `nev >= n` the one ranked last is
     dropped), and a target that is an eigenvalue raises at every size.
     """
+    _check_tol(tol)
     if nev < 1:
         raise ValueError(f"nev={nev}: request at least one eigenpair")
     if not target > 0:

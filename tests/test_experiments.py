@@ -198,17 +198,16 @@ def test_each_study_level_factors_once(monkeypatch, study, expected):
 ], ids=["primal-poisson", "primal-eliminate", "mixed-poisson", "maxwell-sparse",
         "maxwell-n2"])
 def test_orderings_are_computed_only_for_factored_maps(monkeypatch, study, expected):
-    from trimfem import mesh, solve
+    from trimfem import multifrontal
 
     calls = []
-    nested_dissection = mesh.nested_dissection
+    elimination_order = multifrontal.elimination_order
 
     def counting(lattice):
         calls.append(len(lattice))
-        return nested_dissection(lattice)
+        return elimination_order(lattice)
 
-    monkeypatch.setattr(mesh, "nested_dissection", counting)
-    monkeypatch.setattr(solve, "nested_dissection", counting)
+    monkeypatch.setattr(multifrontal, "elimination_order", counting)
     study()
     assert len(calls) == expected
 
@@ -465,6 +464,19 @@ def test_cli_dofs_table(capsys, tmp_path):
     assert code == 0
     assert "1080" in capsys.readouterr().out
     assert out.read_text().splitlines()[0] == "r,trimmed,tensor"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["poisson", "--dim", "2", "--element", "S", "--order", "1", "--levels", "2,4"],
+    ["maxwell-eig", "--element", "SminusCurl", "--order", "1", "--levels", "2",
+     "--nev", "2"],
+], ids=["poisson", "maxwell-eig"])
+def test_cli_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, command, tol):
+    assert cli_main(command + [f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert "must be finite and positive" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_maxwell_small(capsys, tmp_path):

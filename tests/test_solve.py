@@ -213,11 +213,12 @@ def test_solve_saddle_gate_reports_refinement_steps():
     x = solve_saddle(system)
     A, b = system.matrix, system.rhs
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
+    # the smallest positive tolerance: only an exact solution meets it
     with pytest.raises(RuntimeError, match=r"^solver residual \d\.\d{3}e-\d\d exceeds "
-                       r"tolerance 0\.0e\+00 after \d+ refinement steps on a SuperLU "
+                       r"tolerance 4\.9e-324 after \d+ refinement steps on a SuperLU "
                        r"factor; rounding floor eps\*\|\|A\|\|x\|\|/\|\|b\|\| = "
                        r"\d\.\de-\d\d \(matrix size \d+, nnz \d+\)$"):
-        solve_saddle(system, tol=0.0)
+        solve_saddle(system, tol=5e-324)
 
 
 def test_solve_saddle_expands_an_eliminated_system():
@@ -260,6 +261,43 @@ def _diagonal_pencil(n):
     """The systems of diag(1..n) x = lambda x, without a lattice."""
     A = SparseSystem(sp.diags(np.arange(1.0, n + 1.0)).tocsr())
     return A, SparseSystem(sp.identity(n, format="csr"))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_solvers_reject_a_tolerance_that_is_not_finite_and_positive(monkeypatch, tol):
+    # NaN and inf would pass any residual and 0 and -1 none: each is named
+    # before anything is factored
+    def no_factor(*args):
+        raise AssertionError("a factorization was attempted")
+
+    monkeypatch.setattr(solve, "_factor", no_factor)
+    monkeypatch.setattr(solve.multifrontal, "factor", no_factor)
+    system = _poisson_system(4)
+    for call in (lambda: solve_spd(system, tol=tol),
+                 lambda: solve_saddle(system, tol=tol),
+                 lambda: eig_shift_invert(*_diagonal_pencil(20), target=3.5, nev=2,
+                                          tol=tol)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tol={tol}: the tolerance must be finite and positive")):
+            call()
+
+
+@pytest.mark.parametrize("rows", [8, 10], ids=["short", "long"])
+def test_a_lattice_of_the_wrong_length_is_named_before_superlu(splu_dtypes, rows):
+    # a short lattice left unset entries in the order, a long one raised a
+    # bare IndexError
+    system = _poisson_system(4)
+    assert system.matrix.shape[0] == 9
+    lattice = np.resize(system.lattice, (rows, 2))
+    with pytest.raises(ValueError, match=re.escape(
+            f"sparse factorization: a lattice of {rows} positions does not fit "
+            f"a matrix of size 9")):
+        solve_spd(SparseSystem(system.matrix, system.rhs, lattice=lattice))
+    A, M = _diagonal_pencil(9)
+    with pytest.raises(ValueError, match=re.escape(
+            f"M): a lattice of {rows} positions does not fit a matrix of size 9")):
+        eig_shift_invert(SparseSystem(A.matrix, lattice=lattice), M, target=3.5, nev=2)
+    assert splu_dtypes == []
 
 
 def test_diagonal_eigenproblem():
