@@ -222,9 +222,9 @@ def exact_cavity_eigenvalues(limit=20):
 class MaxwellLevel:
     """Eigenvalue groups found on one mesh level.
 
-    `time_per_iteration` is the wall time of one Krylov operator
-    application (a triangular solve with the factored shift), the
-    factorization excluded; every level runs the Krylov iteration.
+    `time_per_iteration` is the wall time per solved column, the block
+    solves with the factored shift divided by the columns they solved,
+    the factorization excluded; every level runs the Krylov iteration.
     """
 
     N: int

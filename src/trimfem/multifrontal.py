@@ -1,4 +1,4 @@
-"""Multifrontal Cholesky factorization on the nested-dissection tree of a box lattice.
+"""Multifrontal factorization on the nested-dissection tree of a box lattice.
 
 The unknowns of an assembled system sit on the doubled lattice of a box
 mesh (`GlobalDofMap.lattice`).  This module holds the package's one
@@ -27,13 +27,31 @@ have the representative's DOF layout and bit-identical matrix rows, and
 every unknown must be a pivot of exactly one box.  Where that fails,
 `factor` returns None and the caller factors the matrix another way.
 
-Solves run one batched product per class over all its instances,
-gathering and scattering through precomputed int32 index arrays.  Every
+Two kernels factor a front's pivot block F11.  An SPD matrix takes
+Cholesky, F11 = L L^T.  A symmetric indefinite one, the shifted pencil
+A - sigma M of the cavity eigensolve, takes Bunch-Kaufman pivoting inside
+the front (Math. Comp. 31, 1977), F11 = P L D L^T P^T with 1 x 1 and 2 x 2
+blocks in D (`_bunch_kaufman`): the front's pivots are reordered by P, so
+that both kernels store L^-1 and L21^T, and the indefinite one D^-1 too.
+Pivoting stays inside the front, so a front whose nearly singular F11
+would pass a grown update to its parent is left to SuperLU
+(`_ILL_CONDITIONED`); the top front passes nothing on, and D carries the
+near-singularity of a shift close to an eigenvalue there.  On the N=8
+cavity shifts A - 3 pi^2 M (2-core Xeon, scipy 1.17.1) the indefinite
+factor took 0.06-0.10 / 0.12-0.14 s against 0.09-0.10 / 0.21-0.22 s for
+SuperLU (S-_2 / Q-_2) and stores 0.92 M / 1.86 M values against
+SuperLU's fill of 1.89 M / 4.02 M.
+
+Solves take one right-hand side or an (n, k) block of them, and run one
+batched product per class over all its instances and columns, gathering
+and scattering through precomputed int32 index arrays.  Every
 triangular solve, in the factorization too, is a product with the
-inverse of the front's Cholesky factor (`trtri` once per class, then
-`trmm` or `gemm`): on a 2-core Xeon with OpenBLAS 0.3.30, the threaded
-`trsm` waited 5-16 ms per call on fronts of a few dozen pivots, where the
-product takes microseconds.
+inverse of the front's unit or Cholesky factor (`trtri` once per class,
+then `trmm` or `gemm`): on a 2-core Xeon with OpenBLAS 0.3.30, the
+threaded `trsm` waited 5-16 ms per call on fronts of a few dozen pivots,
+where the product takes microseconds.  The cavity shifts' 8-column block
+solves took 0.9-1.0 / 1.6-1.8 ms a column, against 2.8-2.9 / 5.0-5.3 ms
+for one column.
 
 All dense kernels come from `scipy.linalg`, so they share one OpenBLAS
 build, the one scipy's wheel bundles (numpy bundles a second one, which
@@ -63,10 +81,10 @@ Memory follows the factor.  Besides A and the stored factor, the set-up
 keeps one key and one rank per unknown and one lookup entry per grid
 slot, int32 where they fit; the rows of a class's instances are verified
 a slice of at most n entries at a time; and each front is assembled in
-Fortran order, so that LAPACK and BLAS factor it in place and its pivot
-rows become the stored factor without a copy.  On the 2D r=1 N=512
-Poisson system (28 MiB of matrix, 25 MiB of factor) the traced peak of
-`factor` above its input is 43 MiB.
+Fortran order, so that LAPACK and BLAS factor it in place and, under the
+Cholesky kernel, its pivot rows become the stored factor without a copy.
+On the 2D r=1 N=512 Poisson system (28 MiB of matrix, 25 MiB of factor)
+the traced peak of `factor` above its input is 43 MiB.
 """
 
 import contextlib
@@ -86,6 +104,15 @@ from scipy.linalg import blas, lapack
 # r = 5 Poisson) and the singular GradGrad without boundary conditions
 # left 7e-16 to 2e-12, which a positive rounding error lets potrf pass.
 _SINGULAR = np.sqrt(np.finfo(float).eps)
+
+
+# A front that passes an update on, with an indefinite pivot block whose
+# estimated reciprocal condition number (`sycon`) is below this, is left to
+# a pivoting factor: its update would grow by about the inverse.  On the
+# benchmark's cavity shifts the smallest such value was 1.5e-4 (Q-_2 N=8);
+# a shift 1e-6 above the S-_2 N=4 eigenvalue 2.001 pi^2 left 3e-7, one at
+# an eigenvalue of a leaf's own pencil 1e-16.
+_ILL_CONDITIONED = np.sqrt(np.finfo(float).eps)
 
 
 # Boxes expected to hold at most this many unknowns (their lattice
@@ -164,6 +191,10 @@ def _one_blas_thread():
 
 class _Mismatch(Exception):
     """An instance of a box class differs from the class representative."""
+
+
+class _Unstable(Exception):
+    """An indefinite pivot block is singular or ill-conditioned."""
 
 
 def _split(lo, hi):
@@ -282,60 +313,105 @@ def _instances(tree):
 
 class _Front(NamedTuple):
     """One factored class over all its instances: the pivot and shell
-    index arrays, the inverse of the Cholesky factor L of the pivot block
-    and L21^T = L^-1 F12."""
+    index arrays, the inverse L^-1 of the unit or Cholesky lower factor L
+    of the pivot block F11 (in the pivot order), L21^T = D^-1 L^-1 F12,
+    and for the indefinite kernel the block-diagonal D^-1
+    (`_block_diagonal`; None for the Cholesky kernel, where D is the
+    identity)."""
 
     pivots: np.ndarray
     shell: np.ndarray
     Linv: np.ndarray
     L21t: np.ndarray
+    Dinv: tuple | None = None
 
 
-class MultifrontalCholesky:
-    """A verified multifrontal Cholesky factor; call it to solve A x = b.
+def _gather(X, index):
+    """The entries `index` (instances x points) of the vector X, or its
+    rows of the (n, k) block X, as one (points, instances * k) matrix:
+    column `i * k + j` holds instance i and column j of X."""
+    rows = X[index.T]
+    return rows.reshape(len(rows), -1)
 
+
+def _scatter(X, index, Y):
+    """X[index] = Y, for Y laid out as `_gather` returns X[index]."""
+    X[index.T] = Y.reshape(index.T.shape + X.shape[1:])
+
+
+def _subtract(X, index, Y):
+    """X[index] -= Y, for Y laid out as `_gather` returns X[index]; where
+    instances share a point, they subtract in instance order."""
+    ninst, s = index.shape
+    at = index.ravel()
+    if X.ndim == 2:  # an index per entry: ufunc.at's fast path is 1-D only
+        at = (at[:, None] * X.shape[1] + np.arange(X.shape[1])).ravel()
+    np.subtract.at(X.reshape(-1), at,
+                   Y.reshape((s, ninst) + X.shape[1:]).swapaxes(0, 1).reshape(-1))
+
+
+class MultifrontalFactor:
+    """A verified multifrontal factor; call it to solve A x = b.
+
+    `b` is one right-hand side of shape (n,) or a block of shape (n, k);
+    each class takes one product over all its instances and columns.
     `classes` counts the distinct factored fronts and `nodes` the tree
-    boxes that have pivots, summed over all instances.  `stored` counts the
-    values the factor holds, L^-1 and L21^T of each class, and
-    `per_instance` the values a factor that stored every instance of a
-    class would hold.
+    boxes that have pivots, summed over all instances.  `stored` counts
+    the values the factor holds, L^-1, L21^T and, from the indefinite
+    kernel, D^-1 of each class, and `per_instance` the values a factor
+    that stored every instance of a class would hold.
     """
 
     def __init__(self, fronts):
         self.fronts = fronts
         self.classes = len(fronts)
         self.nodes = sum(len(f.pivots) for f in fronts)
-        sizes = [f.Linv.size + f.L21t.size for f in fronts]
+        sizes = [f.Linv.size + f.L21t.size + sum(a.size for a in f.Dinv or ())
+                 for f in fronts]
         self.stored = sum(sizes)
         self.per_instance = sum(size * len(f.pivots) for size, f in zip(sizes, fronts))
 
     def __call__(self, b):
-        x = np.array(b, dtype=np.float64)
+        x = np.array(b, dtype=np.float64, order="C")  # its rows are `_subtract`'s
         with _one_blas_thread():
-            for f in self.fronts:  # forward: L y = b, children first
-                Y = blas.dgemm(1.0, f.Linv, x[f.pivots].T)
-                x[f.pivots] = Y.T
-                if f.shell.size:
-                    np.subtract.at(x, f.shell.ravel(),
-                                   blas.dgemm(1.0, f.L21t, Y, trans_a=1).T.ravel())
+            for f in self.fronts:  # forward: L D y = b, children first
+                Y = blas.dgemm(1.0, f.Linv, _gather(x, f.pivots))
+                _scatter(x, f.pivots, Y if f.Dinv is None else _block_diagonal(f.Dinv, Y))
+                if f.shell.size:  # L21 D (D^-1 Y) = (D^-1 L^-1 F12)^T Y
+                    _subtract(x, f.shell, blas.dgemm(1.0, f.L21t, Y, trans_a=1))
             for f in reversed(self.fronts):  # backward: L^T x = y, parents first
-                Z = x[f.pivots].T
+                Z = _gather(x, f.pivots)
                 if f.shell.size:
-                    Z = blas.dgemm(-1.0, f.L21t, x[f.shell].T, beta=1.0, c=Z,
+                    Z = blas.dgemm(-1.0, f.L21t, _gather(x, f.shell), beta=1.0, c=Z,
                                    overwrite_c=1)
-                x[f.pivots] = blas.dgemm(1.0, f.Linv, Z, trans_a=1).T
+                _scatter(x, f.pivots, blas.dgemm(1.0, f.Linv, Z, trans_a=1))
         return x
 
 
-def factor(A, lattice):
-    """Multifrontal Cholesky factor of the SPD matrix A on `lattice`.
+def _block_diagonal(Dinv, Y):
+    """The product of the symmetric block-diagonal matrix `Dinv` and the
+    rows of Y; `Dinv` holds the diagonal, the first rows of the 2 x 2
+    blocks and their off-diagonal entries."""
+    diagonal, pairs, off = Dinv
+    Z = diagonal[:, None] * Y
+    if len(pairs):
+        Z[pairs] += off[:, None] * Y[pairs + 1]
+        Z[pairs + 1] += off[:, None] * Y[pairs]
+    return Z
+
+
+def factor(A, lattice, indefinite=False):
+    """Multifrontal factor of the symmetric matrix A on `lattice`.
 
     `A` is a square CSR matrix whose unknown i sits at lattice position
     `lattice[i]` (doubled-lattice coordinates, as in
-    `GlobalDofMap.lattice`).  Returns a `MultifrontalCholesky`, or None
-    when the lattice classes do not hold for A (see the module
-    docstring).  A front that is not positive definite raises a
-    RuntimeError that names the box and the sizes.
+    `GlobalDofMap.lattice`).  An SPD matrix takes the Cholesky kernel; an
+    `indefinite` one, such as a shifted pencil A - sigma M, the
+    Bunch-Kaufman kernel (`_indefinite_front`).  Returns a
+    `MultifrontalFactor`, or None when the lattice classes do not hold for
+    A (see the module docstring) or an indefinite pivot block is singular
+    or ill-conditioned.  A Cholesky front that is not positive definite
+    raises a RuntimeError that names the box and the sizes.
     """
     lattice = np.asarray(lattice, dtype=np.int64)
     n = A.shape[0]
@@ -346,9 +422,76 @@ def factor(A, lattice):
         A.sum_duplicates()
     try:
         with _one_blas_thread():
-            return MultifrontalCholesky(_fronts(A, lattice))
-    except _Mismatch:
+            return MultifrontalFactor(_fronts(A, lattice, indefinite))
+    except (_Mismatch, _Unstable):
         return None
+
+
+def _bunch_kaufman(ldu, ipiv):
+    """The order, L and D^-1 of F11[order][:, order] = L D L^T, from the
+    Bunch-Kaufman factor `ldu`, `ipiv` of F11 that `sytrf` returns.
+
+    LAPACK's unit lower factor is a product of interchanges and
+    eliminations; each interchange is applied to the columns before it, as
+    in partial pivoting, so that L is unit lower triangular.  D has 1 x 1
+    and 2 x 2 diagonal blocks; D^-1 is returned as its diagonal, the first
+    rows of its 2 x 2 blocks and their off-diagonal entries
+    (`_block_diagonal`).
+    """
+    p = len(ldu)
+    order = np.arange(p)
+    L = np.tril(ldu, -1)
+    k, steps, pairs = 0, ipiv.tolist(), []
+    while k < p:
+        if steps[k] > 0:
+            r, j, width = k, steps[k] - 1, 1
+        else:  # a 2 x 2 block, whose second row was exchanged with -ipiv - 1
+            r, j, width = k + 1, -steps[k] - 1, 2
+            pairs.append(k)
+        if j != r:
+            L[[r, j], :k] = L[[j, r], :k]
+            order[[r, j]] = order[[j, r]]
+        k += width
+    pairs = np.array(pairs, dtype=np.int64)
+    L[pairs + 1, pairs] = 0.0  # D's off-diagonal, not L's
+    L[np.diag_indices(p)] = 1.0
+    # D^-1: 1 / a on 1 x 1 blocks, [[c, -b], [-b, a]] / (a c - b^2) on 2 x 2
+    diagonal = ldu.diagonal().copy()
+    a, b, c = diagonal[pairs], ldu[pairs + 1, pairs], diagonal[pairs + 1]
+    diagonal[pairs] = diagonal[pairs + 1] = 1.0
+    diagonal = 1 / diagonal
+    det = a * c - b * b
+    diagonal[pairs], diagonal[pairs + 1] = c / det, a / det
+    return order, L, (diagonal, pairs, -b / det)
+
+
+def _indefinite_front(Y, F22, p):
+    """The order, L^-1, L21^T, D^-1 and update of the front [F11 | F12] = Y, F22.
+
+    F11[order][:, order] = L D L^T by Bunch-Kaufman pivoting (`sytrf`,
+    `_bunch_kaufman`), L21^T = D^-1 L^-1 F12[order], and the update is
+    F22 - F12^T F11^-1 F12.  An exactly singular F11 raises `_Unstable`.
+    So does a front with a shell whose F11 has an estimated reciprocal
+    condition number (`sycon`) below `_ILL_CONDITIONED`, as its update
+    would grow by about its inverse.
+    """
+    F11, F12 = Y[:, :p], Y[:, p:]
+    anorm = np.abs(F11).sum(axis=0).max()  # the 1-norm of the symmetric F11
+    lwork, _ = lapack.dsytrf_lwork(p, lower=1)
+    ldu, ipiv, info = lapack.dsytrf(F11, lower=1, lwork=int(lwork), overwrite_a=1)
+    rcond = 1.0
+    if not info and F12.size:
+        rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
+    if info or not rcond >= _ILL_CONDITIONED:
+        raise _Unstable
+    order, L, Dinv = _bunch_kaufman(ldu, ipiv)
+    Linv, _ = lapack.dtrtri(L, lower=1, unitdiag=1, overwrite_c=1)
+    if not F12.size:
+        return order, Linv, F12, Dinv, F22
+    C = blas.dtrmm(1.0, Linv, F12[order], lower=1, diag=1)
+    L21t = np.asfortranarray(_block_diagonal(Dinv, C))
+    return order, Linv, L21t, Dinv, blas.dgemm(-1.0, C, L21t, beta=1.0, c=F22, trans_a=1,
+                                                overwrite_c=1)
 
 
 def _distinct(keys):
@@ -402,9 +545,10 @@ def _extend_add(T, rows, U, urows, cols=None, ucols=None):
     np.add.at(T.T.reshape(-1), (rows + T.shape[0] * cols[:, None]).ravel(), Ut.ravel())
 
 
-def _fronts(A, lattice):
-    """The factored fronts of A, children first; raises _Mismatch where an
-    instance differs from its class representative."""
+def _fronts(A, lattice, indefinite):
+    """The factored fronts of A by the Cholesky or the `indefinite`
+    kernel, children first; raises _Mismatch where an instance differs
+    from its class representative."""
     n = len(lattice)
     origin, top = _top_box(lattice)
     # The grid of positions with a margin of one around the top box, so
@@ -537,8 +681,11 @@ def _fronts(A, lattice):
             if not uses[child]:
                 del updates[child]
 
-        U = F22
-        if p:
+        U, Dinv = F22, None
+        if p and indefinite:
+            order, Linv, L21t, Dinv, U = _indefinite_front(Y, F22, p)
+            pivots = pivots[:, order]
+        elif p:
             diagonal = Y.diagonal().copy()
             L, info = lapack.dpotrf(Y[:, :p], lower=1, clean=1, overwrite_a=1)
             if not info:  # a pivot at the rounding level of its diagonal
@@ -555,7 +702,8 @@ def _fronts(A, lattice):
                 L21t = blas.dtrmm(1.0, Linv, L21t, lower=1, overwrite_b=1)
                 U = blas.dgemm(-1.0, L21t, L21t, beta=1.0, c=F22, trans_a=1,
                                overwrite_c=1)
-            fronts.append(_Front(pivots, dofs(base, skeys), Linv, L21t))
+        if p:
+            fronts.append(_Front(pivots, dofs(base, skeys), Linv, L21t, Dinv))
         if s and box in uses:
             shells[box], updates[box] = skeys, U
 

@@ -1,13 +1,23 @@
 """Direct solvers and eigensolvers for the assembled systems.
 
 Source problems use a direct factorization with iterative refinement;
-the cavity eigenproblem uses one eigen path at every size, ARPACK's
-shift-invert Lanczos iteration (Cayley spectral transform), and keeps the
+the cavity eigenproblem uses one eigen path at every size, a block
+shift-invert Lanczos in the M inner product (`_block_lanczos`, after
+Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15(1), 1994), whose cost
+is mostly block solves with the factored shift A - sigma M, and keeps the
 pairs of smallest Cayley magnitude |lambda - sigma| / |lambda + sigma|,
 so the curl-curl gradient kernel at zero cannot crowd out eigenvalues on
-the far side of the shift sigma.  ARPACK computes fewer pairs than the
+the far side of the shift sigma.  It computes fewer pairs than the
 pencil has unknowns, so at most n - 1 pairs of an n-unknown pencil come
-back, and a shift that is an eigenvalue raises at every size.
+back, and a shift that is an eigenvalue raises at every size.  The
+shifted pencil of a system with a lattice is factored by the multifrontal
+Bunch-Kaufman kernel (`multifrontal.factor` with `indefinite`), any other
+by SuperLU (`_shift_factor`); both solve 8-column blocks.  Against
+ARPACK's single-vector Cayley iteration, which made about 99 SuperLU
+solves and 390 sparse products on each benchmark cavity level, it solves
+96-104 columns in blocks and makes one product with M per block, and the
+four levels' eigensolves, factor included, took 0.8-1.1 s against
+1.8-2.2 s (2-core Xeon, scipy 1.17.1).
 
 An SPD system that carries the lattice of its unknowns (every assembled
 square operator, see `SparseSystem.lattice`) is factored by the
@@ -28,7 +38,8 @@ carries (`SparseSystem.lattice`, ordered by
 (`permc_spec="NATURAL"`), and the pivoting is SuperLU's default
 threshold pivoting, whose stability does not rest on definiteness.
 Against SuperLU's COLAMD order this stores 1.8-4.6x less fill on the
-indefinite N=8 systems (the 3D cavity shift: S-_2 3.49 M -> 1.89 M,
+indefinite N=8 systems (the 3D cavity shift, where the multifrontal
+factor does not hold: S-_2 3.49 M -> 1.89 M,
 Q-_2 9.68 M -> 4.02 M; 3D mixed Poisson r=2: S-_2 3.63 M -> 0.93 M,
 Q-_2 11.88 M -> 2.60 M).  A system without a lattice, such as
 `SparseSystem(matrix)` around a matrix built by hand, is factored in
@@ -52,6 +63,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from . import multifrontal
 from .assemble import SparseSystem
@@ -61,9 +73,12 @@ class EigenResult:
     """Eigenpairs of A x = lambda M x, ascending, with residual norms.
 
     `residuals[i]` is ||A x - lambda M x|| / ||x|| scaled by the operator
-    norms, so a converged pair sits at the solver tolerance regardless of
-    the mesh scaling of A and M.  Clustered eigenvalues are kept as
-    individual entries; multiplicity counting happens only in reports.
+    norms, so a converged pair sits at or below the solver tolerance
+    regardless of the mesh scaling of A and M.  Clustered eigenvalues are
+    kept as individual entries; multiplicity counting happens only in
+    reports.  `op_count` counts the right-hand-side columns solved with
+    the factored shift, over all block solves, and `op_time` is the wall
+    time inside those solves.
     """
 
     def __init__(self, eigenvalues, eigenvectors, residuals, op_count, op_time):
@@ -71,8 +86,8 @@ class EigenResult:
         self.eigenvalues = np.asarray(eigenvalues)[order]
         self.eigenvectors = np.asarray(eigenvectors)[:, order]
         self.residuals = np.asarray(residuals)[order]
-        self.op_count = op_count  # operator applications in the Krylov loop
-        self.op_time = op_time  # wall time inside those applications
+        self.op_count = op_count  # columns solved with the factored shift
+        self.op_time = op_time  # wall time inside those solves
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -254,16 +269,217 @@ def _residual_norms(A, M, norms, vals, vecs):
     return np.linalg.norm(R, axis=1) / scale
 
 
-# Pairs ARPACK computes beyond the `nev` kept: asked for exactly 15, it drops
-# copies of degenerate cavity eigenvalues at Q-_2 N=4 and 8.  Not monotone:
-# 1 completes every benchmark level, 2 drops a copy of 5 pi^2 at S-_2 N=4.
+# Pairs computed beyond the `nev` kept: asked for exactly 15, ARPACK's
+# Lanczos dropped copies of degenerate cavity eigenvalues at Q-_2 N=4 and 8.
 _GUARD = 1
 
+# Columns of the first block solves.  A block Krylov space holds at most
+# as many copies of a degenerate eigenvalue as the block has columns, so
+# this is more than the 6 copies of the largest cavity cluster the
+# benchmark asks for (5 pi^2); a result with a cluster of this many copies
+# is computed again with twice the columns (`_block_lanczos`).
+_BLOCK = 8
 
-def _nearest(vals, vecs, target, nev):
-    """The `nev` pairs of smallest Cayley magnitude, for `EigenResult` to sort."""
-    order = np.argsort(np.abs(vals - target) / np.abs(vals + target), kind="stable")
-    return vals[order[:nev]], vecs[:, order[:nev]]
+# Eigenvalues within this relative distance of each other are copies of
+# one degenerate eigenvalue.  Converged copies of a cavity eigenvalue
+# agreed to 1e-13; the closest distinct cavity eigenvalues of the
+# benchmark differ by 2e-3 (S-_2 N=4, 6 pi^2).
+_COPIES = 1e-8
+
+# The basis may grow to _PER_PAIR columns per computed pair, and to at
+# least _CAP, before the eigensolve gives up.  The benchmark's cavity
+# levels converge at 96-104 columns for 16 pairs; asked for 31 to 101
+# pairs on the N=4 cavities they took 2.9-5.1 columns a pair.
+_CAP = 160
+_PER_PAIR = 10
+
+# Ritz values at least this many times all the others' are locked
+# (`_block_lanczos`): H's eigensolver resolves the others only to about
+# eps times the largest.  A Poisson pencil shifted 1e-14 from an eigenvalue
+# did not converge without it.
+_LOCK = 1e6
+
+# The Gram matrix of a block resolves its directions only down to about
+# sqrt(eps) of its largest, so those down to this fraction are appended to
+# the basis first, and the rest after them (`_orthonormalize`).
+_DEPENDENT = 1e-6
+
+
+def _nearest(vals, target, nev):
+    """Indices of the `nev` values of smallest Cayley magnitude."""
+    return np.argsort(np.abs(vals - target) / np.abs(vals + target), kind="stable")[:nev]
+
+
+def _largest_cluster(vals):
+    """The most of `vals` that are copies of one value (`_COPIES`)."""
+    vals = np.sort(vals)
+    ends = np.flatnonzero(np.diff(vals) > _COPIES * np.abs(vals[1:]))
+    return int(np.diff(np.r_[-1, ends, len(vals) - 1]).max())
+
+
+def _ritz_pairs(H, locked, m):
+    """The Ritz values and vectors of H[:m, :m], whose first `locked`
+    columns are decoupled Ritz vectors already."""
+    theta, Q, _ = lapack.dsyevd(H[locked:m, locked:m], lower=1)
+    S = np.zeros((m, m))
+    S[:locked, :locked] = np.eye(locked)
+    S[locked:, locked:] = Q
+    return np.r_[H.diagonal()[:locked], theta], S
+
+
+def _project_out(V, MV, F, MF):
+    """F and MF less their M-projection on the basis V (MV = M V)."""
+    if not V.shape[1]:
+        return F, MF
+    C = blas.dgemm(1.0, MV, F, trans_a=1)
+    return (blas.dgemm(-1.0, V, C, beta=1.0, c=F, overwrite_c=1),
+            blas.dgemm(-1.0, MV, C, beta=1.0, c=MF, overwrite_c=1))
+
+
+def _normalized(F, MF):
+    """The M-orthonormal directions of F, largest first, by the eigenvectors
+    of its Gram matrix F^T M F, and their M products; those of M-norm at
+    most `_DEPENDENT` of the largest are left out.  None when F is zero."""
+    G = blas.dgemm(1.0, F, MF, trans_a=1)
+    d, Q, _ = lapack.dsyevd((G + G.T) / 2)  # ascending
+    if not d[-1] > 0:
+        return None
+    keep = (d > _DEPENDENT**2 * d[-1])[::-1]
+    Q = Q[:, ::-1][:, keep] / np.sqrt(d[::-1][keep])
+    return blas.dgemm(1.0, F, Q), blas.dgemm(1.0, MF, Q)
+
+
+def _orthonormalize(V, MV, m, F, MF, M):
+    """Append the block F, with MF = M F, to the M-orthonormal basis
+    V[:, :m] and to MV = M V; returns the new number of basis columns.
+
+    F comes M-orthogonal to the basis.  Its directions down to
+    `_DEPENDENT` of its largest are made orthonormal (`_normalized`),
+    projected out of the basis once more and made orthonormal again, and
+    appended; MF follows these steps.  The Gram matrix resolves no smaller
+    directions, so then F is projected out of the grown basis twice, what
+    is left of it is multiplied by M again (the projection cancels most of
+    MF) and appended the same way, until nothing was left out, V is full
+    or F's width of columns was appended.
+    """
+    cap = min(V.shape[1], m + F.shape[1])  # a block adds at most its width
+    while m < cap:
+        new = _normalized(F, MF)
+        if new is None:
+            break
+        N, MN = _normalized(*_project_out(V[:, :m], MV[:, :m], *new)) or new
+        r = min(N.shape[1], cap - m)
+        V[:, m:m + r], MV[:, m:m + r] = N[:, :r], MN[:, :r]
+        m += r
+        if new[0].shape[1] == F.shape[1]:
+            break
+        for _ in range(2):
+            F, _ = _project_out(V[:, :m], MV[:, :m], F, MF)
+        MF = np.asfortranarray(M @ F)
+    return m
+
+
+def _block_lanczos(solve, A, M, target, nev, tol):
+    """The `nev` pairs of smallest Cayley magnitude by block shift-invert
+    Lanczos in the M inner product (Grimes, Lewis & Simon, SIAM J. Matrix
+    Anal. Appl. 15(1), 1994), as an `EigenResult`.
+
+    The M-orthonormal basis V starts from T X for a fixed random block X
+    of `_BLOCK` columns and T = (A - target M)^-1 M, applied by `solve`:
+    X itself would carry large components along eigenvalues near the
+    target into the basis, which the solves' rounding then spreads
+    (starting from X, targets 1e-8 and closer to the lowest N=4 cavity
+    eigenvalue did not converge).  Each
+    step solves W = T V_j for the newest block V_j, fills the block column
+    of the Rayleigh-Ritz matrix H = V^T M W (and its row, by symmetry),
+    projects V out of W twice and appends what is left, with one M product
+    of the block (`_orthonormalize`).  The Ritz values theta of H give
+    lambda = target + 1 / theta, ranked by |1 + 2 target theta| =
+    |lambda + target| / |lambda - target|, the inverse Cayley magnitude,
+    and the k = min(nev + _GUARD, n - 1) best are the candidates.  The
+    M-norm of the part of W outside V bounds each candidate's
+    shift-invert residual; once every bound is within 10 tol |theta| (it
+    read 3-5 times the true residual on the benchmark's cavities), the
+    true scaled residuals (`_residual_norms`) decide, and all k at most
+    `tol` end the run.  Converged Ritz values `_LOCK` times larger than all
+    others (a target at an eigenvalue to rounding) are locked: their Ritz
+    vectors replace the basis columns they span, with no couplings in H
+    from then on, so that H's eigensolver resolves the others.
+    Candidates with a cluster of as many copies as the block has columns
+    may lack further copies, so they are computed again from a block
+    twice as wide.  A basis that reaches its column cap (`_CAP`,
+    `_PER_PAIR`) or stops growing first raises.
+    """
+    n = A.shape[0]
+    k = min(nev + _GUARD, n - 1)
+    norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
+    cap = min(max(_CAP, _PER_PAIR * k), n)
+    solved = [0, 0.0]  # columns and seconds
+
+    def timed_solve(B):
+        t0 = time.perf_counter()
+        W = solve(np.asfortranarray(B))
+        solved[0] += W.shape[1]
+        solved[1] += time.perf_counter() - t0
+        return np.asfortranarray(W)
+
+    def run(width):
+        # pages of an empty array are not resident until written, so the
+        # basis takes memory as it grows
+        V, MV = np.empty((n, cap), order="F"), np.empty((n, cap), order="F")
+        H = np.zeros((cap, cap), order="F")
+        # a fixed start block makes the result a function of the inputs
+        F = timed_solve(M @ np.random.default_rng(0).standard_normal((n, width)))
+        m = _orthonormalize(V, MV, 0, F, np.asfortranarray(M @ F), M)
+        block, locked = slice(0, m), 0
+        while True:
+            W = timed_solve(MV[:, block])
+            C = blas.dgemm(1.0, MV[:, :m], W, trans_a=1)
+            H[:m, block], H[block, :m] = C, C.T
+            H[:locked, block] = H[block, :locked] = 0.0  # see the locking below
+            theta, S = _ritz_pairs(H, locked, m)
+            ranked = np.argsort(-np.abs(1 + 2 * target * theta), kind="stable")[:k]
+            F = blas.dgemm(-1.0, V[:, :m], C, beta=1.0, c=W, overwrite_c=1)
+            F = blas.dgemm(-1.0, V[:, :m], blas.dgemm(1.0, MV[:, :m], F, trans_a=1),
+                           beta=1.0, c=F, overwrite_c=1)  # twice, as for every block
+            MF = np.asfortranarray(M @ F)
+            # the M-norm of F s_j for the block's rows s_j of each Ritz vector
+            Sj = S[block]
+            bound = np.sqrt(np.maximum((Sj * blas.dgemm(
+                1.0, blas.dgemm(1.0, F, MF, trans_a=1), Sj)).sum(axis=0), 0.0))
+            grown = _orthonormalize(V, MV, m, F, MF, M) if m < cap else m
+            if grown == m or (len(ranked) == k and (
+                    bound[ranked] <= 10 * tol * np.abs(theta[ranked])).all()):
+                vals = target + 1 / theta[ranked]
+                vecs = blas.dgemm(1.0, V[:, :m], S[:, ranked])
+                residuals = _residual_norms(A, M, norms, vals, vecs)
+                if len(ranked) == k and (residuals <= tol).all():
+                    return vals, vecs, residuals
+                if grown == m:
+                    raise RuntimeError(
+                        f"eigensolver did not converge for {nev} pairs near {target} "
+                        f"(size {n}); partial results: "
+                        f"{np.count_nonzero(residuals <= tol)} pairs")
+            # lock the converged Ritz pairs above the first gap of _LOCK
+            free = np.argsort(-np.abs(theta[locked:])) + locked
+            mag = np.abs(theta[free])
+            gap = np.flatnonzero(mag[:-1] >= _LOCK * mag[1:])
+            if len(gap) and (bound[free[:gap[0] + 1]] <= 1e-2 * tol * mag[:gap[0] + 1]).all():
+                R = S[locked:m, free]
+                V[:, locked:m] = blas.dgemm(1.0, V[:, locked:m], R)
+                MV[:, locked:m] = blas.dgemm(1.0, MV[:, locked:m], R)
+                H[locked:m, locked:m] = np.diag(theta[free])
+                locked += gap[0] + 1
+            block, m = slice(m, grown), grown
+
+    width = _BLOCK
+    vals, vecs, residuals = run(width)
+    while _largest_cluster(vals) >= width and width < n:
+        width *= 2
+        vals, vecs, residuals = run(width)
+    kept = _nearest(vals, target, nev)
+    return EigenResult(vals[kept], vecs[:, kept], residuals[kept],
+                       op_count=solved[0], op_time=solved[1])
 
 
 @multifrontal._one_blas_thread()  # the same bits at any pool size
@@ -273,64 +489,47 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
 
     `A` and `M` are assembled systems of n >= 2 unknowns; A's matrix must
     be symmetric positive semidefinite and M's symmetric positive
-    definite, and the target positive.  The result holds the `nev`
-    eigenpairs of smallest |lambda - target| / |lambda + target|, the
-    Cayley magnitude, so an eigenvalue at zero (the curl-curl gradient
-    kernel) or far below the target ranks last, and eigenvalues above the
-    target are preferred (diag(1..40), target 10.4, nev 3: 10, 11, 12).
-    ARPACK computes k = min(nev + _GUARD, n - 1) pairs, as it needs k < n,
-    on the Cayley transform of A - target M, factored by `_factor`.  So
-    at most n - 1 pairs come back (for `nev >= n` the one ranked last is
-    dropped), and a target that is an eigenvalue raises at every size.
+    definite, and the target finite and positive.  The result holds the
+    `nev` eigenpairs of smallest |lambda - target| / |lambda + target|,
+    the Cayley magnitude, so an eigenvalue at zero (the curl-curl
+    gradient kernel) or far below the target ranks last, and eigenvalues
+    above the target are preferred (diag(1..40), target 10.4, nev 3: 10,
+    11, 12).  A block shift-invert Lanczos (`_block_lanczos`) computes
+    k = min(nev + _GUARD, n - 1) pairs to a scaled residual of `tol`, on
+    A - target M factored once (`_shift_factor`).  So at most n - 1 pairs
+    come back (for `nev >= n` the one ranked last is dropped), and a
+    target that is an eigenvalue exactly raises at every size.  A target
+    at an eigenvalue only to rounding converges (see the locking in
+    `_block_lanczos`).
     """
     _check_tol(tol)
     if nev < 1:
         raise ValueError(f"nev={nev}: request at least one eigenpair")
-    if not target > 0:
-        raise ValueError(f"target={target}: the ranking needs a positive shift")
+    if not (np.isfinite(target) and target > 0):
+        raise ValueError(f"target={target}: the ranking needs a finite positive shift")
     n = A.matrix.shape[0]
     if n < 2:
         raise ValueError(f"eigenproblem of size {n}: the Krylov iteration "
                          f"needs at least 2 unknowns")
-    system = A
+    lattice = A.lattice
     A = sp.csr_matrix(A.matrix)
     M = sp.csr_matrix(M.matrix)
     _check_symmetric(A)
     _check_symmetric(M)
-    norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
-    k = min(nev + _GUARD, n - 1)
+    solve = _shift_factor(A - target * M, lattice,
+                          f"shift-invert factorization of (A - {target} M)")
+    return _block_lanczos(solve, A, M, target, nev, tol)
 
-    times = []  # of the operator applications
-    solve = _factor(A - target * M, system.lattice,
-                    f"shift-invert factorization of (A - {target} M)")
 
-    def op(x):
-        t0 = time.perf_counter()
-        y = solve(x)
-        times.append(time.perf_counter() - t0)
-        return y
+def _shift_factor(P, lattice, stage):
+    """Solve function of the symmetric indefinite pencil P = A - sigma M.
 
-    # with its dtype given, LinearOperator does not probe `op` with a zero
-    # vector, which would cost one more solve and count as an application
-    opinv = spla.LinearOperator(A.shape, matvec=op, dtype=np.float64)
-    # a fixed start vector makes the returned cluster a function of the inputs
-    v0 = np.random.default_rng(0).standard_normal(n)
-    # ncv follows k (k 16, ncv 60 missed copies at Q-_2 N=8); retry on twice it
-    for ncv, maxiter in ((max(4 * k, 60), 5000), (max(8 * k, 120), 20000)):
-        try:
-            vals, vecs = spla.eigsh(
-                A, k=k, M=M, sigma=target, mode="cayley", which="LM",
-                tol=tol * 1e-2, OPinv=opinv, ncv=min(n, ncv),
-                maxiter=maxiter, v0=v0,
-            )
-            break
-        except spla.ArpackNoConvergence as err:
-            failure = err
-    else:
-        raise RuntimeError(
-            f"eigensolver did not converge for {nev} pairs near {target} "
-            f"(size {n}); partial results: {len(failure.eigenvalues)} pairs"
-        ) from failure
-    vals, vecs = _nearest(vals, vecs, target, nev)
-    return EigenResult(vals, vecs, _residual_norms(A, M, norms, vals, vecs),
-                       op_count=len(times), op_time=sum(times))
+    With a lattice, the multifrontal Bunch-Kaufman factor of
+    `multifrontal.factor`; without one, or where its classes do not
+    verify or a pivot block is singular or ill-conditioned, SuperLU
+    (`_factor`).  Both solve blocks of right-hand sides.
+    """
+    solve = None
+    if lattice is not None:
+        solve = multifrontal.factor(P, lattice, indefinite=True)
+    return solve if solve is not None else _factor(P, lattice, stage)

@@ -175,9 +175,9 @@ def test_each_study_level_factors_once(monkeypatch, study, expected):
         calls.append(args[0].shape)
         return splu(*args, **kwargs)
 
-    def counting_multifrontal(A, lattice):
+    def counting_multifrontal(A, lattice, **kernel):
         calls.append(A.shape)
-        return multifrontal(A, lattice)
+        return multifrontal(A, lattice, **kernel)
 
     monkeypatch.setattr(solve.spla, "splu", counting_splu)
     monkeypatch.setattr(solve.multifrontal, "factor", counting_multifrontal)
@@ -191,10 +191,10 @@ def test_each_study_level_factors_once(monkeypatch, study, expected):
     (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), 0),
     # the stacked flux/potential lattice, never the flux map's own order
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
-    # A and M share one map; M is never factored
-    (lambda: run_maxwell_eig("S", 1, [3]), 1),
-    # 6 free DOFs for 15 pairs: ARPACK still runs, on the factored shift
-    (lambda: run_maxwell_eig("S", 1, [2]), 1),
+    # the shifted pencil's multifrontal factor reads the lattice too
+    (lambda: run_maxwell_eig("S", 1, [3]), 0),
+    # 6 free DOFs for 15 pairs: the block Lanczos still runs, on the factored shift
+    (lambda: run_maxwell_eig("S", 1, [2]), 0),
 ], ids=["primal-poisson", "primal-eliminate", "mixed-poisson", "maxwell-sparse",
         "maxwell-n2"])
 def test_orderings_are_computed_only_for_factored_maps(monkeypatch, study, expected):
@@ -371,6 +371,14 @@ def test_cavity_clusters_are_complete(monkeypatch, family, N):
     # S- splits 3 + 1
     assert {e: counts[e] for e in (2, 3, 5)} == {2: [3], 3: [2], 5: [6]}
     assert counts.keys() == {2, 3, 5, 6} and sum(counts[6]) == 4
+
+
+@pytest.mark.parametrize("family", ["S", "Q"])
+def test_benchmark_cavity_levels_make_no_superlu_call(splu_dtypes, family):
+    # every shifted pencil of the benchmark factors on its lattice's tree
+    report = run_maxwell_eig(family, 2, [4, 8])
+    assert len(report.levels) == 2
+    assert splu_dtypes == []
 
 
 def test_cavity_subclusters_below_the_target():

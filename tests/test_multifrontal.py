@@ -1,15 +1,24 @@
-"""The memoized multifrontal Cholesky factor of box-lattice SPD systems."""
+"""The memoized multifrontal factors of box-lattice systems: the Cholesky
+factor of SPD systems and the Bunch-Kaufman factor of shifted pencils."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from trimfem import multifrontal
 from trimfem.assemble import SparseSystem, apply_dirichlet, assemble_bilinear
 from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering
-from trimfem.refelem import element_by_name
-from trimfem.solve import solve_spd
+from trimfem.refelem import (
+    TENSOR_PRODUCT,
+    TRIMMED_SERENDIPITY,
+    build_element,
+    element_by_name,
+)
+from trimfem.solve import eig_shift_invert, solve_spd
+
+SHIFT = 3.0 * np.pi**2  # the cavity study's target
 
 
 def _system(n, name, r, divisions, form="GradGrad", mode=None):
@@ -270,3 +279,118 @@ def test_without_the_thread_count_control_the_solve_is_unchanged(
     assert splu_dtypes == []
     assert _residual(system, y) <= 1e-12
     assert x.tobytes() == y.tobytes()
+
+
+def _cavity(family, N):
+    """The curl-curl and mass systems of the r=2 cavity on an N^3 mesh."""
+    dofmap = global_numbering(build_box_mesh(3, N), build_element(family, 3, 1, 2))
+    bdofs = boundary_dofs(dofmap)
+    A = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "CurlCurl"), bdofs)
+    M = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "Mass"), bdofs)
+    return A, M
+
+
+def _pencil(A, M, target):
+    return (A.matrix - target * M.matrix).tocsr()
+
+
+@pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
+def test_cavity_pencils_factor_on_the_tree(splu_dtypes, family):
+    A, M = _cavity(family, 4)
+    P = _pencil(A, M, SHIFT)
+    factor = multifrontal.factor(P, A.lattice, indefinite=True)
+    assert all(f.Dinv is not None for f in factor.fronts)
+    b = np.random.default_rng(0).standard_normal(P.shape[0])
+    assert np.linalg.norm(b - P @ factor(b)) <= 1e-10 * np.linalg.norm(b)
+    eig_shift_invert(A, M, target=SHIFT, nev=4)
+    assert splu_dtypes == []
+
+
+def _spd_factor():
+    system, _ = _system(3, "S", 3, 6, mode="diag1")
+    return system.matrix, multifrontal.factor(system.matrix, system.lattice)
+
+
+def _indefinite_factor():
+    A, M = _cavity(TENSOR_PRODUCT, 4)
+    P = _pencil(A, M, SHIFT)
+    return P, multifrontal.factor(P, A.lattice, indefinite=True)
+
+
+@pytest.mark.parametrize("make_factor", [_spd_factor, _indefinite_factor],
+                         ids=["cholesky", "indefinite"])
+def test_a_block_solve_equals_its_column_solves(make_factor):
+    A, factor = make_factor()
+    B = np.random.default_rng(1).standard_normal((A.shape[0], 5))
+    X = factor(B)
+    assert X.shape == B.shape
+    for b, x in zip(B.T, X.T):
+        column = factor(b)
+        assert np.abs(x - column).max() <= 1e-13 * np.abs(column).max()
+
+
+def _one_column_sweeps(factor, b):
+    """A one-column Cholesky solve as the factor made it before it solved
+    blocks: each class's instances gathered, multiplied and scattered as one
+    (pivots, instances) matrix."""
+    x = np.array(b, dtype=np.float64)
+    for f in factor.fronts:
+        Y = blas.dgemm(1.0, f.Linv, x[f.pivots].T)
+        x[f.pivots] = Y.T
+        if f.shell.size:
+            np.subtract.at(x, f.shell.ravel(),
+                           blas.dgemm(1.0, f.L21t, Y, trans_a=1).T.ravel())
+    for f in reversed(factor.fronts):
+        Z = x[f.pivots].T
+        if f.shell.size:
+            Z = blas.dgemm(-1.0, f.L21t, x[f.shell].T, beta=1.0, c=Z, overwrite_c=1)
+        x[f.pivots] = blas.dgemm(1.0, f.Linv, Z, trans_a=1).T
+    return x
+
+
+@pytest.mark.parametrize("n, r, N", [(3, 3, 6), (2, 1, 64)])
+def test_one_column_cholesky_solves_keep_their_bytes(n, r, N):
+    system, _ = _system(n, "S", r, N, mode="diag1")
+    factor = multifrontal.factor(system.matrix, system.lattice)
+    with multifrontal._one_blas_thread():
+        expected = _one_column_sweeps(factor, system.rhs)
+    assert factor(system.rhs).tobytes() == expected.tobytes()
+
+
+def test_a_singular_pivot_block_with_a_shell_is_left_to_superlu():
+    # the first class is a leaf, whose pivot block is its own rows of
+    # A - sigma M: at an eigenvalue of that small pencil it is singular to
+    # rounding, and its update would carry that into its parent's front
+    A, M = _cavity(TRIMMED_SERENDIPITY, 4)
+    leaf = multifrontal.factor(M.matrix, M.lattice).fronts[0]
+    assert leaf.shell.size
+    pivots = leaf.pivots[0]
+    local = scipy.linalg.eigh(A.matrix[pivots][:, pivots].toarray(),
+                              M.matrix[pivots][:, pivots].toarray(), eigvals_only=True)
+    P = _pencil(A, M, local[-1])
+    assert multifrontal.factor(P, A.lattice, indefinite=True) is None
+
+
+def test_an_ill_conditioned_pivot_block_sends_the_eigensolve_to_superlu(monkeypatch,
+                                                                      splu_dtypes):
+    A, M = _cavity(TENSOR_PRODUCT, 4)
+    tree = eig_shift_invert(A, M, target=SHIFT, nev=6)
+    assert splu_dtypes == []
+    monkeypatch.setattr(multifrontal, "_ILL_CONDITIONED", 1.0)  # every front with a shell
+    assert multifrontal.factor(_pencil(A, M, SHIFT), A.lattice, indefinite=True) is None
+    superlu = eig_shift_invert(A, M, target=SHIFT, nev=6)
+    assert splu_dtypes == [np.float64]
+    assert np.abs(superlu.eigenvalues / tree.eigenvalues - 1).max() <= 1e-10
+
+
+def test_bunch_kaufman_factors_reproduce_the_pivot_block():
+    # 1 x 1 and 2 x 2 pivots, with and without interchanges
+    rng = np.random.default_rng(3)
+    for F in (rng.standard_normal((40, 40)), np.eye(6)[::-1] + 1e-3 * np.eye(6)):
+        F = F + F.T
+        ldu, ipiv, info = lapack.dsytrf(F.copy(order="F"), lower=1)
+        assert not info and (ipiv < 0).any()
+        order, L, Dinv = multifrontal._bunch_kaufman(ldu, ipiv)
+        assert np.array_equal(L, np.tril(L)) and (L.diagonal() == 1).all()
+        D = np.linalg.solve(L, np.linalg.solve(L, F[order][:, order]).T)
+        assert np.abs(multifrontal._block_diagonal(Dinv, D) - np.eye(len(F))).max() <= 1e-12

@@ -16,7 +16,12 @@ from trimfem.assemble import (
     assemble_mixed_poisson,
 )
 from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering
-from trimfem.refelem import TRIMMED_SERENDIPITY, build_element, element_by_name
+from trimfem.refelem import (
+    TENSOR_PRODUCT,
+    TRIMMED_SERENDIPITY,
+    build_element,
+    element_by_name,
+)
 from trimfem import solve
 from trimfem.experiments import run_primal_poisson, run_projection
 from trimfem.solve import eig_shift_invert, solve_saddle, solve_spd
@@ -350,8 +355,7 @@ def test_eig_shift_invert_rejects_nev_below_one(n, target):
 
 
 def test_shift_invert_returns_all_but_one_pair():
-    # ARPACK needs k < ncv <= n, so at k = n - 1 the subspace is capped
-    # at the whole space
+    # at k = n - 1 pairs the basis grows to the whole space
     A, M = _diagonal_pencil(16)
     nev = 16 - 1 - solve._GUARD
     res = eig_shift_invert(A, M, target=3.5, nev=nev)
@@ -374,31 +378,25 @@ def test_nev_at_or_above_n_returns_all_but_one_pair(n):
         assert np.abs(res.eigenvalues / reference - 1).max() <= 1e-10
 
 
-def test_every_operator_application_is_a_solve_arpack_asked_for(monkeypatch):
-    # a LinearOperator given no dtype probes its matvec with a zero vector
-    # before ARPACK starts: one more solve, counted as an application
-    solves, before_arpack = [], []
-    factor, eigsh = solve._factor, solve.spla.eigsh
+def test_op_count_is_the_columns_solved(monkeypatch):
+    # every column of every block solve, and nothing else, is counted
+    columns, shift_factor = [], solve._shift_factor
 
-    def counting_factor(*args):
-        lu_solve = factor(*args)
+    def counting_shift_factor(*args):
+        block_solve = shift_factor(*args)
 
-        def counted(b):
-            solves.append(len(b))
-            return lu_solve(b)
+        def counted(B):
+            columns.append(B.shape[1])
+            return block_solve(B)
 
         return counted
 
-    def entered_eigsh(*args, **kwargs):
-        before_arpack.append(len(solves))
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(solve, "_factor", counting_factor)
-    monkeypatch.setattr(solve.spla, "eigsh", entered_eigsh)
-    A, M = _maxwell_system(TRIMMED_SERENDIPITY, 2)
+    monkeypatch.setattr(solve, "_shift_factor", counting_shift_factor)
+    A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
     res = eig_shift_invert(A, M, target=3.0 * PI2, nev=8)
-    assert res.op_count == len(solves) - before_arpack[0]
-    assert before_arpack == [0]
+    assert len(columns) > 1 and max(columns) == solve._BLOCK
+    assert res.op_count == sum(columns)
+    assert 0 < res.op_time
 
 
 def test_systems_without_a_lattice_reach_superlu_in_colamd_order(splu_options):
@@ -409,47 +407,13 @@ def test_systems_without_a_lattice_reach_superlu_in_colamd_order(splu_options):
     assert splu_options == [{"permc_spec": "COLAMD"}] * 2
 
 
-@pytest.mark.parametrize("target", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("target", [0.0, -1.0, float("nan"), float("inf")])
 def test_eig_shift_invert_rejects_a_shift_that_is_not_positive(target):
-    # |lambda - target| / |lambda + target| ranks nothing sensibly there
+    # |lambda - target| / |lambda + target| ranks nothing sensibly there,
+    # and A - inf M is no pencil
     A, M = _diagonal_pencil(20)
     with pytest.raises(ValueError, match="positive shift"):
         eig_shift_invert(A, M, target=target, nev=2)
-
-
-def _failing_eigsh(monkeypatch, failures):
-    """Patch eigsh so its first `failures` calls raise ArpackNoConvergence
-    with two partial pairs; returns the keyword arguments of every call
-    and copies of the eigenvalues the real calls returned."""
-    real = spla.eigsh
-    calls, returned = [], []
-
-    def eigsh(A, **kwargs):
-        calls.append(kwargs)
-        if len(calls) <= failures:
-            raise spla.ArpackNoConvergence("no convergence", np.ones(2),
-                                           np.ones((A.shape[0], 2)))
-        vals, vecs = real(A, **kwargs)
-        returned.append(vals.copy())
-        return vals, vecs
-
-    monkeypatch.setattr(solve.spla, "eigsh", eigsh)
-    return calls, returned
-
-
-def test_eig_shift_invert_retries_once_with_a_larger_subspace(monkeypatch):
-    A, M = _diagonal_pencil(200)
-    calls, returned = _failing_eigsh(monkeypatch, failures=1)
-    res = eig_shift_invert(A, M, target=10.4, nev=3)
-    k = 3 + solve._GUARD
-    assert [call["k"] for call in calls] == [k, k]
-    # the subspace follows k, and the retry doubles it
-    assert (calls[0]["ncv"], calls[0]["maxiter"]) == (max(4 * k, 60), 5000)
-    assert (calls[1]["ncv"], calls[1]["maxiter"]) == (2 * calls[0]["ncv"], 20000)
-    # 9, 10, 11, 12 computed; 9 ranks last in Cayley magnitude
-    (computed,) = returned
-    assert np.allclose(computed, [9.0, 10.0, 11.0, 12.0], rtol=0, atol=1e-10)
-    assert np.array_equal(res.eigenvalues, computed[1:])
 
 
 def test_eig_shift_invert_returns_ascending_eigenvalues():
@@ -459,13 +423,27 @@ def test_eig_shift_invert_returns_ascending_eigenvalues():
     assert np.allclose(res.eigenvalues, [6.0, 7.0, 8.0, 9.0, 10.0], rtol=0, atol=1e-10)
 
 
-def test_eig_shift_invert_reports_a_failed_retry(monkeypatch):
-    A, M = _diagonal_pencil(40)
-    calls, _ = _failing_eigsh(monkeypatch, failures=2)
-    with pytest.raises(RuntimeError, match=r"did not converge for 3 pairs near 10\.4 "
-                                           r"\(size 40\); partial results: 2 pairs"):
+@pytest.mark.parametrize("cap", [8, 16])
+def test_the_column_cap_raises_with_the_pairs_that_converged(monkeypatch, cap):
+    # one or two blocks are too few for 4 pairs of diag(1..200); the pairs
+    # at the tolerance by then are named
+    monkeypatch.setattr(solve, "_CAP", cap)
+    monkeypatch.setattr(solve, "_PER_PAIR", 1)
+    A, M = _diagonal_pencil(200)
+    with pytest.raises(RuntimeError, match=r"^eigensolver did not converge for 3 pairs "
+                                           r"near 10\.4 \(size 200\); partial results: "
+                                           r"[0-3] pairs$"):
         eig_shift_invert(A, M, target=10.4, nev=3)
-    assert len(calls) == 2
+
+
+def test_a_cluster_wider_than_the_block_comes_back_whole():
+    # ten copies of 10: a block of 8 columns holds only 8 of them, and
+    # would rank 9 and 13 in place of the other two
+    diagonal = np.r_[np.arange(1.0, 41.0), np.full(9, 10.0)]
+    A = SparseSystem(sp.diags(diagonal).tocsr())
+    M = SparseSystem(sp.identity(len(diagonal), format="csr"))
+    res = eig_shift_invert(A, M, target=10.4, nev=12)
+    assert np.allclose(res.eigenvalues, [10.0] * 10 + [11.0, 12.0], rtol=0, atol=1e-10)
 
 
 def _maxwell_system(family, N, r=2, mode="eliminate"):
@@ -476,6 +454,44 @@ def _maxwell_system(family, N, r=2, mode="eliminate"):
     A = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "CurlCurl"), bdofs, mode)
     M = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "Mass"), bdofs, mode)
     return A, M
+
+
+def test_many_pairs_grow_the_column_cap():
+    # 41 pairs near 12 pi^2 took 168 columns, past the 160 of _CAP
+    A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
+    res = eig_shift_invert(A, M, target=12.0 * PI2, nev=40)
+    assert res.op_count > solve._CAP
+    assert np.abs(res.eigenvalues / _reference(A, M, 12.0 * PI2, 40) - 1).max() <= 1e-10
+
+
+def test_a_target_at_an_eigenvalue_to_rounding_converges():
+    # the smallest eigenvalue of a leaf front's own pencil is one of the
+    # whole pencil's to 1e-14 here; its shift-invert value then exceeds
+    # the others' 1e12 times, and only locking it keeps them resolved
+    dofmap = global_numbering(build_box_mesh(2, 16), element_by_name("S", 2, 2))
+    bdofs = boundary_dofs(dofmap)
+    A = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "GradGrad"), bdofs, "eliminate")
+    M = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "Mass"), bdofs, "eliminate")
+    (leaf, *_) = solve.multifrontal.factor(M.matrix, M.lattice).fronts[0].pivots
+    target = scipy.linalg.eigh(A.matrix[leaf][:, leaf].toarray(),
+                               M.matrix[leaf][:, leaf].toarray(), eigvals_only=True)[0]
+    reference = _reference(A, M, target, 3)
+    assert np.abs(reference - target).min() <= 1e-12 * target
+    res = eig_shift_invert(A, M, target=target, nev=3)
+    assert res.residuals.max() <= 1e-7
+    assert np.abs(res.eigenvalues / reference - 1).max() <= 1e-10
+
+
+@pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
+def test_a_target_close_to_an_eigenvalue_converges(family):
+    # 1e-6 above the lowest cavity eigenvalue, whose shift-invert value is
+    # then 1e5 times the others'
+    A, M = _maxwell_system(family, 4)
+    (lowest, *_) = _reference(A, M, 2.0 * PI2, 1)
+    target = lowest * (1 + 1e-6)
+    res = eig_shift_invert(A, M, target=target, nev=5)
+    assert res.residuals.max() <= 1e-7
+    assert np.abs(res.eigenvalues / _reference(A, M, target, 5) - 1).max() <= 1e-8
 
 
 def test_maxwell_operator_is_positive_semidefinite():
@@ -497,7 +513,7 @@ def test_shift_invert_agrees_with_a_dense_reference():
 
 def test_every_size_prefers_eigenvalues_above_the_target():
     # 12 beats 9 on the Cayley magnitude, on 40 unknowns and on the 4 of
-    # diag(9..12), where ARPACK computes k = n - 1 pairs
+    # diag(9..12), where the eigensolve computes k = n - 1 pairs
     large = eig_shift_invert(*_diagonal_pencil(40), target=10.4, nev=3)
     small = eig_shift_invert(SparseSystem(sp.diags([9.0, 10.0, 11.0, 12.0]).tocsr()),
                              SparseSystem(sp.identity(4, format="csr")),
