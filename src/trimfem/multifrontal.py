@@ -27,31 +27,35 @@ have the representative's DOF layout and bit-identical matrix rows, and
 every unknown must be a pivot of exactly one box.  Where that fails,
 `factor` returns None and the caller factors the matrix another way.
 
-Two kernels factor a front's pivot block F11.  An SPD matrix takes
-Cholesky, F11 = L L^T.  A symmetric indefinite one, the shifted pencil
-A - sigma M of the cavity eigensolve, takes Bunch-Kaufman pivoting inside
-the front (Math. Comp. 31, 1977), F11 = P L D L^T P^T with 1 x 1 and 2 x 2
-blocks in D (`_bunch_kaufman`): the front's pivots are reordered by P, so
-that both kernels store L^-1 and L21^T, and the indefinite one D^-1 too.
-Pivoting stays inside the front, so a front whose nearly singular F11
-would pass a grown update to its parent is left to SuperLU
-(`_ILL_CONDITIONED`); the top front passes nothing on, and D carries the
-near-singularity of a shift close to an eigenvalue there.  On the N=8
-cavity shifts A - 3 pi^2 M (2-core Xeon, scipy 1.17.1) the indefinite
-factor took 0.06-0.10 / 0.12-0.14 s against 0.09-0.10 / 0.21-0.22 s for
-SuperLU (S-_2 / Q-_2) and stores 0.92 M / 1.86 M values against
-SuperLU's fill of 1.89 M / 4.02 M.
+Two kernels factor a front's pivot block F11 and eliminate its shell.
+An SPD matrix takes Cholesky, F11 = L L^T, and the front stores L^-1 and
+L21^T = L^-1 F12.  A symmetric indefinite one, the shifted pencil
+A - sigma M of the cavity eigensolve, takes LAPACK's Bunch-Kaufman
+factor F11 = P L D L^T P^T with 1 x 1 and 2 x 2 blocks in D (`sytrf`;
+Math. Comp. 31, 1977), and the front stores that factor as LAPACK packs
+it, its pivot indices and W = F11^-1 F12 (`sytrs`), over [F11 | F12];
+its update is F22 - F12^T W.  LAPACK's factor keeps its interchanges,
+so a front's pivots stay in key order under both kernels.  Pivoting is
+confined to the front, so a front whose nearly singular F11 would pass
+a grown update to its parent is left to SuperLU (`_ILL_CONDITIONED`);
+the top front passes nothing on, and D carries the near-singularity of a
+shift close to an eigenvalue there.  On the N=8 cavity shifts
+A - 3 pi^2 M (shared 2-core Xeon, scipy 1.17.1, best of 7 in each of
+seven rounds) the indefinite factor took 0.06-0.09 / 0.12-0.17 s against
+0.09-0.13 / 0.21-0.32 s for SuperLU (S-_2 / Q-_2) and stores
+0.91 M / 1.85 M values against SuperLU's fill of 1.89 M / 4.02 M.
 
 Solves take one right-hand side or an (n, k) block of them, and run one
 batched product per class over all its instances and columns, gathering
-and scattering through precomputed int32 index arrays.  Every
-triangular solve, in the factorization too, is a product with the
-inverse of the front's unit or Cholesky factor (`trtri` once per class,
-then `trmm` or `gemm`): on a 2-core Xeon with OpenBLAS 0.3.30, the
-threaded `trsm` waited 5-16 ms per call on fronts of a few dozen pivots,
-where the product takes microseconds.  The cavity shifts' 8-column block
-solves took 0.9-1.0 / 1.6-1.8 ms a column, against 2.8-2.9 / 5.0-5.3 ms
-for one column.
+and scattering through precomputed int32 index arrays.  An indefinite
+front solves with F11 by `sytrs` and eliminates its shell by products
+with W.  Every triangular solve of a Cholesky front, in the
+factorization too, is a product with the inverse of its factor (`trtri`
+once per class, then `trmm` or `gemm`): on a 2-core Xeon with OpenBLAS
+0.3.30, the threaded `trsm` waited 5-16 ms per call on fronts of a few
+dozen pivots, where the product takes microseconds.  The cavity shifts'
+8-column block solves took 0.7-1.0 / 1.2-1.9 ms a column, against
+2.2-3.6 / 3.9-5.8 ms for one column.
 
 All dense kernels come from `scipy.linalg`, so they share one OpenBLAS
 build, the one scipy's wheel bundles (numpy bundles a second one, which
@@ -81,8 +85,8 @@ Memory follows the factor.  Besides A and the stored factor, the set-up
 keeps one key and one rank per unknown and one lookup entry per grid
 slot, int32 where they fit; the rows of a class's instances are verified
 a slice of at most n entries at a time; and each front is assembled in
-Fortran order, so that LAPACK and BLAS factor it in place and, under the
-Cholesky kernel, its pivot rows become the stored factor without a copy.
+Fortran order, so that LAPACK and BLAS factor it in place and its pivot
+rows become the stored factor without a copy.
 On the 2D r=1 N=512 Poisson system (28 MiB of matrix, 25 MiB of factor)
 the traced peak of `factor` above its input is 43 MiB.
 """
@@ -313,17 +317,18 @@ def _instances(tree):
 
 class _Front(NamedTuple):
     """One factored class over all its instances: the pivot and shell
-    index arrays, the inverse L^-1 of the unit or Cholesky lower factor L
-    of the pivot block F11 (in the pivot order), L21^T = D^-1 L^-1 F12,
-    and for the indefinite kernel the block-diagonal D^-1
-    (`_block_diagonal`; None for the Cholesky kernel, where D is the
-    identity)."""
+    index arrays, the factor `Linv` of the pivot block F11, the block
+    `L21t` that eliminates the shell, and `ipiv`.  The Cholesky kernel
+    stores the inverse L^-1 of F11 = L L^T and L21^T = L^-1 F12, and
+    `ipiv` is None; the indefinite kernel stores `sytrf`'s packed
+    Bunch-Kaufman factor of F11, W = F11^-1 F12 and `sytrf`'s pivot
+    indices `ipiv`."""
 
     pivots: np.ndarray
     shell: np.ndarray
     Linv: np.ndarray
     L21t: np.ndarray
-    Dinv: tuple | None = None
+    ipiv: np.ndarray | None = None
 
 
 def _gather(X, index):
@@ -357,47 +362,41 @@ class MultifrontalFactor:
     each class takes one product over all its instances and columns.
     `classes` counts the distinct factored fronts and `nodes` the tree
     boxes that have pivots, summed over all instances.  `stored` counts
-    the values the factor holds, L^-1, L21^T and, from the indefinite
-    kernel, D^-1 of each class, and `per_instance` the values a factor
-    that stored every instance of a class would hold.
+    the values the factor holds, `Linv` and `L21t` of each class (L^-1
+    and L21^T, or `sytrf`'s factor and W; pivot indices are not values),
+    and `per_instance` the values a factor that stored every instance of
+    a class would hold.
     """
 
     def __init__(self, fronts):
         self.fronts = fronts
         self.classes = len(fronts)
         self.nodes = sum(len(f.pivots) for f in fronts)
-        sizes = [f.Linv.size + f.L21t.size + sum(a.size for a in f.Dinv or ())
-                 for f in fronts]
+        sizes = [f.Linv.size + f.L21t.size for f in fronts]
         self.stored = sum(sizes)
         self.per_instance = sum(size * len(f.pivots) for size, f in zip(sizes, fronts))
 
     def __call__(self, b):
         x = np.array(b, dtype=np.float64, order="C")  # its rows are `_subtract`'s
         with _one_blas_thread():
-            for f in self.fronts:  # forward: L D y = b, children first
-                Y = blas.dgemm(1.0, f.Linv, _gather(x, f.pivots))
-                _scatter(x, f.pivots, Y if f.Dinv is None else _block_diagonal(f.Dinv, Y))
-                if f.shell.size:  # L21 D (D^-1 Y) = (D^-1 L^-1 F12)^T Y
+            for f in self.fronts:  # forward, children first
+                Y = _gather(x, f.pivots)
+                if f.ipiv is None:  # L y = b_p
+                    Y = blas.dgemm(1.0, f.Linv, Y)
+                    _scatter(x, f.pivots, Y)
+                else:  # F11 y = b_p
+                    _scatter(x, f.pivots, lapack.dsytrs(f.Linv, f.ipiv, Y, lower=1)[0])
+                if f.shell.size:  # b_s -= L21 y = (L^-1 F12)^T y, or W^T b_p
                     _subtract(x, f.shell, blas.dgemm(1.0, f.L21t, Y, trans_a=1))
-            for f in reversed(self.fronts):  # backward: L^T x = y, parents first
+            for f in reversed(self.fronts):  # backward, parents first
                 Z = _gather(x, f.pivots)
-                if f.shell.size:
+                if f.shell.size:  # y - L21^T x_s, or F11^-1 b_p - W x_s
                     Z = blas.dgemm(-1.0, f.L21t, _gather(x, f.shell), beta=1.0, c=Z,
                                    overwrite_c=1)
-                _scatter(x, f.pivots, blas.dgemm(1.0, f.Linv, Z, trans_a=1))
+                if f.ipiv is None:  # L^T x = y - L21^T x_s
+                    Z = blas.dgemm(1.0, f.Linv, Z, trans_a=1)
+                _scatter(x, f.pivots, Z)
         return x
-
-
-def _block_diagonal(Dinv, Y):
-    """The product of the symmetric block-diagonal matrix `Dinv` and the
-    rows of Y; `Dinv` holds the diagonal, the first rows of the 2 x 2
-    blocks and their off-diagonal entries."""
-    diagonal, pairs, off = Dinv
-    Z = diagonal[:, None] * Y
-    if len(pairs):
-        Z[pairs] += off[:, None] * Y[pairs + 1]
-        Z[pairs + 1] += off[:, None] * Y[pairs]
-    return Z
 
 
 def factor(A, lattice, indefinite=False):
@@ -406,8 +405,8 @@ def factor(A, lattice, indefinite=False):
     `A` is a square CSR matrix whose unknown i sits at lattice position
     `lattice[i]` (doubled-lattice coordinates, as in
     `GlobalDofMap.lattice`).  An SPD matrix takes the Cholesky kernel; an
-    `indefinite` one, such as a shifted pencil A - sigma M, the
-    Bunch-Kaufman kernel (`_indefinite_front`).  Returns a
+    `indefinite` one, such as a shifted pencil A - sigma M, LAPACK's
+    Bunch-Kaufman factor in each front (`_indefinite_front`).  Returns a
     `MultifrontalFactor`, or None when the lattice classes do not hold for
     A (see the module docstring) or an indefinite pivot block is singular
     or ill-conditioned.  A Cholesky front that is not positive definite
@@ -427,53 +426,16 @@ def factor(A, lattice, indefinite=False):
         return None
 
 
-def _bunch_kaufman(ldu, ipiv):
-    """The order, L and D^-1 of F11[order][:, order] = L D L^T, from the
-    Bunch-Kaufman factor `ldu`, `ipiv` of F11 that `sytrf` returns.
-
-    LAPACK's unit lower factor is a product of interchanges and
-    eliminations; each interchange is applied to the columns before it, as
-    in partial pivoting, so that L is unit lower triangular.  D has 1 x 1
-    and 2 x 2 diagonal blocks; D^-1 is returned as its diagonal, the first
-    rows of its 2 x 2 blocks and their off-diagonal entries
-    (`_block_diagonal`).
-    """
-    p = len(ldu)
-    order = np.arange(p)
-    L = np.tril(ldu, -1)
-    k, steps, pairs = 0, ipiv.tolist(), []
-    while k < p:
-        if steps[k] > 0:
-            r, j, width = k, steps[k] - 1, 1
-        else:  # a 2 x 2 block, whose second row was exchanged with -ipiv - 1
-            r, j, width = k + 1, -steps[k] - 1, 2
-            pairs.append(k)
-        if j != r:
-            L[[r, j], :k] = L[[j, r], :k]
-            order[[r, j]] = order[[j, r]]
-        k += width
-    pairs = np.array(pairs, dtype=np.int64)
-    L[pairs + 1, pairs] = 0.0  # D's off-diagonal, not L's
-    L[np.diag_indices(p)] = 1.0
-    # D^-1: 1 / a on 1 x 1 blocks, [[c, -b], [-b, a]] / (a c - b^2) on 2 x 2
-    diagonal = ldu.diagonal().copy()
-    a, b, c = diagonal[pairs], ldu[pairs + 1, pairs], diagonal[pairs + 1]
-    diagonal[pairs] = diagonal[pairs + 1] = 1.0
-    diagonal = 1 / diagonal
-    det = a * c - b * b
-    diagonal[pairs], diagonal[pairs + 1] = c / det, a / det
-    return order, L, (diagonal, pairs, -b / det)
-
-
 def _indefinite_front(Y, F22, p):
-    """The order, L^-1, L21^T, D^-1 and update of the front [F11 | F12] = Y, F22.
+    """The Bunch-Kaufman factor and pivots of F11, W = F11^-1 F12 and the
+    update F22 - F12^T W of the front [F11 | F12] = Y, F22.
 
-    F11[order][:, order] = L D L^T by Bunch-Kaufman pivoting (`sytrf`,
-    `_bunch_kaufman`), L21^T = D^-1 L^-1 F12[order], and the update is
-    F22 - F12^T F11^-1 F12.  An exactly singular F11 raises `_Unstable`.
-    So does a front with a shell whose F11 has an estimated reciprocal
-    condition number (`sycon`) below `_ILL_CONDITIONED`, as its update
-    would grow by about its inverse.
+    `sytrf` factors F11 = P L D L^T P^T over F11 (Math. Comp. 31, 1977),
+    with 1 x 1 and 2 x 2 blocks in D, and `sytrs` applies its inverse: W
+    is written over F12, so the factor and W are Y itself.  An exactly
+    singular F11 raises `_Unstable`.  So does a front with a shell whose
+    F11 has an estimated reciprocal condition number (`sycon`) below
+    `_ILL_CONDITIONED`, as its update would grow by about its inverse.
     """
     F11, F12 = Y[:, :p], Y[:, p:]
     anorm = np.abs(F11).sum(axis=0).max()  # the 1-norm of the symmetric F11
@@ -484,14 +446,12 @@ def _indefinite_front(Y, F22, p):
         rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
     if info or not rcond >= _ILL_CONDITIONED:
         raise _Unstable
-    order, L, Dinv = _bunch_kaufman(ldu, ipiv)
-    Linv, _ = lapack.dtrtri(L, lower=1, unitdiag=1, overwrite_c=1)
     if not F12.size:
-        return order, Linv, F12, Dinv, F22
-    C = blas.dtrmm(1.0, Linv, F12[order], lower=1, diag=1)
-    L21t = np.asfortranarray(_block_diagonal(Dinv, C))
-    return order, Linv, L21t, Dinv, blas.dgemm(-1.0, C, L21t, beta=1.0, c=F22, trans_a=1,
-                                                overwrite_c=1)
+        return ldu, ipiv, F12, F22
+    W, _ = lapack.dsytrs(ldu, ipiv, F12, lower=1)
+    U = blas.dgemm(-1.0, F12, W, beta=1.0, c=F22, trans_a=1, overwrite_c=1)
+    F12[...] = W
+    return ldu, ipiv, F12, U
 
 
 def _distinct(keys):
@@ -661,7 +621,8 @@ def _fronts(A, lattice, indefinite):
         # pivot rows of A, on the columns in the pivot box or outside the
         # box, then the children's updates U (`_extend_add`).  The front
         # lists the pivots, then the shell, each in key order.  LAPACK and
-        # BLAS then work in place, and Y becomes [L^-1 | L21^T].
+        # BLAS then work in place, and Y becomes [L^-1 | L21^T] or
+        # [sytrf's factor | W].
         column = pkeys.searchsorted(ukeys)  # a column's place in the front,
         column[pkeys.take(column, mode="clip") != ukeys] = -1  # -1 if dropped
         column[outside] = skeys.searchsorted(reach[0]) + p
@@ -681,10 +642,9 @@ def _fronts(A, lattice, indefinite):
             if not uses[child]:
                 del updates[child]
 
-        U, Dinv = F22, None
-        if p and indefinite:
-            order, Linv, L21t, Dinv, U = _indefinite_front(Y, F22, p)
-            pivots = pivots[:, order]
+        U, ipiv = F22, None
+        if p and indefinite:  # Linv and L21t: sytrf's factor and W
+            Linv, ipiv, L21t, U = _indefinite_front(Y, F22, p)
         elif p:
             diagonal = Y.diagonal().copy()
             L, info = lapack.dpotrf(Y[:, :p], lower=1, clean=1, overwrite_a=1)
@@ -703,7 +663,7 @@ def _fronts(A, lattice, indefinite):
                 U = blas.dgemm(-1.0, L21t, L21t, beta=1.0, c=F22, trans_a=1,
                                overwrite_c=1)
         if p:
-            fronts.append(_Front(pivots, dofs(base, skeys), Linv, L21t, Dinv))
+            fronts.append(_Front(pivots, dofs(base, skeys), Linv, L21t, ipiv))
         if s and box in uses:
             shells[box], updates[box] = skeys, U
 

@@ -269,8 +269,10 @@ def _residual_norms(A, M, norms, vals, vecs):
     return np.linalg.norm(R, axis=1) / scale
 
 
-# Pairs computed beyond the `nev` kept: asked for exactly 15, ARPACK's
-# Lanczos dropped copies of degenerate cavity eigenvalues at Q-_2 N=4 and 8.
+# Pairs computed beyond the `nev` kept: the eigensolve converges the
+# k = min(nev + _GUARD, n - 1) best-ranked pairs and returns the first nev
+# of them, so at most n - 1 come back.  With no guard, the four benchmark
+# cavity levels returned the same clusters from the same columns solved.
 _GUARD = 1
 
 # Columns of the first block solves.  A block Krylov space holds at most
@@ -524,10 +526,11 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
 def _shift_factor(P, lattice, stage):
     """Solve function of the symmetric indefinite pencil P = A - sigma M.
 
-    With a lattice, the multifrontal Bunch-Kaufman factor of
-    `multifrontal.factor`; without one, or where its classes do not
-    verify or a pivot block is singular or ill-conditioned, SuperLU
-    (`_factor`).  Both solve blocks of right-hand sides.
+    With a lattice, `multifrontal.factor` with `indefinite`, which
+    factors each front's pivot block by LAPACK's Bunch-Kaufman `sytrf`;
+    without one, or where its classes do not verify or a pivot block is
+    singular or ill-conditioned, SuperLU (`_factor`).  Both solve blocks
+    of right-hand sides.
     """
     solve = None
     if lattice is not None:

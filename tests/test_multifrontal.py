@@ -299,7 +299,7 @@ def test_cavity_pencils_factor_on_the_tree(splu_dtypes, family):
     A, M = _cavity(family, 4)
     P = _pencil(A, M, SHIFT)
     factor = multifrontal.factor(P, A.lattice, indefinite=True)
-    assert all(f.Dinv is not None for f in factor.fronts)
+    assert all(f.ipiv is not None for f in factor.fronts)
     b = np.random.default_rng(0).standard_normal(P.shape[0])
     assert np.linalg.norm(b - P @ factor(b)) <= 1e-10 * np.linalg.norm(b)
     eig_shift_invert(A, M, target=SHIFT, nev=4)
@@ -383,14 +383,39 @@ def test_an_ill_conditioned_pivot_block_sends_the_eigensolve_to_superlu(monkeypa
     assert np.abs(superlu.eigenvalues / tree.eigenvalues - 1).max() <= 1e-10
 
 
-def test_bunch_kaufman_factors_reproduce_the_pivot_block():
-    # 1 x 1 and 2 x 2 pivots, with and without interchanges
+def test_an_indefinite_front_solves_its_pivot_block_and_updates_its_shell():
+    # 1 x 1 and 2 x 2 pivots, with and without interchanges, in pivot
+    # blocks with a shell of three points
     rng = np.random.default_rng(3)
-    for F in (rng.standard_normal((40, 40)), np.eye(6)[::-1] + 1e-3 * np.eye(6)):
-        F = F + F.T
-        ldu, ipiv, info = lapack.dsytrf(F.copy(order="F"), lower=1)
-        assert not info and (ipiv < 0).any()
-        order, L, Dinv = multifrontal._bunch_kaufman(ldu, ipiv)
-        assert np.array_equal(L, np.tril(L)) and (L.diagonal() == 1).all()
-        D = np.linalg.solve(L, np.linalg.solve(L, F[order][:, order]).T)
-        assert np.abs(multifrontal._block_diagonal(Dinv, D) - np.eye(len(F))).max() <= 1e-12
+    for F11 in (rng.standard_normal((40, 40)), np.eye(6)[::-1] + 1e-3 * np.eye(6)):
+        F11 = F11 + F11.T
+        p = len(F11)
+        F12 = rng.standard_normal((p, 3))
+        F22 = rng.standard_normal((3, 3))
+        F22 = F22 + F22.T
+        Y = np.asfortranarray(np.hstack([F11, F12]))
+        _, ipiv, W, U = multifrontal._indefinite_front(Y, np.asfortranarray(F22), p)
+        assert (ipiv < 0).any()
+        assert np.abs(F11 @ W - F12).max() <= 1e-12 * np.abs(F12).max()
+        expected = F22 - F12.T @ np.linalg.solve(F11, F12)
+        assert np.abs(U - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
+def test_both_kernels_lay_out_the_fronts_alike(family):
+    # the indefinite kernel pivots inside F11, so its fronts keep the key
+    # order of the Cholesky fronts on the same lattice
+    A, M = _cavity(family, 4)
+    indefinite = multifrontal.factor(_pencil(A, M, SHIFT), A.lattice, indefinite=True)
+    cholesky = multifrontal.factor(M.matrix, A.lattice)
+    assert len(indefinite.fronts) == len(cholesky.fronts)
+    for f, g in zip(indefinite.fronts, cholesky.fronts):
+        assert np.array_equal(f.pivots, g.pivots) and np.array_equal(f.shell, g.shell)
+
+
+def test_an_indefinite_factor_reports_its_stored_values():
+    # the Q-_2 N=4 pencil: sytrf's factor and W of each class; the pivot
+    # indices are not values
+    _, factor = _indefinite_factor()
+    assert factor.stored == sum(f.Linv.size + f.L21t.size for f in factor.fronts)
+    assert factor.stored == 117_152

@@ -365,7 +365,7 @@ def test_shift_invert_returns_all_but_one_pair():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_nev_at_or_above_n_returns_all_but_one_pair(n):
-    # ARPACK computes at most n - 1 pairs; the one ranked last is dropped
+    # the eigensolve computes at most n - 1 pairs; the one ranked last is dropped
     rng = np.random.default_rng(n)
     B, C = rng.standard_normal((2, n, n))
     A = SparseSystem(sp.csr_matrix(B @ B.T + 0.1 * np.eye(n)))
