@@ -19,6 +19,13 @@ from .refelem import Element, tabulate
 
 _FORMS = ("Mass", "GradGrad", "CurlCurl", "DivCoupling")
 
+# The augmented Lagrangian's weight gamma over max|M_l| / max|B_l^T W_l^-1
+# B_l| (`assemble_mixed_poisson`).  On n = 2, 3, r <= 3, both families, the
+# mixed solves met the 1e-12 gate in 4-10 K solves (10-20 for a random
+# right-hand side); 1e2 missed it on 3 of 12 levels, 1e3 took up to 51,
+# and 1e5-1e6 took 4-12, on a K whose condition number grows with gamma.
+_GAMMA = 1e4
+
 
 class PushForward:
     """Reference-to-physical scalings for one element on cells of size h.
@@ -77,11 +84,13 @@ class SparseSystem:
     `lattice` is the doubled-lattice position of each unknown of the
     stored matrix (`GlobalDofMap.lattice`), or None.  The constructor may
     take it as a function of no arguments, called on first use, so a
-    system that is never factored never computes it.  It is the one fact a
-    factorization reads: `solve_spd` builds its multifrontal factor on it,
-    and SuperLU factors in the postorder of the same elimination tree
-    (`multifrontal.elimination_order`).
+    system that is never factored never computes it.  `solve_spd` builds
+    its multifrontal factor on it.  `augmented` is None but on a mixed
+    Poisson system (`assemble_mixed_poisson`), which `solve_saddle` solves
+    on the multifrontal factor of its K.
     """
+
+    augmented = None
 
     def __init__(self, matrix, rhs=None, full_size=None, free=None, lattice=None):
         self.matrix = matrix
@@ -238,6 +247,12 @@ def assemble_mixed_poisson(hdiv_map: GlobalDofMap, l2_map: GlobalDofMap,
     The H(div) space must be the (n-1)-form element of order r and the L2
     space the n-form element of the same family order r (usage order r-1),
     the stable pairing: SminusDiv_r with DPC_{r-1}, RTCF/NCF_r with DQ_{r-1}.
+    Both maps must number the same mesh.
+
+    Its `augmented` blocks are K = M + gamma B^T W^-1 B on the flux map's
+    lattice, B, W^-1 and gamma = `_GAMMA` max|M_l| / max|B_l^T W_l^-1 B_l|.
+    The L2 mass matrix W is block diagonal, one block W_l per cell, so K
+    and W^-1 are scattered from M_l + gamma B_l^T W_l^-1 B_l and W_l^-1.
     """
     eh, el = hdiv_map.element, l2_map.element
     if eh.k != eh.n - 1 or eh.mapping != "contravariant":
@@ -250,12 +265,22 @@ def assemble_mixed_poisson(hdiv_map: GlobalDofMap, l2_map: GlobalDofMap,
             "order r-1 (and RTCF/NCF with DQ of order r-1); "
             f"got orders {eh.r} and {el.r} (usage order {el.r - 1})"
         )
-    M = assemble_bilinear(hdiv_map, hdiv_map, "Mass").matrix
-    B = assemble_bilinear(l2_map, hdiv_map, "DivCoupling").matrix
-    mat = sp.bmat([[M, B.T], [B, None]], format="csr")
+    if l2_map.mesh is not hdiv_map.mesh:
+        raise ValueError("DOF maps must belong to the same mesh")
+    h = hdiv_map.mesh.h
+    M_l = _local_matrix("Mass", eh, eh, h)
+    B_l = _local_matrix("DivCoupling", el, eh, h)
+    Winv_l = np.linalg.inv(_local_matrix("Mass", el, el, h))
+    G_l = B_l.T @ Winv_l @ B_l
+    gamma = _GAMMA * np.abs(M_l).max() / np.abs(G_l).max()
+    B = _scatter(l2_map, hdiv_map, B_l)
+    mat = sp.bmat([[_scatter(hdiv_map, hdiv_map, M_l), B.T], [B, None]], format="csr")
     rhs = np.concatenate([np.zeros(hdiv_map.total), -assemble_load(l2_map, f)])
-    return SparseSystem(mat, rhs, lattice=lambda: np.concatenate(
-        [hdiv_map.lattice, l2_map.lattice]))
+    system = SparseSystem(mat, rhs)
+    K = SparseSystem(_scatter(hdiv_map, hdiv_map, M_l + gamma * G_l),
+                     lattice=lambda: hdiv_map.lattice)
+    system.augmented = (K, B, _scatter(l2_map, l2_map, Winv_l), gamma)
+    return system
 
 
 def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSystem:

