@@ -2,8 +2,9 @@
 
 The flux space of order r is paired with the discontinuous space of
 usage order r - 1 (SminusDiv with DPC, RTCF/NCF with DQ).  The saddle
-system [[M, B^T], [B, 0]] is solved directly; the reported error is the
-L2 error of the scalar solution, converging at rate r for both families.
+system [[M, B^T], [B, 0]] is solved by augmented-Lagrangian Uzawa steps
+on one Cholesky factor of K = M + gamma B^T W^-1 B; the reported error is
+the L2 error of the scalar solution, converging at rate r for both families.
 
 A practical comparison: the 3D trimmed pair at order r + 1 costs about
 as many DOFs as the tensor pair at order r but delivers a smaller error.

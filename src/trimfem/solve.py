@@ -12,7 +12,7 @@ pencil has unknowns, so at most n - 1 pairs of an n-unknown pencil come
 back, and a shift that is an eigenvalue raises at every size.  The
 shifted pencil of a system with a lattice is factored by the multifrontal
 Bunch-Kaufman kernel (`multifrontal.factor` with `indefinite`), any other
-by SuperLU (`_shift_factor`); both solve 8-column blocks.
+by SuperLU; both solve 8-column blocks.
 
 An SPD system that carries the lattice of its unknowns (every assembled
 square operator, see `SparseSystem.lattice`) is factored by the
@@ -23,16 +23,17 @@ gate after at most one correction, or reach the rounding floor after two.
 
 A mixed Poisson system (`assemble_mixed_poisson`) takes the same
 Cholesky: its pressure space is discontinuous, so K = M + gamma B^T W^-1 B
-is SPD and scattered from one cell block, and the augmented-Lagrangian
-Uzawa iteration (Fortin & Glowinski, Augmented Lagrangian Methods, 1983;
-Brenner & Scott's iterated penalty method) solves the saddle system on
-one factor of K (`_uzawa`).  Any other system, and one whose lattice
-classes do not hold, is factored by SuperLU in COLAMD order (`_factor`).
+is SPD and scattered from one cell block, and augmented-Lagrangian Uzawa
+steps (Fortin & Glowinski, Augmented Lagrangian Methods, 1983; Brenner &
+Scott's iterated penalty method) solve the saddle system on one factor of
+K: the solve is one step (`_uzawa`), each refinement correction the next.
 
-The SPD and saddle-point solves are one routine, `_direct_solve`: check
-the tolerance, the right-hand side and the symmetry, return zeros for a
-zero right-hand side, factor once, refine (`_refine`), gate the relative
-residual and expand the solution of an eliminated system to full length.
+Every factor comes from `_solver`: multifrontal on a lattice whose classes
+hold, SuperLU in COLAMD order (`_factor`) otherwise.  The SPD and saddle
+solves are one routine, `_direct_solve`: check the tolerance, the shape,
+the right-hand side and the symmetry, return zeros for a zero right-hand
+side, factor once, refine (`_refine`), gate the relative residual and
+expand the solution of an eliminated system to full length.
 
 The factorizations, solves and eigensolves run their BLAS on one thread
 of scipy's OpenBLAS pool (`multifrontal._one_blas_thread`), so their
@@ -103,13 +104,13 @@ def _factor(A, stage):
     """Solve function of one SuperLU factorization of the square matrix A.
 
     SuperLU orders A by COLAMD and pivots by its default threshold.  It
-    factors only what the multifrontal factor cannot: a matrix without a
-    lattice, one whose lattice classes do not hold, and a cavity shift
-    with a singular or ill-conditioned front.  On the cavity shifts COLAMD
-    stores 1.6-2.4x the fill of the multifrontal tree's postorder, which
-    ordered SuperLU before (S-_2 N=8 3.49 M against 1.89 M, Q-_2 N=8
-    9.68 M against 4.02 M; scipy 1.17.1).  A failed factorization raises
-    an error naming the `stage` and the sizes.
+    factors only what the multifrontal factor cannot (`_solver`): a matrix
+    without a lattice, one or a mixed system's K whose lattice classes do
+    not hold, and a cavity shift with a singular or ill-conditioned front.
+    On the cavity shifts COLAMD stores 1.6-2.4x the fill of the
+    multifrontal tree's postorder, which ordered SuperLU before (S-_2 N=8
+    3.49 M against 1.89 M, Q-_2 N=8 9.68 M against 4.02 M; scipy 1.17.1).
+    A failed factorization raises an error naming the `stage` and the sizes.
     """
     try:
         return spla.splu(A.tocsc(), permc_spec="COLAMD").solve
@@ -119,11 +120,19 @@ def _factor(A, stage):
         ) from err
 
 
-def _check_lattice(lattice, n, stage):
-    """Raise unless `lattice` is None or holds one position per unknown."""
-    if lattice is not None and len(lattice) != n:
-        raise ValueError(f"{stage}: a lattice of {len(lattice)} positions does "
-                         f"not fit a matrix of size {n}")
+def _solver(A, lattice, stage, indefinite=False):
+    """Solve function of the symmetric matrix A, and its factor's name:
+    `multifrontal.factor` on a lattice (`indefinite`: Bunch-Kaufman fronts),
+    else, or where that returns None, SuperLU (`_factor`).  Both solve
+    blocks.  A lattice of the wrong length raises, naming `stage`, first."""
+    if lattice is not None:
+        if len(lattice) != A.shape[0]:
+            raise ValueError(f"{stage}: a lattice of {len(lattice)} positions does "
+                             f"not fit a matrix of size {A.shape[0]}")
+        solve = multifrontal.factor(A, lattice, indefinite=indefinite)
+        if solve is not None:
+            return solve, "multifrontal"
+    return _factor(A, stage), "SuperLU"
 
 
 def _check_tol(tol):
@@ -160,38 +169,21 @@ def _refine(A, b, solve, tol):
     return x, res, steps
 
 
-def _uzawa(A, augmented, tol):
-    """Solve function of the saddle matrix A = [[M, B^T], [B, 0]] by Uzawa
-    steps on the multifrontal factor of K, or None where K's lattice
-    classes do not hold; `augmented` is (K, B, W^-1, gamma).
-
-    For a right-hand side (f, g), each step from p = 0 solves
-    u = K^-1 (f + gamma B^T W^-1 g - B^T p) and updates
-    p += gamma W^-1 (B u - g), until the relative saddle residual of (u, p)
-    meets `tol` or a step fails to halve it; the best iterate is returned.
+def _uzawa(augmented, solve_K):
+    """Solve function of one augmented-Lagrangian Uzawa step from p = 0 on
+    [[M, B^T], [B, 0]], with `augmented` = (K, B, W^-1, gamma) and `solve_K`
+    solving with K: u = K^-1 (f + gamma B^T W^-1 g), p = gamma W^-1 (B u - g)
+    for the right-hand side (f, g).  Its flux residual is zero in exact
+    arithmetic, so a refinement correction (`_refine`) is the next Uzawa
+    update, and the refinement's stop rule ends the iteration.
     """
-    K, B, Winv, gamma = augmented
-    solve_K = multifrontal.factor(K.matrix.tocsr(), K.lattice)
-    if solve_K is None:
-        return None
+    _, B, Winv, gamma = augmented
     m = B.shape[1]
 
     def solve(b):
         f, g = b[:m], b[m:]
-        rhs = f + gamma * (B.T @ (Winv @ g))
-        p = np.zeros(len(g))
-        bnorm = blas.dnrm2(b)
-        best, res = None, np.inf
-        while True:
-            u = solve_K(rhs - B.T @ p)
-            x = np.concatenate([u, p])
-            new = blas.dnrm2(b - A @ x) / bnorm
-            if best is None or new < res:
-                best = x
-            if new <= tol or not new <= res / 2:
-                return best
-            res = new
-            p += gamma * (Winv @ (B @ u - g))
+        u = solve_K(f + gamma * (B.T @ (Winv @ g)))
+        return np.concatenate([u, gamma * (Winv @ (B @ u - g))])
 
     return solve
 
@@ -200,17 +192,20 @@ def _uzawa(A, augmented, tol):
 def _direct_solve(system: SparseSystem, tol, spd):
     """Solve the symmetric `system` to a relative residual `tol`.
 
-    An `spd` system with a lattice is factored by `multifrontal.factor`,
-    a saddle system with `augmented` blocks solved on the factor of K
-    (`_uzawa`), and any other, or one whose lattice classes do not hold,
-    factored by SuperLU (`_factor`); the solve is refined (`_refine`).  A
-    residual above `tol` raises a RuntimeError that gives the refinement
-    steps taken, the factor and the rounding floor eps ||A| |x|| / ||b||.
+    An `spd` system is factored on its lattice, a saddle system with
+    `augmented` blocks solved by Uzawa steps on the factor of K (`_uzawa`)
+    and any other factored without a lattice (`_solver`); the solve is
+    refined (`_refine`).  A matrix that is not square raises a ValueError,
+    a residual above `tol` a RuntimeError that gives the refinement steps
+    taken, the factor and the rounding floor eps ||A| |x|| / ||b||.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
     _check_tol(tol)
+    stage = "sparse factorization" if spd else "saddle factorization"
     A = system.matrix.tocsr()
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"{stage}: a matrix of shape {A.shape} is not square")
     b = system.rhs
     if b is None:
         raise ValueError("system has no right-hand side")
@@ -221,16 +216,12 @@ def _direct_solve(system: SparseSystem, tol, spd):
     bnorm = blas.dnrm2(b)
     if bnorm == 0.0:
         return system.expand(np.zeros(A.shape[0]))
-    stage = "sparse factorization" if spd else "saddle factorization"
-    solve, factor = None, "multifrontal"
-    if spd and system.lattice is not None:
-        _check_lattice(system.lattice, A.shape[0], stage)
-        solve = multifrontal.factor(A, system.lattice)
-    elif not spd and system.augmented is not None:
-        solve = _uzawa(A, system.augmented, tol)
-        factor = "multifrontal augmented-Lagrangian"
-    if solve is None:
-        solve, factor = _factor(A, stage), "SuperLU"
+    if spd or system.augmented is None:
+        solve, factor = _solver(A, system.lattice if spd else None, stage)
+    else:
+        K = system.augmented[0]
+        solve_K, factor = _solver(K.matrix.tocsr(), K.lattice, stage)
+        solve, factor = _uzawa(system.augmented, solve_K), f"{factor} augmented-Lagrangian"
     x, res, steps = _refine(A, b, solve, tol)
     if not np.isfinite(res) or res > tol:
         A.sum_duplicates()  # |A| on A's own index arrays, without a copy of A
@@ -255,9 +246,9 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
 
 
 def solve_saddle(system: SparseSystem, tol=1e-12):
-    """Solve an assembled mixed system to a relative residual
-    (`_direct_solve`); one reduced by `apply_dirichlet` has no augmented
-    blocks and is factored by SuperLU.
+    """Solve an assembled mixed system to a relative residual by Uzawa
+    steps on the factor of its K (`_direct_solve`); one reduced by
+    `apply_dirichlet` has no augmented blocks and is factored by SuperLU.
 
     Returns one full-length stacked vector (zeros on eliminated DOFs),
     flux coefficients first; callers split it at the flux space dimension
@@ -501,7 +492,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
     11, 12).  `nev` is an integer (numpy integers too).  A block
     shift-invert Lanczos (`_block_lanczos`) computes k = min(nev, n - 1)
     pairs to a scaled residual of `tol`, on A - target M factored once
-    (`_shift_factor`).  So at most n - 1 pairs come back (for `nev >= n`
+    (`_solver`).  So at most n - 1 pairs come back (for `nev >= n`
     the one ranked last is dropped), and a target that is an eigenvalue
     exactly raises at every size.  A target at an eigenvalue only to
     rounding converges (see the locking in `_block_lanczos`).
@@ -520,26 +511,13 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
         raise ValueError(f"eigenproblem of size {n}: the Krylov iteration "
                          f"needs at least 2 unknowns")
     stage = f"shift-invert factorization of (A - {target} M)"
+    if A.matrix.shape != (n, n) or M.matrix.shape != (n, n):
+        raise ValueError(f"{stage}: A of shape {A.matrix.shape} and M of shape "
+                         f"{M.matrix.shape} are not square matrices of one size")
     lattice = A.lattice
-    _check_lattice(lattice, n, stage)
     A = sp.csr_matrix(A.matrix)
     M = sp.csr_matrix(M.matrix)
     _check_symmetric(A)
     _check_symmetric(M)
-    solve = _shift_factor(A - target * M, lattice, stage)
+    solve, _ = _solver(A - target * M, lattice, stage, indefinite=True)
     return _block_lanczos(solve, A, M, target, nev, tol)
-
-
-def _shift_factor(P, lattice, stage):
-    """Solve function of the symmetric indefinite pencil P = A - sigma M.
-
-    With a lattice, `multifrontal.factor` with `indefinite`, which
-    factors each front's pivot block by LAPACK's Bunch-Kaufman `sytrf`;
-    without one, or where its classes do not verify or a pivot block is
-    singular or ill-conditioned, SuperLU (`_factor`).  Both solve blocks
-    of right-hand sides.
-    """
-    solve = None
-    if lattice is not None:
-        solve = multifrontal.factor(P, lattice, indefinite=True)
-    return solve if solve is not None else _factor(P, stage)

@@ -276,6 +276,56 @@ def test_a_saddle_system_whose_k_does_not_verify_falls_back_to_superlu(splu_dtyp
     assert np.linalg.norm(r) / np.linalg.norm(system.rhs) <= 1e-12
 
 
+@pytest.mark.parametrize("family", ["S", "Q"])
+def test_each_uzawa_step_is_one_refinement_step(monkeypatch, family):
+    # a random right-hand side took 10 K solves when each refinement
+    # correction ran Uzawa steps of its own from p = 0
+    system = _mixed_system(family, 4)
+    system.rhs = np.random.default_rng(7).standard_normal(system.matrix.shape[0])
+    calls = []
+    call = solve.multifrontal.MultifrontalFactor.__call__
+
+    def counting_call(factor, b):
+        calls.append(b.shape)
+        return call(factor, b)
+
+    monkeypatch.setattr(solve.multifrontal.MultifrontalFactor, "__call__", counting_call)
+    solve_saddle(system)
+    assert 0 < len(calls) <= 5
+
+
+def test_a_k_that_does_not_verify_takes_superlu_for_k_alone(monkeypatch):
+    # the saddle matrix is not factored: Uzawa runs on a SuperLU factor of K
+    system = _mixed_system("S", 2)
+    K, B, Winv, gamma = system.augmented
+    lattice = K.lattice.copy()
+    lattice[[0, -1]] = lattice[[-1, 0]]
+    system.augmented = (SparseSystem(K.matrix, lattice=lattice), B, Winv, gamma)
+    shapes = []
+    splu = solve.spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(solve.spla, "splu", recording_splu)
+    with pytest.raises(RuntimeError, match="on a SuperLU augmented-Lagrangian factor"):
+        solve_saddle(system, tol=1e-300)  # below any residual, so the gate reports
+    assert shapes == [K.matrix.shape] and K.matrix.shape != system.matrix.shape
+
+
+def test_a_k_lattice_of_the_wrong_length_is_named_by_the_saddle_stage(splu_dtypes):
+    system = _mixed_system("S", 2)
+    K, B, Winv, gamma = system.augmented
+    n = K.matrix.shape[0]
+    system.augmented = (SparseSystem(K.matrix, lattice=K.lattice[1:]), B, Winv, gamma)
+    with pytest.raises(ValueError, match=re.escape(
+            f"saddle factorization: a lattice of {n - 1} positions does not fit "
+            f"a matrix of size {n}")):
+        solve_saddle(system)
+    assert splu_dtypes == []
+
+
 def _poisson_system(N):
     """The 2D S_1 Poisson system on an N x N mesh, with its lattice."""
     dofmap = global_numbering(build_box_mesh(2, N), element_by_name("S", 2, 1))
@@ -339,6 +389,24 @@ def test_a_lattice_of_the_wrong_length_is_named_before_superlu(splu_dtypes, rows
             f"M): a lattice of {rows} positions does not fit a matrix of size 9")):
         eig_shift_invert(SparseSystem(A.matrix, lattice=lattice), M, target=3.5, nev=2)
     assert splu_dtypes == []
+
+
+def test_mismatched_shapes_are_named_before_anything_is_factored(monkeypatch):
+    # both raised scipy's bare "inconsistent shapes", without stage or sizes
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a factorization was attempted")
+
+    monkeypatch.setattr(solve, "_factor", no_factor)
+    monkeypatch.setattr(solve.multifrontal, "factor", no_factor)
+    with pytest.raises(ValueError, match=re.escape(
+            "sparse factorization: a matrix of shape (3, 4) is not square")):
+        solve_spd(SparseSystem(sp.csr_matrix(np.ones((3, 4))), np.ones(3)))
+    A, _ = _diagonal_pencil(20)
+    _, M = _diagonal_pencil(19)
+    with pytest.raises(ValueError, match=re.escape(
+            "shift-invert factorization of (A - 3.5 M): A of shape (20, 20) and M "
+            "of shape (19, 19) are not square matrices of one size")):
+        eig_shift_invert(A, M, target=3.5, nev=2)
 
 
 def test_diagonal_eigenproblem():
@@ -421,18 +489,18 @@ def test_nev_at_or_above_n_returns_all_but_one_pair(n):
 
 def test_op_count_is_the_columns_solved(monkeypatch):
     # every column of every block solve, and nothing else, is counted
-    columns, shift_factor = [], solve._shift_factor
+    columns, solver = [], solve._solver
 
-    def counting_shift_factor(*args):
-        block_solve = shift_factor(*args)
+    def counting_solver(*args, **kwargs):
+        block_solve, factor = solver(*args, **kwargs)
 
         def counted(B):
             columns.append(B.shape[1])
             return block_solve(B)
 
-        return counted
+        return counted, factor
 
-    monkeypatch.setattr(solve, "_shift_factor", counting_shift_factor)
+    monkeypatch.setattr(solve, "_solver", counting_solver)
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
     res = eig_shift_invert(A, M, target=3.0 * PI2, nev=8)
     assert len(columns) > 1 and max(columns) == solve._BLOCK
