@@ -24,7 +24,7 @@ from .assemble import (
 )
 from .mesh import boundary_dofs, build_box_mesh, global_numbering
 from .refelem import TENSOR_PRODUCT, TRIMMED_SERENDIPITY, build_element
-from .solve import eig_shift_invert, solve_saddle, solve_spd
+from .solve import clusters, eig_shift_invert, solve_saddle, solve_spd
 
 _FAMILY_ALIASES = {
     TRIMMED_SERENDIPITY: TRIMMED_SERENDIPITY,
@@ -186,21 +186,9 @@ def run_mixed_poisson(n, family, r, N_list, tol=1e-12):
 # cavity resonator
 # ---------------------------------------------------------------------------
 
-def _subclusters(values, tol=5e-7):
-    """Split sorted values into clusters of absolute width tol."""
-    clusters = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            part = values[start:i]
-            clusters.append((float(part.mean()), int(len(part))))
-            start = i
-    return clusters
-
-
-def _dominant(clusters):
+def _dominant(pairs):
     """The cluster carrying the most eigenvalues (ties: the smallest)."""
-    return max(clusters, key=lambda vc: (vc[1], -vc[0]))[0]
+    return max(pairs, key=lambda vc: (vc[1], -vc[0]))[0]
 
 
 def exact_cavity_eigenvalues(limit=20):
@@ -269,8 +257,9 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
     has unknowns), which ranks the gradient-kernel zeros last.  Each
     level reports, normalized by pi^2, the returned eigenvalues within 0.5
     of an exact one in {2, 3, 5, 6, 8, ...}, grouped by exact value into
-    clusters; every exact value within that window of a returned pair is
-    matched, however far above the target.
+    clusters of copies by the eigensolver's own rule (`clusters`); every
+    exact value within that window of a returned pair is matched, however
+    far above the target.
     The report's `series` holds each tracked eigenvalue's error rows.
     """
     family = _family(family)
@@ -295,7 +284,7 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
         for e in exact_cavity_eigenvalues(limit=int(lam[-1] + 0.5)):
             members = lam[np.abs(lam - e) < 0.5]
             if len(members):
-                groups[e] = _subclusters(members)
+                groups[e] = clusters(members)
         levels.append(MaxwellLevel(
             N=N, dofs=dofmap.total, groups=groups,
             assembly_time=t_asm, solve_time=t_solve,
@@ -371,9 +360,9 @@ def format_maxwell(report: MaxwellReport):
         for j in range(nrows):
             cells = []
             for i, lv in enumerate(report.levels):
-                clusters = lv.groups.get(e, ())
-                if j < len(clusters):
-                    val, _count = clusters[j]
+                pairs = lv.groups.get(e, ())
+                if j < len(pairs):
+                    val, _count = pairs[j]
                     txt = f"{val:.6f}"
                     rate = report.series[e][i].rate
                     if j == 0 and rate is not None:

@@ -9,7 +9,9 @@ pairs of smallest Cayley magnitude |lambda - sigma| / |lambda + sigma|,
 so the curl-curl gradient kernel at zero cannot crowd out eigenvalues on
 the far side of the shift sigma.  It computes fewer pairs than the
 pencil has unknowns, so at most n - 1 pairs of an n-unknown pencil come
-back, and a shift that is an eigenvalue raises at every size.  The
+back, and a shift that is an eigenvalue raises at every size.  One rule,
+`clusters`, tells which eigenvalues are copies of one degenerate
+eigenvalue, for the eigensolver and for the cavity report.  The
 shifted pencil of a system with a lattice is factored by the multifrontal
 Bunch-Kaufman kernel (`multifrontal.factor` with `indefinite`), any other
 by SuperLU; both solve 8-column blocks.
@@ -31,9 +33,10 @@ K: the solve is one step (`_uzawa`), each refinement correction the next.
 Every factor comes from `_solver`: multifrontal on a lattice whose classes
 hold, SuperLU in COLAMD order (`_factor`) otherwise.  The SPD and saddle
 solves are one routine, `_direct_solve`: check the tolerance, the shape,
-the right-hand side and the symmetry, return zeros for a zero right-hand
-side, factor once, refine (`_refine`), gate the relative residual and
-expand the solution of an eliminated system to full length.
+the right-hand side, that every entry is finite and the symmetry, return
+zeros for a zero right-hand side, factor once, refine (`_refine`), gate
+the relative residual and expand the solution of an eliminated system to
+full length.
 
 The factorizations, solves and eigensolves run their BLAS on one thread
 of scipy's OpenBLAS pool (`multifrontal._one_blas_thread`), so their
@@ -79,8 +82,9 @@ class EigenResult:
         return len(self.eigenvalues)
 
 
-def _check_symmetric(A, tol=1e-12):
-    """Raise unless max |A - A^T| <= tol max |A|, at any scale of A.
+def _check_symmetric(A, stage, tol=1e-12):
+    """Raise unless A's entries are finite and max |A - A^T| <= tol max |A|,
+    at any scale of A; the errors name the `stage`.
 
     A canonical CSR matrix with a symmetric pattern, as every assembled
     one has, is compared with its transpose value by value, in the
@@ -89,15 +93,17 @@ def _check_symmetric(A, tol=1e-12):
     """
     if not A.nnz:
         return
+    scale = max(A.data.max(), -A.data.min())  # max |A| without an |A| copy
+    if not np.isfinite(scale):  # before inf - inf makes a NaN
+        raise ValueError(f"{stage}: the matrix has an entry that is not finite")
     T = A.T.tocsr()  # the transpose, with sorted indices
     if (A.has_canonical_format and np.array_equal(A.indptr, T.indptr)
             and np.array_equal(A.indices, T.indices)):
         d = np.subtract(T.data, A.data, out=T.data)
     else:
         d = (A - T).data
-    scale = max(A.data.max(), -A.data.min())  # max |A| without an |A| copy
     if d.size and np.abs(d, out=d).max() > tol * scale:
-        raise ValueError("matrix is not symmetric")
+        raise ValueError(f"{stage}: matrix is not symmetric")
 
 
 def _factor(A, stage):
@@ -195,9 +201,11 @@ def _direct_solve(system: SparseSystem, tol, spd):
     An `spd` system is factored on its lattice, a saddle system with
     `augmented` blocks solved by Uzawa steps on the factor of K (`_uzawa`)
     and any other factored without a lattice (`_solver`); the solve is
-    refined (`_refine`).  A matrix that is not square raises a ValueError,
-    a residual above `tol` a RuntimeError that gives the refinement steps
-    taken, the factor and the rounding floor eps ||A| |x|| / ||b||.
+    refined (`_refine`).  A matrix that is not square, and a matrix or
+    right-hand side with an entry that is not finite, raise a ValueError
+    before any factor; a residual above `tol` raises a RuntimeError that
+    gives the refinement steps taken, the factor and the rounding floor
+    eps ||A| |x|| / ||b||.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
@@ -212,8 +220,10 @@ def _direct_solve(system: SparseSystem, tol, spd):
     if np.shape(b) != (A.shape[0],):
         raise ValueError(f"right-hand side of shape {np.shape(b)} does not fit "
                          f"a matrix of size {A.shape[0]}")
-    _check_symmetric(A)
+    _check_symmetric(A, stage)
     bnorm = blas.dnrm2(b)
+    if not np.isfinite(bnorm):
+        raise ValueError(f"{stage}: the right-hand side has an entry that is not finite")
     if bnorm == 0.0:
         return system.expand(np.zeros(A.shape[0]))
     if spd or system.augmented is None:
@@ -275,17 +285,19 @@ def _residual_norms(A, M, norms, vals, vecs):
 # is computed again with twice the columns (`_block_lanczos`).
 _BLOCK = 8
 
-# Eigenvalues within this relative distance of each other are copies of
-# one degenerate eigenvalue.  Converged copies of a cavity eigenvalue
-# agreed to 1e-13; the closest distinct cavity eigenvalues of the
-# benchmark differ by 2e-3 (S-_2 N=4, 6 pi^2).
+# Consecutive sorted eigenvalues within this relative distance of each
+# other are copies of one degenerate eigenvalue (`clusters`).  Over 32
+# `run_maxwell_eig` runs (both families, r = 1-2 at N = 2, 4, 8 and r = 3
+# at N = 2, 4, nev 15 at 3 pi^2 and nev 40 at 12 pi^2) copies differed by
+# at most 7.7e-12 relative and distinct eigenvalues by at least 1.9e-5.
 _COPIES = 1e-8
 
-# The basis may grow to _PER_PAIR columns per computed pair, and to at
-# least _CAP, before the eigensolve gives up.  The benchmark's cavity
-# levels converge at 96-104 columns for 15 pairs; asked for 31 to 101
-# pairs on the N=4 cavities they took 2.9-5.1 columns a pair.
-_CAP = 160
+# The basis may grow to _PER_PAIR (k + 2 _BLOCK) columns for k computed
+# pairs, and to at most n, before the eigensolve gives up.  On the r = 2
+# N=4 cavities at 3 pi^2 one pair took 24-32 columns, 3 pairs 64, 15
+# pairs 96-104 and 101 pairs 400-432; over every nev from 1 to 101 the
+# basis never passed 0.47 of 10 (k + 16), against 0.71 of the cap
+# max(160, 10 k) this rule replaced.
 _PER_PAIR = 10
 
 # Ritz values at least this many times all the others' are locked
@@ -300,16 +312,13 @@ _LOCK = 1e6
 _DEPENDENT = 1e-6
 
 
-def _nearest(vals, target, nev):
-    """Indices of the `nev` values of smallest Cayley magnitude."""
-    return np.argsort(np.abs(vals - target) / np.abs(vals + target), kind="stable")[:nev]
-
-
-def _largest_cluster(vals):
-    """The most of `vals` that are copies of one value (`_COPIES`)."""
-    vals = np.sort(vals)
-    ends = np.flatnonzero(np.diff(vals) > _COPIES * np.abs(vals[1:]))
-    return int(np.diff(np.r_[-1, ends, len(vals) - 1]).max())
+def clusters(values):
+    """The copies in `values` as ascending (mean, count) pairs: the sorted
+    values split where consecutive ones differ by more than `_COPIES`
+    times their size."""
+    values = np.sort(values)
+    ends = np.flatnonzero(np.diff(values) > _COPIES * np.abs(values[1:])) + 1
+    return [(float(part.mean()), len(part)) for part in np.split(values, ends)]
 
 
 def _ritz_pairs(H, locked, m):
@@ -375,9 +384,9 @@ def _orthonormalize(V, MV, m, F, MF, M):
 
 
 def _block_lanczos(solve, A, M, target, nev, tol):
-    """The `nev` pairs of smallest Cayley magnitude by block shift-invert
-    Lanczos in the M inner product (Grimes, Lewis & Simon, SIAM J. Matrix
-    Anal. Appl. 15(1), 1994), as an `EigenResult`.
+    """The k = min(nev, n - 1) pairs of smallest Cayley magnitude by block
+    shift-invert Lanczos in the M inner product (Grimes, Lewis & Simon,
+    SIAM J. Matrix Anal. Appl. 15(1), 1994), as an `EigenResult`.
 
     The M-orthonormal basis V starts from T X for a fixed random block X
     of `_BLOCK` columns and T = (A - target M)^-1 M, applied by `solve`:
@@ -391,24 +400,24 @@ def _block_lanczos(solve, A, M, target, nev, tol):
     of the block (`_orthonormalize`).  The Ritz values theta of H give
     lambda = target + 1 / theta, ranked by |1 + 2 target theta| =
     |lambda + target| / |lambda - target|, the inverse Cayley magnitude,
-    and the k = min(nev, n - 1) best are the candidates.  The
-    M-norm of the part of W outside V bounds each candidate's
-    shift-invert residual; once every bound is within 10 tol |theta| (it
-    read 3-5 times the true residual on the benchmark's cavities), the
-    true scaled residuals (`_residual_norms`) decide, and all k at most
-    `tol` end the run.  Converged Ritz values `_LOCK` times larger than all
+    and the k best are the candidates.  The M-norm of the part of W
+    outside V bounds each candidate's shift-invert residual; once every
+    bound is within 10 tol |theta| (it read 3-5 times the true residual on
+    the benchmark's cavities), the true scaled residuals
+    (`_residual_norms`) decide, and all k at most `tol` end the run and
+    are the result.  Converged Ritz values `_LOCK` times larger than all
     others (a target at an eigenvalue to rounding) are locked: their Ritz
     vectors replace the basis columns they span, with no couplings in H
     from then on, so that H's eigensolver resolves the others.
-    Candidates with a cluster of as many copies as the block has columns
-    may lack further copies, so they are computed again from a block
-    twice as wide.  A basis that reaches its column cap (`_CAP`,
-    `_PER_PAIR`) or stops growing first raises.
+    A result with a cluster (`clusters`) of as many copies as the block
+    has columns may lack further copies, so it is computed again from a
+    block twice as wide.  A basis that reaches its column cap,
+    `_PER_PAIR` (k + 2 `_BLOCK`) columns, or stops growing first raises.
     """
     n = A.shape[0]
     k = min(nev, n - 1)
     norms = (spla.norm(A, np.inf), spla.norm(M, np.inf))
-    cap = min(max(_CAP, _PER_PAIR * k), n)
+    cap = min(_PER_PAIR * (k + 2 * _BLOCK), n)
     solved = [0, 0.0]  # columns and seconds
 
     def timed_solve(B):
@@ -469,12 +478,10 @@ def _block_lanczos(solve, A, M, target, nev, tol):
 
     width = _BLOCK
     vals, vecs, residuals = run(width)
-    while _largest_cluster(vals) >= width and width < n:
+    while max(count for _, count in clusters(vals)) >= width and width < n:
         width *= 2
         vals, vecs, residuals = run(width)
-    kept = _nearest(vals, target, nev)
-    return EigenResult(vals[kept], vecs[:, kept], residuals[kept],
-                       op_count=solved[0], op_time=solved[1])
+    return EigenResult(vals, vecs, residuals, op_count=solved[0], op_time=solved[1])
 
 
 @multifrontal._one_blas_thread()  # the same bits at any pool size
@@ -492,10 +499,12 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
     11, 12).  `nev` is an integer (numpy integers too).  A block
     shift-invert Lanczos (`_block_lanczos`) computes k = min(nev, n - 1)
     pairs to a scaled residual of `tol`, on A - target M factored once
-    (`_solver`).  So at most n - 1 pairs come back (for `nev >= n`
-    the one ranked last is dropped), and a target that is an eigenvalue
-    exactly raises at every size.  A target at an eigenvalue only to
-    rounding converges (see the locking in `_block_lanczos`).
+    (`_solver`), and returns them all, ascending.  So at most n - 1
+    pairs come back (for `nev >= n` the one ranked last is dropped), a
+    matrix with an entry that is not finite raises before any factor, and
+    a target that is an eigenvalue exactly raises at every size.  A target
+    at an eigenvalue only to rounding converges (see the locking in
+    `_block_lanczos`).
     """
     _check_tol(tol)
     try:
@@ -517,7 +526,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
     lattice = A.lattice
     A = sp.csr_matrix(A.matrix)
     M = sp.csr_matrix(M.matrix)
-    _check_symmetric(A)
-    _check_symmetric(M)
+    _check_symmetric(A, f"{stage}: A")
+    _check_symmetric(M, f"{stage}: M")
     solve, _ = _solver(A - target * M, lattice, stage, indefinite=True)
     return _block_lanczos(solve, A, M, target, nev, tol)

@@ -423,6 +423,14 @@ def test_cavity_subclusters_below_the_target():
     assert counts == {6: [3, 3], 8: [3], 9: [3, 3]}
 
 
+def test_a_cavity_cluster_wider_than_the_block_comes_back_whole():
+    # 14 pi^2 has 12 copies on Q-_2 N=4, more than a block's 8 columns
+    (level,) = run_maxwell_eig("Q", 2, [4], nev=60).levels
+    counts = {e: [c for _, c in clusters] for e, clusters in level.groups.items()}
+    assert counts == {2: [3], 3: [2], 5: [6], 6: [6], 8: [3], 9: [6], 10: [6],
+                      11: [6], 12: [2], 13: [6], 14: [12], 17: [2]}
+
+
 def test_cavity_report_matches_exact_values_above_twenty():
     # the exact values matched follow the returned pairs; a fixed limit of
     # 20 left this report empty

@@ -61,7 +61,7 @@ def test_each_stage_peaks_below_a_multiple_of_the_matrix(level, stage, bound):
         "assemble_bilinear": lambda: assemble_bilinear(dofmap, dofmap, "GradGrad"),
         "assemble_load": lambda: assemble_load(dofmap, _field),
         "l2_error": lambda: l2_error(dofmap, x, _field),
-        "_check_symmetric": lambda: solve._check_symmetric(system.matrix),
+        "_check_symmetric": lambda: solve._check_symmetric(system.matrix, "symmetry check"),
         "multifrontal.factor": lambda: multifrontal.factor(system.matrix, system.lattice),
     }[stage]
     assert _traced_peak(run) <= bound * matrix_bytes

@@ -409,6 +409,52 @@ def test_mismatched_shapes_are_named_before_anything_is_factored(monkeypatch):
         eig_shift_invert(A, M, target=3.5, nev=2)
 
 
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Make any factorization fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factorization was attempted")
+
+    monkeypatch.setattr(solve, "_solver", refuse)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("where", ["rhs", "matrix"])
+@pytest.mark.parametrize("kind", ["spd", "saddle"])
+def test_direct_solves_reject_entries_that_are_not_finite(no_solver, kind, where, value):
+    # each was factored: a NaN or inf right-hand side and a NaN entry then
+    # failed the residual gate with a NaN floor, and an inf entry warned on
+    # inf - inf in the symmetry gate
+    system = _poisson_system(4) if kind == "spd" else _mixed_system("S", 2)
+    if where == "rhs":
+        system.rhs = system.rhs.copy()
+        system.rhs[0] = value
+    else:
+        system.matrix = system.matrix.tocsr(copy=True)
+        system.matrix.data[0] = value
+    entry = "the right-hand side" if where == "rhs" else "the matrix"
+    stage = "sparse" if kind == "spd" else "saddle"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{stage} factorization: {entry} has an entry that is not finite")):
+        (solve_spd if kind == "spd" else solve_saddle)(system)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("which", ["A", "M"])
+def test_eig_shift_invert_rejects_entries_that_are_not_finite(no_solver, which, value):
+    # a NaN in the cavity's A reached SuperLU, which called the shift
+    # exactly singular
+    A, M = _maxwell_system(TRIMMED_SERENDIPITY, 2)
+    system = A if which == "A" else M
+    system.matrix = system.matrix.tocsr(copy=True)
+    system.matrix.data[0] = value
+    target = 3.0 * PI2
+    with pytest.raises(ValueError, match=re.escape(
+            f"shift-invert factorization of (A - {target} M): {which}: "
+            f"the matrix has an entry that is not finite")):
+        eig_shift_invert(A, M, target=target, nev=4)
+
+
 def test_diagonal_eigenproblem():
     A, M = _diagonal_pencil(3)
     for nev in (2, np.int64(2)):
@@ -532,11 +578,9 @@ def test_eig_shift_invert_returns_ascending_eigenvalues():
     assert np.allclose(res.eigenvalues, [6.0, 7.0, 8.0, 9.0, 10.0], rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("cap", [8, 16])
-def test_the_column_cap_raises_with_the_pairs_that_converged(monkeypatch, cap):
-    # one or two blocks are too few for 4 pairs of diag(1..200); the pairs
-    # at the tolerance by then are named
-    monkeypatch.setattr(solve, "_CAP", cap)
+def test_the_column_cap_raises_with_the_pairs_that_converged(monkeypatch):
+    # a cap of 3 + 2 * 8 = 19 columns is too few for 3 pairs of
+    # diag(1..200); the pairs at the tolerance by then are named
     monkeypatch.setattr(solve, "_PER_PAIR", 1)
     A, M = _diagonal_pencil(200)
     with pytest.raises(RuntimeError, match=r"^eigensolver did not converge for 3 pairs "
@@ -566,11 +610,33 @@ def _maxwell_system(family, N, r=2, mode="eliminate"):
 
 
 def test_many_pairs_grow_the_column_cap():
-    # 40 pairs near 12 pi^2 took 168 columns, past the 160 of _CAP
+    # 60 pairs near 12 pi^2 took 200 columns, past the 170 a single pair may take
     A, M = _maxwell_system(TRIMMED_SERENDIPITY, 4)
-    res = eig_shift_invert(A, M, target=12.0 * PI2, nev=40)
-    assert res.op_count > solve._CAP
-    assert np.abs(res.eigenvalues / _reference(A, M, 12.0 * PI2, 40) - 1).max() <= 1e-10
+    res = eig_shift_invert(A, M, target=12.0 * PI2, nev=60)
+    assert res.op_count > solve._PER_PAIR * (1 + 2 * solve._BLOCK)
+    assert np.abs(res.eigenvalues / _reference(A, M, 12.0 * PI2, 60) - 1).max() <= 1e-10
+
+
+@pytest.mark.parametrize("nev", [1, 101])
+@pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])
+def test_one_column_cap_rule_holds_from_one_to_many_pairs(family, nev):
+    # one pair took 24-32 columns and 101 pairs 400-432 on these cavities
+    A, M = _maxwell_system(family, 4)
+    res = eig_shift_invert(A, M, target=3.0 * PI2, nev=nev)
+    assert len(res) == nev and res.residuals.max() <= 1e-7
+    assert np.abs(res.eigenvalues / _reference(A, M, 3.0 * PI2, nev) - 1).max() <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_clusters_split_at_the_copies_tolerance(scale):
+    # neighbours half the relative tolerance apart are copies, twice it
+    # apart are not, at any scale; the pairs come back ascending
+    c = solve._COPIES
+    values = scale * np.array([5.0, 1.0 + 0.5 * c, 1.0, 1.0 + 2.5 * c, 5.0])
+    pairs = solve.clusters(values)
+    assert [count for _, count in pairs] == [2, 1, 2]
+    means = np.array([mean for mean, _ in pairs])
+    assert np.allclose(means / scale, [1.0 + 0.25 * c, 1.0 + 2.5 * c, 5.0], rtol=1e-15, atol=0)
 
 
 def test_a_target_at_an_eigenvalue_to_rounding_converges():
