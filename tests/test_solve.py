@@ -578,9 +578,11 @@ def test_eig_shift_invert_returns_ascending_eigenvalues():
     assert np.allclose(res.eigenvalues, [6.0, 7.0, 8.0, 9.0, 10.0], rtol=0, atol=1e-10)
 
 
-def test_the_column_cap_raises_with_the_pairs_that_converged(monkeypatch):
-    # a cap of 3 + 2 * 8 = 19 columns is too few for 3 pairs of
-    # diag(1..200); the pairs at the tolerance by then are named
+@pytest.mark.parametrize("block", [8, 16])
+def test_the_column_cap_raises_with_the_pairs_that_converged(monkeypatch, block):
+    # caps of 3 + 2 * 8 = 19 and 3 + 2 * 16 = 35 columns are too few for
+    # 3 pairs of diag(1..200); the pairs at the tolerance by then are named
+    monkeypatch.setattr(solve, "_BLOCK", block)
     monkeypatch.setattr(solve, "_PER_PAIR", 1)
     A, M = _diagonal_pencil(200)
     with pytest.raises(RuntimeError, match=r"^eigensolver did not converge for 3 pairs "
