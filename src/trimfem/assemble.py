@@ -255,10 +255,6 @@ def assemble_mixed_poisson(hdiv_map: GlobalDofMap, l2_map: GlobalDofMap,
     and W^-1 are scattered from M_l + gamma B_l^T W_l^-1 B_l and W_l^-1.
     """
     eh, el = hdiv_map.element, l2_map.element
-    if eh.k != eh.n - 1 or eh.mapping != "contravariant":
-        raise ValueError("mixed Poisson needs an H(div) element for the flux")
-    if el.k != el.n or el.mapping != "l2":
-        raise ValueError("mixed Poisson needs an L2 element for the potential")
     if eh.family != el.family or eh.r != el.r:
         raise ValueError(
             "order-mismatched pairing: SminusDiv of order r pairs with DPC of "
@@ -268,8 +264,8 @@ def assemble_mixed_poisson(hdiv_map: GlobalDofMap, l2_map: GlobalDofMap,
     if l2_map.mesh is not hdiv_map.mesh:
         raise ValueError("DOF maps must belong to the same mesh")
     h = hdiv_map.mesh.h
+    B_l = _local_matrix("DivCoupling", el, eh, h)  # rejects other form degrees
     M_l = _local_matrix("Mass", eh, eh, h)
-    B_l = _local_matrix("DivCoupling", el, eh, h)
     Winv_l = np.linalg.inv(_local_matrix("Mass", el, el, h))
     G_l = B_l.T @ Winv_l @ B_l
     gamma = _GAMMA * np.abs(M_l).max() / np.abs(G_l).max()

@@ -28,16 +28,14 @@ from .experiments import (
     write_csv,
     write_table,
 )
-from .refelem import element_by_name, element_dump, element_names
+from .refelem import _NAME_TABLE, element_by_name, element_dump, family_label
 
-# convergence subcommand -> (help, study, usable element names)
+# convergence subcommand -> (help, study, the push-forward it builds with)
 _STUDIES = {
-    "project": ("L2 projection onto an H(curl) space", run_projection,
-                ("SminusCurl", "RTCE", "NCE")),
-    "poisson": ("primal Poisson with Dirichlet BCs", run_primal_poisson,
-                ("S", "Lagrange")),
+    "project": ("L2 projection onto an H(curl) space", run_projection, "covariant"),
+    "poisson": ("primal Poisson with Dirichlet BCs", run_primal_poisson, "h1"),
     "mixed-poisson": ("mixed Poisson saddle-point solve", run_mixed_poisson,
-                      ("SminusDiv", "RTCF", "NCF")),
+                      "contravariant"),
 }
 
 
@@ -45,9 +43,11 @@ def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _family_of(name, allowed, n, order):
-    """Family of the named element, which must be usable here and exist in nD."""
-    if name in element_names() and name not in allowed:
+def _family_of(name, mapping, n, order):
+    """Family of the named element, which must push forward by `mapping`
+    (the usage names of that mapping are the ones usable) and exist in nD."""
+    allowed = [usage for usage, row in _NAME_TABLE.items() if row[2] == mapping]
+    if name in _NAME_TABLE and name not in allowed:
         raise ValueError(
             f"element {name!r} not usable here; choose one of {', '.join(allowed)}"
         )
@@ -98,15 +98,15 @@ def make_parser():
 
 def _run(args):
     if args.command in _STUDIES:
-        _, study, allowed = _STUDIES[args.command]
-        family = _family_of(args.element, allowed, args.dim, args.order)
+        _, study, mapping = _STUDIES[args.command]
+        family = _family_of(args.element, mapping, args.dim, args.order)
         rows = study(args.dim, family, args.order, args.levels, tol=args.tol)
         print(format_rows(rows))
         if args.out:
             write_csv(rows, args.out)
         return
     if args.command == "maxwell-eig":
-        family = _family_of(args.element, ("SminusCurl", "NCE"), 3, args.order)
+        family = _family_of(args.element, "covariant", 3, args.order)
         report = run_maxwell_eig(family, args.order, args.levels,
                                  target=args.target, nev=args.nev, tol=args.tol)
         print(format_maxwell(report))
@@ -115,7 +115,8 @@ def _run(args):
         return
     if args.command == "dofs":
         rows = report_dofs(args.dim, args.form_degree, args.orders, args.divisions)
-        print(f"{'r':>4} {'S^- DOFs':>12} {'Q^- DOFs':>12}")
+        s_head, q_head = (family_label(f) + " DOFs" for f in "SQ")
+        print(f"{'r':>4} {s_head:>12} {q_head:>12}")
         for row in rows:
             print(f"{row['r']:>4} {row['trimmed']:>12} {row['tensor']:>12}")
         if args.out:

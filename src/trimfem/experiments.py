@@ -23,24 +23,8 @@ from .assemble import (
     l2_error,
 )
 from .mesh import boundary_dofs, build_box_mesh, global_numbering
-from .refelem import TENSOR_PRODUCT, TRIMMED_SERENDIPITY, build_element
+from .refelem import TENSOR_PRODUCT, TRIMMED_SERENDIPITY, build_element, family_label
 from .solve import clusters, eig_shift_invert, solve_saddle, solve_spd
-
-_FAMILY_ALIASES = {
-    TRIMMED_SERENDIPITY: TRIMMED_SERENDIPITY,
-    TENSOR_PRODUCT: TENSOR_PRODUCT,
-    "S": TRIMMED_SERENDIPITY,
-    "Q": TENSOR_PRODUCT,
-}
-
-
-def _family(family):
-    try:
-        return _FAMILY_ALIASES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; use one of {', '.join(_FAMILY_ALIASES)}"
-        )
 
 
 @dataclass
@@ -135,7 +119,7 @@ def _grad_sin_product(x, n):
 
 def run_projection(n, family, r, N_list, tol=1e-12):
     """L2-project g = grad(sin...sin) onto the H(curl) space of order r."""
-    element = build_element(_family(family), n, 1, r, mapping="covariant")
+    element = build_element(family, n, 1, r, mapping="covariant")
 
     def g(x):
         return _grad_sin_product(x, n)
@@ -152,7 +136,7 @@ def run_projection(n, family, r, N_list, tol=1e-12):
 def run_primal_poisson(n, family, r, N_list, bc_mode="diag1", tol=1e-12):
     """Homogeneous Dirichlet Poisson problem with the manufactured solution
     u = sin(pi x) sin(pi y) [sin(pi z)]."""
-    element = build_element(_family(family), n, 0, r, mapping="h1")
+    element = build_element(family, n, 0, r, mapping="h1")
 
     def assemble(dofmap):
         system = assemble_bilinear(dofmap, dofmap, "GradGrad")
@@ -169,7 +153,6 @@ def run_mixed_poisson(n, family, r, N_list, tol=1e-12):
 
     The reported error is the L2 error of the scalar solution u.
     """
-    family = _family(family)
     elements = [build_element(family, n, n - 1, r, mapping="contravariant"),
                 build_element(family, n, n, r, mapping="l2")]
 
@@ -244,9 +227,6 @@ class MaxwellReport:
         return {e: [None if row is None else row.rate for row in rows]
                 for e, rows in self.series.items()}
 
-    def tracked(self):
-        return sorted(self.series)
-
 
 def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
     """Maxwell cavity eigenvalues on [0,1]^3 with H(curl) elements.
@@ -262,7 +242,6 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
     far above the target.
     The report's `series` holds each tracked eigenvalue's error rows.
     """
-    family = _family(family)
     pi2 = np.pi**2
     element = build_element(family, 3, 1, r, mapping="covariant")
 
@@ -300,7 +279,7 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
                 assembly_time=lv.assembly_time, solve_time=lv.solve_time)
             for lv in levels
         ])
-    return MaxwellReport(family=family, r=r, levels=levels, series=series)
+    return MaxwellReport(family=element.family, r=r, levels=levels, series=series)
 
 
 def report_dofs(n, k, r_list, N):
@@ -350,12 +329,12 @@ def format_rows(rows):
 
 
 def format_maxwell(report: MaxwellReport):
-    fam = "S^-" if report.family == TRIMMED_SERENDIPITY else "Q^-"
-    lines = [f"{fam}_{report.r} H(curl) cavity eigenvalues (normalized by pi^2)"]
+    lines = [f"{family_label(report.family)}_{report.r} H(curl) cavity eigenvalues "
+             "(normalized by pi^2)"]
     lines.append(f"{'Actual (Count)':>16}" + "".join(
         f"{'N = ' + str(lv.N):>22}" for lv in report.levels
     ))
-    for e in report.tracked():
+    for e in sorted(report.series):
         nrows = max(len(lv.groups.get(e, ())) for lv in report.levels)
         for j in range(nrows):
             cells = []

@@ -49,11 +49,12 @@ and scattering through precomputed int32 index arrays.  An indefinite
 front solves with F11 by `sytrs` and eliminates its shell by products
 with W.  Every triangular solve of a Cholesky front, in the
 factorization too, is a product with the inverse of its factor (`trtri`
-once per class, then `trmm` or `gemm`): on a 2-core Xeon with OpenBLAS
-0.3.30, the threaded `trsm` waited 5-16 ms per call on fronts of a few
-dozen pivots, where the product takes microseconds.  The cavity shifts'
-8-column block solves took 0.7-1.0 / 1.2-1.9 ms a column, against
-2.2-3.6 / 3.9-5.8 ms for one column.
+once per class, then `trmm` or `gemm`).  Solving with `trtrs` instead was
+no faster on the benchmark's `spd_solve` levels and changes their
+solution bytes, and the indefinite kernel's W form (triangular solves,
+no `trtri`) made their summed factor 6-19% slower (ROADMAP item 2).
+The cavity shifts' 8-column block solves took 0.7-1.0 / 1.2-1.9 ms a
+column, against 2.2-3.6 / 3.9-5.8 ms for one column.
 
 All dense kernels come from `scipy.linalg`, so they share one OpenBLAS
 build, the one scipy's wheel bundles (numpy bundles a second one, which

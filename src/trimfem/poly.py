@@ -101,15 +101,6 @@ class PolyForm:
     def is_zero(self):
         return not self.coeffs
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            add_term(out, key, c)
-        return PolyForm(self.n, self.k, out)
-
-    def __mul__(self, scalar):
-        return PolyForm(self.n, self.k, {key: c * scalar for key, c in self.coeffs.items()})
-
     def __eq__(self, other):
         return (isinstance(other, PolyForm) and self.n == other.n
                 and self.k == other.k and self.coeffs == other.coeffs)

@@ -17,6 +17,7 @@ arithmetic, so unisolvence and trace association hold to machine
 precision by construction.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from numbers import Integral
@@ -49,14 +50,29 @@ from .poly import (
 TRIMMED_SERENDIPITY = "TrimmedSerendipity"
 TENSOR_PRODUCT = "TensorProduct"
 
-_FAMILIES = (TRIMMED_SERENDIPITY, TENSOR_PRODUCT)
+#: family -> (short spelling, label)
+_FAMILIES = {TRIMMED_SERENDIPITY: ("S", "S^-"), TENSOR_PRODUCT: ("Q", "Q^-")}
+
+
+def _full_family(family):
+    """The family's full name, from either spelling."""
+    for full, (short, _) in _FAMILIES.items():
+        if family in (full, short):
+            return full
+    spellings = [*_FAMILIES, *(short for short, _ in _FAMILIES.values())]
+    raise ValueError(f"unknown family {family!r}; use one of {', '.join(spellings)}")
+
+
+def family_label(family):
+    """S^- or Q^-, the family's label in the paper's notation."""
+    return _FAMILIES[_full_family(family)][1]
 
 
 # ---------------------------------------------------------------------------
 # reference cube topology
 # ---------------------------------------------------------------------------
 
-class Entity:
+class Entity(namedtuple("Entity", "axes fixed")):
     """A sub-entity of the reference cube.
 
     `axes` are the tangential axes (ascending); `fixed` is a tuple of
@@ -64,22 +80,14 @@ class Entity:
     {y=1} & {z=1} is Entity(axes=(0,), fixed=((1, 1), (2, 1))).
     """
 
-    __slots__ = ("axes", "fixed")
+    __slots__ = ()
 
-    def __init__(self, axes, fixed):
-        self.axes = tuple(axes)
-        self.fixed = tuple(sorted(fixed))
+    def __new__(cls, axes, fixed):
+        return super().__new__(cls, tuple(axes), tuple(sorted(fixed)))
 
     @property
     def dim(self):
         return len(self.axes)
-
-    def __eq__(self, other):
-        return (isinstance(other, Entity) and self.axes == other.axes
-                and self.fixed == other.fixed)
-
-    def __hash__(self):
-        return hash((self.axes, self.fixed))
 
     def __repr__(self):
         names = "xyz"
@@ -547,8 +555,8 @@ class Element:
         raise KeyError(entity)
 
     def __repr__(self):
-        fam = "S^-" if self.family == TRIMMED_SERENDIPITY else "Q^-"
-        return f"<Element {fam}_{self.r} Lambda^{self.k}(cube_{self.n}), dim {self.dim}>"
+        return (f"<Element {family_label(self.family)}_{self.r} Lambda^{self.k}"
+                f"(cube_{self.n}), dim {self.dim}>")
 
     # -- tabulation -------------------------------------------------------
 
@@ -609,11 +617,8 @@ def _build_element_cached(family, n, k, r, mapping):
         forms = sets.get(e, [])
         layout.append((e, len(basis), len(basis) + len(forms)))
         basis.extend(forms)
-    # per-dimension counts must agree across entities of equal dimension
-    for d in range(n + 1):
-        counts = {len(sets.get(e, [])) for e in topo.entities[d]}
-        if len(counts) > 1:
-            raise RuntimeError(f"inconsistent dof counts on dimension-{d} entities")
+    element = Element(family, n, k, r, basis, layout, mapping)
+    entity_dof_counts(element)
     # global independence of the assembled basis
     span = SpanBasis(key_order=_key_order)
     for f in basis:
@@ -626,20 +631,20 @@ def _build_element_cached(family, n, k, r, mapping):
                 f"entity split produced {len(basis)} functions, "
                 f"space has dimension {expected}"
             )
-    return Element(family, n, k, r, basis, layout, mapping)
+    return element
 
 
 def build_element(family, n, k, r, mapping=None) -> Element:
     """Build a reference element.
 
-    Parameters mirror the family notation: `family` is one of
-    TrimmedSerendipity / TensorProduct, `n` the spatial dimension (2 or 3),
+    Parameters mirror the family notation: `family` is TrimmedSerendipity
+    or TensorProduct, or their short spellings S and Q (the same cached
+    element either way), `n` the spatial dimension (2 or 3),
     `k` the form degree (0..n) and `r >= 1` the order.  `mapping` must
     fit the form degree: `h1` for k = 0, `covariant` for k = 1,
     `contravariant` for k = n - 1 and `l2` for k = n.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; use one of {_FAMILIES}")
+    family = _full_family(family)
     if n not in (2, 3):
         raise ValueError(f"unsupported dimension n={n}; only 2 and 3")
     if not (0 <= k <= n):
@@ -658,14 +663,15 @@ def build_element(family, n, k, r, mapping=None) -> Element:
 
 
 def entity_dof_counts(element: Element):
-    """Per-entity DOF count for each sub-entity dimension."""
+    """Per-entity DOF count for each sub-entity dimension.
+
+    Raises if two entities of one dimension carry different counts.
+    """
     out = {}
     for e, start, stop in element.layout:
         d = e.dim
-        count = stop - start
-        if d in out and out[d] != count:
-            raise RuntimeError("inconsistent per-entity counts")
-        out.setdefault(d, count)
+        if out.setdefault(d, stop - start) != stop - start:
+            raise RuntimeError(f"inconsistent dof counts on dimension-{d} entities")
     return out
 
 
@@ -748,10 +754,9 @@ def element_by_name(name, n, order) -> Element:
 
 def element_dump(element: Element) -> str:
     """Text report: every basis function, its entity and exact coefficients."""
-    fam = "S^-" if element.family == TRIMMED_SERENDIPITY else "Q^-"
     lines = [
-        f"{fam}_{element.r} Lambda^{element.k} on the {element.n}-cube, "
-        f"dimension {element.dim}, mapping {element.mapping}",
+        f"{family_label(element.family)}_{element.r} Lambda^{element.k} on the "
+        f"{element.n}-cube, dimension {element.dim}, mapping {element.mapping}",
     ]
     for e, start, stop in element.layout:
         if stop == start:

@@ -114,8 +114,8 @@ def _factor(A, stage):
     without a lattice, one or a mixed system's K whose lattice classes do
     not hold, and a cavity shift with a singular or ill-conditioned front.
     On the cavity shifts COLAMD stores 1.6-2.4x the fill of the
-    multifrontal tree's postorder, which ordered SuperLU before (S-_2 N=8
-    3.49 M against 1.89 M, Q-_2 N=8 9.68 M against 4.02 M; scipy 1.17.1).
+    multifrontal tree's postorder (S-_2 N=8 3.49 M against 1.89 M, Q-_2
+    N=8 9.68 M against 4.02 M; scipy 1.17.1).
     A failed factorization raises an error naming the `stage` and the sizes.
     """
     try:
@@ -429,7 +429,10 @@ def _block_lanczos(solve, A, M, target, nev, tol):
 
     def run(width):
         # pages of an empty array are not resident until written, so the
-        # basis takes memory as it grows
+        # basis takes memory as it grows; but freeing a larger mmapped basis
+        # raises glibc's mmap threshold, so later mid-size arrays stay on the
+        # heap (`indefinite_solve` peak RSS 146.2 -> 152.0 MiB when the cap
+        # for 15 pairs went from 160 to 310 columns)
         V, MV = np.empty((n, cap), order="F"), np.empty((n, cap), order="F")
         H = np.zeros((cap, cap), order="F")
         # a fixed start block makes the result a function of the inputs
@@ -485,13 +488,14 @@ def _block_lanczos(solve, A, M, target, nev, tol):
 
 
 @multifrontal._one_blas_thread()  # the same bits at any pool size
-def eig_shift_invert(A: SparseSystem, M: SparseSystem, target=3.0, nev=15,
+def eig_shift_invert(A: SparseSystem, M: SparseSystem, target, nev=15,
                      tol=1e-7) -> EigenResult:
     """`nev` generalized eigenpairs of A x = lambda M x around a target.
 
     `A` and `M` are assembled systems of n >= 2 unknowns; A's matrix must
     be symmetric positive semidefinite and M's symmetric positive
-    definite, and the target finite and positive.  The result holds the
+    definite.  `target` is in the pencil's own units (the cavity study
+    passes a multiple of pi^2), finite and positive.  The result holds the
     `nev` eigenpairs of smallest |lambda - target| / |lambda + target|,
     the Cayley magnitude, so an eigenvalue at zero (the curl-curl
     gradient kernel) or far below the target ranks last, and eigenvalues

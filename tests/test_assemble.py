@@ -362,6 +362,18 @@ def test_mixed_system_structure_and_pairing():
         assemble_mixed_poisson(hdiv, bad_l2, f)
 
 
+def test_mixed_poisson_takes_only_the_div_pairing():
+    # one check, DivCoupling's, rejects a flux or potential of another kind
+    mesh = build_box_mesh(2, 2)
+    hdiv = global_numbering(mesh, element_by_name("SminusDiv", 2, 2))
+    curl = global_numbering(mesh, element_by_name("SminusCurl", 2, 2))
+    h1 = global_numbering(mesh, element_by_name("S", 2, 2))
+    l2 = global_numbering(mesh, element_by_name("DPC", 2, 1))
+    for flux, potential in ((curl, l2), (h1, l2), (l2, hdiv), (hdiv, hdiv)):
+        with pytest.raises(ValueError, match="DivCoupling pairs"):
+            assemble_mixed_poisson(flux, potential, lambda x: np.zeros(x.shape[:-1]))
+
+
 def test_mixed_divergence_of_constant_flux_vanishes():
     import scipy.sparse.linalg as spla
 

@@ -27,6 +27,7 @@ from trimfem.experiments import (
     run_projection,
     write_csv,
 )
+from trimfem.refelem import element_names
 
 
 def _read_csv(path):
@@ -91,6 +92,20 @@ def test_unknown_family_rejected():
     valid = "use one of TrimmedSerendipity, TensorProduct, S, Q$"
     with pytest.raises(ValueError, match=valid):
         run_projection(2, "S-", 1, [2])
+
+
+def test_short_family_spellings_add_no_cold_build():
+    from trimfem.refelem import TENSOR_PRODUCT, TRIMMED_SERENDIPITY, _build_element_cached
+
+    studies = [lambda fam: run_projection(2, fam, 1, [2]),
+               lambda fam: run_primal_poisson(2, fam, 1, [2]),
+               lambda fam: run_mixed_poisson(2, fam, 1, [2]),
+               lambda fam: run_maxwell_eig(fam, 1, [2], nev=4).family]
+    full = [study(fam) for study in studies for fam in (TRIMMED_SERENDIPITY, TENSOR_PRODUCT)]
+    misses = _build_element_cached.cache_info().misses
+    short = [study(fam) for study in studies for fam in "SQ"]
+    assert _build_element_cached.cache_info().misses == misses
+    assert short[-2:] == full[-2:] == [TRIMMED_SERENDIPITY, TENSOR_PRODUCT]
 
 
 def test_mixed_poisson_zero_source_patch_test():
@@ -490,6 +505,32 @@ def test_cli_rejects_wrong_conformity(capsys, command, dim, element, message):
         command, "--dim", dim, "--element", element, "--order", "1",
         "--levels", "2",
     ])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, usable", [
+    ("project", {"SminusCurl", "RTCE", "NCE"}),
+    ("poisson", {"S", "Lagrange"}),
+    ("mixed-poisson", {"SminusDiv", "RTCF", "NCF"}),
+])
+def test_cli_studies_take_the_names_of_their_push_forward(capsys, command, usable):
+    accepted = set()
+    for name in element_names():
+        for dim in ("2", "3"):
+            code = cli_main([command, "--dim", dim, "--element", name, "--order", "1",
+                             "--levels", "2"])
+            err = capsys.readouterr().err
+            if "not usable here" not in err:
+                accepted.add(name)
+                assert code == 0 or f"does not exist in {dim}D" in err, err
+    assert accepted == usable
+
+
+@pytest.mark.parametrize("element, message", [
+    ("RTCE", "'RTCE'"), ("S", "choose one of"), ("NCF", "choose one of")])
+def test_maxwell_eig_takes_only_3d_covariant_names(capsys, element, message):
+    code = cli_main(["maxwell-eig", "--element", element, "--order", "1", "--levels", "2"])
     assert code == 1
     assert message in capsys.readouterr().err
 

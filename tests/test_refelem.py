@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from trimfem import refelem
+from trimfem._exact import vec_add
 from trimfem.poly import (
     PolyForm,
     evaluate,
@@ -21,6 +22,7 @@ from trimfem.refelem import (
     TENSOR_PRODUCT,
     TRIMMED_SERENDIPITY,
     Element,
+    Entity,
     build_element,
     cell_topology,
     coboundary_fit,
@@ -28,6 +30,7 @@ from trimfem.refelem import (
     element_dump,
     element_names,
     entity_dof_counts,
+    family_label,
     superlinear_monomials,
     tabulate,
     trace_vec,
@@ -68,6 +71,42 @@ def test_build_element_accepts_numpy_integer_order():
     e = build_element(TRIMMED_SERENDIPITY, 2, 1, np.int64(2))
     assert e is build_element(TRIMMED_SERENDIPITY, 2, 1, 2)
     assert type(e.r) is int
+
+
+def test_short_family_spellings_build_the_full_names_element():
+    for short, full, label in (("S", TRIMMED_SERENDIPITY, "S^-"), ("Q", TENSOR_PRODUCT, "Q^-")):
+        e = build_element(short, 2, 1, 2)
+        assert e is build_element(full, 2, 1, 2)
+        assert e.family == full
+        assert family_label(short) == family_label(full) == label
+        assert repr(e) == f"<Element {label}_2 Lambda^1(cube_2), dim {e.dim}>"
+    with pytest.raises(ValueError, match="use one of TrimmedSerendipity, TensorProduct, S, Q$"):
+        build_element("s", 2, 1, 2)
+
+
+def test_entities_sort_their_fixed_planes_and_compare_by_value():
+    e = Entity((0,), [(2, 1), (1, 1)])
+    assert e == Entity(axes=(0,), fixed=((1, 1), (2, 1)))
+    assert e.fixed == ((1, 1), (2, 1)) and e.dim == 1
+    assert hash(e) == hash(Entity((0,), ((1, 1), (2, 1))))
+    assert e != Entity((0,), ((1, -1), (2, 1)))
+    assert repr(e) == "<1-entity {y=+1, z=+1}>"
+    assert repr(Entity((0, 1, 2), ())) == "<cell>"
+
+
+def test_one_entity_count_rule_in_the_builder_and_the_report(monkeypatch):
+    e = build_element(TENSOR_PRODUCT, 2, 1, 2)
+    (e0, a0, b0), (e1, _, b1) = e.layout[4:6]  # the first two edges
+    uneven = list(e.layout)
+    uneven[4:6] = [(e0, a0, b0 - 1), (e1, b0 - 1, b1)]
+    with pytest.raises(RuntimeError, match="inconsistent dof counts on dimension-1 entities"):
+        entity_dof_counts(Element(e.family, 2, 1, 2, e.basis, uneven, e.mapping))
+
+    sets = {ent: e.basis[a:b] for ent, a, b in e.layout}
+    sets[e0] = sets[e0][:-1]
+    monkeypatch.setattr(refelem, "_build_entity_sets", lambda *args: sets)
+    with pytest.raises(RuntimeError, match="inconsistent dof counts on dimension-1 entities"):
+        refelem._build_element_cached.__wrapped__(TENSOR_PRODUCT, 2, 1, 2, "covariant")
 
 
 def test_build_element_examples():
@@ -413,10 +452,11 @@ def _exact_coboundary(family, n, k, r):
     assert D.shape == (ek.dim, ek1.dim)
     assert residual == 0.0
     for i, phi in enumerate(ek.basis):
-        combo = PolyForm(n, k + 1)
+        combo = {}
         for psi, c in zip(ek1.basis, D[i]):
-            combo = combo + psi * c
-        assert exterior_derivative(phi) == combo, f"{family} n={n} k={k} r={r}: row {i}"
+            combo = vec_add(combo, psi.coeffs, c)
+        assert exterior_derivative(phi) == PolyForm(n, k + 1, combo), \
+            f"{family} n={n} k={k} r={r}: row {i}"
     return D
 
 

@@ -489,6 +489,12 @@ def test_a_small_pencil_reports_a_singular_shift(nev):
         eig_shift_invert(A, M, target=2.0, nev=nev)
 
 
+def test_eig_shift_invert_has_no_default_target():
+    # a default would be in the pencil's raw units, the studies' targets in pi^2
+    with pytest.raises(TypeError, match="target"):
+        eig_shift_invert(*_diagonal_pencil(20), nev=2)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_eig_shift_invert_rejects_a_pencil_below_two_unknowns(n):
     A, M = _diagonal_pencil(n)
