@@ -29,13 +29,6 @@ def vec_add(a, b, scale=1):
     return out
 
 
-def vec_scale(a, scale):
-    scale = Q(scale)
-    if scale == 0:
-        return {}
-    return {k: v * scale for k, v in a.items()}
-
-
 def vec_content_normalize(a):
     """Scale so coefficients are integers with gcd 1; fixes an overall sign."""
     if not a:
@@ -75,7 +68,8 @@ class SpanBasis:
         if not residual:
             return False
         pivot = min(residual, key=self.key_order)
-        residual = vec_scale(residual, Q(1) / residual[pivot])
+        scale = Q(1) / residual[pivot]
+        residual = {k: v * scale for k, v in residual.items()}
         # back-substitute into existing rows to keep reduced form
         for p, row in list(self.rows.items()):
             c = row.get(pivot)

@@ -332,7 +332,8 @@ def l2_error(dofmap: GlobalDofMap, coefficients, exact) -> float:
     """
     element, mesh = dofmap.element, dofmap.mesh
     if len(coefficients) != dofmap.total:
-        raise ValueError("coefficient vector length does not match the DOF map")
+        raise ValueError(f"a coefficient vector of length {len(coefficients)} does not "
+                         f"match a DOF map of {dofmap.total} DOFs")
     rule = gauss_rule(element.n, element.r + 3)
     phi, weights = _proxy_table(element, mesh.h, rule)
     coefficients = np.asarray(coefficients)
@@ -342,8 +343,7 @@ def l2_error(dofmap: GlobalDofMap, coefficients, exact) -> float:
         target = np.asarray(exact(physical_points(mesh, rule, cells)))
         diff = coefmat @ phi.T - target.reshape(len(coefmat), -1)
         cell_err2[cells] = diff**2 @ weights
-    err2 = float(np.sum(cell_err2))  # one sum over all cells, not by blocks
-    return float(np.sqrt(max(err2, 0.0)))
+    return float(np.sqrt(np.sum(cell_err2)))  # one sum over all cells, not by blocks
 
 
 def nonzero_count(system: SparseSystem):

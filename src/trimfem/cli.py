@@ -123,16 +123,13 @@ def _run(args):
             header = ["r", "trimmed", "tensor"]
             write_table(args.out, header, ([row[h] for h in header] for row in rows))
         return
-    if args.command == "element-dump":
-        element = element_by_name(args.element, args.dim, args.order)
-        text = element_dump(element)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return
-    raise ValueError(f"unhandled command {args.command}")
+    # element-dump, the last of the subcommands that argparse requires
+    text = element_dump(element_by_name(args.element, args.dim, args.order))
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _write_maxwell_csvs(report, prefix):

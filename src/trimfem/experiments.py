@@ -174,7 +174,7 @@ def _dominant(pairs):
     return max(pairs, key=lambda vc: (vc[1], -vc[0]))[0]
 
 
-def exact_cavity_eigenvalues(limit=20):
+def exact_cavity_eigenvalues(limit):
     """Exact normalized eigenvalues m1^2+m2^2+m3^2 (at most one m_i zero)."""
     vals = set()
     m_max = int(math.isqrt(limit)) + 1

@@ -106,7 +106,7 @@ class GlobalDofMap:
 
     def __init__(self, mesh: BoxMesh, element: Element):
         if mesh.n != element.n:
-            raise ValueError("mesh and element dimensions differ")
+            raise ValueError(f"a {mesh.n}D mesh and a {element.n}D element differ in dimension")
         self.mesh = mesh
         self.element = element
         counts = entity_dof_counts(element)

@@ -192,12 +192,10 @@ def _one_blas_thread():
         set_(count)
 
 
-class _Mismatch(Exception):
-    """An instance of a box class differs from the class representative."""
-
-
-class _Unstable(Exception):
-    """An indefinite pivot block is singular or ill-conditioned."""
+class _Refused(Exception):
+    """The multifrontal factor does not apply: an instance of a box class
+    differs from the class representative, or an indefinite pivot block is
+    singular or ill-conditioned."""
 
 
 def _split(lo, hi):
@@ -390,7 +388,7 @@ def factor(A, lattice, indefinite=False):
     try:
         with _one_blas_thread():
             return MultifrontalFactor(_fronts(A, lattice, indefinite))
-    except (_Mismatch, _Unstable):
+    except _Refused:
         return None
 
 
@@ -401,7 +399,7 @@ def _indefinite_front(Y, F22, p):
     `sytrf` factors F11 = P L D L^T P^T over F11 (Math. Comp. 31, 1977),
     with 1 x 1 and 2 x 2 blocks in D, and `sytrs` applies its inverse: W
     is written over F12, so the factor and W are Y itself.  An exactly
-    singular F11 raises `_Unstable`.  So does a front with a shell whose
+    singular F11 raises `_Refused`.  So does a front with a shell whose
     F11 has an estimated reciprocal condition number (`sycon`) below
     `_ILL_CONDITIONED`, as its update would grow by about its inverse.
     """
@@ -413,7 +411,7 @@ def _indefinite_front(Y, F22, p):
     if not info and F12.size:
         rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
     if info or not rcond >= _ILL_CONDITIONED:
-        raise _Unstable
+        raise _Refused
     if not F12.size:
         return ldu, ipiv, F12, F22
     W, _ = lapack.dsytrs(ldu, ipiv, F12, lower=1)
@@ -475,7 +473,7 @@ def _extend_add(T, rows, U, urows, cols=None, ucols=None):
 
 def _fronts(A, lattice, indefinite):
     """The factored fronts of A by the Cholesky or the `indefinite`
-    kernel, children first; raises _Mismatch where an instance differs
+    kernel, children first; raises `_Refused` where an instance differs
     from its class representative."""
     n = len(lattice)
     origin, top = _top_box(lattice)
@@ -507,7 +505,7 @@ def _fronts(A, lattice, indefinite):
         """Global indices of the DOFs at relative `keys` in every instance."""
         idx = table.take(base[:, None] + keys)
         if np.count_nonzero(idx < 0):
-            raise _Mismatch
+            raise _Refused
         return idx
 
     tree = _tree(top, _LEAF * np.prod(gshape - 2) / n)  # positions per leaf
@@ -555,7 +553,7 @@ def _fronts(A, lattice, indefinite):
         ukeys = dkey.take(ucols) - base[0]
         if p and len(off) > 1:
             if np.count_nonzero(lens != lens0):
-                raise _Mismatch
+                raise _Refused
             within = at - first[0].take(row)
             ckeys, ivals = ukeys[inv], vals.view(np.int64)
             step = max(1, n // max(len(row), 1))
@@ -565,10 +563,10 @@ def _fronts(A, lattice, indefinite):
                 at = first[some].take(row, axis=1) + within
                 if (np.count_nonzero(dkey.take(A.indices.take(at)) - base[some, None] != ckeys)
                         or np.count_nonzero(A.data.take(at).view(np.int64) != ivals)):
-                    raise _Mismatch
+                    raise _Refused
         pos = lattice.take(ucols, axis=0) - (origin + off[0])
         if np.count_nonzero((pos < -1) | (pos > hi + 1)):
-            raise _Mismatch  # a coupling beyond the cells around the box
+            raise _Refused  # a coupling beyond the cells around the box
 
         # the shell: what the rows and the children's shells reach outside
         # the box; a child's shell point inside it lies on the plane
@@ -636,5 +634,5 @@ def _fronts(A, lattice, indefinite):
             shells[box], updates[box] = skeys, U
 
     if not covered or (np.bincount(np.concatenate(covered), minlength=n) != 1).any():
-        raise _Mismatch
+        raise _Refused
     return fronts

@@ -209,9 +209,6 @@ class QuadratureRule:
         self.points = points
         self.weights = weights
 
-    def __len__(self):
-        return len(self.weights)
-
 
 @lru_cache(maxsize=None)
 def gauss_rule(n: int, m: int) -> QuadratureRule:

@@ -121,9 +121,6 @@ class CellTopology:
         for d in range(self.n + 1):
             yield from self.entities[d]
 
-    def counts(self):
-        return {d: len(self.entities[d]) for d in range(self.n + 1)}
-
 
 @lru_cache(maxsize=None)
 def cell_topology(n):
@@ -198,33 +195,25 @@ def trace_vec(vec, n, k, entity: Entity):
 
 
 def transform_vec(vec, n, k, axis_map, signs):
-    """Push a k-form vector through a signed axis permutation.
+    """Push a 1-form vector through a signed axis permutation.
 
     `axis_map[a]` is the image axis of a, `signs[a]` in {-1, +1} the
     reflection sign, i.e. the map sends x_a to signs[a] * x_{axis_map[a]}.
+    Entity sets are transported only where k < d < n, so 1-forms on 3D
+    faces: a component's one axis needs no reordering sign, and any other
+    `k` raises.
     """
     sigmas = form_components(n, k)
     out = {}
     for (ci, exp), c in vec.items():
-        sigma = sigmas[ci]
-        new_sigma_raw = [axis_map[a] for a in sigma]
-        parity = 1
-        arr = list(new_sigma_raw)
-        for i in range(len(arr)):  # bubble parity of the sorting permutation
-            for j in range(len(arr) - 1 - i):
-                if arr[j] > arr[j + 1]:
-                    arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                    parity = -parity
-        coeff = c * parity
-        for a in sigma:
-            coeff *= signs[a]
+        (a,) = sigmas[ci]
+        coeff = c * signs[a]
         new_exp = [0] * n
-        for a, p in enumerate(exp):
-            new_exp[axis_map[a]] = p
-            if signs[a] == -1 and p % 2:
+        for b, p in enumerate(exp):
+            new_exp[axis_map[b]] = p
+            if signs[b] == -1 and p % 2:
                 coeff = -coeff
-        key = (sigmas.index(tuple(arr)), tuple(new_exp))
-        add_term(out, key, coeff)
+        add_term(out, (sigmas.index((axis_map[a],)), tuple(new_exp)), coeff)
     return out
 
 
@@ -548,12 +537,6 @@ class Element:
     def ncomp(self):
         return len(form_components(self.n, self.k))
 
-    def entity_range(self, entity):
-        for e, start, stop in self.layout:
-            if e == entity:
-                return start, stop
-        raise KeyError(entity)
-
     def __repr__(self):
         return (f"<Element {family_label(self.family)}_{self.r} Lambda^{self.k}"
                 f"(cube_{self.n}), dim {self.dim}>")
@@ -576,12 +559,11 @@ def tabulate(element: Element, points, derivative=False) -> np.ndarray:
     Returns `table[p, b, c]`: the c-th component (in `form_components`
     order) of basis form b at reference point p, or of d(basis form b) when
     `derivative` is set.  Scalar-valued forms have one component.
+    `points` has shape (P, n).
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[None, :]
-    if points.shape[1] != element.n:
-        raise ValueError("points have the wrong spatial dimension")
+    if points.ndim != 2 or points.shape[1] != element.n:
+        raise ValueError(f"points of shape {points.shape} are not (P, {element.n})")
     if np.any(np.abs(points) > 1 + 1e-12):
         raise ValueError("points must lie in the reference cube [-1, 1]^n")
     return evaluate(element._table(derivative), points)

@@ -82,8 +82,8 @@ class EigenResult:
         return len(self.eigenvalues)
 
 
-def _check_symmetric(A, stage, tol=1e-12):
-    """Raise unless A's entries are finite and max |A - A^T| <= tol max |A|,
+def _check_symmetric(A, stage):
+    """Raise unless A's entries are finite and max |A - A^T| <= 1e-12 max |A|,
     at any scale of A; the errors name the `stage`.
 
     A canonical CSR matrix with a symmetric pattern, as every assembled
@@ -102,7 +102,7 @@ def _check_symmetric(A, stage, tol=1e-12):
         d = np.subtract(T.data, A.data, out=T.data)
     else:
         d = (A - T).data
-    if d.size and np.abs(d, out=d).max() > tol * scale:
+    if d.size and np.abs(d, out=d).max() > 1e-12 * scale:
         raise ValueError(f"{stage}: matrix is not symmetric")
 
 
@@ -130,8 +130,13 @@ def _solver(A, lattice, stage, indefinite=False):
     """Solve function of the symmetric matrix A, and its factor's name:
     `multifrontal.factor` on a lattice (`indefinite`: Bunch-Kaufman fronts),
     else, or where that returns None, SuperLU (`_factor`).  Both solve
-    blocks.  A lattice of the wrong length raises, naming `stage`, first."""
+    blocks.  A lattice that is not a 2-D integer array of A's size raises,
+    naming `stage`, first."""
     if lattice is not None:
+        lattice = np.asarray(lattice)
+        if lattice.ndim != 2 or not np.issubdtype(lattice.dtype, np.integer):
+            raise ValueError(f"{stage}: a lattice of shape {lattice.shape} and dtype "
+                             f"{lattice.dtype} is not a 2-D integer array")
         if len(lattice) != A.shape[0]:
             raise ValueError(f"{stage}: a lattice of {len(lattice)} positions does "
                              f"not fit a matrix of size {A.shape[0]}")

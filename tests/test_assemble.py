@@ -56,6 +56,20 @@ def test_curlcurl_rejects_scalar_elements():
         assemble_bilinear(dofmap, dofmap, "CurlCurl")
 
 
+def test_mass_rejects_maps_of_different_form_degree():
+    mesh = build_box_mesh(2, 1)
+    scalar = global_numbering(mesh, build_element(TRIMMED_SERENDIPITY, 2, 0, 1))
+    curl = global_numbering(mesh, element_by_name("SminusCurl", 2, 1))
+    with pytest.raises(ValueError, match="mass form needs matching form degrees"):
+        assemble_bilinear(scalar, curl, "Mass")
+
+
+def test_gradgrad_rejects_1_form_maps():
+    dofmap = global_numbering(build_box_mesh(2, 1), element_by_name("SminusCurl", 2, 1))
+    with pytest.raises(ValueError, match="GradGrad applies to 0-form elements"):
+        assemble_bilinear(dofmap, dofmap, "GradGrad")
+
+
 def test_unknown_form_rejected():
     mesh = build_box_mesh(2, 1)
     dofmap = global_numbering(mesh, build_element(TRIMMED_SERENDIPITY, 2, 0, 1))
@@ -314,6 +328,13 @@ def test_l2_error_of_zero_coefficients_is_field_norm():
 
     err = l2_error(dofmap, np.zeros(dofmap.total), exact)
     assert err == pytest.approx(0.5, abs=1e-12)  # ||sin sin||_{L2} = 1/2
+
+
+def test_l2_error_names_both_lengths():
+    dofmap = global_numbering(build_box_mesh(2, 2), element_by_name("S", 2, 1))
+    with pytest.raises(ValueError, match="a coefficient vector of length 8 does not "
+                                         "match a DOF map of 9 DOFs"):
+        l2_error(dofmap, np.zeros(8), lambda x: np.zeros(x.shape[:-1]))
 
 
 @pytest.mark.parametrize("family", [TRIMMED_SERENDIPITY, TENSOR_PRODUCT])

@@ -27,7 +27,7 @@ from trimfem.experiments import (
     run_projection,
     write_csv,
 )
-from trimfem.refelem import element_names
+from trimfem.refelem import element_by_name, element_dump, element_names
 
 
 def _read_csv(path):
@@ -544,6 +544,12 @@ def test_cli_element_dump(tmp_path):
     assert code == 0
     text = out.read_text()
     assert "Lambda^1" in text and "dimension 36" in text
+
+
+def test_cli_element_dump_prints_without_out(capsys):
+    code = cli_main(["element-dump", "--dim", "2", "--element", "S", "--order", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == element_dump(element_by_name("S", 2, 1)) + "\n"
 
 
 def test_cli_dofs_table(capsys, tmp_path):

@@ -32,6 +32,12 @@ def test_entity_counts_small_and_large_2d():
     assert build_box_mesh(2, 128).num_cells == 16384
 
 
+def test_numbering_names_both_dimensions():
+    element = build_element(TRIMMED_SERENDIPITY, 3, 0, 1)
+    with pytest.raises(ValueError, match="a 2D mesh and a 3D element differ in dimension"):
+        global_numbering(build_box_mesh(2, 2), element)
+
+
 def test_anisotropic_divisions():
     mesh = build_box_mesh(3, (2, 3, 4))
     assert mesh.num_cells == 24

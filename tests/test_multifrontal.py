@@ -208,6 +208,18 @@ def test_the_factor_reports_its_stored_and_per_instance_values():
     assert (factor.stored, factor.per_instance) == (1_045_109, 1_423_813)
 
 
+def test_unsorted_indices_give_the_canonical_solution_bytes():
+    system, _ = _system(2, "S", 2, 8, mode="eliminate")
+    A = system.matrix
+    reversed_rows = np.concatenate([np.arange(A.indptr[i], A.indptr[i + 1])[::-1]
+                                    for i in range(A.shape[0])])
+    U = sp.csr_matrix((A.data[reversed_rows], A.indices[reversed_rows], A.indptr),
+                      shape=A.shape)
+    assert not U.has_sorted_indices
+    expected = multifrontal.factor(A, system.lattice)(system.rhs)
+    assert multifrontal.factor(U, system.lattice)(system.rhs).tobytes() == expected.tobytes()
+
+
 def test_a_lattice_of_the_wrong_length_is_not_factored():
     A = sp.csr_matrix(5 * np.eye(4) - np.ones((4, 4)))
     assert multifrontal.factor(A, np.zeros((3, 2), dtype=np.int64)) is None

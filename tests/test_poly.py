@@ -173,3 +173,13 @@ def test_form_component_count_is_binomial():
         for k in range(n + 1):
             assert PolyForm(n, k).is_zero()
             assert len(form_components(n, k)) == math.comb(n, k)
+
+
+def test_form_components_name_a_degree_without_components():
+    with pytest.raises(ValueError, match="no k-form components for n=4, k=1"):
+        form_components(4, 1)
+
+
+def test_koszul_rejects_a_0_form():
+    with pytest.raises(ValueError, match="0-forms have no Koszul contraction"):
+        koszul(PolyForm(2, 0, {(0, (1, 0)): Fraction(1)}))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -50,8 +51,11 @@ def test_low_order_dimensions(r):
 
 
 def test_cell_topology_counts():
-    assert cell_topology(3).counts() == {0: 8, 1: 12, 2: 6, 3: 1}
-    assert cell_topology(2).counts() == {0: 4, 1: 4, 2: 1}
+    def counts(n):
+        return {d: len(ents) for d, ents in cell_topology(n).entities.items()}
+
+    assert counts(3) == {0: 8, 1: 12, 2: 6, 3: 1}
+    assert counts(2) == {0: 4, 1: 4, 2: 1}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -362,7 +366,8 @@ def test_tabulate_edge_function_values():
     from trimfem.refelem import Entity
 
     e = build_element(TRIMMED_SERENDIPITY, 3, 1, 2)
-    start, stop = e.entity_range(Entity((0,), ((1, 1), (2, 1))))
+    edge = Entity((0,), ((1, 1), (2, 1)))
+    ((start, stop),) = [(start, stop) for ent, start, stop in e.layout if ent == edge]
     assert stop - start == 2
     tab = tabulate(e, [[0.0, 0.0, 0.0]])
     assert tab[0, start] == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
@@ -436,6 +441,27 @@ def test_tabulate_rejects_outside_points():
     e = build_element(TRIMMED_SERENDIPITY, 2, 0, 1)
     with pytest.raises(ValueError, match="reference cube"):
         tabulate(e, [[1.5, 0.0]])
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 2), (4, 2, 1), (2,), (4, 3)])
+def test_tabulate_takes_only_points_of_shape_p_by_n(shape):
+    # (4, 2, 2) failed inside the evaluation with numpy's broadcast error,
+    # (4, 2, 1) with an IndexError, and (2,) was taken as one point
+    e = build_element(TRIMMED_SERENDIPITY, 2, 2, 2)
+    with pytest.raises(ValueError, match=re.escape(f"points of shape {shape} are not (P, 2)")):
+        tabulate(e, np.zeros(shape))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_transport_carries_only_1_forms(k):
+    # the face x = -1 onto x = +1 reflects x: x dx + x dy -> x dx - x dy
+    faces = cell_topology(3).entities[2]
+    axis_map, signs = refelem.entity_transform(faces[0], faces[1])
+    vec = {(0, (1, 0, 0)): Fraction(1), (1, (1, 0, 0)): Fraction(1)}
+    assert refelem.transform_vec(vec, 3, 1, axis_map, signs) == {
+        (0, (1, 0, 0)): 1, (1, (1, 0, 0)): -1}
+    with pytest.raises(ValueError):
+        refelem.transform_vec(vec, 3, k, axis_map, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +567,11 @@ def test_element_names_follow_usage_table():
     assert element_by_name("DPC", 2, 1).dim == 3
     assert element_by_name("DQ", 2, 1).dim == 4
     assert element_by_name("DPC", 3, 2).dim == 10
+
+
+def test_element_by_name_rejects_an_order_below_the_family():
+    with pytest.raises(ValueError, match=re.escape("order -1 too low for element 'DQ'")):
+        element_by_name("DQ", 2, -1)
 
 
 def test_element_by_name_returns_the_cached_element():

@@ -185,6 +185,9 @@ def test_solve_spd_reports_singular_systems():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(RuntimeError, match=r"sparse factorization.*size 2, nnz 1"):
         solve_spd(SparseSystem(A, np.ones(2)))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "sparse factorization failed (matrix size 4, nnz 0): Factor is exactly singular")):
+        solve_spd(SparseSystem(sp.csr_matrix((4, 4)), np.ones(4)))
 
 
 def test_saddle_zero_source_gives_zero_solution():
@@ -387,6 +390,24 @@ def test_a_lattice_of_the_wrong_length_is_named_before_superlu(splu_dtypes, rows
     A, M = _diagonal_pencil(9)
     with pytest.raises(ValueError, match=re.escape(
             f"M): a lattice of {rows} positions does not fit a matrix of size 9")):
+        eig_shift_invert(SparseSystem(A.matrix, lattice=lattice), M, target=3.5, nev=2)
+    assert splu_dtypes == []
+
+
+@pytest.mark.parametrize("lattice, shape, dtype", [
+    (np.arange(9, dtype=np.int64), "(9,)", "int64"),
+    (np.full((9, 2), 0.5), "(9, 2)", "float64"),
+], ids=["one-dimensional", "float"])
+def test_a_lattice_that_is_not_a_2d_integer_array_is_named(splu_dtypes, lattice, shape,
+                                                          dtype):
+    # a 1-D lattice raised overflow warnings and a bare IndexError inside the
+    # tree, and a float one was truncated to integers without a word
+    system = _poisson_system(4)
+    message = f"a lattice of shape {shape} and dtype {dtype} is not a 2-D integer array"
+    with pytest.raises(ValueError, match=re.escape(f"sparse factorization: {message}")):
+        solve_spd(SparseSystem(system.matrix, system.rhs, lattice=lattice))
+    A, M = _diagonal_pencil(9)
+    with pytest.raises(ValueError, match=re.escape(f"M): {message}")):
         eig_shift_invert(SparseSystem(A.matrix, lattice=lattice), M, target=3.5, nev=2)
     assert splu_dtypes == []
 
