@@ -19,12 +19,13 @@ from .refelem import Element, tabulate
 
 _FORMS = ("Mass", "GradGrad", "CurlCurl", "DivCoupling")
 
-# The augmented Lagrangian's weight gamma over max|M_l| / max|B_l^T W_l^-1
-# B_l| (`assemble_mixed_poisson`).  On n = 2, 3, r <= 3, both families, the
-# mixed solves met the 1e-12 gate in 4-10 K solves (10-20 for a random
-# right-hand side); 1e2 missed it on 3 of 12 levels, 1e3 took up to 51,
-# and 1e5-1e6 took 4-12, on a K whose condition number grows with gamma.
-_GAMMA = 1e4
+# The augmented Lagrangian's weight gamma (`assemble_mixed_poisson`): Uzawa
+# cuts the pressure error by about 1 / (1 + gamma mu) a step, mu >= the inf-sup
+# constant.  On 2D S-_2 N = 8-128, Q-_2, S-_3 N = 8-32, 3D S-_2, Q-_2 N = 4-12 and
+# S-_3 N = 8, study load or random, 30 took 4-6 K solves, 100 4-5, 1000 3-4 (gamma
+# scaled as h^2: 4-21).  K's pivots fall as 1 / (gamma N^2) of its diagonal: the
+# Cholesky (`multifrontal._SINGULAR`) refused 2D Q-_2 N=128 at 400, Q-_3 N=64 at 1000.
+_GAMMA = 100.0
 
 
 class PushForward:
@@ -250,7 +251,7 @@ def assemble_mixed_poisson(hdiv_map: GlobalDofMap, l2_map: GlobalDofMap,
     Both maps must number the same mesh.
 
     Its `augmented` blocks are K = M + gamma B^T W^-1 B on the flux map's
-    lattice, B, W^-1 and gamma = `_GAMMA` max|M_l| / max|B_l^T W_l^-1 B_l|.
+    lattice, B, W^-1 and gamma = `_GAMMA`, one constant at every N and order.
     The L2 mass matrix W is block diagonal, one block W_l per cell, so K
     and W^-1 are scattered from M_l + gamma B_l^T W_l^-1 B_l and W_l^-1.
     """
@@ -267,15 +268,13 @@ def assemble_mixed_poisson(hdiv_map: GlobalDofMap, l2_map: GlobalDofMap,
     B_l = _local_matrix("DivCoupling", el, eh, h)  # rejects other form degrees
     M_l = _local_matrix("Mass", eh, eh, h)
     Winv_l = np.linalg.inv(_local_matrix("Mass", el, el, h))
-    G_l = B_l.T @ Winv_l @ B_l
-    gamma = _GAMMA * np.abs(M_l).max() / np.abs(G_l).max()
     B = _scatter(l2_map, hdiv_map, B_l)
     mat = sp.bmat([[_scatter(hdiv_map, hdiv_map, M_l), B.T], [B, None]], format="csr")
     rhs = np.concatenate([np.zeros(hdiv_map.total), -assemble_load(l2_map, f)])
     system = SparseSystem(mat, rhs)
-    K = SparseSystem(_scatter(hdiv_map, hdiv_map, M_l + gamma * G_l),
+    K = SparseSystem(_scatter(hdiv_map, hdiv_map, M_l + _GAMMA * (B_l.T @ Winv_l @ B_l)),
                      lattice=lambda: hdiv_map.lattice)
-    system.augmented = (K, B, _scatter(l2_map, l2_map, Winv_l), gamma)
+    system.augmented = (K, B, _scatter(l2_map, l2_map, Winv_l), _GAMMA)
     return system
 
 

@@ -373,15 +373,17 @@ def factor(A, lattice, indefinite=False):
     `GlobalDofMap.lattice`).  An SPD matrix takes the Cholesky kernel; an
     `indefinite` one, such as a shifted pencil A - sigma M, LAPACK's
     Bunch-Kaufman factor in each front (`_indefinite_front`).  Returns a
-    `MultifrontalFactor`, or None when the lattice classes do not hold for
-    A (see the module docstring) or an indefinite pivot block is singular
-    or ill-conditioned.  A Cholesky front that is not positive definite
+    `MultifrontalFactor`, or None when the lattice is not integer or not of
+    A's length, when its classes do not hold for A (see the module
+    docstring) or when an indefinite pivot block is singular or
+    ill-conditioned.  A Cholesky front that is not positive definite
     raises a RuntimeError that names the box and the sizes.
     """
-    lattice = np.asarray(lattice, dtype=np.int64)
+    lattice = np.asarray(lattice)
     n = A.shape[0]
-    if n == 0 or lattice.shape[0] != n:
+    if n == 0 or lattice.shape[0] != n or not np.issubdtype(lattice.dtype, np.integer):
         return None
+    lattice = lattice.astype(np.int64, copy=False)
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()

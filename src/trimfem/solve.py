@@ -29,6 +29,7 @@ is SPD and scattered from one cell block, and augmented-Lagrangian Uzawa
 steps (Fortin & Glowinski, Augmented Lagrangian Methods, 1983; Brenner &
 Scott's iterated penalty method) solve the saddle system on one factor of
 K: the solve is one step (`_uzawa`), each refinement correction the next.
+gamma is one constant (`assemble._GAMMA`), so the steps do not grow with N.
 
 Every factor comes from `_solver`: multifrontal on a lattice whose classes
 hold, SuperLU in COLAMD order (`_factor`) otherwise.  The SPD and saddle
@@ -432,13 +433,22 @@ def _block_lanczos(solve, A, M, target, nev, tol):
         solved[1] += time.perf_counter() - t0
         return np.asfortranarray(W)
 
+    def room(V, MV, m, width):
+        # V and MV with room for `width` columns after the first m, doubled
+        # up to cap, the first m columns copied.  Allocated at the cap, a
+        # freed basis raised glibc's mmap threshold, so later arrays stayed
+        # on the heap: one `indefinite_solve` pass per seed 2-11 peaked at
+        # 141-157 MiB, against 148-152 MiB sized by need (2-core Xeon)
+        if V.shape[1] >= min(m + width, cap):
+            return V, MV
+        size = min(max(2 * V.shape[1], m + width), cap)
+        grown = np.empty((n, size), order="F"), np.empty((n, size), order="F")
+        grown[0][:, :m], grown[1][:, :m] = V[:, :m], MV[:, :m]
+        return grown
+
     def run(width):
-        # pages of an empty array are not resident until written, so the
-        # basis takes memory as it grows; but freeing a larger mmapped basis
-        # raises glibc's mmap threshold, so later mid-size arrays stay on the
-        # heap (`indefinite_solve` peak RSS 146.2 -> 152.0 MiB when the cap
-        # for 15 pairs went from 160 to 310 columns)
-        V, MV = np.empty((n, cap), order="F"), np.empty((n, cap), order="F")
+        empty = np.empty((n, 0), order="F")
+        V, MV = room(empty, empty, 0, 4 * width)  # a few blocks to start
         H = np.zeros((cap, cap), order="F")
         # a fixed start block makes the result a function of the inputs
         F = timed_solve(M @ np.random.default_rng(0).standard_normal((n, width)))
@@ -459,6 +469,7 @@ def _block_lanczos(solve, A, M, target, nev, tol):
             Sj = S[block]
             bound = np.sqrt(np.maximum((Sj * blas.dgemm(
                 1.0, blas.dgemm(1.0, F, MF, trans_a=1), Sj)).sum(axis=0), 0.0))
+            V, MV = room(V, MV, m, F.shape[1])
             grown = _orthonormalize(V, MV, m, F, MF, M) if m < cap else m
             if grown == m or (len(ranked) == k and (
                     bound[ranked] <= 10 * tol * np.abs(theta[ranked])).all()):

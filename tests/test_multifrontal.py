@@ -225,6 +225,14 @@ def test_a_lattice_of_the_wrong_length_is_not_factored():
     assert multifrontal.factor(A, np.zeros((3, 2), dtype=np.int64)) is None
 
 
+def test_a_float_lattice_is_not_factored():
+    # truncated to integers it would factor on [[1], [3], [5], [7]]
+    A = sp.diags([-np.ones(3), 4 * np.ones(4), -np.ones(3)], [-1, 0, 1], format="csr")
+    lattice = np.array([[1], [3], [5], [7]])
+    assert multifrontal.factor(A, lattice) is not None
+    assert multifrontal.factor(A, lattice + 0.9) is None
+
+
 @pytest.fixture
 def blas_pool():
     """The get and set functions of scipy's OpenBLAS thread count; the test

@@ -23,7 +23,7 @@ from trimfem.refelem import (
     element_by_name,
 )
 from trimfem import solve
-from trimfem.experiments import run_primal_poisson, run_projection
+from trimfem.experiments import run_mixed_poisson, run_primal_poisson, run_projection
 from trimfem.solve import eig_shift_invert, solve_saddle, solve_spd
 
 PI2 = np.pi**2
@@ -295,6 +295,24 @@ def test_each_uzawa_step_is_one_refinement_step(monkeypatch, family):
     monkeypatch.setattr(solve.multifrontal.MultifrontalFactor, "__call__", counting_call)
     solve_saddle(system)
     assert 0 < len(calls) <= 5
+
+
+def test_k_solves_do_not_grow_with_n(monkeypatch):
+    # a gamma scaled as h^2 took 5 K solves at N = 8 and 11 at N = 64
+    calls = []
+    call = solve.multifrontal.MultifrontalFactor.__call__
+
+    def counting_call(factor, b):
+        calls.append(b.shape)
+        return call(factor, b)
+
+    monkeypatch.setattr(solve.multifrontal.MultifrontalFactor, "__call__", counting_call)
+    counts = []
+    for N in (8, 64):
+        calls.clear()
+        run_mixed_poisson(2, "S", 2, [N])
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1]
 
 
 def test_a_k_that_does_not_verify_takes_superlu_for_k_alone(monkeypatch):
