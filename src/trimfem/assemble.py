@@ -85,10 +85,10 @@ class SparseSystem:
     `lattice` is the doubled-lattice position of each unknown of the
     stored matrix (`GlobalDofMap.lattice`), or None.  The constructor may
     take it as a function of no arguments, called on first use, so a
-    system that is never factored never computes it.  `solve_spd` builds
-    its multifrontal factor on it.  `augmented` is None but on a mixed
-    Poisson system (`assemble_mixed_poisson`), which `solve_saddle` solves
-    on the multifrontal factor of its K.
+    system that is never factored never computes it.  A direct solve
+    (`solve_spd`, `solve_saddle`) factors on it.  `augmented` is None but
+    on a mixed Poisson system (`assemble_mixed_poisson`), which a direct
+    solve solves on the multifrontal factor of its K.
     """
 
     augmented = None

@@ -54,13 +54,18 @@ def _family_of(name, mapping, n, order):
     return element_by_name(name, n, order).family
 
 
-def _add_common(p, with_dim=True, tol_default=1e-12):
+def _add_common(p, with_dim=True):
     if with_dim:
         p.add_argument("--dim", type=int, default=2, choices=(2, 3))
     p.add_argument("--element", required=True, help="usage name, e.g. SminusCurl")
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--tol", type=float, default=tol_default)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out", help="CSV output path")
+
+
+def _given(args):
+    """--tol, --target and --nev where given: the studies declare their defaults."""
+    return {k: v for k, v in vars(args).items() if k in ("tol", "target", "nev")}
 
 
 def make_parser():
@@ -76,10 +81,10 @@ def make_parser():
         p.add_argument("--levels", type=_int_list, default=[4, 8, 16, 32])
 
     p = sub.add_parser("maxwell-eig", help="cavity resonator eigenvalues (3D)")
-    _add_common(p, with_dim=False, tol_default=1e-7)
+    _add_common(p, with_dim=False)
     p.add_argument("--levels", type=_int_list, default=[4, 8])
-    p.add_argument("--target", type=float, default=3.0)
-    p.add_argument("--nev", type=int, default=15)
+    p.add_argument("--target", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--nev", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("dofs", help="global DOF comparison of both families")
     p.add_argument("--dim", type=int, default=3, choices=(2, 3))
@@ -100,15 +105,14 @@ def _run(args):
     if args.command in _STUDIES:
         _, study, mapping = _STUDIES[args.command]
         family = _family_of(args.element, mapping, args.dim, args.order)
-        rows = study(args.dim, family, args.order, args.levels, tol=args.tol)
+        rows = study(args.dim, family, args.order, args.levels, **_given(args))
         print(format_rows(rows))
         if args.out:
             write_csv(rows, args.out)
         return
     if args.command == "maxwell-eig":
         family = _family_of(args.element, "covariant", 3, args.order)
-        report = run_maxwell_eig(family, args.order, args.levels,
-                                 target=args.target, nev=args.nev, tol=args.tol)
+        report = run_maxwell_eig(family, args.order, args.levels, **_given(args))
         print(format_maxwell(report))
         if args.out:
             _write_maxwell_csvs(report, args.out)

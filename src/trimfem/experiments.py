@@ -73,7 +73,7 @@ def _run_levels(n, N_list, elements, assemble, solve):
     (N, maps, solution, assembly time, solve time), with N the Python int
     the mesh stores.
     """
-    if not N_list or any(a >= b for a, b in zip(N_list, N_list[1:])):
+    if not len(N_list) or any(a >= b for a, b in zip(N_list, N_list[1:])):
         raise ValueError(f"levels {N_list} must be a non-empty, strictly increasing list")
     for N in N_list:
         mesh = build_box_mesh(n, N)
@@ -284,7 +284,7 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
 
 def report_dofs(n, k, r_list, N):
     """Global DOF totals of both families on an N^n mesh, per order."""
-    if not r_list:
+    if not len(r_list):
         raise ValueError(f"orders {r_list} must be a non-empty list")
     mesh = build_box_mesh(n, N)
     rows = []

@@ -38,9 +38,7 @@ class BoxMesh:
     def __init__(self, n, divisions):
         if n not in (2, 3):
             raise ValueError("only 2D and 3D box meshes are supported")
-        if isinstance(divisions, Integral):
-            divisions = (divisions,) * n
-        divisions = tuple(divisions)
+        divisions = tuple(divisions) if np.iterable(divisions) else (divisions,) * n
         if (len(divisions) != n or not all(isinstance(N, Integral) for N in divisions)
                 or any(N < 1 for N in divisions)):
             raise ValueError(f"divisions {divisions} must be {n} integers >= 1")

@@ -372,16 +372,22 @@ def factor(A, lattice, indefinite=False):
     `lattice[i]` (doubled-lattice coordinates, as in
     `GlobalDofMap.lattice`).  An SPD matrix takes the Cholesky kernel; an
     `indefinite` one, such as a shifted pencil A - sigma M, LAPACK's
-    Bunch-Kaufman factor in each front (`_indefinite_front`).  Returns a
-    `MultifrontalFactor`, or None when the lattice is not integer or not of
-    A's length, when its classes do not hold for A (see the module
-    docstring) or when an indefinite pivot block is singular or
-    ill-conditioned.  A Cholesky front that is not positive definite
-    raises a RuntimeError that names the box and the sizes.
+    Bunch-Kaufman factor in each front (`_indefinite_front`).  A lattice
+    that is not a 2-D integer array of at least one column and one row per
+    unknown raises a ValueError, the package's one rule on lattices.
+    Returns a `MultifrontalFactor`, or None only for an empty A, where its
+    classes do not hold for A (see the module docstring) or where an
+    indefinite pivot block is singular or ill-conditioned.  A Cholesky
+    front that is not positive definite raises a RuntimeError (box, sizes).
     """
     lattice = np.asarray(lattice)
     n = A.shape[0]
-    if n == 0 or lattice.shape[0] != n or not np.issubdtype(lattice.dtype, np.integer):
+    if lattice.ndim != 2 or not lattice.shape[1] or lattice.dtype.kind not in "iu":
+        raise ValueError(f"a lattice of shape {lattice.shape} and dtype {lattice.dtype} "
+                         f"is not a 2-D integer array of at least one column")
+    if len(lattice) != n:
+        raise ValueError(f"a lattice of {len(lattice)} positions does not fit a matrix of size {n}")
+    if n == 0:
         return None
     lattice = lattice.astype(np.int64, copy=False)
     if not A.has_canonical_format:

@@ -222,10 +222,7 @@ def gauss_rule(n: int, m: int) -> QuadratureRule:
     pts_1d = [x] * n
     grids = np.meshgrid(*pts_1d, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.ones(m**n)
-    for axis in range(n):
-        wg = np.meshgrid(*([w] * n), indexing="ij")[axis].ravel()
-        weights *= wg
+    weights = np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
     return QuadratureRule(n, points, weights)
 
 

@@ -32,12 +32,12 @@ K: the solve is one step (`_uzawa`), each refinement correction the next.
 gamma is one constant (`assemble._GAMMA`), so the steps do not grow with N.
 
 Every factor comes from `_solver`: multifrontal on a lattice whose classes
-hold, SuperLU in COLAMD order (`_factor`) otherwise.  The SPD and saddle
-solves are one routine, `_direct_solve`: check the tolerance, the shape,
-the right-hand side, that every entry is finite and the symmetry, return
-zeros for a zero right-hand side, factor once, refine (`_refine`), gate
-the relative residual and expand the solution of an eliminated system to
-full length.
+hold, SuperLU in COLAMD order (`_factor`) otherwise; `multifrontal.factor`
+alone rules on the lattice.  The SPD and saddle solves are one routine,
+`_direct_solve`, and the system picks the route: `augmented` blocks lead
+to Uzawa steps on K, a lattice to the multifrontal factor, none to
+SuperLU.  It checks its inputs before any factor, factors once, refines
+(`_refine`), gates the relative residual and expands the solution.
 
 The factorizations, solves and eigensolves run their BLAS on one thread
 of scipy's OpenBLAS pool (`multifrontal._one_blas_thread`), so their
@@ -131,17 +131,13 @@ def _solver(A, lattice, stage, indefinite=False):
     """Solve function of the symmetric matrix A, and its factor's name:
     `multifrontal.factor` on a lattice (`indefinite`: Bunch-Kaufman fronts),
     else, or where that returns None, SuperLU (`_factor`).  Both solve
-    blocks.  A lattice that is not a 2-D integer array of A's size raises,
-    naming `stage`, first."""
+    blocks.  A lattice that `multifrontal.factor` cannot read raises its
+    error, with the `stage` put in front."""
     if lattice is not None:
-        lattice = np.asarray(lattice)
-        if lattice.ndim != 2 or not np.issubdtype(lattice.dtype, np.integer):
-            raise ValueError(f"{stage}: a lattice of shape {lattice.shape} and dtype "
-                             f"{lattice.dtype} is not a 2-D integer array")
-        if len(lattice) != A.shape[0]:
-            raise ValueError(f"{stage}: a lattice of {len(lattice)} positions does "
-                             f"not fit a matrix of size {A.shape[0]}")
-        solve = multifrontal.factor(A, lattice, indefinite=indefinite)
+        try:
+            solve = multifrontal.factor(A, lattice, indefinite=indefinite)
+        except ValueError as err:
+            raise ValueError(f"{stage}: {err}") from err
         if solve is not None:
             return solve, "multifrontal"
     return _factor(A, stage), "SuperLU"
@@ -201,22 +197,20 @@ def _uzawa(augmented, solve_K):
 
 
 @multifrontal._one_blas_thread()  # the same bits at any pool size
-def _direct_solve(system: SparseSystem, tol, spd):
+def _direct_solve(system: SparseSystem, tol, stage):
     """Solve the symmetric `system` to a relative residual `tol`.
 
-    An `spd` system is factored on its lattice, a saddle system with
-    `augmented` blocks solved by Uzawa steps on the factor of K (`_uzawa`)
-    and any other factored without a lattice (`_solver`); the solve is
-    refined (`_refine`).  A matrix that is not square, and a matrix or
-    right-hand side with an entry that is not finite, raise a ValueError
-    before any factor; a residual above `tol` raises a RuntimeError that
-    gives the refinement steps taken, the factor and the rounding floor
-    eps ||A| |x|| / ||b||.
+    A system with `augmented` blocks takes Uzawa steps on the factor of
+    its K (`_uzawa`), any other is factored on its lattice, if it has one
+    (`_solver`); the solve is refined (`_refine`).  A matrix that is not
+    square, and a matrix or right-hand side with an entry that is not
+    finite, raise a ValueError naming the `stage` before any factor; a
+    residual above `tol` raises a RuntimeError that gives the refinement
+    steps taken, the factor and the rounding floor eps ||A| |x|| / ||b||.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
     _check_tol(tol)
-    stage = "sparse factorization" if spd else "saddle factorization"
     A = system.matrix.tocsr()
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{stage}: a matrix of shape {A.shape} is not square")
@@ -232,8 +226,8 @@ def _direct_solve(system: SparseSystem, tol, spd):
         raise ValueError(f"{stage}: the right-hand side has an entry that is not finite")
     if bnorm == 0.0:
         return system.expand(np.zeros(A.shape[0]))
-    if spd or system.augmented is None:
-        solve, factor = _solver(A, system.lattice if spd else None, stage)
+    if system.augmented is None:
+        solve, factor = _solver(A, system.lattice, stage)
     else:
         K = system.augmented[0]
         solve_K, factor = _solver(K.matrix.tocsr(), K.lattice, stage)
@@ -258,19 +252,19 @@ def solve_spd(system: SparseSystem, tol=1e-12) -> np.ndarray:
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
-    return _direct_solve(system, tol, spd=True)
+    return _direct_solve(system, tol, "sparse factorization")
 
 
 def solve_saddle(system: SparseSystem, tol=1e-12):
     """Solve an assembled mixed system to a relative residual by Uzawa
-    steps on the factor of its K (`_direct_solve`); one reduced by
-    `apply_dirichlet` has no augmented blocks and is factored by SuperLU.
+    steps on the factor of its K (`_direct_solve`); SuperLU factors one
+    reduced by `apply_dirichlet`, which keeps no blocks and no lattice.
 
     Returns one full-length stacked vector (zeros on eliminated DOFs),
     flux coefficients first; callers split it at the flux space dimension
     they assembled with.
     """
-    return _direct_solve(system, tol, spd=False)
+    return _direct_solve(system, tol, "saddle factorization")
 
 
 def _residual_norms(A, M, norms, vals, vecs):

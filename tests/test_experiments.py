@@ -251,6 +251,20 @@ def test_studies_reject_bad_levels_before_meshing(monkeypatch, study, levels):
         study(levels)
 
 
+def test_studies_and_the_dof_report_take_numpy_integer_arrays():
+    # each raised numpy's "truth value of an array ... is ambiguous" from
+    # the line meant to name bad levels
+    assert ([row.dofs for row in run_primal_poisson(2, "S", 1, np.array([4, 8]))]
+            == [row.dofs for row in run_primal_poisson(2, "S", 1, [4, 8])])
+    assert report_dofs(2, 0, np.array([1, 2]), 4) == report_dofs(2, 0, [1, 2], 4)
+    with pytest.raises(ValueError, match="must be a non-empty, strictly increasing list"):
+        run_primal_poisson(2, "S", 1, np.array([8, 4]))
+    with pytest.raises(ValueError, match=re.escape("levels [] must be")):
+        run_primal_poisson(2, "S", 1, np.array([], dtype=int))
+    with pytest.raises(ValueError, match=re.escape("orders [] must be a non-empty list")):
+        report_dofs(2, 0, np.array([], dtype=int), 4)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["poisson", "--dim", "2", "--element", "S", "--order", "1", "--levels", "16,8"],
      "levels [16, 8]"),

@@ -1,6 +1,7 @@
 """Box meshes, global numbering, boundary DOFs and conformity."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_mesh_accepts_numpy_integer_divisions():
         assert all(type(N) is int for N in mesh.divisions)
     with pytest.raises(ValueError, match="integers >= 1"):
         build_box_mesh(2, (4.5, 4))
+
+
+@pytest.mark.parametrize("divisions", [4.0, np.float64(4), None],
+                         ids=["float", "numpy-float", "none"])
+def test_mesh_names_a_scalar_that_is_not_an_integer(divisions):
+    # each raised a bare TypeError: '...' object is not iterable
+    with pytest.raises(ValueError, match=re.escape(f"divisions {(divisions,) * 2} must be "
+                                                   f"2 integers >= 1")):
+        build_box_mesh(2, divisions)
 
 
 @pytest.mark.parametrize("N,total", [(4, 1080), (8, 7344), (16, 53856), (32, 411840)])

@@ -1,6 +1,8 @@
 """The memoized multifrontal factors of box-lattice systems: the Cholesky
 factor of SPD systems and the Bunch-Kaufman factor of shifted pencils."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -222,7 +224,9 @@ def test_unsorted_indices_give_the_canonical_solution_bytes():
 
 def test_a_lattice_of_the_wrong_length_is_not_factored():
     A = sp.csr_matrix(5 * np.eye(4) - np.ones((4, 4)))
-    assert multifrontal.factor(A, np.zeros((3, 2), dtype=np.int64)) is None
+    with pytest.raises(ValueError, match=re.escape(
+            "a lattice of 3 positions does not fit a matrix of size 4")):
+        multifrontal.factor(A, np.zeros((3, 2), dtype=np.int64))
 
 
 def test_a_float_lattice_is_not_factored():
@@ -230,7 +234,16 @@ def test_a_float_lattice_is_not_factored():
     A = sp.diags([-np.ones(3), 4 * np.ones(4), -np.ones(3)], [-1, 0, 1], format="csr")
     lattice = np.array([[1], [3], [5], [7]])
     assert multifrontal.factor(A, lattice) is not None
-    assert multifrontal.factor(A, lattice + 0.9) is None
+    with pytest.raises(ValueError, match=re.escape(
+            "a lattice of shape (4, 1) and dtype float64 is not a 2-D integer array")):
+        multifrontal.factor(A, lattice + 0.9)
+
+
+def test_a_one_dimensional_lattice_is_named_by_its_shape():
+    # it raised a bare IndexError: invalid index to scalar variable
+    A = sp.diags([-np.ones(3), 4 * np.ones(4), -np.ones(3)], [-1, 0, 1], format="csr")
+    with pytest.raises(ValueError, match=re.escape("a lattice of shape (4,) and dtype int64")):
+        multifrontal.factor(A, np.array([1, 3, 5, 7]))
 
 
 @pytest.fixture

@@ -266,6 +266,15 @@ def test_uzawa_meets_the_gate_on_a_random_right_hand_side(splu_dtypes, family):
     assert np.linalg.norm(rhs - system.matrix @ x) / np.linalg.norm(rhs) <= 1e-12
 
 
+def test_a_mixed_system_takes_uzawa_steps_whichever_solve_is_called(splu_dtypes):
+    # the system's augmented blocks pick the route: solve_spd factored the
+    # whole saddle system by SuperLU's LU
+    system = _mixed_system("S", 4)
+    x = solve_spd(system)
+    assert splu_dtypes == []
+    assert x.tobytes() == solve_saddle(system).tobytes()
+
+
 def test_a_saddle_system_whose_k_does_not_verify_falls_back_to_superlu(splu_dtypes):
     system = _mixed_system("S", 2)
     K, B, Winv, gamma = system.augmented
@@ -422,6 +431,19 @@ def test_a_lattice_that_is_not_a_2d_integer_array_is_named(splu_dtypes, lattice,
     # tree, and a float one was truncated to integers without a word
     system = _poisson_system(4)
     message = f"a lattice of shape {shape} and dtype {dtype} is not a 2-D integer array"
+    with pytest.raises(ValueError, match=re.escape(f"sparse factorization: {message}")):
+        solve_spd(SparseSystem(system.matrix, system.rhs, lattice=lattice))
+    A, M = _diagonal_pencil(9)
+    with pytest.raises(ValueError, match=re.escape(f"M): {message}")):
+        eig_shift_invert(SparseSystem(A.matrix, lattice=lattice), M, target=3.5, nev=2)
+    assert splu_dtypes == []
+
+
+def test_a_lattice_without_columns_is_named(splu_dtypes):
+    # it reached the tree, where a bare AttributeError named no stage
+    system = _poisson_system(4)
+    lattice = np.empty((9, 0), dtype=np.int64)
+    message = "a lattice of shape (9, 0) and dtype int64 is not a 2-D integer array"
     with pytest.raises(ValueError, match=re.escape(f"sparse factorization: {message}")):
         solve_spd(SparseSystem(system.matrix, system.rhs, lattice=lattice))
     A, M = _diagonal_pencil(9)
