@@ -4,16 +4,16 @@ Vectors are dicts mapping hashable keys to nonzero rationals: (component,
 exponent-tuple) pairs of monomial forms in the reference element
 construction, column indices in the matrix routines below.  A matrix is
 a list of such sparse rows, a right-hand side a sparse vector over row
-indices.  One eliminator, `SpanBasis`, keeps the reduced row echelon
-basis of a span; kernels, particular solutions and Gram solves all read
-theirs from it, and a solve eliminates every right-hand side in one
-pass.  No floating point enters, so unisolvence and trace tests hold at
-machine precision.
+indices.  One eliminator, `_eliminate` over a `SpanBasis` (the reduced
+row echelon basis of a span), gives every kernel, particular solution
+and Gram solve, the entity split's and the coboundary matrices' too, and
+eliminates every right-hand side in one pass.  No floating point enters,
+so unisolvence and trace tests hold at machine precision.
 """
 
 import math
 
-from .poly import Q, QZERO
+from .poly import Q, add_term
 
 
 def vec_add(a, b, scale=1):
@@ -21,11 +21,7 @@ def vec_add(a, b, scale=1):
     out = dict(a)
     scale = Q(scale)
     for k, v in b.items():
-        s = out.get(k, QZERO) + scale * v
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
+        add_term(out, k, scale * v)
     return out
 
 
@@ -96,11 +92,13 @@ def _eliminate(rows, rhs, ncols):
     `rows` are sparse {column: rational} rows, each right-hand side a
     sparse {row index: rational} vector.
     """
+    aug = [{j: Q(v) for j, v in row.items() if v} for row in rows]
+    for j, b in enumerate(rhs):
+        for i in filter(b.get, b):  # the rows where b is nonzero
+            aug[i][ncols + j] = Q(b[i])
     span = SpanBasis()
-    for i, row in enumerate(rows):
-        aug = {j: Q(v) for j, v in row.items() if v}
-        aug.update((ncols + j, Q(b[i])) for j, b in enumerate(rhs) if b.get(i))
-        span.add(aug)
+    for row in aug:
+        span.add(row)
     return span.rows
 
 

@@ -39,8 +39,8 @@ class BoxMesh:
         if n not in (2, 3):
             raise ValueError("only 2D and 3D box meshes are supported")
         divisions = tuple(divisions) if np.iterable(divisions) else (divisions,) * n
-        if (len(divisions) != n or not all(isinstance(N, Integral) for N in divisions)
-                or any(N < 1 for N in divisions)):
+        if (len(divisions) != n or not all(isinstance(N, Integral) and not isinstance(N, bool)
+                                           for N in divisions) or any(N < 1 for N in divisions)):
             raise ValueError(f"divisions {divisions} must be {n} integers >= 1")
         divisions = tuple(int(N) for N in divisions)
         self.n = n

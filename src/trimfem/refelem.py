@@ -384,16 +384,21 @@ def _combine(coeffs, vecs, start=None):
     return v
 
 
-def _trace_rows(traces):
-    """Sparse rows {i: coefficient}, one per trace key, of vectors' traces."""
+def _combination_system(vecs, targets=()):
+    """Rows and right-hand sides, as `rational_solve` reads them, of
+    sum_j x_j vecs[j] = t per target t: one sparse row {j: coefficient} per
+    key of the vectors or targets (a key only a target has is a row 0 = c).
+    """
     rows = {}
-    for i, t in enumerate(traces):
-        for key, c in t.items():
-            rows.setdefault(key, {})[i] = c
-    return rows
+    for j, v in enumerate(vecs):
+        for key, c in v.items():
+            rows.setdefault(key, {})[j] = c
+    rows.update((key, {}) for t in targets for key in t if key not in rows)
+    index = {key: i for i, key in enumerate(rows)}
+    return list(rows.values()), [{index[key]: c for key, c in t.items()} for t in targets]
 
 
-def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
+def _entity_split_generic(n, k, entity: Entity, space: SpanBasis, topo):
     """Basis functions associated to one entity, from the exact span.
 
     Finds the subspace of the element space whose k-form trace vanishes on
@@ -405,7 +410,7 @@ def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
     others = [e for dd in range(k, entity.dim + 1) for e in topo.entities[dd] if e != entity]
     other_traces = [{(e, key): c for e in others for key, c in trace_vec(bv, n, k, e).items()}
                     for bv in basis_vecs]
-    kernel = rational_kernel(list(_trace_rows(other_traces).values()), len(basis_vecs))
+    kernel = rational_kernel(_combination_system(other_traces)[0], len(basis_vecs))
     s_vecs = [_combine(coeffs, basis_vecs) for coeffs in kernel]
     if not s_vecs:
         return []
@@ -432,11 +437,7 @@ def _entity_split_generic(n, k, r, entity: Entity, space: SpanBasis, topo):
 
     # lift every canonical trace in one solve, whose kernel spans the fully-
     # vanishing subspace, and remove the lifts' part in it (L2-orthogonal)
-    trace_rows = _trace_rows(traces)
-    index = {key: i for i, key in enumerate(trace_rows)}
-    rows = list(trace_rows.values())
-    kernel, alphas = rational_solve(
-        rows, [{index[key]: c for key, c in tau.items()} for tau in ortho], len(s_vecs))
+    kernel, alphas = rational_solve(*_combination_system(traces, ortho), len(s_vecs))
     z_vecs = [_combine(coeffs, s_vecs) for coeffs in kernel]
     if None in alphas:
         raise RuntimeError("entity trace not reachable; split failed")
@@ -497,7 +498,7 @@ def _trimmed_entity_sets(n, k, r):
         else:
             # split one representative exactly, transport to the others
             rep = ents[0]
-            rep_forms = _entity_split_generic(n, k, r, rep, space, topo)
+            rep_forms = _entity_split_generic(n, k, rep, space, topo)
             sets[rep] = rep_forms
             for e in ents[1:]:
                 axis_map, signs = entity_transform(rep, e)
@@ -631,7 +632,7 @@ def build_element(family, n, k, r, mapping=None) -> Element:
         raise ValueError(f"unsupported dimension n={n}; only 2 and 3")
     if not (0 <= k <= n):
         raise ValueError(f"form degree k={k} out of range for n={n}")
-    if not isinstance(r, Integral) or r < 1:
+    if isinstance(r, bool) or not isinstance(r, Integral) or r < 1:
         raise ValueError(f"order r={r} must be an integer >= 1")
     r = int(r)
     fitting = _fitting_mappings(n, k)
@@ -666,27 +667,25 @@ def coboundary_fit(e_k: Element, e_k1: Element):
 
     Returns D (rows: dim e_k, columns: dim e_k1), an object array of
     Fractions with d(phi_i) = sum_j D[i, j] psi_j, and the residual 0.0;
-    assembly takes `D.astype(float)`.  Raises ValueError if the psi_j are
-    dependent or some d(phi_i) lies outside their span.
+    assembly takes `D.astype(float)`.  D is read from one `rational_solve`
+    of sum_j x_j psi_j = d(phi_i), every i a right-hand side: a kernel (the
+    psi_j are dependent) or a d(phi_i) outside their span raises ValueError.
     """
     if e_k.k + 1 != e_k1.k:
         raise ValueError("form degrees are not consecutive")
     if (e_k.family, e_k.n, e_k.r) != (e_k1.family, e_k1.n, e_k1.r):
         raise ValueError("elements must share family, dimension and order")
-    # eliminate the psi_j once, each tagged by the key (None, j); the tags
-    # order last, so a row pivots on a tag only if some combination vanishes
-    span = SpanBasis(key_order=lambda k: (1, k[1]) if k[0] is None else (0, _key_order(k)))
-    for j, psi in enumerate(e_k1.basis):
-        span.add({**psi.coeffs, (None, j): Q(1)})
-    if any(p[0] is None for p in span.rows):
+    kernel, solutions = rational_solve(
+        *_combination_system([psi.coeffs for psi in e_k1.basis],
+                             [exterior_derivative(phi).coeffs for phi in e_k.basis]),
+        e_k1.dim)
+    if kernel:
         raise ValueError("basis not linearly independent")
     D = np.full((e_k.dim, e_k1.dim), QZERO, dtype=object)
-    for i, phi in enumerate(e_k.basis):
-        # what reduction leaves of d(phi_i) is -D[i, j] on each tag (None, j)
-        for (ci, j), c in span.reduce(exterior_derivative(phi).coeffs).items():
-            if ci is not None:
-                raise ValueError(f"d of basis form {i} of {e_k!r} leaves the span of {e_k1!r}")
-            D[i, j] = -c
+    for i, x in enumerate(solutions):
+        if x is None:
+            raise ValueError(f"d of basis form {i} of {e_k!r} leaves the span of {e_k1!r}")
+        D[i, list(x)] = list(x.values())
     return D, 0.0
 
 
@@ -728,6 +727,8 @@ def element_by_name(name, n, order) -> Element:
     k = kfun(n)
     if k is None:
         raise ValueError(f"element {name!r} does not exist in {n}D")
+    if isinstance(order, bool) or not isinstance(order, Integral):
+        raise ValueError(f"order {order} of element {name!r} must be an integer")
     r = order + shift
     if r < 1:
         raise ValueError(f"order {order} too low for element {name!r}")

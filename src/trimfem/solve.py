@@ -47,8 +47,8 @@ Where scipy's BLAS exports no pool control the scope does nothing, and
 the guarantee is untested there.
 """
 
-import operator
 import time
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -216,9 +216,10 @@ def _direct_solve(system: SparseSystem, tol, stage):
         raise ValueError(f"{stage}: a matrix of shape {A.shape} is not square")
     b = system.rhs
     if b is None:
-        raise ValueError("system has no right-hand side")
+        raise ValueError(f"{stage}: the system has no right-hand side for its "
+                         f"matrix of size {A.shape[0]}")
     if np.shape(b) != (A.shape[0],):
-        raise ValueError(f"right-hand side of shape {np.shape(b)} does not fit "
+        raise ValueError(f"{stage}: right-hand side of shape {np.shape(b)} does not fit "
                          f"a matrix of size {A.shape[0]}")
     _check_symmetric(A, stage)
     bnorm = blas.dnrm2(b)
@@ -510,7 +511,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target, nev=15,
     the Cayley magnitude, so an eigenvalue at zero (the curl-curl
     gradient kernel) or far below the target ranks last, and eigenvalues
     above the target are preferred (diag(1..40), target 10.4, nev 3: 10,
-    11, 12).  `nev` is an integer (numpy integers too).  A block
+    11, 12).  `nev` is an integer (numpy integers too, not a bool).  A block
     shift-invert Lanczos (`_block_lanczos`) computes k = min(nev, n - 1)
     pairs to a scaled residual of `tol`, on A - target M factored once
     (`_solver`), and returns them all, ascending.  So at most n - 1
@@ -521,10 +522,9 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target, nev=15,
     `_block_lanczos`).
     """
     _check_tol(tol)
-    try:
-        nev = operator.index(nev)
-    except TypeError:
-        raise ValueError(f"nev={nev}: the number of eigenpairs must be an integer") from None
+    if isinstance(nev, bool) or not isinstance(nev, Integral):
+        raise ValueError(f"nev={nev}: the number of eigenpairs must be an integer")
+    nev = int(nev)
     if nev < 1:
         raise ValueError(f"nev={nev}: request at least one eigenpair")
     if not (np.isfinite(target) and target > 0):

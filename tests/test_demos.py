@@ -17,8 +17,9 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script, tmp_path):
+    # warnings are errors, as pytest's own process makes them (pyproject.toml)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

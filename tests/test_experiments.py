@@ -174,6 +174,12 @@ def test_studies_accept_numpy_integers():
     assert type(levels[0].N) is int
 
 
+def test_the_cavity_study_refuses_a_bool_nev():
+    # a bool is an Integral: nev=True asked for one pair
+    with pytest.raises(ValueError, match="nev=True: the number of eigenpairs must be an integer"):
+        run_maxwell_eig("S", 1, [2], nev=True)
+
+
 @pytest.mark.parametrize("study, expected", [
     (lambda: run_primal_poisson(2, "S", 1, [4, 8]), 2),
     (lambda: run_mixed_poisson(2, "S", 2, [2, 4]), 2),
@@ -602,7 +608,8 @@ def test_cli_maxwell_small(capsys, tmp_path):
 # One small level of each study, run with scipy's OpenBLAS pool at one and
 # then two threads; prints one line of outputs per pool size.  The Q-_2 N=8
 # cavity is the smallest level whose eigenvalues changed with the pool size
-# before every solve ran on one thread of it.
+# before every solve ran on one thread of it.  The subprocesses below run
+# with warnings as errors, as pytest's own process does (pyproject.toml).
 _EACH_STUDY = """
 from trimfem import experiments, multifrontal
 
@@ -626,7 +633,7 @@ def test_study_outputs_do_not_depend_on_either_blas_pool():
     for numpy_threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(root / "src"),
                    OPENBLAS_NUM_THREADS=numpy_threads)
-        proc = subprocess.run([sys.executable, "-c", _EACH_STUDY], env=env,
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", _EACH_STUDY], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outputs += proc.stdout.splitlines()
@@ -635,11 +642,11 @@ def test_study_outputs_do_not_depend_on_either_blas_pool():
 
 def test_cli_entry_point_runs_as_module():
     proc = subprocess.run(
-        [sys.executable, "-m", "trimfem.cli", "dofs", "--dim", "2",
+        [sys.executable, "-W", "error", "-m", "trimfem.cli", "dofs", "--dim", "2",
          "--form-degree", "0", "--orders", "1", "--divisions", "2"],
         capture_output=True, text=True,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "Q^- DOFs" in proc.stdout
 
 

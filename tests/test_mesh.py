@@ -62,10 +62,11 @@ def test_mesh_accepts_numpy_integer_divisions():
         build_box_mesh(2, (4.5, 4))
 
 
-@pytest.mark.parametrize("divisions", [4.0, np.float64(4), None],
-                         ids=["float", "numpy-float", "none"])
+@pytest.mark.parametrize("divisions", [4.0, np.float64(4), None, True],
+                         ids=["float", "numpy-float", "none", "bool"])
 def test_mesh_names_a_scalar_that_is_not_an_integer(divisions):
-    # each raised a bare TypeError: '...' object is not iterable
+    # each raised a bare TypeError: '...' object is not iterable, except
+    # True, which built a 1 x 1 mesh (a bool is an Integral)
     with pytest.raises(ValueError, match=re.escape(f"divisions {(divisions,) * 2} must be "
                                                    f"2 integers >= 1")):
         build_box_mesh(2, divisions)

@@ -77,6 +77,17 @@ def test_build_element_accepts_numpy_integer_order():
     assert type(e.r) is int
 
 
+@pytest.mark.parametrize("order", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_is_not_an_order(order):
+    # a bool is an Integral, and True + 0 an integer: each built order 1
+    with pytest.raises(ValueError, match=re.escape(f"order r={order} must be an integer")):
+        build_element(TRIMMED_SERENDIPITY, 2, 0, order)
+    for name in ("S", "DPC"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"order {order} of element {name!r} must be an integer")):
+            element_by_name(name, 2, order)
+
+
 def test_short_family_spellings_build_the_full_names_element():
     for short, full, label in (("S", TRIMMED_SERENDIPITY, "S^-"), ("Q", TENSOR_PRODUCT, "Q^-")):
         e = build_element(short, 2, 1, 2)
@@ -492,6 +503,35 @@ def _exact_coboundary(family, n, k, r):
 def test_coboundary_residuals_vanish(family, n, r):
     for k in range(n):
         _exact_coboundary(family, n, k, r)
+
+
+def test_coboundaries_of_3d_trimmed_order_4_are_exact_and_compose_to_zero():
+    # tier-1's other exactness checks stop at r = 3
+    D = [_exact_coboundary(TRIMMED_SERENDIPITY, 3, k, 4) for k in range(3)]
+    for Dk, Dk1 in zip(D, D[1:]):
+        assert not (Dk @ Dk1).any()
+
+
+def test_coboundary_fit_is_one_exact_solve(monkeypatch):
+    e1 = build_element(TRIMMED_SERENDIPITY, 3, 1, 2)
+    e2 = build_element(TRIMMED_SERENDIPITY, 3, 2, 2)
+    solves, spans = [], []
+    rational_solve = refelem.rational_solve
+
+    def counting_solve(*args):
+        solves.append(args)
+        return rational_solve(*args)
+
+    class CountingSpan(refelem.SpanBasis):
+        def __init__(self, *args, **kwargs):
+            spans.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(refelem, "rational_solve", counting_solve)
+    monkeypatch.setattr(refelem, "SpanBasis", CountingSpan)
+    D, _ = coboundary_fit(e1, e2)
+    assert len(solves) == 1 and not spans
+    assert D.shape == (e1.dim, e2.dim)
 
 
 def test_coboundary_of_constant_combination_is_zero():

@@ -206,6 +206,19 @@ def test_solve_saddle_requires_rhs_before_factoring():
         solve_saddle(SparseSystem(A))
 
 
+@pytest.mark.parametrize("solver, stage", [(solve_spd, "sparse factorization"),
+                                           (solve_saddle, "saddle factorization")],
+                         ids=["spd", "saddle"])
+def test_right_hand_side_errors_name_the_stage(solver, stage):
+    A = sp.identity(9, format="csr")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{stage}: the system has no right-hand side for its matrix of size 9")):
+        solver(SparseSystem(A))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{stage}: right-hand side of shape (8,) does not fit a matrix of size 9")):
+        solver(SparseSystem(A, np.ones(8)))
+
+
 def test_solve_saddle_returns_zeros_for_a_zero_rhs_without_factoring():
     # a singular matrix: factoring it would raise a RuntimeError
     A = sp.csr_matrix(np.ones((2, 2)))
@@ -564,8 +577,8 @@ def test_eig_shift_invert_rejects_a_pencil_below_two_unknowns(n):
 
 
 @pytest.mark.parametrize("n, target, nev", [(1, 1.0, 0), (20, 3.0, 0), (20, 3.0, 2.5),
-                                            (20, 3.0, 3.0)],
-                         ids=["size-1", "size-20", "fraction", "integral-float"])
+                                            (20, 3.0, 3.0), (20, 3.0, True)],
+                         ids=["size-1", "size-20", "fraction", "integral-float", "bool"])
 def test_eig_shift_invert_rejects_nev_below_one(n, target, nev):
     # the shift is singular, so factoring before the check would raise
     # RuntimeError; nev is checked before the pencil's size, too.  A float
