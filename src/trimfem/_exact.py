@@ -5,10 +5,11 @@ exponent-tuple) pairs of monomial forms in the reference element
 construction, column indices in the matrix routines below.  A matrix is
 a list of such sparse rows, a right-hand side a sparse vector over row
 indices.  One eliminator, `_eliminate` over a `SpanBasis` (the reduced
-row echelon basis of a span), gives every kernel, particular solution
-and Gram solve, the entity split's and the coboundary matrices' too, and
-eliminates every right-hand side in one pass.  No floating point enters,
-so unisolvence and trace tests hold at machine precision.
+row echelon basis of a span), and one reader of its pivots,
+`rational_solve`, give every kernel, particular solution and Gram solve,
+the entity split's and the coboundary matrices' too, with every
+right-hand side in one pass.  No floating point enters, so unisolvence
+and trace tests hold at machine precision.
 """
 
 import math
@@ -102,12 +103,6 @@ def _eliminate(rows, rhs, ncols):
     return span.rows
 
 
-def _solutions(pivots, nrhs, ncols):
-    """Per right-hand side: pivot values in ascending column order, free ones 0."""
-    return [{pc: row[ncols + j] for pc, row in sorted(pivots.items())
-             if pc < ncols and ncols + j in row} for j in range(nrhs)]
-
-
 def rational_kernel(rows, ncols):
     """Kernel basis of sparse rows over ncols columns (see `rational_solve`)."""
     return rational_solve(rows, (), ncols)[0]
@@ -131,8 +126,9 @@ def rational_solve(rows, rhs, ncols):
         kernel.append(dict(sorted(v.items())))
     # a pivot past ncols is a row 0 = b; every rhs with an entry there fails
     bad = {c for pc, row in pivots.items() if pc >= ncols for c in row}
-    return kernel, [None if ncols + j in bad else x
-                    for j, x in enumerate(_solutions(pivots, len(rhs), ncols))]
+    return kernel, [None if ncols + j in bad else
+                    {pc: row[ncols + j] for pc, row in sorted(pivots.items())
+                     if pc < ncols and ncols + j in row} for j in range(len(rhs))]
 
 
 def gram_solve(gram, rhs):
@@ -143,8 +139,7 @@ def gram_solve(gram, rhs):
     ValueError unless the Gram matrix has full rank, also when a
     right-hand side happens to lie in its range.
     """
-    n = len(gram)
-    pivots = _eliminate(gram, rhs, n)
-    if sorted(pivots) != list(range(n)):
+    kernel, solutions = rational_solve(gram, rhs, len(gram))
+    if kernel:
         raise ValueError("singular Gram matrix")
-    return _solutions(pivots, len(rhs), n)
+    return solutions

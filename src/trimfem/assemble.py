@@ -222,12 +222,28 @@ def _cell_blocks(rule, dofmap: GlobalDofMap):
     return [slice(c, c + step) for c in range(0, mesh.num_cells, step)]
 
 
+def _field_values(field, pts, ncomp, name):
+    """`field` at the points `pts` (cells, P, n), as one row per cell.
+
+    The values must have the points' shape (cells, P) for a scalar proxy,
+    (cells, P, ncomp) for a vector one; any other shape raises a
+    ValueError that names the function `name` and both shapes.
+    """
+    vals = np.asarray(field(pts))
+    want = pts.shape[:-1] + ((ncomp,) if ncomp > 1 else ())
+    if vals.shape != want:
+        raise ValueError(f"{name} returned values of shape {vals.shape} at points of "
+                         f"shape {pts.shape}; this DOF map needs shape {want}")
+    return vals.reshape(len(pts), -1)
+
+
 def assemble_load(dofmap: GlobalDofMap, f) -> np.ndarray:
     """Right-hand side vector for the functional v -> int f . v.
 
     `f` is evaluated pointwise at the physical quadrature nodes, a block
     of cells at a time; it must accept an (..., n) array and return
-    scalar values (scalar elements) or proxy-vector components (..., n).
+    scalar values (...) for scalar elements or proxy-vector components
+    (..., n) (`_field_values` checks the shape).
     """
     element, mesh = dofmap.element, dofmap.mesh
     rule = gauss_rule(element.n, element.r + 2)
@@ -235,7 +251,7 @@ def assemble_load(dofmap: GlobalDofMap, f) -> np.ndarray:
     b = np.zeros(dofmap.total)
     for cells in _cell_blocks(rule, dofmap):
         pts = physical_points(mesh, rule, cells)
-        fvals = np.asarray(f(pts)).reshape(len(pts), -1)
+        fvals = _field_values(f, pts, element.ncomp, "assemble_load: f")
         # cell by cell in order, as one add.at over all cells would add
         np.add.at(b, dofmap.cell_dofs[cells].ravel(), ((fvals * weights) @ phi).ravel())
     return b
@@ -285,40 +301,42 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     system; `diag1` zeroes them and puts a unit value on the diagonal,
     which reproduces the spurious unit eigenvalues reported by solvers
     that use that convention.  `dofs` are integer indices of the system's
-    unknowns.  The new system's lattice is the system's, under `eliminate`
-    its rows of the free DOFs, computed when first used.
+    unknowns, in any order and possibly repeated; both modes read one mask
+    of the fixed DOFs.  The new system's lattice is the system's, under
+    `eliminate` its rows of the free DOFs, computed when first used.
     """
     dofs = np.asarray(dofs)
     if dofs.size and not np.issubdtype(dofs.dtype, np.integer):
         raise ValueError(f"DOF indices must be integers, got dtype {dofs.dtype}")
-    dofs = np.unique(dofs.astype(np.int64))
+    dofs = dofs.astype(np.int64)
     A = system.matrix.tocsr()
     nfull = A.shape[0]
     bad = dofs[(dofs < 0) | (dofs >= nfull)]
     if bad.size:
-        raise ValueError(f"DOF index {bad[0]} out of range for a system of size {nfull}")
+        raise ValueError(f"DOF index {bad.min()} out of range for a system of size {nfull}")
+    fixed = np.zeros(nfull, dtype=bool)
+    fixed[dofs] = True
     whole = system._lattice  # not the system: a closure would keep its matrix alive
     if mode == "eliminate":
-        free = np.setdiff1d(np.arange(nfull), dofs)
+        free = np.flatnonzero(~fixed)
         red = A[free][:, free].tocsr()
         rhs = None if system.rhs is None else system.rhs[free]
         lattice = None if whole is None else lambda: (
             whole() if callable(whole) else whole)[free]
         return SparseSystem(red, rhs, full_size=nfull, free=free, lattice=lattice)
     if mode == "diag1":
-        fixed = np.zeros(nfull, dtype=bool)
-        fixed[dofs] = True
         out = A.copy()
         out.sum_duplicates()
         # zero every entry in a constrained row or column, then drop all
         # zeros (as a sparse product would) after setting the unit diagonal
         out.data[np.repeat(fixed, np.diff(out.indptr)) | fixed[out.indices]] = 0.0
-        out[dofs, dofs] = 1.0
+        diag = np.flatnonzero(fixed)
+        out[diag, diag] = 1.0
         out.eliminate_zeros()
         rhs = None
         if system.rhs is not None:
             rhs = system.rhs.copy()
-            rhs[dofs] = 0.0
+            rhs[fixed] = 0.0
         return SparseSystem(out, rhs, full_size=nfull, lattice=whole)
     raise ValueError(f"unknown boundary mode {mode!r}; use 'eliminate' or 'diag1'")
 
@@ -327,7 +345,8 @@ def l2_error(dofmap: GlobalDofMap, coefficients, exact) -> float:
     """L2 distance between a coefficient vector and an exact field.
 
     `exact` receives physical points (..., n) and returns scalars or
-    proxy-vector components matching the element's mapping.
+    proxy-vector components matching the element's mapping, shaped as
+    `assemble_load`'s f.
     """
     element, mesh = dofmap.element, dofmap.mesh
     if len(coefficients) != dofmap.total:
@@ -339,8 +358,9 @@ def l2_error(dofmap: GlobalDofMap, coefficients, exact) -> float:
     cell_err2 = np.empty(mesh.num_cells)
     for cells in _cell_blocks(rule, dofmap):
         coefmat = coefficients[dofmap.cell_dofs[cells]]
-        target = np.asarray(exact(physical_points(mesh, rule, cells)))
-        diff = coefmat @ phi.T - target.reshape(len(coefmat), -1)
+        target = _field_values(exact, physical_points(mesh, rule, cells), element.ncomp,
+                               "l2_error: exact")
+        diff = coefmat @ phi.T - target
         cell_err2[cells] = diff**2 @ weights
     return float(np.sqrt(np.sum(cell_err2)))  # one sum over all cells, not by blocks
 

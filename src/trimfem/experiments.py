@@ -241,7 +241,11 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
     exact value within that window of a returned pair is matched, however
     far above the target.
     The report's `series` holds each tracked eigenvalue's error rows.
+    `target` is in units of pi^2 and must be finite and positive.
     """
+    if not (np.isfinite(target) and target > 0):
+        raise ValueError(f"target={target}: the cavity target, in units of pi^2, "
+                         "must be finite and positive")
     pi2 = np.pi**2
     element = build_element(family, 3, 1, r, mapping="covariant")
 

@@ -149,15 +149,15 @@ def _check_tol(tol):
         raise ValueError(f"tol={tol}: the tolerance must be finite and positive")
 
 
-def _refine(A, b, solve, tol):
+def _refine(A, b, bnorm, solve, tol):
     """Iterative refinement of `solve(b)` with float64 residuals on A.
 
-    Corrects until the relative residual meets `tol` or a correction fails
-    to halve it, and returns the best iterate, its relative residual and
-    the number of corrections.  Norms are scipy's `dnrm2`: on 263,169
-    entries numpy's threaded dot took 4-8 ms a call against 0.2 ms (2-core Xeon).
+    Corrects until the residual relative to `bnorm` = ||b|| meets `tol` or
+    a correction fails to halve it, and returns the best iterate, its
+    relative residual and the number of corrections.  Norms are scipy's
+    `dnrm2`: on 263,169 entries numpy's threaded dot took 4-8 ms a call
+    against 0.2 ms (2-core Xeon).
     """
-    bnorm = blas.dnrm2(b)
     x = solve(b)
     r = b - A @ x
     res = blas.dnrm2(r) / bnorm
@@ -207,6 +207,7 @@ def _direct_solve(system: SparseSystem, tol, stage):
     finite, raise a ValueError naming the `stage` before any factor; a
     residual above `tol` raises a RuntimeError that gives the refinement
     steps taken, the factor and the rounding floor eps ||A| |x|| / ||b||.
+    A zero right-hand side, or a system without unknowns, takes no factor.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
@@ -222,7 +223,7 @@ def _direct_solve(system: SparseSystem, tol, stage):
         raise ValueError(f"{stage}: right-hand side of shape {np.shape(b)} does not fit "
                          f"a matrix of size {A.shape[0]}")
     _check_symmetric(A, stage)
-    bnorm = blas.dnrm2(b)
+    bnorm = blas.dnrm2(b) if len(b) else 0.0  # dnrm2 refuses an empty vector
     if not np.isfinite(bnorm):
         raise ValueError(f"{stage}: the right-hand side has an entry that is not finite")
     if bnorm == 0.0:
@@ -233,7 +234,7 @@ def _direct_solve(system: SparseSystem, tol, stage):
         K = system.augmented[0]
         solve_K, factor = _solver(K.matrix.tocsr(), K.lattice, stage)
         solve, factor = _uzawa(system.augmented, solve_K), f"{factor} augmented-Lagrangian"
-    x, res, steps = _refine(A, b, solve, tol)
+    x, res, steps = _refine(A, b, bnorm, solve, tol)
     if not np.isfinite(res) or res > tol:
         A.sum_duplicates()  # |A| on A's own index arrays, without a copy of A
         absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)

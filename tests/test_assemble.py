@@ -1,5 +1,7 @@
 """Assembly: local blocks, push-forward scalings, BCs, norms, couplings."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -280,8 +282,8 @@ def test_boundary_modes_reject_indices_that_are_not_integers(mode, dofs):
         apply_dirichlet(K, dofs, mode)
 
 
-@pytest.mark.parametrize("dofs", [[], [4, 3], np.array([3, 4], dtype=np.uint8)],
-                         ids=["empty", "list", "uint8"])
+@pytest.mark.parametrize("dofs", [[], [4, 3], np.array([3, 4], dtype=np.uint8), [4, 3, 4]],
+                         ids=["empty", "list", "uint8", "duplicated"])
 def test_boundary_modes_accept_integer_and_empty_indices(dofs):
     K = SparseSystem(sp.identity(5, format="csr"))
     want = [0, 1, 2] if len(dofs) else [0, 1, 2, 3, 4]
@@ -533,3 +535,23 @@ def test_loads_and_errors_by_blocks_equal_one_block(name, n, r, divisions):
     assert np.array_equal(b, _load_in_one_block(mesh, dofmap, field))
     c = np.random.default_rng(0).standard_normal(dofmap.total)
     assert l2_error(dofmap, c, field) == _l2_error_in_one_block(mesh, dofmap, c, field)
+
+
+@pytest.mark.parametrize("name, field, got, want", [
+    # a scalar field on a 2D H(curl) map broadcast against its 2P columns
+    ("SminusCurl", lambda x: x[..., 0], "(16, {P})", "(16, {P}, 2)"),
+    # a constant is not broadcast over the points
+    ("SminusCurl", lambda x: 1.0, "()", "(16, {P}, 2)"),
+    ("S", lambda x: 1.0, "()", "(16, {P})"),
+    ("S", lambda x: x, "(16, {P}, 2)", "(16, {P})"),
+], ids=["scalar-on-hcurl", "constant-on-hcurl", "constant-on-h1", "vector-on-h1"])
+def test_load_and_error_name_a_field_of_the_wrong_shape(name, field, got, want):
+    dofmap = global_numbering(build_box_mesh(2, 4), element_by_name(name, 2, 1))
+    # P quadrature points per cell: the error's rule has one more per axis
+    for call, P, caller in (
+            (lambda: assemble_load(dofmap, field), 9, "assemble_load: f"),
+            (lambda: l2_error(dofmap, np.zeros(dofmap.total), field), 16, "l2_error: exact")):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{caller} returned values of shape {got.format(P=P)} at points of "
+                f"shape (16, {P}, 2); this DOF map needs shape {want.format(P=P)}")):
+            call()

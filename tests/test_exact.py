@@ -89,6 +89,20 @@ def test_gram_solve_rejects_a_singular_consistent_system():
         gram_solve([{0: 1, 1: 1}, {0: 1, 1: 1}], [{0: 1, 1: 1}])
 
 
+def test_gram_solve_reads_the_eliminator_through_one_rational_solve(monkeypatch):
+    from trimfem import _exact
+
+    calls = []
+
+    def counting(rows, rhs, ncols):
+        calls.append(ncols)
+        return rational_solve(rows, rhs, ncols)
+
+    monkeypatch.setattr(_exact, "rational_solve", counting)
+    assert gram_solve([{0: 2, 1: 1}, {0: 1, 1: 2}], [{0: 3, 1: 3}]) == [{0: 1, 1: 1}]
+    assert calls == [2]
+
+
 def test_span_basis_is_fully_reduced_whatever_the_insertion_order():
     # integer input with non-unit pivots must still reduce exactly
     for vecs in ([{3: 2}, {1: 3, 3: 1}], [{1: 3, 3: 1}, {3: 2}]):

@@ -282,13 +282,26 @@ def test_studies_and_the_dof_report_take_numpy_integer_arrays():
     (["maxwell-eig", "--element", "SminusCurl", "--order", "1", "--levels", "1"],
      "eigenproblem of size 0"),
     (["dofs", "--orders", ""], "orders []"),
+    # in units of pi^2, as given, not the pencil's shift -pi^2
+    (["maxwell-eig", "--element", "SminusCurl", "--order", "1", "--levels", "2",
+      "--target", "-1"], "target=-1.0: the cavity target, in units of pi^2"),
 ], ids=["decreasing-levels", "empty-levels", "nev-0", "cavity-without-unknowns",
-        "dofs-without-orders"])
+        "dofs-without-orders", "negative-target"])
 def test_cli_rejects_bad_study_input(capsys, argv, message):
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("n, family", [(3, "S"), (2, "Q")])
+def test_eliminate_ladder_solves_a_level_without_unknowns(n, family):
+    # at N = 1 every Lagrange_1 DOF is on the boundary: zero coefficients,
+    # so the error is the exact solution's norm, 2^(-n/2) up to quadrature
+    coarse, fine = run_primal_poisson(n, family, 1, [1, 2], bc_mode="eliminate")
+    assert (coarse.dofs, fine.dofs) == (2**n, 3**n)
+    assert coarse.error == pytest.approx(2 ** (-n / 2), rel=0.01)
+    assert fine.error < coarse.error and fine.rate > 1
 
 
 def test_exact_cavity_spectrum_prefix():

@@ -181,6 +181,25 @@ def test_spd_solve_without_a_lattice_factors_once_in_float64(splu_dtypes, offdia
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-12
 
 
+def test_a_system_without_unknowns_solves_to_zeros_without_a_factor(splu_dtypes,
+                                                                   monkeypatch):
+    # 2D Lagrange_1 on one cell: all four DOFs are on the boundary, so the
+    # eliminated system is 0 x 0 (scipy's dnrm2 refuses its empty rhs)
+    dofmap = global_numbering(build_box_mesh(2, 1), element_by_name("Lagrange", 2, 1))
+    K = assemble_bilinear(dofmap, dofmap, "GradGrad")
+    K.rhs = np.ones(dofmap.total)
+    red = apply_dirichlet(K, boundary_dofs(dofmap), "eliminate")
+    assert red.matrix.shape == (0, 0)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a system without unknowns was factored")
+
+    monkeypatch.setattr(solve, "_solver", no_factor)
+    x = solve_spd(red)
+    assert x.tolist() == [0.0] * 4
+    assert splu_dtypes == []
+
+
 def test_solve_spd_reports_singular_systems():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(RuntimeError, match=r"sparse factorization.*size 2, nnz 1"):
