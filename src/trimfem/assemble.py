@@ -91,14 +91,14 @@ class SparseSystem:
     solve solves on the multifrontal factor of its K.
     """
 
-    augmented = None
-
-    def __init__(self, matrix, rhs=None, full_size=None, free=None, lattice=None):
+    def __init__(self, matrix, rhs=None, full_size=None, free=None, lattice=None,
+                 augmented=None):
         self.matrix = matrix
         self.rhs = rhs
         self.full_size = matrix.shape[0] if full_size is None else full_size
         self.free = free
         self._lattice = lattice
+        self.augmented = augmented
 
     @cached_property
     def lattice(self):
@@ -246,7 +246,7 @@ def assemble_load(dofmap: GlobalDofMap, f) -> np.ndarray:
     (..., n) (`_field_values` checks the shape).
     """
     element, mesh = dofmap.element, dofmap.mesh
-    rule = gauss_rule(element.n, element.r + 2)
+    rule = gauss_rule(element.n, _quad_degree(element))
     phi, weights = _proxy_table(element, mesh.h, rule)
     b = np.zeros(dofmap.total)
     for cells in _cell_blocks(rule, dofmap):
@@ -287,11 +287,15 @@ def assemble_mixed_poisson(hdiv_map: GlobalDofMap, l2_map: GlobalDofMap,
     B = _scatter(l2_map, hdiv_map, B_l)
     mat = sp.bmat([[_scatter(hdiv_map, hdiv_map, M_l), B.T], [B, None]], format="csr")
     rhs = np.concatenate([np.zeros(hdiv_map.total), -assemble_load(l2_map, f)])
-    system = SparseSystem(mat, rhs)
     K = SparseSystem(_scatter(hdiv_map, hdiv_map, M_l + _GAMMA * (B_l.T @ Winv_l @ B_l)),
                      lattice=lambda: hdiv_map.lattice)
-    system.augmented = (K, B, _scatter(l2_map, l2_map, Winv_l), _GAMMA)
-    return system
+    return SparseSystem(mat, rhs, augmented=(K, B, _scatter(l2_map, l2_map, Winv_l), _GAMMA))
+
+
+def _check_bc_mode(mode):
+    """Raise unless `mode` is a boundary mode of `apply_dirichlet`."""
+    if mode not in ("eliminate", "diag1"):
+        raise ValueError(f"unknown boundary mode {mode!r}; use 'eliminate' or 'diag1'")
 
 
 def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSystem:
@@ -300,11 +304,13 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     `eliminate` removes constrained rows/columns and solves the reduced
     system; `diag1` zeroes them and puts a unit value on the diagonal,
     which reproduces the spurious unit eigenvalues reported by solvers
-    that use that convention.  `dofs` are integer indices of the system's
-    unknowns, in any order and possibly repeated; both modes read one mask
-    of the fixed DOFs.  The new system's lattice is the system's, under
-    `eliminate` its rows of the free DOFs, computed when first used.
+    that use that convention; any other mode raises first.  `dofs` are
+    integer indices of the system's unknowns, in any order and possibly
+    repeated; both modes read one mask of the fixed DOFs.  The new
+    system's lattice is the system's, under `eliminate` its rows of the
+    free DOFs, computed when first used.
     """
+    _check_bc_mode(mode)
     dofs = np.asarray(dofs)
     if dofs.size and not np.issubdtype(dofs.dtype, np.integer):
         raise ValueError(f"DOF indices must be integers, got dtype {dofs.dtype}")
@@ -324,21 +330,19 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
         lattice = None if whole is None else lambda: (
             whole() if callable(whole) else whole)[free]
         return SparseSystem(red, rhs, full_size=nfull, free=free, lattice=lattice)
-    if mode == "diag1":
-        out = A.copy()
-        out.sum_duplicates()
-        # zero every entry in a constrained row or column, then drop all
-        # zeros (as a sparse product would) after setting the unit diagonal
-        out.data[np.repeat(fixed, np.diff(out.indptr)) | fixed[out.indices]] = 0.0
-        diag = np.flatnonzero(fixed)
-        out[diag, diag] = 1.0
-        out.eliminate_zeros()
-        rhs = None
-        if system.rhs is not None:
-            rhs = system.rhs.copy()
-            rhs[fixed] = 0.0
-        return SparseSystem(out, rhs, full_size=nfull, lattice=whole)
-    raise ValueError(f"unknown boundary mode {mode!r}; use 'eliminate' or 'diag1'")
+    out = A.copy()  # diag1
+    out.sum_duplicates()
+    # zero every entry in a constrained row or column, then drop all
+    # zeros (as a sparse product would) after setting the unit diagonal
+    out.data[np.repeat(fixed, np.diff(out.indptr)) | fixed[out.indices]] = 0.0
+    diag = np.flatnonzero(fixed)
+    out[diag, diag] = 1.0
+    out.eliminate_zeros()
+    rhs = None
+    if system.rhs is not None:
+        rhs = system.rhs.copy()
+        rhs[fixed] = 0.0
+    return SparseSystem(out, rhs, full_size=nfull, lattice=whole)
 
 
 def l2_error(dofmap: GlobalDofMap, coefficients, exact) -> float:

@@ -5,7 +5,9 @@ records global DOF counts, errors and timings as `ExperimentRow`s, and
 computes convergence rates between consecutive levels by one rule,
 `_fill_rates`.  One level loop serves every study: it numbers the
 spaces, then times assembly and the single solve (factorization
-included) separately; the reported Time column is their sum.
+included) separately; the reported Time column is their sum.  A study
+refuses its options and levels before it builds its first mesh, by the
+rules of the code that uses them.
 """
 
 import csv
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemble import (
+    _check_bc_mode,
     apply_dirichlet,
     assemble_bilinear,
     assemble_load,
@@ -24,7 +27,7 @@ from .assemble import (
 )
 from .mesh import boundary_dofs, build_box_mesh, global_numbering
 from .refelem import TENSOR_PRODUCT, TRIMMED_SERENDIPITY, build_element, family_label
-from .solve import clusters, eig_shift_invert, solve_saddle, solve_spd
+from .solve import _check_nev, _check_tol, clusters, eig_shift_invert, solve_saddle, solve_spd
 
 
 @dataclass
@@ -119,6 +122,7 @@ def _grad_sin_product(x, n):
 
 def run_projection(n, family, r, N_list, tol=1e-12):
     """L2-project g = grad(sin...sin) onto the H(curl) space of order r."""
+    _check_tol(tol)
     element = build_element(family, n, 1, r, mapping="covariant")
 
     def g(x):
@@ -136,6 +140,8 @@ def run_projection(n, family, r, N_list, tol=1e-12):
 def run_primal_poisson(n, family, r, N_list, bc_mode="diag1", tol=1e-12):
     """Homogeneous Dirichlet Poisson problem with the manufactured solution
     u = sin(pi x) sin(pi y) [sin(pi z)]."""
+    _check_tol(tol)
+    _check_bc_mode(bc_mode)
     element = build_element(family, n, 0, r, mapping="h1")
 
     def assemble(dofmap):
@@ -153,6 +159,7 @@ def run_mixed_poisson(n, family, r, N_list, tol=1e-12):
 
     The reported error is the L2 error of the scalar solution u.
     """
+    _check_tol(tol)
     elements = [build_element(family, n, n - 1, r, mapping="contravariant"),
                 build_element(family, n, n, r, mapping="l2")]
 
@@ -243,6 +250,8 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
     The report's `series` holds each tracked eigenvalue's error rows.
     `target` is in units of pi^2 and must be finite and positive.
     """
+    _check_tol(tol)
+    _check_nev(nev)
     if not (np.isfinite(target) and target > 0):
         raise ValueError(f"target={target}: the cavity target, in units of pi^2, "
                          "must be finite and positive")

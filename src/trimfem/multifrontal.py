@@ -93,6 +93,7 @@ the traced peak of `factor` above its input is 43 MiB.
 import contextlib
 import ctypes
 import functools
+import heapq
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -236,19 +237,26 @@ def _top_box(lattice):
 
 
 def _tree(top, leaf):
-    """The box classes under `top`, every child before its parents.
+    """The box classes under `top`, every child before its parents, walked
+    once from the top down.
 
-    Returns a list of (box, pivot lo, pivot hi, [(child, shift), ...]),
-    the pivot box being the whole box for a leaf and the splitting plane
-    otherwise; a child's shift is its lower corner in the box's
-    coordinates.  Only the two halves of a split are tree nodes, and a
-    box of at most `leaf` lattice positions is a leaf.
+    Returns a list of (box, pivot lo, pivot hi, [(child, shift), ...],
+    corners, parents), the pivot box being the whole box for a leaf and
+    the splitting plane otherwise; a child's shift is its lower corner in
+    the box's coordinates, `corners` the lower corner of every instance
+    of the box, (instances, n), and `parents` the number of halves that
+    name it.  Only the two halves of a split are tree nodes, and a box of
+    at most `leaf` lattice positions is a leaf.  Boxes are taken by
+    descending (volume, box), so every parent, being larger, has added its
+    instances to a box before the box is taken.
     """
-    tree, todo = {}, [top]
+    def rank(box):  # descending (volume, box) first on heapq's ascending order
+        return -_volume(box), tuple(-v for v in box[0] + box[1]), box
+
+    corners, parents = {top: [np.zeros((1, len(top[0])), dtype=np.int64)]}, {top: 0}
+    todo, tree = [rank(top)], []
     while todo:
-        box = todo.pop()
-        if box in tree:
-            continue
+        box = heapq.heappop(todo)[-1]
         lo, hi = list(box[0]), list(box[1])
         split = _split(lo, hi) if _volume(box) > leaf else None
         halves = []
@@ -258,27 +266,20 @@ def _tree(top, leaf):
             shift[a] = p  # the low half starts at the box's corner
             halves = [(low, 0 * shift), (high, shift)]
             lo[a] = hi[a] = p
-        tree[box] = (np.array(lo), np.array(hi), halves)
-        todo.extend(child for child, _ in halves)
-    order = sorted(tree, key=lambda b: (_volume(b), b))
-    return [(box, *tree[box]) for box in order]
+        off = np.concatenate(corners.pop(box))
+        for child, shift in halves:
+            if child not in parents:
+                corners[child], parents[child] = [], 0
+                heapq.heappush(todo, rank(child))
+            corners[child].append(off + shift)
+            parents[child] += 1
+        tree.append((box, np.array(lo), np.array(hi), halves, off, parents[box]))
+    return tree[::-1]
 
 
 def _volume(box):
     """Lattice positions in the box."""
     return math.prod(h - l + 1 for l, h in zip(*box))
-
-
-def _instances(tree):
-    """Lower corner of every instance of every class, (ninst, n) per box."""
-    top = tree[-1][0]
-    parts = {top: [np.zeros((1, len(top[0])), dtype=np.int64)]}
-    offsets = {}
-    for box, _, _, halves in reversed(tree):
-        offsets[box] = np.concatenate(parts.pop(box))
-        for child, shift in halves:
-            parts.setdefault(child, []).append(offsets[box] + shift)
-    return offsets
 
 
 class _Front(NamedTuple):
@@ -516,16 +517,8 @@ def _fronts(A, lattice, indefinite):
             raise _Refused
         return idx
 
-    tree = _tree(top, _LEAF * np.prod(gshape - 2) / n)  # positions per leaf
-    offsets = _instances(tree)
-    uses = {}
-    for _, _, _, halves in tree:
-        for child, _ in halves:
-            uses[child] = uses.get(child, 0) + 1
-
     shells, updates, fronts, covered = {}, {}, [], []
-    for box, plo, phi, halves in tree:
-        off = offsets[box]
+    for box, plo, phi, halves, off, parents in _tree(top, _LEAF * np.prod(gshape - 2) / n):
         base = ((off + 1) @ gstride * nslot).astype(dkey.dtype)  # corner keys
         lo, hi = np.array(box[0]), np.array(box[1])
         live = [(child, int(shift @ gstride) * nslot) for child, shift in halves
@@ -607,14 +600,13 @@ def _fronts(A, lattice, indefinite):
         Y.T.reshape(-1).put(flat[kept], vals[kept])
         for (child, _), (idx, a, b, kb) in zip(live, planes):
             idx[b] = skeys.searchsorted(kb) + p  # the child's shell in the front
-            U = updates[child]
+            U, left = updates.pop(child)  # freed after its last parent
             if len(a):
                 _extend_add(Y, idx[a], U, a, idx, np.arange(len(idx)))
             if len(b):
                 _extend_add(F22, idx[b] - p, U, b)
-            uses[child] -= 1
-            if not uses[child]:
-                del updates[child]
+            if left > 1:
+                updates[child] = U, left - 1
 
         U, ipiv = F22, None
         if p and indefinite:  # Linv and L21t: sytrf's factor and W
@@ -638,8 +630,8 @@ def _fronts(A, lattice, indefinite):
                                overwrite_c=1)
         if p:
             fronts.append(_Front(pivots, dofs(base, skeys), Linv, L21t, ipiv))
-        if s and box in uses:
-            shells[box], updates[box] = skeys, U
+        if s and parents:
+            shells[box], updates[box] = skeys, (U, parents)
 
     if not covered or (np.bincount(np.concatenate(covered), minlength=n) != 1).any():
         raise _Refused

@@ -149,6 +149,16 @@ def _check_tol(tol):
         raise ValueError(f"tol={tol}: the tolerance must be finite and positive")
 
 
+def _check_nev(nev):
+    """`nev` as a Python int; raise unless it is an integer (numpy integers
+    too, not a bool) of at least 1."""
+    if isinstance(nev, bool) or not isinstance(nev, Integral):
+        raise ValueError(f"nev={nev}: the number of eigenpairs must be an integer")
+    if nev < 1:
+        raise ValueError(f"nev={int(nev)}: request at least one eigenpair")
+    return int(nev)
+
+
 def _refine(A, b, bnorm, solve, tol):
     """Iterative refinement of `solve(b)` with float64 residuals on A.
 
@@ -207,7 +217,10 @@ def _direct_solve(system: SparseSystem, tol, stage):
     finite, raise a ValueError naming the `stage` before any factor; a
     residual above `tol` raises a RuntimeError that gives the refinement
     steps taken, the factor and the rounding floor eps ||A| |x|| / ||b||.
-    A zero right-hand side, or a system without unknowns, takes no factor.
+    The floor reads |A| over A's stored entries, leaving A as given, so an
+    entry stored twice adds its magnitudes (an upper estimate) and the
+    error's nnz counts stored entries.  A zero right-hand side, or a system
+    without unknowns, takes no factor.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
@@ -236,7 +249,7 @@ def _direct_solve(system: SparseSystem, tol, stage):
         solve, factor = _uzawa(system.augmented, solve_K), f"{factor} augmented-Lagrangian"
     x, res, steps = _refine(A, b, bnorm, solve, tol)
     if not np.isfinite(res) or res > tol:
-        A.sum_duplicates()  # |A| on A's own index arrays, without a copy of A
+        # on A's own arrays: abs(A) sums A's duplicates in place
         absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
         floor = np.finfo(float).eps * np.linalg.norm(absA @ np.abs(x)) / bnorm
         raise RuntimeError(
@@ -317,10 +330,10 @@ _DEPENDENT = 1e-6
 def clusters(values):
     """The copies in `values` as ascending (mean, count) pairs: the sorted
     values split where consecutive ones differ by more than `_COPIES`
-    times their size."""
+    times their size.  No values give no pairs."""
     values = np.sort(values)
     ends = np.flatnonzero(np.diff(values) > _COPIES * np.abs(values[1:])) + 1
-    return [(float(part.mean()), len(part)) for part in np.split(values, ends)]
+    return [(float(part.mean()), len(part)) for part in np.split(values, ends) if len(part)]
 
 
 def _ritz_pairs(H, locked, m):
@@ -523,11 +536,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target, nev=15,
     `_block_lanczos`).
     """
     _check_tol(tol)
-    if isinstance(nev, bool) or not isinstance(nev, Integral):
-        raise ValueError(f"nev={nev}: the number of eigenpairs must be an integer")
-    nev = int(nev)
-    if nev < 1:
-        raise ValueError(f"nev={nev}: request at least one eigenpair")
+    nev = _check_nev(nev)
     if not (np.isfinite(target) and target > 0):
         raise ValueError(f"target={target}: the ranking needs a finite positive shift")
     n = A.matrix.shape[0]

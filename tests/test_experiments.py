@@ -257,6 +257,38 @@ def test_studies_reject_bad_levels_before_meshing(monkeypatch, study, levels):
         study(levels)
 
 
+_STUDY_CALLS = {
+    "project": lambda **options: run_projection(2, "S", 1, [2], **options),
+    "poisson": lambda **options: run_primal_poisson(2, "S", 1, [2], **options),
+    "mixed-poisson": lambda **options: run_mixed_poisson(2, "S", 1, [2], **options),
+    "maxwell": lambda **options: run_maxwell_eig("S", 1, [2], **options),
+}
+
+
+@pytest.mark.parametrize("study, options, message", [
+    *[pytest.param(study, {"tol": tol}, f"tol={tol}: the tolerance must be finite",
+                   id=f"{study}-tol={tol}")
+      for study in _STUDY_CALLS for tol in (-1.0, float("nan"), 0)],
+    pytest.param("poisson", {"bc_mode": "bogus"}, "unknown boundary mode 'bogus'",
+                 id="poisson-bc_mode"),
+    pytest.param("maxwell", {"nev": 0}, "nev=0: request at least one eigenpair",
+                 id="maxwell-nev=0"),
+    pytest.param("maxwell", {"nev": 2.5}, "nev=2.5: the number of eigenpairs must be an integer",
+                 id="maxwell-nev=2.5"),
+])
+def test_studies_reject_bad_options_before_meshing(monkeypatch, study, options, message):
+    # each once meshed and assembled its first level before the solver or
+    # apply_dirichlet refused the option
+    from trimfem import experiments
+
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(experiments, "build_box_mesh", no_mesh)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _STUDY_CALLS[study](**options)
+
+
 def test_studies_and_the_dof_report_take_numpy_integer_arrays():
     # each raised numpy's "truth value of an array ... is ambiguous" from
     # the line meant to name bad levels

@@ -12,7 +12,7 @@ from trimfem.assemble import (
     assemble_mixed_poisson,
 )
 from trimfem.mesh import boundary_dofs, build_box_mesh, global_numbering
-from trimfem.multifrontal import _instances, _top_box, _tree
+from trimfem.multifrontal import _top_box, _tree
 from trimfem.refelem import (
     TENSOR_PRODUCT,
     TRIMMED_SERENDIPITY,
@@ -44,12 +44,10 @@ def _tree_order(lattice):
     tree split down to boxes without an interior even plane."""
     lattice = np.asarray(lattice, dtype=np.int64)
     origin, top = _top_box(lattice)
-    tree = _tree(top, 0)
-    offsets = _instances(tree)
     points = lattice - origin
     order = []
-    for box, plo, phi, _ in tree:
-        for corner in offsets[box]:
+    for _, plo, phi, _, corners, _ in _tree(top, 0):
+        for corner in corners:
             inside = ((points >= corner + plo) & (points <= corner + phi)).all(axis=1)
             order.append(np.flatnonzero(inside))
     return np.concatenate(order)
@@ -94,6 +92,33 @@ def test_nested_dissection_of_arbitrary_points():
     order = _tree_order(lattice)
     assert np.array_equal(np.sort(order), np.arange(200))
     assert np.array_equal(order, _tree_order(lattice))
+
+
+@pytest.mark.parametrize("leaf", [0, 64])
+@pytest.mark.parametrize("lattice", [
+    pytest.param(lambda: _dofmap(2, "S", 1, 6).lattice, id="2-S-1-6"),
+    pytest.param(lambda: _dofmap(3, "S", 3, 3).lattice, id="3-S-3-3"),
+    pytest.param(lambda: _dofmap(3, "SminusCurl", 2, 3).lattice, id="3-SminusCurl-2-3"),
+    pytest.param(lambda: _dofmap(2, "RTCF", 2, 5).lattice, id="2-RTCF-2-5"),
+    pytest.param(lambda: np.random.default_rng(3).integers(-5, 9, size=(200, 3)),
+                 id="arbitrary-points"),
+])
+def test_tree_hands_each_class_its_corners_and_parent_count(lattice, leaf):
+    _, top = _top_box(np.asarray(lattice(), dtype=np.int64))
+    tree = _tree(top, leaf)
+    place = {box: i for i, (box, *_) in enumerate(tree)}
+    named = {box: 0 for box in place}  # instances named by the halves of parents
+    for i, (box, _, _, halves, corners, _) in enumerate(tree):
+        for child, _ in halves:
+            assert place[child] < i  # every child before its parents
+            named[child] += len(corners)
+    assert sum(parents for *_, parents in tree) == sum(len(t[3]) for t in tree)
+    (top_box, *_, top_corners, top_parents) = tree[-1]
+    assert top_box == top and top_parents == 0
+    assert np.array_equal(top_corners, np.zeros((1, len(top[0]))))
+    for box, _, _, _, corners, parents in tree[:-1]:
+        assert parents >= 1
+        assert corners.shape == (named[box], len(top[0]))
 
 
 @pytest.mark.parametrize("n,name,r,N,form", [

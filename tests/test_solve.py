@@ -125,6 +125,23 @@ def test_residual_failure_reports_refinement_and_rounding_floor():
         solve_spd(SparseSystem(A, h * np.ones(4)), tol=1e-18)
 
 
+def test_a_failed_solve_leaves_a_matrix_with_duplicate_entries_as_given():
+    # a 40 x 40 SPD matrix with every entry stored twice, as halves: the
+    # rounding floor once summed the duplicates in place, nnz 3200 -> 1600
+    n = 40
+    G = np.random.default_rng(0).standard_normal((n, n))
+    dense = G @ G.T + n * np.eye(n)
+    dense = (dense + dense.T) / 2
+    A = sp.csr_matrix((np.hstack([dense / 2, dense / 2]).ravel(), np.tile(np.arange(n), 2 * n),
+                       np.arange(0, 2 * n * n + 1, 2 * n)), shape=(n, n))
+    assert not A.has_canonical_format and A.nnz == 2 * n * n
+    given = [a.copy() for a in (A.indptr, A.indices, A.data)]
+    with pytest.raises(RuntimeError, match=r"rounding floor .* \(matrix size 40, nnz 3200\)$"):
+        solve_spd(SparseSystem(A, np.ones(n)), tol=1e-30)
+    for before, after in zip(given, (A.indptr, A.indices, A.data)):
+        assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
+
+
 @pytest.mark.parametrize("n, r, N", [(2, 2, 16), (3, 2, 4)])
 def test_assembled_systems_take_the_multifrontal_factor(splu_dtypes, n, r, N):
     # a random right-hand side: the manufactured load is close to an
@@ -738,6 +755,12 @@ def test_clusters_split_at_the_copies_tolerance(scale):
     assert [count for _, count in pairs] == [2, 1, 2]
     means = np.array([mean for mean, _ in pairs])
     assert np.allclose(means / scale, [1.0 + 0.25 * c, 1.0 + 2.5 * c, 5.0], rtol=1e-15, atol=0)
+
+
+def test_clusters_of_no_values_are_none():
+    # once numpy's "Mean of empty slice" warning and [(nan, 0)]
+    assert solve.clusters([]) == []
+    assert solve.clusters(np.array([])) == []
 
 
 def test_a_target_at_an_eigenvalue_to_rounding_converges():
