@@ -78,6 +78,10 @@ class PushForward:
 class SparseSystem:
     """An assembled sparse operator with optional right-hand side and BCs.
 
+    The constructor stores a scipy sparse matrix as canonical CSR (sorted
+    indices, duplicates summed on a copy), which every reader takes as it
+    is; any other matrix raises a TypeError naming its type.
+
     After `eliminate`-mode boundary conditions the stored matrix is the
     reduced operator on the DOFs `free`; `expand` scatters a reduced
     solution back to the full DOF vector.
@@ -93,6 +97,12 @@ class SparseSystem:
 
     def __init__(self, matrix, rhs=None, full_size=None, free=None, lattice=None,
                  augmented=None):
+        if not sp.issparse(matrix):
+            raise TypeError(f"a system needs a scipy sparse matrix, not {type(matrix).__name__}")
+        matrix = matrix.tocsr()
+        if not matrix.has_canonical_format:
+            matrix = matrix.copy()
+            matrix.sum_duplicates()
         self.matrix = matrix
         self.rhs = rhs
         self.full_size = matrix.shape[0] if full_size is None else full_size
@@ -225,15 +235,19 @@ def _cell_blocks(rule, dofmap: GlobalDofMap):
 def _field_values(field, pts, ncomp, name):
     """`field` at the points `pts` (cells, P, n), as one row per cell.
 
-    The values must have the points' shape (cells, P) for a scalar proxy,
-    (cells, P, ncomp) for a vector one; any other shape raises a
-    ValueError that names the function `name` and both shapes.
+    The values must be real, of the points' shape (cells, P) for a scalar
+    proxy, (cells, P, ncomp) for a vector one; any other shape raises a
+    ValueError that names the function `name` and both shapes, a complex
+    dtype one that names `name` and the dtype.
     """
     vals = np.asarray(field(pts))
     want = pts.shape[:-1] + ((ncomp,) if ncomp > 1 else ())
     if vals.shape != want:
         raise ValueError(f"{name} returned values of shape {vals.shape} at points of "
                          f"shape {pts.shape}; this DOF map needs shape {want}")
+    if np.iscomplexobj(vals):
+        raise ValueError(f"{name} returned values of complex dtype {vals.dtype}; "
+                         "the field must be real")
     return vals.reshape(len(pts), -1)
 
 
@@ -304,18 +318,21 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     `eliminate` removes constrained rows/columns and solves the reduced
     system; `diag1` zeroes them and puts a unit value on the diagonal,
     which reproduces the spurious unit eigenvalues reported by solvers
-    that use that convention; any other mode raises first.  `dofs` are
+    that use that convention.  A matrix that is not square, then any other
+    mode, raise a ValueError before any work.  `dofs` are
     integer indices of the system's unknowns, in any order and possibly
     repeated; both modes read one mask of the fixed DOFs.  The new
     system's lattice is the system's, under `eliminate` its rows of the
     free DOFs, computed when first used.
     """
+    A = system.matrix
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"apply_dirichlet: a matrix of shape {A.shape} is not square")
     _check_bc_mode(mode)
     dofs = np.asarray(dofs)
     if dofs.size and not np.issubdtype(dofs.dtype, np.integer):
         raise ValueError(f"DOF indices must be integers, got dtype {dofs.dtype}")
     dofs = dofs.astype(np.int64)
-    A = system.matrix.tocsr()
     nfull = A.shape[0]
     bad = dofs[(dofs < 0) | (dofs >= nfull)]
     if bad.size:
@@ -325,13 +342,12 @@ def apply_dirichlet(system: SparseSystem, dofs, mode="eliminate") -> SparseSyste
     whole = system._lattice  # not the system: a closure would keep its matrix alive
     if mode == "eliminate":
         free = np.flatnonzero(~fixed)
-        red = A[free][:, free].tocsr()
+        red = A[free][:, free]
         rhs = None if system.rhs is None else system.rhs[free]
         lattice = None if whole is None else lambda: (
             whole() if callable(whole) else whole)[free]
         return SparseSystem(red, rhs, full_size=nfull, free=free, lattice=lattice)
     out = A.copy()  # diag1
-    out.sum_duplicates()
     # zero every entry in a constrained row or column, then drop all
     # zeros (as a sparse product would) after setting the unit diagonal
     out.data[np.repeat(fixed, np.diff(out.indptr)) | fixed[out.indices]] = 0.0
@@ -374,9 +390,6 @@ def nonzero_count(system: SparseSystem):
 
     Returns (count, fill fraction), the fraction being count / (rows*cols).
     """
-    A = system.matrix.tocsr().copy()
-    A.data[np.abs(A.data) < 1e-14] = 0.0
-    A.eliminate_zeros()
-    count = int(A.nnz)
-    frac = count / (A.shape[0] * A.shape[1])
-    return count, frac
+    A = system.matrix
+    count = A.nnz - int(np.count_nonzero(np.abs(A.data) < 1e-14))
+    return count, count / (A.shape[0] * A.shape[1])

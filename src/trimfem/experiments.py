@@ -27,7 +27,8 @@ from .assemble import (
 )
 from .mesh import boundary_dofs, build_box_mesh, global_numbering
 from .refelem import TENSOR_PRODUCT, TRIMMED_SERENDIPITY, build_element, family_label
-from .solve import _check_nev, _check_tol, clusters, eig_shift_invert, solve_saddle, solve_spd
+from .solve import (_check_nev, _check_tol, _finite_positive, clusters, eig_shift_invert,
+                    solve_saddle, solve_spd)
 
 
 @dataclass
@@ -248,11 +249,11 @@ def run_maxwell_eig(family, r, N_list, target=3.0, nev=15, tol=1e-7):
     exact value within that window of a returned pair is matched, however
     far above the target.
     The report's `series` holds each tracked eigenvalue's error rows.
-    `target` is in units of pi^2 and must be finite and positive.
+    `target` is in units of pi^2 and must be finite, positive and not a bool.
     """
     _check_tol(tol)
     _check_nev(nev)
-    if not (np.isfinite(target) and target > 0):
+    if not _finite_positive(target):
         raise ValueError(f"target={target}: the cavity target, in units of pi^2, "
                          "must be finite and positive")
     pi2 = np.pi**2

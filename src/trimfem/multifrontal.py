@@ -370,16 +370,17 @@ def factor(A, lattice, indefinite=False):
     """Multifrontal factor of the symmetric matrix A on `lattice`.
 
     `A` is a square CSR matrix whose unknown i sits at lattice position
-    `lattice[i]` (doubled-lattice coordinates, as in
-    `GlobalDofMap.lattice`).  An SPD matrix takes the Cholesky kernel; an
-    `indefinite` one, such as a shifted pencil A - sigma M, LAPACK's
-    Bunch-Kaufman factor in each front (`_indefinite_front`).  A lattice
-    that is not a 2-D integer array of at least one column and one row per
-    unknown raises a ValueError, the package's one rule on lattices.
+    `lattice[i]` (doubled-lattice coordinates, as in `GlobalDofMap.lattice`).
+    Duplicates are summed on a copy, though every trimfem caller passes a
+    canonical matrix: a system's, or a difference of two.  An SPD matrix
+    takes the Cholesky kernel; an `indefinite` one, such as a shifted pencil
+    A - sigma M, LAPACK's Bunch-Kaufman factor in each front (`_indefinite_front`).
+    A lattice that is not a 2-D integer array of at least one column and one
+    row per unknown raises a ValueError, the package's one rule on lattices.
     Returns a `MultifrontalFactor`, or None only for an empty A, where its
     classes do not hold for A (see the module docstring) or where an
-    indefinite pivot block is singular or ill-conditioned.  A Cholesky
-    front that is not positive definite raises a RuntimeError (box, sizes).
+    indefinite pivot block is singular or ill-conditioned.  A Cholesky front
+    that is not positive definite raises a RuntimeError (box, sizes).
     """
     lattice = np.asarray(lattice)
     n = A.shape[0]

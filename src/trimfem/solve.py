@@ -51,7 +51,6 @@ import time
 from numbers import Integral
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
@@ -87,10 +86,10 @@ def _check_symmetric(A, stage):
     """Raise unless A's entries are finite and max |A - A^T| <= 1e-12 max |A|,
     at any scale of A; the errors name the `stage`.
 
-    A canonical CSR matrix with a symmetric pattern, as every assembled
-    one has, is compared with its transpose value by value, in the
-    transpose's own array; any other takes the subtraction A - A^T, whose
-    union pattern costs a third matrix.
+    A matrix with a symmetric pattern, as every assembled one has, is
+    compared with its transpose value by value, in the transpose's own
+    array; any other takes the subtraction A - A^T, whose union pattern
+    costs a third matrix.
     """
     if not A.nnz:
         return
@@ -98,8 +97,7 @@ def _check_symmetric(A, stage):
     if not np.isfinite(scale):  # before inf - inf makes a NaN
         raise ValueError(f"{stage}: the matrix has an entry that is not finite")
     T = A.T.tocsr()  # the transpose, with sorted indices
-    if (A.has_canonical_format and np.array_equal(A.indptr, T.indptr)
-            and np.array_equal(A.indices, T.indices)):
+    if np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices):
         d = np.subtract(T.data, A.data, out=T.data)
     else:
         d = (A - T).data
@@ -143,9 +141,14 @@ def _solver(A, lattice, stage, indefinite=False):
     return _factor(A, stage), "SuperLU"
 
 
+def _finite_positive(value):
+    """Whether `value` is a finite positive number, not a bool (numpy's too)."""
+    return not isinstance(value, (bool, np.bool_)) and np.isfinite(value) and value > 0
+
+
 def _check_tol(tol):
-    """Raise unless `tol` is finite and positive: NaN and inf pass anything."""
-    if not (np.isfinite(tol) and tol > 0):
+    """Raise unless `tol` is `_finite_positive`: NaN and inf pass anything."""
+    if not _finite_positive(tol):
         raise ValueError(f"tol={tol}: the tolerance must be finite and positive")
 
 
@@ -164,24 +167,25 @@ def _refine(A, b, bnorm, solve, tol):
 
     Corrects until the residual relative to `bnorm` = ||b|| meets `tol` or
     a correction fails to halve it, and returns the best iterate, its
-    relative residual and the number of corrections.  Norms are scipy's
-    `dnrm2`: on 263,169 entries numpy's threaded dot took 4-8 ms a call
-    against 0.2 ms (2-core Xeon).
+    relative residual and the number of corrections.  Each residual's
+    norm is one call to scipy's `dnrm2`: on 263,169 entries numpy's
+    threaded dot took 4-8 ms a call against 0.2 ms (2-core Xeon).
     """
     x = solve(b)
     r = b - A @ x
-    res = blas.dnrm2(r) / bnorm
+    rnorm = blas.dnrm2(r)
+    res = rnorm / bnorm
     steps = 0
     while not res <= tol:
-        rnorm = blas.dnrm2(r)
         y = x + rnorm * solve(r / rnorm)
         s = b - A @ y
-        new = blas.dnrm2(s) / bnorm
+        snorm = blas.dnrm2(s)
+        new = snorm / bnorm
         steps += 1
         if not new < res:
             break
         halved = new <= res / 2
-        x, r, res = y, s, new
+        x, r, rnorm, res = y, s, snorm, new
         if not halved:
             break
     return x, res, steps
@@ -217,15 +221,12 @@ def _direct_solve(system: SparseSystem, tol, stage):
     finite, raise a ValueError naming the `stage` before any factor; a
     residual above `tol` raises a RuntimeError that gives the refinement
     steps taken, the factor and the rounding floor eps ||A| |x|| / ||b||.
-    The floor reads |A| over A's stored entries, leaving A as given, so an
-    entry stored twice adds its magnitudes (an upper estimate) and the
-    error's nnz counts stored entries.  A zero right-hand side, or a system
-    without unknowns, takes no factor.
+    A zero right-hand side, or a system without unknowns, takes no factor.
 
     Returns the full-length coefficient vector (zeros on eliminated DOFs).
     """
     _check_tol(tol)
-    A = system.matrix.tocsr()
+    A = system.matrix
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{stage}: a matrix of shape {A.shape} is not square")
     b = system.rhs
@@ -245,13 +246,12 @@ def _direct_solve(system: SparseSystem, tol, stage):
         solve, factor = _solver(A, system.lattice, stage)
     else:
         K = system.augmented[0]
-        solve_K, factor = _solver(K.matrix.tocsr(), K.lattice, stage)
-        solve, factor = _uzawa(system.augmented, solve_K), f"{factor} augmented-Lagrangian"
+        solve, factor = _solver(K.matrix, K.lattice, stage)
+        solve, factor = _uzawa(system.augmented, solve), f"{factor} augmented-Lagrangian"
     x, res, steps = _refine(A, b, bnorm, solve, tol)
+    del solve  # frees the factor before the floor's |A|, a copy of A (2D N=512: 28 MiB)
     if not np.isfinite(res) or res > tol:
-        # on A's own arrays: abs(A) sums A's duplicates in place
-        absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-        floor = np.finfo(float).eps * np.linalg.norm(absA @ np.abs(x)) / bnorm
+        floor = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x)) / bnorm
         raise RuntimeError(
             f"solver residual {res:.3e} exceeds tolerance {tol:.1e} after "
             f"{steps} refinement steps on a {factor} factor; rounding "
@@ -520,10 +520,10 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target, nev=15,
     `A` and `M` are assembled systems of n >= 2 unknowns; A's matrix must
     be symmetric positive semidefinite and M's symmetric positive
     definite.  `target` is in the pencil's own units (the cavity study
-    passes a multiple of pi^2), finite and positive.  The result holds the
-    `nev` eigenpairs of smallest |lambda - target| / |lambda + target|,
-    the Cayley magnitude, so an eigenvalue at zero (the curl-curl
-    gradient kernel) or far below the target ranks last, and eigenvalues
+    passes a multiple of pi^2), finite, positive and not a bool.  The
+    result holds the `nev` eigenpairs of smallest |lambda - target| /
+    |lambda + target|, the Cayley magnitude, so an eigenvalue at zero (the
+    curl-curl gradient kernel) or far below the target ranks last, and eigenvalues
     above the target are preferred (diag(1..40), target 10.4, nev 3: 10,
     11, 12).  `nev` is an integer (numpy integers too, not a bool).  A block
     shift-invert Lanczos (`_block_lanczos`) computes k = min(nev, n - 1)
@@ -537,7 +537,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target, nev=15,
     """
     _check_tol(tol)
     nev = _check_nev(nev)
-    if not (np.isfinite(target) and target > 0):
+    if not _finite_positive(target):
         raise ValueError(f"target={target}: the ranking needs a finite positive shift")
     n = A.matrix.shape[0]
     if n < 2:
@@ -547,9 +547,7 @@ def eig_shift_invert(A: SparseSystem, M: SparseSystem, target, nev=15,
     if A.matrix.shape != (n, n) or M.matrix.shape != (n, n):
         raise ValueError(f"{stage}: A of shape {A.matrix.shape} and M of shape "
                          f"{M.matrix.shape} are not square matrices of one size")
-    lattice = A.lattice
-    A = sp.csr_matrix(A.matrix)
-    M = sp.csr_matrix(M.matrix)
+    lattice, A, M = A.lattice, A.matrix, M.matrix
     _check_symmetric(A, f"{stage}: A")
     _check_symmetric(M, f"{stage}: M")
     solve, _ = _solver(A - target * M, lattice, stage, indefinite=True)

@@ -310,6 +310,36 @@ def test_diag1_matches_the_sparse_product_construction(n, r, N):
     assert np.array_equal(got.data, want.data)
 
 
+def test_nonzero_count_drops_explicit_zeros_and_entries_below_1e_14():
+    A = sp.csr_matrix((np.array([4.0, 0.0, 1e-15, -1e-14, 3.0]), np.array([0, 1, 2, 0, 2]),
+                       np.array([0, 3, 3, 5])), shape=(3, 3))
+    assert nonzero_count(SparseSystem(A)) == (3, 3 / 9)
+
+
+def test_a_system_refuses_a_matrix_that_is_not_scipy_sparse():
+    # solve_spd and nonzero_count each ended in a bare AttributeError on
+    # the missing tocsr
+    with pytest.raises(TypeError, match="^a system needs a scipy sparse matrix, not ndarray$"):
+        SparseSystem(np.eye(3))
+
+
+@pytest.mark.parametrize("mode", ["eliminate", "diag1"])
+@pytest.mark.parametrize("transposed", [False, True], ids=["B", "B^T"])
+def test_dirichlet_refuses_a_system_that_is_not_square(mode, transposed):
+    # B (48 x 112) once came back (46, 46) under eliminate and raised a bare
+    # IndexError under diag1; B^T raised a bare IndexError under eliminate
+    # and came back (112, 48) under diag1
+    mesh = build_box_mesh(2, 4)
+    l2_map = global_numbering(mesh, element_by_name("DPC", 2, 1))
+    hdiv_map = global_numbering(mesh, element_by_name("SminusDiv", 2, 2))
+    B = assemble_bilinear(l2_map, hdiv_map, "DivCoupling")
+    system = SparseSystem(B.matrix.T) if transposed else B
+    shape = (112, 48) if transposed else (48, 112)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"apply_dirichlet: a matrix of shape {shape} is not square") + "$"):
+        apply_dirichlet(system, [0, 1], mode)
+
+
 def test_nonzero_count_single_cell():
     mesh = build_box_mesh(3, 1)
     elem = build_element(TRIMMED_SERENDIPITY, 3, 0, 1)
@@ -535,6 +565,23 @@ def test_loads_and_errors_by_blocks_equal_one_block(name, n, r, divisions):
     assert np.array_equal(b, _load_in_one_block(mesh, dofmap, field))
     c = np.random.default_rng(0).standard_normal(dofmap.total)
     assert l2_error(dofmap, c, field) == _l2_error_in_one_block(mesh, dofmap, c, field)
+
+
+def test_load_and_error_name_a_field_of_complex_values():
+    # l2_error returned nan and assemble_load dropped the imaginary part,
+    # each after only a ComplexWarning
+    dofmap = global_numbering(build_box_mesh(2, 4), element_by_name("S", 2, 1))
+
+    def field(x):
+        return 2j * np.ones(x.shape[:-1])
+
+    for call, caller in ((lambda: assemble_load(dofmap, field), "assemble_load: f"),
+                         (lambda: l2_error(dofmap, np.zeros(dofmap.total), field),
+                          "l2_error: exact")):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{caller} returned values of complex dtype complex128; the field "
+                "must be real") + "$"):
+            call()
 
 
 @pytest.mark.parametrize("name, field, got, want", [

@@ -1,6 +1,7 @@
 """Experiment harness: rates, CSV round trips, reports, CLI."""
 
 import csv
+import json
 import math
 import os
 import re
@@ -268,13 +269,16 @@ _STUDY_CALLS = {
 @pytest.mark.parametrize("study, options, message", [
     *[pytest.param(study, {"tol": tol}, f"tol={tol}: the tolerance must be finite",
                    id=f"{study}-tol={tol}")
-      for study in _STUDY_CALLS for tol in (-1.0, float("nan"), 0)],
+      for study in _STUDY_CALLS for tol in (-1.0, float("nan"), 0, True)],
     pytest.param("poisson", {"bc_mode": "bogus"}, "unknown boundary mode 'bogus'",
                  id="poisson-bc_mode"),
     pytest.param("maxwell", {"nev": 0}, "nev=0: request at least one eigenpair",
                  id="maxwell-nev=0"),
     pytest.param("maxwell", {"nev": 2.5}, "nev=2.5: the number of eigenpairs must be an integer",
                  id="maxwell-nev=2.5"),
+    # a bool tol solved to 1.0, a bool target ran at 1 pi^2
+    pytest.param("maxwell", {"target": True}, "target=True: the cavity target, in units of "
+                 "pi^2, must be finite and positive", id="maxwell-target=True"),
 ])
 def test_studies_reject_bad_options_before_meshing(monkeypatch, study, options, message):
     # each once meshed and assembled its first level before the solver or
@@ -458,15 +462,24 @@ def test_cavity_clusters_are_complete(monkeypatch, family, N):
     assert counts.keys() == {2, 3, 5, 6} and sum(counts[6]) == 4
 
 
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_workloads():
+    """`perfbench/workloads.py`, loaded as a module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  _PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def _benchmark_study_levels():
     """The study levels of the benchmark's spd_solve and indefinite_solve
     workloads, as `perfbench/workloads.py` lists them."""
-    import importlib.util
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench_workloads()
     return [pytest.param(workloads.run, op, id=op.key)
             for name in ("spd_solve", "indefinite_solve")
             for op in workloads.operations(name)
@@ -485,6 +498,27 @@ def test_no_benchmark_study_level_calls_superlu(splu_dtypes, run, op):
     else:
         run(op)
     assert splu_dtypes == []
+
+
+@pytest.mark.parametrize("workload", ["spd_solve", "indefinite_solve"])
+def test_benchmark_outputs_pass_the_reference_check(workload):
+    # every operation's outputs, as the benchmark's worker runs and checks
+    # them against perfbench/reference.json; the 2D N=512 level is the
+    # reference's one known failure (its rounding floor is above the gate)
+    workloads = _perfbench_workloads()
+    reference = json.loads((_PERFBENCH / "reference.json").read_text())[workload]
+    ops = workloads.operations(workload)
+    results = {}
+    for op in ops:
+        try:
+            results[op.key] = ("ok", workloads.run(op))
+        except RuntimeError as err:  # the residual gate; anything else fails here
+            results[op.key] = ("error", type(err).__name__, str(err))
+    status = workloads.check(ops, results, reference)
+    known = {"poisson:2,S,1,512"} & status.keys()
+    assert {key for key in reference if "known_failure" in reference[key]} == known
+    assert {key: s for key, (s, _) in status.items()} == {
+        op.key: "known_failure" if op.key in known else "ok" for op in ops}, status
 
 
 @pytest.mark.parametrize("family", ["S", "Q"])

@@ -127,7 +127,9 @@ def test_residual_failure_reports_refinement_and_rounding_floor():
 
 def test_a_failed_solve_leaves_a_matrix_with_duplicate_entries_as_given():
     # a 40 x 40 SPD matrix with every entry stored twice, as halves: the
-    # rounding floor once summed the duplicates in place, nnz 3200 -> 1600
+    # rounding floor once summed the duplicates in place, nnz 3200 -> 1600.
+    # The system holds the summed matrix, made on a copy, so the message
+    # gives its 1600 entries and the caller's arrays stay as given
     n = 40
     G = np.random.default_rng(0).standard_normal((n, n))
     dense = G @ G.T + n * np.eye(n)
@@ -136,10 +138,85 @@ def test_a_failed_solve_leaves_a_matrix_with_duplicate_entries_as_given():
                        np.arange(0, 2 * n * n + 1, 2 * n)), shape=(n, n))
     assert not A.has_canonical_format and A.nnz == 2 * n * n
     given = [a.copy() for a in (A.indptr, A.indices, A.data)]
-    with pytest.raises(RuntimeError, match=r"rounding floor .* \(matrix size 40, nnz 3200\)$"):
+    with pytest.raises(RuntimeError, match=r"rounding floor .* \(matrix size 40, nnz 1600\)$"):
         solve_spd(SparseSystem(A, np.ones(n)), tol=1e-30)
     for before, after in zip(given, (A.indptr, A.indices, A.data)):
         assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
+
+
+def _stored_arrays(A):
+    """The index and value arrays a sparse matrix stores."""
+    return (A.row, A.col, A.data) if A.format == "coo" else (A.indptr, A.indices, A.data)
+
+
+@pytest.mark.parametrize("given", ["duplicated", "unsorted", "coo", "csc"])
+def test_a_system_holds_canonical_csr_and_leaves_the_given_matrix(given):
+    n = 12
+    G = np.random.default_rng(1).standard_normal((n, n))
+    dense = G @ G.T + n * np.eye(n)
+    dense = (dense + dense.T) / 2
+    canonical = sp.csr_matrix(dense)
+    if given == "duplicated":  # every entry stored twice, as halves
+        A = sp.csr_matrix((np.hstack([dense / 2, dense / 2]).ravel(), np.tile(np.arange(n), 2 * n),
+                           np.arange(0, 2 * n * n + 1, 2 * n)), shape=(n, n))
+    elif given == "unsorted":  # each row's entries in reverse order
+        A = sp.csr_matrix((dense[:, ::-1].ravel(), np.tile(np.arange(n)[::-1], n),
+                           canonical.indptr.copy()), shape=(n, n))
+    else:
+        A = sp.coo_matrix(dense) if given == "coo" else sp.csc_matrix(dense)
+    given_arrays = [a.copy() for a in _stored_arrays(A)]
+    b = np.arange(1.0, n + 1.0)
+    system = SparseSystem(A, b)
+    held = system.matrix
+    assert held.format == "csr" and held.has_canonical_format
+    for got, want in zip(_stored_arrays(held), _stored_arrays(canonical)):
+        assert got.tobytes() == want.tobytes()
+    assert solve_spd(system).tobytes() == solve_spd(SparseSystem(canonical, b)).tobytes()
+    for before, after in zip(given_arrays, _stored_arrays(A)):
+        assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize("make_system, tol", [
+    (lambda: SparseSystem(sp.identity(5, format="csr"), np.ones(5)), 1e-12),
+    (lambda: _poisson_system(8), 1e-12),
+    (lambda: _poisson_system(8), 1e-30),
+], ids=["exact", "poisson", "poisson-to-the-floor"])
+def test_a_refinement_step_takes_one_residual_norm(monkeypatch, make_system, tol):
+    # dnrm2 once for b, once for the first residual and once per step: a
+    # step's correction is scaled by the norm its stop test took, which
+    # was taken a second time (2 k + 2 calls for k steps)
+    norms, solves = [], []
+
+    class CountingBlas:
+        def __getattr__(self, name):
+            return getattr(scipy.linalg.blas, name)
+
+        def dnrm2(self, x):
+            norms.append(len(x))
+            return scipy.linalg.blas.dnrm2(x)
+
+    solver = solve._solver
+
+    def counting_solver(*args, **kwargs):
+        inner, name = solver(*args, **kwargs)
+
+        def counted(b):
+            solves.append(len(b))
+            return inner(b)
+
+        return counted, name
+
+    monkeypatch.setattr(solve, "blas", CountingBlas())
+    monkeypatch.setattr(solve, "_solver", counting_solver)
+    if tol < 1e-20:
+        with pytest.raises(RuntimeError, match="exceeds tolerance") as err:
+            solve_spd(make_system(), tol=tol)
+        steps = int(re.search(r"after (\d+) refinement steps", str(err.value)).group(1))
+        assert steps >= 1
+    else:
+        solve_spd(make_system(), tol=tol)
+        steps = len(solves) - 1
+    assert len(solves) == steps + 1 and len(norms) == steps + 2
 
 
 @pytest.mark.parametrize("n, r, N", [(2, 2, 16), (3, 2, 4)])
@@ -433,10 +510,10 @@ def _diagonal_pencil(n):
     return A, SparseSystem(sp.identity(n, format="csr"))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True, np.True_])
 def test_solvers_reject_a_tolerance_that_is_not_finite_and_positive(monkeypatch, tol):
-    # NaN and inf would pass any residual and 0 and -1 none: each is named
-    # before anything is factored
+    # NaN and inf would pass any residual and 0 and -1 none, and a bool
+    # solved to 1.0: each is named before anything is factored
     def no_factor(*args):
         raise AssertionError("a factorization was attempted")
 
@@ -678,12 +755,13 @@ def test_systems_without_a_lattice_reach_superlu_in_colamd_order(splu_options):
     assert splu_options == [{"permc_spec": "COLAMD"}] * 2
 
 
-@pytest.mark.parametrize("target", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("target", [0.0, -1.0, float("nan"), float("inf"), True, np.True_])
 def test_eig_shift_invert_rejects_a_shift_that_is_not_positive(target):
     # |lambda - target| / |lambda + target| ranks nothing sensibly there,
-    # and A - inf M is no pencil
+    # A - inf M is no pencil, and a bool ran at 1
     A, M = _diagonal_pencil(20)
-    with pytest.raises(ValueError, match="positive shift"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"target={target}: the ranking needs a finite positive shift")):
         eig_shift_invert(A, M, target=target, nev=2)
 
 
